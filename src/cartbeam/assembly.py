@@ -229,13 +229,12 @@ _TERMS = ("stretch", "shear", "bend", "twist")
 _STIFF_TERMS = ("stretch", "shear")
 
 
-def _element_factors(term: str, form: Formulation, fr: FrameSample, mat: Material,
+def _element_factors(term: str, form: Formulation, t: Vec3, kappa: Vec3, mat: Material,
                      sec: CrossSection, shu: np.ndarray, sha: np.ndarray,
                      nu: int, na: int) -> tuple[np.ndarray, float]:
-    """Factor G (rows x n_local) and modulus k of one term's integrand: the
-    contribution is w k G^T G. For stretch and shear G is the unit strain
-    operator."""
-    t = fr.t
+    """Factor G (rows x n_local) and modulus k of one term's integrand at a
+    point with tangent t and curvature vector kappa: the contribution is
+    w k G^T G. For stretch and shear G is the unit strain operator."""
     n = nu + na
     if term == "stretch":
         G = np.zeros((1, n))
@@ -250,15 +249,15 @@ def _element_factors(term: str, form: Formulation, fr: FrameSample, mat: Materia
         CI = inertia_factor(sec, t)
         G = np.zeros((CI.shape[0], n))
         if form.euler_bernoulli:
-            G[:, :nu] = np.kron(shu[1], CI @ skew(fr.kappa)) + np.kron(shu[2], CI @ skew(t))
-            G[:, nu:] = np.outer(CI @ fr.kappa, sha[0])
+            G[:, :nu] = np.kron(shu[1], CI @ skew(kappa)) + np.kron(shu[2], CI @ skew(t))
+            G[:, nu:] = np.outer(CI @ kappa, sha[0])
         else:
             G[:, nu:] = np.kron(sha[1], CI)
         return G, mat.E
     if term == "twist":
         G = np.zeros((1, n))
         if form.euler_bernoulli:
-            G[0, :nu] = np.outer(shu[1], np.cross(t, fr.kappa)).ravel()
+            G[0, :nu] = np.outer(shu[1], np.cross(t, kappa)).ravel()
             G[0, nu:] = sha[1]
         else:
             G[0, nu:] = np.outer(sha[1], t).ravel()
@@ -294,27 +293,34 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     nu, na = udofs.shape[1], adofs.shape[1]
     nloc = nu + na
     edofs_all = np.hstack([udofs, adofs]).astype(np.int32)    # scipy's index type
+    # one batch geometry query per rule: every element x point of the rule
+    lengths = np.diff(mesh.nodes)
+    geo = []
+    for tms in by_rule.values():
+        rule = getattr(rules, tms[0])
+        spts, w = rule.on_element(mesh.nodes[:-1, None], lengths[:, None])
+        fr = curve.frames(spts.ravel())
+        geo.append((tms, rule, w, fr.t.reshape(spts.shape + (3,)),
+                    fr.kappa.reshape(spts.shape + (3,))))
+
     ke = np.zeros((mesh.n_elements, nloc, nloc))
     ke_soft = np.zeros((mesh.n_elements, nloc, nloc))
     c_blocks, moduli = [], []       # sqrt(w) G rows of the stiff terms, and their k
     for e in range(mesh.n_elements):
-        s0, h = mesh.element(e)
+        h = float(lengths[e])
         ce = []
-        for tms in by_rule.values():
-            rule = getattr(rules, tms[0])
-            spts, w = rule.on_element(s0, h)
-            for q in range(len(w)):
-                fr = curve.frame(spts[q])
+        for tms, rule, w, t_eq, kappa_eq in geo:
+            for q in range(w.shape[1]):
                 xi = float(rule.points[q])
                 shu = shape_eval(form.midline, h, xi, nderiv=nderiv_u)
                 sha = shape_eval(form.angle, h, xi, nderiv=1)
                 for tm in tms:
-                    G, k = _element_factors(tm, form, fr, model.material, model.section,
-                                            shu, sha, nu, na)
-                    part = (w[q] * k) * (G.T @ G)
+                    G, k = _element_factors(tm, form, t_eq[e, q], kappa_eq[e, q],
+                                            model.material, model.section, shu, sha, nu, na)
+                    part = (w[e, q] * k) * (G.T @ G)
                     ke[e] += part
                     if tm in _STIFF_TERMS:
-                        ce.append(np.sqrt(w[q]) * G)
+                        ce.append(np.sqrt(w[e, q]) * G)
                         moduli += [k] * G.shape[0]
                     else:
                         ke_soft[e] += part

@@ -326,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cartbeam",
         description="Curved-beam finite elements in global Cartesian coordinates")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; the pipeline is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a model file, write CSV results")

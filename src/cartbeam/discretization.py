@@ -245,7 +245,4 @@ class DofMap:
         direction = np.atleast_1d(np.asarray(direction, dtype=float))
         coeffs = np.outer(sh, direction).ravel()
         keep = coeffs != 0.0
-        return self.elem_dofs_of(name, e)[keep], coeffs[keep]
-
-    def elem_dofs_of(self, name: str, e: int) -> np.ndarray:
-        return self.fields[name].elem_dofs[e]
+        return info.elem_dofs[e][keep], coeffs[keep]

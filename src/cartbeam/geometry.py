@@ -2,17 +2,21 @@
 
 Curves are described by a regular parametrization r(xi) and queried by arc
 length s. The solve path only ever needs position, unit tangent t, and the
-curvature vector kappa = dt/ds. The full moving frame (principal normal,
-binormal, torsion) is provided so tests can cross-check against classical
-differential geometry; it is undefined wherever kappa vanishes and nothing
-in the solver depends on it.
+curvature vector kappa = dt/ds, all pointwise, so the one evaluation path is
+the batch query `frames(s)`: it takes an array of arc lengths, inverts the
+arc-length map for all of them at once, and returns x, t and kappa with a
+leading sample axis. `frame(s)` is its one-row case. Curve evaluation
+(`point`, `d1`, `d2`, `speed`) and the arc-length map accept scalars or
+arrays alike. The full moving frame (principal normal, binormal, torsion) is
+provided so tests can cross-check against classical differential geometry;
+it is undefined wherever kappa vanishes and nothing in the solver depends
+on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 Vec3 = np.ndarray
 
@@ -68,7 +72,11 @@ def orthonormal_completion(t: Vec3) -> tuple[Vec3, Vec3]:
 
 @dataclass(eq=False)
 class FrameSample:
-    """Pointwise geometry sample: arc length, position, tangent, curvature vector."""
+    """Geometry sample: arc length, position, tangent, curvature vector.
+
+    One point from `frame`; from `frames`, every field carries a leading
+    sample axis (s of shape (n,), x, t and kappa of shape (n, 3)).
+    """
 
     s: float
     x: Vec3
@@ -93,7 +101,11 @@ class ClosestPointResult:
 
 
 class ParamCurve:
-    """Base class for regular parametric midlines r(xi), xi in [xi0, xi1]."""
+    """Base class for regular parametric midlines r(xi), xi in [xi0, xi1].
+
+    `point`, `d1`, `d2` and `d3` take a scalar xi or an array of them and
+    return shape xi.shape + (3,).
+    """
 
     kind: str = "abstract"
     xi0: float
@@ -116,8 +128,8 @@ class ParamCurve:
         """|dr/dxi| when it is constant along the curve, else None."""
         return None
 
-    def speed(self, xi: float) -> float:
-        return float(np.linalg.norm(self.d1(xi)))
+    def speed(self, xi):
+        return np.linalg.norm(self.d1(xi), axis=-1)
 
     def arclength(self, n_samples: int = 257) -> "ArcLengthMap":
         cached = getattr(self, "_arclength_map", None)
@@ -132,6 +144,9 @@ class ParamCurve:
 
     def frame(self, s: float) -> FrameSample:
         return eval_frame(self, s)
+
+    def frames(self, s) -> FrameSample:
+        return eval_frames(self, s)
 
     def frenet(self, s: float, kappa_min: float | None = None) -> FrenetFrame:
         return frenet(self, s, kappa_min)
@@ -154,16 +169,16 @@ class LineSegment(ParamCurve):
             raise DegenerateCurveError("line segment endpoints coincide")
 
     def point(self, xi):
-        return self.p0 + xi * (self.p1 - self.p0)
+        return self.p0 + np.multiply.outer(xi, self.p1 - self.p0)
 
     def d1(self, xi):
-        return self.p1 - self.p0
+        return np.zeros(np.shape(xi) + (3,)) + (self.p1 - self.p0)
 
     def d2(self, xi):
-        return np.zeros(3)
+        return np.zeros(np.shape(xi) + (3,))
 
     def d3(self, xi):
-        return np.zeros(3)
+        return np.zeros(np.shape(xi) + (3,))
 
     @property
     def constant_speed(self):
@@ -203,17 +218,20 @@ class CircularArc(ParamCurve):
         self.e1, self.e2 = _checked_plane_basis(self.e1, self.e2)
         self.xi0, self.xi1 = float(self.angle0), float(self.angle1)
 
+    def _combine(self, c1, c2):
+        return np.multiply.outer(c1, self.e1) + np.multiply.outer(c2, self.e2)
+
     def point(self, xi):
-        return self.center + self.radius * (np.cos(xi) * self.e1 + np.sin(xi) * self.e2)
+        return self.center + self.radius * self._combine(np.cos(xi), np.sin(xi))
 
     def d1(self, xi):
-        return self.radius * (-np.sin(xi) * self.e1 + np.cos(xi) * self.e2)
+        return self.radius * self._combine(-np.sin(xi), np.cos(xi))
 
     def d2(self, xi):
-        return -self.radius * (np.cos(xi) * self.e1 + np.sin(xi) * self.e2)
+        return -self.radius * self._combine(np.cos(xi), np.sin(xi))
 
     def d3(self, xi):
-        return self.radius * (np.sin(xi) * self.e1 - np.cos(xi) * self.e2)
+        return self.radius * self._combine(np.sin(xi), -np.cos(xi))
 
     @property
     def constant_speed(self):
@@ -243,21 +261,25 @@ class Helix(ParamCurve):
         self.e3 = np.cross(self.e1, self.e2)
         self.xi0, self.xi1 = float(self.angle0), float(self.angle1)
 
+    def _combine(self, c1, c2, c3=0.0):
+        out = np.multiply.outer(c1, self.e1) + np.multiply.outer(c2, self.e2)
+        return out + np.multiply.outer(c3, self.e3)
+
     def point(self, xi):
         a, b = self.radius, self.pitch
-        return self.center + a * np.cos(xi) * self.e1 + a * np.sin(xi) * self.e2 + b * xi * self.e3
+        return self.center + self._combine(a * np.cos(xi), a * np.sin(xi), b * np.asarray(xi))
 
     def d1(self, xi):
         a, b = self.radius, self.pitch
-        return -a * np.sin(xi) * self.e1 + a * np.cos(xi) * self.e2 + b * self.e3
+        return self._combine(-a * np.sin(xi), a * np.cos(xi), np.full(np.shape(xi), b))
 
     def d2(self, xi):
         a = self.radius
-        return -a * np.cos(xi) * self.e1 - a * np.sin(xi) * self.e2
+        return self._combine(-a * np.cos(xi), -a * np.sin(xi))
 
     def d3(self, xi):
         a = self.radius
-        return a * np.sin(xi) * self.e1 - a * np.cos(xi) * self.e2
+        return self._combine(a * np.sin(xi), -a * np.cos(xi))
 
     @property
     def constant_speed(self):
@@ -296,40 +318,33 @@ class HermiteSpline(ParamCurve):
             self.points, np.asarray(self.t_start, float), np.asarray(self.t_end, float)
         )
         self.xi0, self.xi1 = 0.0, float(len(self.points) - 1)
-        speeds = [self.speed(xi) for xi in np.linspace(self.xi0, self.xi1, 16 * len(self.points))]
-        if min(speeds) < _SPEED_FLOOR:
+        speeds = self.speed(np.linspace(self.xi0, self.xi1, 16 * len(self.points)))
+        if speeds.min() < _SPEED_FLOOR:
             raise DegenerateCurveError("spline parametrization has vanishing speed")
 
-    def _piece(self, xi: float) -> tuple[int, float]:
-        i = int(np.clip(np.floor(xi), 0, len(self.points) - 2))
+    def _piece(self, xi) -> tuple[np.ndarray, np.ndarray]:
+        """Piece index and local coordinate u in [0, 1] of each xi."""
+        xi = np.asarray(xi, dtype=float)
+        i = np.clip(np.floor(xi), 0, len(self.points) - 2).astype(int)
         return i, xi - i
+
+    def _blend(self, i, h00, h10, h01, h11):
+        return (h00[..., None] * self.points[i] + h10[..., None] * self.tangents[i]
+                + h01[..., None] * self.points[i + 1] + h11[..., None] * self.tangents[i + 1])
 
     def point(self, xi):
         i, u = self._piece(xi)
-        h00 = 1 - 3 * u**2 + 2 * u**3
-        h10 = u - 2 * u**2 + u**3
-        h01 = 3 * u**2 - 2 * u**3
-        h11 = u**3 - u**2
-        return (h00 * self.points[i] + h10 * self.tangents[i]
-                + h01 * self.points[i + 1] + h11 * self.tangents[i + 1])
+        return self._blend(i, 1 - 3 * u**2 + 2 * u**3, u - 2 * u**2 + u**3,
+                           3 * u**2 - 2 * u**3, u**3 - u**2)
 
     def d1(self, xi):
         i, u = self._piece(xi)
-        h00 = -6 * u + 6 * u**2
-        h10 = 1 - 4 * u + 3 * u**2
-        h01 = 6 * u - 6 * u**2
-        h11 = 3 * u**2 - 2 * u
-        return (h00 * self.points[i] + h10 * self.tangents[i]
-                + h01 * self.points[i + 1] + h11 * self.tangents[i + 1])
+        return self._blend(i, -6 * u + 6 * u**2, 1 - 4 * u + 3 * u**2,
+                           6 * u - 6 * u**2, 3 * u**2 - 2 * u)
 
     def d2(self, xi):
         i, u = self._piece(xi)
-        h00 = -6 + 12 * u
-        h10 = -4 + 6 * u
-        h01 = 6 - 12 * u
-        h11 = 6 * u - 2
-        return (h00 * self.points[i] + h10 * self.tangents[i]
-                + h01 * self.points[i + 1] + h11 * self.tangents[i + 1])
+        return self._blend(i, -6 + 12 * u, -4 + 6 * u, 6 - 12 * u, 6 * u - 2)
 
     def d3(self, xi):
         i, _ = self._piece(xi)
@@ -340,9 +355,21 @@ class HermiteSpline(ParamCurve):
 _GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
 
 
-def _gauss_speed_integral(curve: ParamCurve, a: float, b: float) -> float:
+def _gauss_speed_integral(curve: ParamCurve, a, b):
+    """Integral of |dr/dxi| over [a, b] by 10-point Gauss-Legendre, elementwise."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * sum(w * curve.speed(mid + half * x) for x, w in zip(_GL10_X, _GL10_W))
+    speeds = curve.speed(mid[..., None] + half[..., None] * _GL10_X)
+    return half * (speeds * _GL10_W).sum(axis=-1)
+
+
+def _scalar_or_array(v: np.ndarray):
+    return float(v) if v.ndim == 0 else v
+
+
+def _interval(table: np.ndarray, v) -> np.ndarray:
+    """Index i of the table interval [table[i], table[i + 1]] holding each v."""
+    return np.clip(np.searchsorted(table, v, side="right") - 1, 0, len(table) - 2)
 
 
 class ArcLengthMap:
@@ -350,7 +377,8 @@ class ArcLengthMap:
 
     Constant-speed kinds (line, arc, helix) use the closed-form map; splines
     accumulate per-interval Gauss-Legendre quadrature of |dr/dxi| over a fine
-    grid and invert with safeguarded Newton iteration.
+    grid and invert with safeguarded Newton iteration. Both directions take
+    a scalar or an array and return the same shape.
     """
 
     def __init__(self, curve: ParamCurve, n_samples: int = 257):
@@ -358,9 +386,8 @@ class ArcLengthMap:
             raise ValueError("need at least two arc-length samples")
         self.curve = curve
         xi0, xi1 = curve.xi0, curve.xi1
-        n_grid = max(n_samples, 2)
-        grid = np.linspace(xi0, xi1, n_grid)
-        speeds = np.array([curve.speed(x) for x in grid])
+        grid = np.linspace(xi0, xi1, n_samples)
+        speeds = curve.speed(grid)
         if speeds.min() < _SPEED_FLOOR:
             raise DegenerateCurveError(
                 f"curve speed {speeds.min():.3e} below {_SPEED_FLOOR} at a sample point"
@@ -369,41 +396,53 @@ class ArcLengthMap:
         if self._const is not None:
             cum = (grid - xi0) * self._const
         else:
-            seg = np.array([
-                _gauss_speed_integral(curve, grid[i], grid[i + 1]) for i in range(n_grid - 1)
-            ])
+            seg = _gauss_speed_integral(curve, grid[:-1], grid[1:])
             cum = np.concatenate([[0.0], np.cumsum(seg)])
         self._grid = grid
         self._cum = cum
         self.length = float(cum[-1])
         self.table = np.column_stack([grid, cum])
 
-    def s_of_xi(self, xi: float) -> float:
-        xi = float(xi)
+    def s_of_xi(self, xi):
+        xi = np.asarray(xi, dtype=float)
         if self._const is not None:
-            return (xi - self.curve.xi0) * self._const
-        i = int(np.clip(np.searchsorted(self._grid, xi, side="right") - 1, 0, len(self._grid) - 2))
-        return float(self._cum[i] + _gauss_speed_integral(self.curve, self._grid[i], xi))
+            return _scalar_or_array((xi - self.curve.xi0) * self._const)
+        i = _interval(self._grid, xi)
+        return _scalar_or_array(self._cum[i] + _gauss_speed_integral(self.curve, self._grid[i], xi))
 
-    def xi_of_s(self, s: float) -> float:
-        s = float(s)
+    def xi_of_s(self, s):
+        """Invert s(xi) for every entry of s at once.
+
+        Each entry starts from linear interpolation in its table interval,
+        which also brackets the root, and takes safeguarded Newton steps
+        (bisection when a step leaves the bracket) until |s(xi) - s| is at
+        most 1e-13 max(L, 1), or 60 steps. A converged entry is frozen and
+        drops out of the remaining steps.
+        """
+        s = np.asarray(s, dtype=float)
         if self._const is not None:
-            return self.curve.xi0 + s / self._const
-        lo_i = int(np.clip(np.searchsorted(self._cum, s, side="right") - 1, 0, len(self._grid) - 2))
-        lo, hi = self._grid[lo_i], self._grid[lo_i + 1]
-        xi = lo + (hi - lo) * 0.5
+            return _scalar_or_array(self.curve.xi0 + s / self._const)
+        grid, cum = self._grid, self._cum
+        flat = s.ravel()
+        i = _interval(cum, flat)
+        lo, hi = grid[i], grid[i + 1]
+        xi = lo + (hi - lo) * np.clip((flat - cum[i]) / (cum[i + 1] - cum[i]), 0.0, 1.0)
         tol = 1e-13 * max(self.length, 1.0)
+        live = np.arange(flat.size)
         for _ in range(60):
-            err = self.s_of_xi(xi) - s
-            if abs(err) <= tol:
+            err = self.s_of_xi(xi[live]) - flat[live]
+            pending = np.abs(err) > tol
+            live, err = live[pending], err[pending]
+            if live.size == 0:
                 break
-            if err > 0:
-                hi = xi
-            else:
-                lo = xi
-            step = xi - err / self.curve.speed(xi)
-            xi = step if lo < step < hi else 0.5 * (lo + hi)
-        return float(xi)
+            x = xi[live]
+            above = err > 0
+            hi[live[above]] = x[above]
+            lo[live[~above]] = x[~above]
+            step = x - err / self.curve.speed(x)
+            inside = (lo[live] < step) & (step < hi[live])
+            xi[live] = np.where(inside, step, 0.5 * (lo[live] + hi[live]))
+        return _scalar_or_array(xi.reshape(s.shape))
 
 
 def arc_length_table(curve: ParamCurve, n_samples: int = 257) -> ArcLengthMap:
@@ -411,30 +450,41 @@ def arc_length_table(curve: ParamCurve, n_samples: int = 257) -> ArcLengthMap:
     return ArcLengthMap(curve, n_samples)
 
 
-def _check_s(curve: ParamCurve, s: float) -> float:
+def _check_s(curve: ParamCurve, s: np.ndarray) -> np.ndarray:
     L = curve.length
     tol = 1e-9 * max(L, 1.0)
-    if s < -tol or s > L + tol:
-        raise ValueError(f"arc length {s} outside [0, {L}]")
-    return float(np.clip(s, 0.0, L))
+    outside = (s < -tol) | (s > L + tol)
+    if outside.any():
+        raise ValueError(f"arc length {s[outside][0]} outside [0, {L}]")
+    return np.clip(s, 0.0, L)
 
 
-def eval_frame(curve: ParamCurve, s: float) -> FrameSample:
-    """Position, unit tangent, and curvature vector at arc length s.
+def eval_frames(curve: ParamCurve, s) -> FrameSample:
+    """Position, unit tangent, and curvature vector at every arc length of a
+    1-d array s, as a FrameSample whose fields lead with the sample axis.
 
     kappa = dt/ds follows from the chain rule on the raw parametrization:
     kappa = (r'' |r'|^2 - r' (r' . r'')) / |r'|^4.
     """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1:
+        raise ValueError("frames needs a 1-d array of arc lengths")
     s = _check_s(curve, s)
     xi = curve.arclength().xi_of_s(s)
     r1 = curve.d1(xi)
     r2 = curve.d2(xi)
-    sp2 = float(r1 @ r1)
-    if sp2 < _SPEED_FLOOR**2:
+    sp2 = np.einsum("ij,ij->i", r1, r1)[:, None]
+    if np.any(sp2 < _SPEED_FLOOR**2):
         raise DegenerateCurveError("vanishing speed at evaluation point")
     t = r1 / np.sqrt(sp2)
-    kappa = (r2 * sp2 - r1 * float(r1 @ r2)) / sp2**2
+    kappa = (r2 * sp2 - r1 * np.einsum("ij,ij->i", r1, r2)[:, None]) / sp2**2
     return FrameSample(s=s, x=curve.point(xi), t=t, kappa=kappa)
+
+
+def eval_frame(curve: ParamCurve, s: float) -> FrameSample:
+    """One-row case of `eval_frames`, at the single arc length s."""
+    fr = eval_frames(curve, [s])
+    return FrameSample(s=float(fr.s[0]), x=fr.x[0], t=fr.t[0], kappa=fr.kappa[0])
 
 
 def frenet(curve: ParamCurve, s: float, kappa_min: float | None = None) -> FrenetFrame:
@@ -484,10 +534,15 @@ def closest_point(curve: ParamCurve, x: Vec3, n_scan: int = 512) -> ClosestPoint
     Dense parameter scan, bounded local minimization of the squared distance,
     then Newton polish of the stationarity condition (x - p) . r' = 0.
     """
+    # imported here: scipy.optimize is a third of the package's import time
+    # and only this test-oracle projection needs it
+    from scipy.optimize import minimize_scalar
+
     x = np.asarray(x, dtype=float)
     a, b = curve.xi0, curve.xi1
     grid = np.linspace(a, b, n_scan)
-    d2 = np.array([float((x - curve.point(xi)) @ (x - curve.point(xi))) for xi in grid])
+    diff = x - curve.point(grid)
+    d2 = np.einsum("ij,ij->i", diff, diff)
     cand = [i for i in range(n_scan)
             if (i == 0 or d2[i] <= d2[i - 1]) and (i == n_scan - 1 or d2[i] <= d2[i + 1])]
 

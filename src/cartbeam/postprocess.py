@@ -33,37 +33,41 @@ class Resultants:
     T: np.ndarray
 
 
-def _rotation_state(fr: FrameSample, st: FieldState, euler_bernoulli: bool):
-    """(theta, dtheta) with the Euler-Bernoulli rotation reconstructed as
-    theta = t x u' + t theta_t."""
+def _rotation_state(t: np.ndarray, k: np.ndarray, st: FieldState, euler_bernoulli: bool):
+    """(theta, dtheta) at a point with tangent t and curvature vector k, with
+    the Euler-Bernoulli rotation reconstructed as theta = t x u' + t theta_t."""
     if not euler_bernoulli:
         return st.theta, st.dtheta
-    t, k = fr.t, fr.kappa
     theta = np.cross(t, st.du) + t * st.theta_t
     dtheta = (np.cross(k, st.du) + np.cross(t, st.d2u)
               + k * st.theta_t + t * st.dtheta_t)
     return theta, dtheta
 
 
-def _section_matrices(solution: SolutionFields, fr: FrameSample):
+def _section_matrices(solution: SolutionFields, t: np.ndarray):
     from .section import inertia_tensor
     mat = solution.model.material
     sec = solution.model.section
-    return mat.E * sec.area, mat.G * sec.area, mat.E * inertia_tensor(sec, fr.t), \
+    return mat.E * sec.area, mat.G * sec.area, mat.E * inertia_tensor(sec, t), \
         mat.G * sec.polar
+
+
+def _samples(solution: SolutionFields, s) -> tuple[np.ndarray, FrameSample]:
+    """The arc lengths as a 1-d array and their frames, from one batch query."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    return s, solution.model.curve.frames(s)
 
 
 def resultants(solution: SolutionFields, s) -> Resultants:
     """Plain resultant forms sampled at the given arc lengths."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    s, fr = _samples(solution, s)
     out = {q: np.zeros((len(s), 3)) for q in "NSMT"}
     eb = solution.form.euler_bernoulli
     for i, si in enumerate(s):
-        fr = solution.model.curve.frame(float(si))
+        t = fr.t[i]
         st = solution.evaluate(float(si))
-        EA, GA, EI, GJ = _section_matrices(solution, fr)
-        theta, dtheta = _rotation_state(fr, st, eb)
-        t = fr.t
+        EA, GA, EI, GJ = _section_matrices(solution, t)
+        theta, dtheta = _rotation_state(t, fr.kappa[i], st, eb)
         out["N"][i] = EA * float(t @ st.du) * t
         if eb:
             out["S"][i] = 0.0
@@ -85,15 +89,14 @@ def resultants_curvature_form(solution: SolutionFields, s) -> Resultants:
     where each primed quantity is expanded with (t (x) t)' = t (x) kappa +
     kappa (x) t, so the curvature enters explicitly.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    s, fr = _samples(solution, s)
     out = {q: np.zeros((len(s), 3)) for q in "NSMT"}
     eb = solution.form.euler_bernoulli
     for i, si in enumerate(s):
-        fr = solution.model.curve.frame(float(si))
+        t, k = fr.t[i], fr.kappa[i]
         st = solution.evaluate(float(si))
-        EA, GA, EI, GJ = _section_matrices(solution, fr)
-        theta, dtheta = _rotation_state(fr, st, eb)
-        t, k = fr.t, fr.kappa
+        EA, GA, EI, GJ = _section_matrices(solution, t)
+        theta, dtheta = _rotation_state(t, k, st, eb)
 
         u_t = float(t @ st.u)
         Qu = st.u - u_t * t
@@ -123,10 +126,10 @@ def shear_angle(solution: SolutionFields, s) -> np.ndarray:
     out = np.zeros((len(s), 3))
     if solution.form.euler_bernoulli:
         return out
+    fr = solution.model.curve.frames(s)
     for i, si in enumerate(s):
-        fr = solution.model.curve.frame(float(si))
+        t = fr.t[i]
         st = solution.evaluate(float(si))
-        t = fr.t
         Qdu = st.du - float(t @ st.du) * t
         Qth = st.theta - float(t @ st.theta) * t
         out[i] = np.cross(t, Qdu) - Qth
@@ -153,14 +156,13 @@ def sample_points(solution: SolutionFields, mode: str = "quadrature",
 def displacement_samples(solution: SolutionFields, s) -> tuple[np.ndarray, np.ndarray]:
     """(u, theta) sampled at the given arc lengths; theta is reconstructed
     for Euler-Bernoulli solutions."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    s, fr = _samples(solution, s)
     u = np.zeros((len(s), 3))
     th = np.zeros((len(s), 3))
     for i, si in enumerate(s):
-        fr = solution.model.curve.frame(float(si))
         st = solution.evaluate(float(si))
         u[i] = st.u
-        th[i], _ = _rotation_state(fr, st, solution.form.euler_bernoulli)
+        th[i], _ = _rotation_state(fr.t[i], fr.kappa[i], st, solution.form.euler_bernoulli)
     return u, th
 
 
@@ -219,7 +221,7 @@ def export(solution: SolutionFields, out_dir: str, n_samples: int = 101) -> dict
     os.makedirs(out_dir, exist_ok=True)
     s = np.linspace(0.0, solution.mesh.length, n_samples)
     u, th = displacement_samples(solution, s)
-    xs = np.array([solution.model.curve.frame(float(si)).x for si in s])
+    xs = solution.model.curve.frames(s).x
     center = np.column_stack([s, xs, u, th])
     res = resultants(solution, s)
     res_rows = np.column_stack([s, res.N, res.S, res.M, res.T])

@@ -132,26 +132,24 @@ def section_from_shape(shape: dict) -> CrossSection:
 def inertia_tensor(section: CrossSection, t: Vec3) -> np.ndarray:
     """Area-moment tensor I_sigma at a point with unit tangent t.
 
-    Isotropic: I_sigma = I (I3 - t (x) t). Oriented: the constant director is
-    projected onto the normal plane, n1 = normalized projection, n2 = t x n1,
-    and I_sigma = I1 n2 (x) n2 + I2 n1 (x) n1. Always I_sigma t = 0.
+    Isotropic: I_sigma = I (I3 - t (x) t). Oriented: I_sigma = C^T C with C
+    from `inertia_factor`, that is I1 n2 (x) n2 + I2 n1 (x) n1. Always
+    I_sigma t = 0.
     """
     t = np.asarray(t, dtype=float)
     if section.inertia_iso is not None:
         return section.inertia_iso * normal_projector(t)
-    d = section.director
-    dp = d - (d @ t) * t
-    ndp = np.linalg.norm(dp)
-    if ndp < 1e-6:
-        raise DirectorDegeneracyError("section director is parallel to the tangent")
-    n1 = dp / ndp
-    n2 = np.cross(t, n1)
-    i1, i2 = section.inertia_principal
-    return i1 * np.outer(n2, n2) + i2 * np.outer(n1, n1)
+    C = inertia_factor(section, t)
+    return C.T @ C
 
 
 def inertia_factor(section: CrossSection, t: Vec3) -> np.ndarray:
-    """Matrix C with C.T @ C = I_sigma(t); used for exactly symmetric assembly."""
+    """Matrix C with C.T @ C = I_sigma(t); used for exactly symmetric assembly.
+
+    Oriented: the constant director is projected onto the normal plane,
+    n1 = normalized projection, n2 = t x n1, and C has rows sqrt(I1) n2 and
+    sqrt(I2) n1.
+    """
     t = np.asarray(t, dtype=float)
     if section.inertia_iso is not None:
         return np.sqrt(section.inertia_iso) * normal_projector(t)

@@ -130,34 +130,27 @@ def rigid_modes(system: LinearSystem) -> np.ndarray:
     Z = np.zeros((dm.ndof, 6))
     eye = np.eye(3)
 
-    frames = {}
-
-    def frame(s):
-        if s not in frames:
-            frames[s] = curve.frame(s)
-        return frames[s]
-
     uinfo = dm.fields["u"]
-    for i, s in enumerate(uinfo.node_s):
-        fr = frame(float(s))
-        vdofs = uinfo.node_dofs[i][:3]
+    fr = curve.frames(uinfo.node_s)
+    vdofs = uinfo.node_dofs[:, :3]
+    # e_a x r for a = 0, 1, 2, shape (3, n_nodes, 3)
+    rot = np.cross(eye[:, None, :], fr.x)
+    for a in range(3):
+        Z[vdofs, a] = eye[a]
+        Z[vdofs, 3 + a] = rot[a]
+    if uinfo.kind == "H3":
+        rot_t = np.cross(eye[:, None, :], fr.t)
         for a in range(3):
-            Z[vdofs, a] = eye[a]
-            Z[vdofs, 3 + a] = np.cross(eye[a], fr.x)
-        if uinfo.kind == "H3":
-            ddofs = uinfo.node_dofs[i][3:]
-            for a in range(3):
-                Z[ddofs, 3 + a] = np.cross(eye[a], fr.t)
+            Z[uinfo.node_dofs[:, 3:], 3 + a] = rot_t[a]
 
     ainfo = dm.fields[system.form.angle_field]
-    for i, s in enumerate(ainfo.node_s):
-        fr = frame(float(s))
-        vdofs = ainfo.node_dofs[i][:ainfo.ncomp]
+    vdofs = ainfo.node_dofs[:, :ainfo.ncomp]
+    if system.form.euler_bernoulli:
+        # the twist DOF carries e_a . t
+        Z[vdofs[:, 0], 3:] = curve.frames(ainfo.node_s).t
+    else:
         for a in range(3):
-            if system.form.euler_bernoulli:
-                Z[vdofs, 3 + a] = float(eye[a] @ fr.t)
-            else:
-                Z[vdofs, 3 + a] = eye[a]
+            Z[vdofs, 3 + a] = eye[a]
     return Z
 
 
@@ -172,7 +165,7 @@ def _free_rigid_mode_count(system: LinearSystem) -> int:
     return 6 - rank
 
 
-def hourglass_modes(system: LinearSystem) -> np.ndarray:
+def hourglass_modes(system: LinearSystem, knorm: float | None = None) -> np.ndarray:
     """Zero-energy modes that survive the essential rows, columns of (ndof, k).
 
     The candidates are the three hourglass vectors of the H3 midline: in H_a
@@ -185,7 +178,8 @@ def hourglass_modes(system: LinearSystem) -> np.ndarray:
     alone) and are returned as they are. For `euler_bernoulli_h3` the bend
     and twist measures see u' through t x u'' and kappa x u', which leaves
     only the combination along t on a straight beam. The columns returned
-    are the combinations that K does not see (k = 0 under `full`).
+    are the combinations that K does not see (k = 0 under `full`). knorm is
+    ||K||_inf, computed here unless the caller already has it.
     """
     dm = system.dofmap
     if system.form.midline != "H3" or system.policy != "reduced":
@@ -195,12 +189,17 @@ def hourglass_modes(system: LinearSystem) -> np.ndarray:
     for a in range(3):
         H[slopes[:, a], a] = 1.0
     KH = system.K @ H
-    knorm = float(abs(system.K).sum(axis=1).max())
+    if knorm is None:
+        knorm = _inf_norm(system.K)
     _, sv, Vt = np.linalg.svd(KH, full_matrices=False)
     null = sv <= 1e-12 * knorm * np.sqrt(len(slopes))
     if null.all():
         return H
     return H @ Vt[null].T
+
+
+def _inf_norm(M) -> float:
+    return float(abs(M).sum(axis=1).max())
 
 
 def _hourglass_gauge(system: LinearSystem, modes: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -264,7 +263,8 @@ def solve(system: LinearSystem) -> SolutionFields:
             f"system is singular: {free} unconstrained rigid-body mode(s)",
             n_rigid_modes=free)
 
-    H = hourglass_modes(system)
+    knorm = _inf_norm(system.K)
+    H = hourglass_modes(system, knorm)
     B, g = system.B, system.g
     k = H.shape[1]
     if k:
@@ -305,7 +305,6 @@ def solve(system: LinearSystem) -> SolutionFields:
         raise SingularSystemError("factorization produced non-finite values", n_rigid_modes=0)
 
     x, lam = sol[:n], sol[n + p:n + p + m]
-    knorm = float(np.abs(system.K).sum(axis=1).max())
     r1 = system.K @ x - system.rhs
     if m > 0:
         r1 = r1 + system.B.T @ lam
@@ -315,7 +314,7 @@ def solve(system: LinearSystem) -> SolutionFields:
             f"equilibrium residual {np.linalg.norm(r1):.3e} exceeds {bound:.3e}; "
             "system is numerically singular")
     if m > 0:
-        bnorm = float(np.abs(system.B).sum(axis=1).max())
+        bnorm = _inf_norm(system.B)
         r2 = np.linalg.norm(system.B @ x - system.g)
         if r2 > 1e-10 * max(1.0, np.linalg.norm(system.g), bnorm * np.linalg.norm(x)):
             raise SingularSystemError(f"constraint residual {r2:.3e} too large")

@@ -108,6 +108,11 @@ class TestArcLength:
         for xi in np.linspace(curve.xi0, curve.xi1, 17):
             back = amap.xi_of_s(amap.s_of_xi(xi))
             assert abs(back - xi) <= 1e-9 * span
+        # the same round trip on arrays, one call per direction
+        xi = np.linspace(curve.xi0, curve.xi1, 17)
+        s = amap.s_of_xi(xi)
+        assert s.shape == xi.shape
+        assert np.all(np.abs(amap.xi_of_s(s) - xi) <= 1e-9 * span)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -156,6 +161,57 @@ class TestFrames:
             eval_frame(quarter_circle(), -0.5)
         with pytest.raises(ValueError):
             eval_frame(quarter_circle(), 10.0)
+        # one entry outside [0, L] rejects the whole batch
+        arc = quarter_circle()
+        L = arc.length
+        with pytest.raises(ValueError):
+            arc.frames(np.array([0.0, 0.5 * L, -0.5]))
+        with pytest.raises(ValueError):
+            arc.frames(np.array([L + 1e-6, 0.0]))
+        # inside the 1e-9 L slack the entries are clipped onto [0, L]
+        fr = arc.frames(np.array([-1e-12, L + 1e-12]))
+        assert fr.s[0] == 0.0 and fr.s[1] == L
+
+
+CURVE_FACTORIES = [lambda: LineSegment([0, 0, 0], [1, 2, 2]), quarter_circle, unit_helix,
+                   sample_spline]
+CURVE_IDS = ["line", "arc", "helix", "hermite_spline"]
+
+
+class TestBatchFrames:
+    @pytest.mark.parametrize("curve_factory", CURVE_FACTORIES, ids=CURVE_IDS)
+    def test_frames_match_scalar_frame(self, curve_factory):
+        curve = curve_factory()
+        L = curve.length
+        rng = np.random.default_rng(11)
+        s = np.concatenate([[0.0, L], rng.uniform(0.0, L, 23)])
+        if curve.kind == "hermite_spline":
+            knots = curve.arclength().s_of_xi(np.arange(len(curve.points), dtype=float))
+            s = np.concatenate([s, knots])
+        batch = curve.frames(s)
+        rows = [curve.frame(si) for si in s]
+        assert batch.s.shape == s.shape
+        for name in ("x", "t", "kappa"):
+            got = getattr(batch, name)
+            want = np.array([getattr(fr, name) for fr in rows])
+            assert got.shape == (len(s), 3)
+            scale = np.abs(want).max()
+            assert np.all(np.abs(got - want) <= 1e-14 * scale), name
+
+    def test_frames_needs_one_sample_axis(self):
+        with pytest.raises(ValueError):
+            quarter_circle().frames(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("curve_factory", CURVE_FACTORIES, ids=CURVE_IDS)
+    def test_curve_evaluation_accepts_arrays(self, curve_factory):
+        curve = curve_factory()
+        xi = np.linspace(curve.xi0, curve.xi1, 9)
+        for name in ("point", "d1", "d2", "speed"):
+            fn = getattr(curve, name)
+            batch = fn(xi)
+            want = np.array([fn(x) for x in xi])
+            assert batch.shape == want.shape == (len(xi),) + ((3,) if name != "speed" else ())
+            assert np.all(np.abs(batch - want) <= 1e-14 * np.abs(want).max()), name
 
 
 class TestFrenet:
