@@ -8,28 +8,13 @@ full-vs-reduced locking comparison on the thin arc.
 import argparse
 import os
 
-from cartbeam.benchmarks import StudySpec, run_convergence, run_locking_study
-
-
-def print_report(report):
-    for key, cell in sorted(report.cells.items(), key=lambda kv: repr(kv[0])):
-        order = "n/a" if cell.order is None else f"{cell.order:.2f}"
-        print(f"\n{cell.benchmark} / {cell.formulation} / {cell.policy} / t={cell.t:g}  "
-              f"(fitted pre-plateau order {order})")
-        print(f"  {'n':>4}  {'qoi':>22}  {'rel_error':>12}  {'pair order':>10}")
-        for i, n in enumerate(cell.elements):
-            pair = "" if i == 0 else f"{cell.pair_orders[i - 1]:10.2f}"
-            print(f"  {n:>4}  {cell.qoi[i]:22.15g}  {cell.rel_errors[i]:12.3e}  {pair}")
-
-
-def write_csv(report, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("benchmark,formulation,quadrature,t,n_elem,qoi,error,rel_error,order\n")
-        for row in report.rows():
-            cells = [str(v) if not isinstance(v, float) else f"{v:.17g}" for v in row[:5]]
-            cells += [f"{v:.17g}" for v in row[5:8]]
-            cells.append("" if row[8] == "" else f"{row[8]:.17g}")
-            fh.write(",".join(cells) + "\n")
+from cartbeam.benchmarks import (
+    StudySpec,
+    print_order_table,
+    run_convergence,
+    run_locking_study,
+    write_convergence_csv,
+)
 
 
 def main():
@@ -45,8 +30,8 @@ def main():
 
     for study, name in ((straight, "straight"), (arc, "quarter_arc")):
         report = run_convergence(study)
-        print_report(report)
-        write_csv(report, os.path.join(args.out, f"convergence_{name}.csv"))
+        print_order_table(report)
+        write_convergence_csv(report, os.path.join(args.out, f"convergence_{name}.csv"))
 
     print("\nlocking comparison: quarter arc, 8 elements, t = 0.001")
     lock = run_locking_study(StudySpec("quarter_arc",

@@ -404,7 +404,7 @@ def curvature_coupling_demos(slack: float = 1.0) -> CriterionResult:
 
     sol = solve_demo(demos["s_curve_transverse_load"])
     t = sol.model.curve.frames(s).t
-    tmax = max(abs(float(t[i] @ sol.evaluate(float(si)).theta)) for i, si in enumerate(s))
+    tmax = float(np.abs(np.einsum("ij,ij->i", t, sol.evaluate(s).theta)).max())
     checks.append((tmax <= 1e-10 * slack,
                    f"S-curve in-plane load: max twist {tmax:.3e}"))
 

@@ -229,40 +229,59 @@ _TERMS = ("stretch", "shear", "bend", "twist")
 _STIFF_TERMS = ("stretch", "shear")
 
 
-def _element_factors(term: str, form: Formulation, t: Vec3, kappa: Vec3, mat: Material,
-                     sec: CrossSection, shu: np.ndarray, sha: np.ndarray,
+def _element_factors(term: str, form: Formulation, t: np.ndarray, kappa: np.ndarray,
+                     mat: Material, sec: CrossSection, shu: np.ndarray, sha: np.ndarray,
                      nu: int, na: int) -> tuple[np.ndarray, float]:
-    """Factor G (rows x n_local) and modulus k of one term's integrand at a
-    point with tangent t and curvature vector kappa: the contribution is
-    w k G^T G. For stretch and shear G is the unit strain operator."""
+    """Factor G (..., rows, n_local) and modulus k of one term's integrand at
+    points with tangents t and curvature vectors kappa (..., 3), given the
+    shape rows shu, sha (..., nderiv + 1, n_basis) there: a point of weight
+    w contributes w k G^T G. For stretch and shear G is the unit strain
+    operator."""
+    lead = t.shape[:-1]
+
+    def kron(sh, M):
+        # [..., i, b * ncol + a] = sh[..., b] M[..., i, a], np.kron per point
+        return (sh[..., None, :, None] * M[..., :, None, :]).reshape(lead + (M.shape[-2], -1))
+
+    def outer(a, b):
+        # the raveled outer product of two vectors per point, as one row
+        return (a[..., :, None] * b[..., None, :]).reshape(lead + (-1,))
+
     n = nu + na
     if term == "stretch":
-        G = np.zeros((1, n))
-        G[0, :nu] = np.outer(shu[1], t).ravel()
+        G = np.zeros(lead + (1, n))
+        G[..., 0, :nu] = outer(shu[..., 1, :], t)
         return G, mat.E * sec.area
     if term == "shear":
-        G = np.zeros((3, n))
-        G[:, :nu] = np.kron(shu[1], normal_projector(t))
-        G[:, nu:] = np.kron(sha[0], skew(t))
+        G = np.zeros(lead + (3, n))
+        G[..., :nu] = kron(shu[..., 1, :], normal_projector(t))
+        G[..., nu:] = kron(sha[..., 0, :], skew(t))
         return G, mat.G * sec.area
     if term == "bend":
         CI = inertia_factor(sec, t)
-        G = np.zeros((CI.shape[0], n))
+        G = np.zeros(lead + (CI.shape[-2], n))
         if form.euler_bernoulli:
-            G[:, :nu] = np.kron(shu[1], CI @ skew(kappa)) + np.kron(shu[2], CI @ skew(t))
-            G[:, nu:] = np.outer(CI @ kappa, sha[0])
+            G[..., :nu] = (kron(shu[..., 1, :], CI @ skew(kappa))
+                           + kron(shu[..., 2, :], CI @ skew(t)))
+            G[..., nu:] = (CI @ kappa[..., None]) * sha[..., None, 0, :]
         else:
-            G[:, nu:] = np.kron(sha[1], CI)
+            G[..., nu:] = kron(sha[..., 1, :], CI)
         return G, mat.E
     if term == "twist":
-        G = np.zeros((1, n))
+        G = np.zeros(lead + (1, n))
         if form.euler_bernoulli:
-            G[0, :nu] = np.outer(shu[1], np.cross(t, kappa)).ravel()
-            G[0, nu:] = sha[1]
+            G[..., 0, :nu] = outer(shu[..., 1, :], np.cross(t, kappa))
+            G[..., 0, nu:] = sha[..., 1, :]
         else:
-            G[0, nu:] = np.outer(sha[1], t).ravel()
+            G[..., 0, nu:] = outer(sha[..., 1, :], t)
         return G, mat.G * sec.polar
     raise ValueError(f"unknown term {term!r}")
+
+
+def _gram(A: np.ndarray) -> np.ndarray:
+    """A_e^T A_e for every element e of a stack (n_el, rows, n_local), as one
+    batched BLAS product (an einsum over the same stack is ~20x slower)."""
+    return np.swapaxes(A, 1, 2) @ A
 
 
 def _sparse_nonzero(vals, rows, cols, shape) -> scipy.sparse.csr_matrix:
@@ -287,60 +306,60 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     for tm in active:
         by_rule.setdefault(id(getattr(rules, tm)), []).append(tm)
     nderiv_u = 2 if form.euler_bernoulli else 1
-    curve = model.curve
 
     udofs, adofs = dm.fields["u"].elem_dofs, dm.fields[form.angle_field].elem_dofs
     nu, na = udofs.shape[1], adofs.shape[1]
     nloc = nu + na
+    n_el = mesh.n_elements
     edofs_all = np.hstack([udofs, adofs]).astype(np.int32)    # scipy's index type
-    # one batch geometry query per rule: every element x point of the rule
     lengths = np.diff(mesh.nodes)
-    geo = []
+
+    ke_soft = np.zeros((n_el, nloc, nloc))
+    # per element, the sqrt(w) G rows of the stiff terms point by point and
+    # term by term, and the modulus of each of these rows (the same for
+    # every element)
+    c_blocks, moduli = [], []
     for tms in by_rule.values():
+        # one batch geometry query and shape evaluation per rule: every
+        # element x point of the rule
         rule = getattr(rules, tms[0])
         spts, w = rule.on_element(mesh.nodes[:-1, None], lengths[:, None])
-        fr = curve.frames(spts.ravel())
-        geo.append((tms, rule, w, fr.t.reshape(spts.shape + (3,)),
-                    fr.kappa.reshape(spts.shape + (3,))))
+        fr = model.curve.frames(spts.ravel())
+        t, kappa = fr.t.reshape(spts.shape + (3,)), fr.kappa.reshape(spts.shape + (3,))
+        shu = shape_eval(form.midline, lengths[:, None], rule.points, nderiv=nderiv_u)
+        sha = shape_eval(form.angle, lengths[:, None], rule.points, nderiv=1)
+        stiff, stiff_k = [], []
+        for tm in tms:
+            G, k = _element_factors(tm, form, t, kappa, model.material, model.section,
+                                    shu, sha, nu, na)
+            G *= np.sqrt(w)[..., None, None]
+            if tm in _STIFF_TERMS:
+                stiff.append(G)
+                stiff_k += [k] * G.shape[-2]
+            else:
+                # w k G^T G summed over each element's points and rows
+                ke_soft += k * _gram(G.reshape(n_el, -1, nloc))
+        if stiff:
+            c_blocks.append(np.concatenate(stiff, axis=-2).reshape(n_el, -1, nloc))
+            moduli += stiff_k * len(rule.points)
 
-    ke = np.zeros((mesh.n_elements, nloc, nloc))
-    ke_soft = np.zeros((mesh.n_elements, nloc, nloc))
-    c_blocks, moduli = [], []       # sqrt(w) G rows of the stiff terms, and their k
-    for e in range(mesh.n_elements):
-        h = float(lengths[e])
-        ce = []
-        for tms, rule, w, t_eq, kappa_eq in geo:
-            for q in range(w.shape[1]):
-                xi = float(rule.points[q])
-                shu = shape_eval(form.midline, h, xi, nderiv=nderiv_u)
-                sha = shape_eval(form.angle, h, xi, nderiv=1)
-                for tm in tms:
-                    G, k = _element_factors(tm, form, t_eq[e, q], kappa_eq[e, q],
-                                            model.material, model.section, shu, sha, nu, na)
-                    part = (w[e, q] * k) * (G.T @ G)
-                    ke[e] += part
-                    if tm in _STIFF_TERMS:
-                        ce.append(np.sqrt(w[e, q]) * G)
-                        moduli += [k] * G.shape[0]
-                    else:
-                        ke_soft[e] += part
-        if ce:
-            c_blocks.append(np.vstack(ce))
+    c_el = np.concatenate(c_blocks, axis=1) if c_blocks else np.zeros((n_el, 0, nloc))
+    c_blocks.clear()    # c_el holds a copy; freeing these keeps the peak memory down
+    moduli = np.asarray(moduli, dtype=float)
+    # the full element matrices, K = K_soft + C^T diag(1/compliance) C
+    ke = ke_soft + _gram(np.sqrt(moduli)[:, None] * c_el)
 
     rows = np.repeat(edofs_all, nloc, axis=1).ravel()
     cols = np.tile(edofs_all, (1, nloc)).ravel()
     shape = (dm.ndof, dm.ndof)
     K_soft = _sparse_nonzero(ke_soft.ravel(), rows, cols, shape)
-    # every element contributes the same number of C rows, in element order
-    n_c = len(moduli)
-    C = _sparse_nonzero(np.concatenate(c_blocks).ravel() if n_c else np.zeros(0),
-                        np.repeat(np.arange(n_c, dtype=np.int32), nloc),
-                        np.repeat(edofs_all, n_c // mesh.n_elements, axis=0).ravel(),
-                        (n_c, dm.ndof))
+    n_c = n_el * len(moduli)
+    C = _sparse_nonzero(c_el.ravel(), np.repeat(np.arange(n_c, dtype=np.int32), nloc),
+                        np.repeat(edofs_all, c_el.shape[1], axis=0).ravel(), (n_c, dm.ndof))
     K = scipy.sparse.csr_matrix((ke.ravel(), (rows, cols)), shape=shape)
     return LinearSystem(K=K, rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
                         model=model, K_soft=K_soft, C=C,
-                        compliance=1.0 / np.asarray(moduli, dtype=float), policy=policy)
+                        compliance=1.0 / np.tile(moduli, n_el), policy=policy)
 
 
 def _project_normal(value: Vec3, t: Vec3, what: str) -> Vec3:
@@ -372,15 +391,14 @@ def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarr
 
     if model.loads.body is not None:
         rule = quadrature(form, "full").bend
-        area = model.section.area
-        for e in range(mesh.n_elements):
-            s0, h = mesh.element(e)
-            dofs_u = dm.element_dofs("u", e)
-            spts, w = rule.on_element(s0, h)
-            for q in range(len(w)):
-                f = np.asarray(model.loads.body(spts[q]), dtype=float)
-                shu = shape_eval(form.midline, h, float(rule.points[q]), nderiv=0)
-                rhs[dofs_u] += w[q] * area * np.outer(shu[0], f).ravel()
+        lengths = np.diff(mesh.nodes)
+        spts, w = rule.on_element(mesh.nodes[:-1, None], lengths[:, None])
+        # the body force is a callable of one arc length
+        f = np.array([model.loads.body(si) for si in spts.ravel()], dtype=float)
+        shu = shape_eval(form.midline, lengths[:, None], rule.points, nderiv=0)[..., 0, :]
+        fe = np.einsum("eq,eqb,eqa->eba", w * model.section.area, shu,
+                       f.reshape(spts.shape + (3,)))
+        np.add.at(rhs, dm.fields["u"].elem_dofs, fe.reshape(mesh.n_elements, -1))
 
     for end, sgn in (("start", -1.0), ("end", +1.0)):
         fr = curve.frame(0.0 if end == "start" else curve.length)

@@ -259,6 +259,33 @@ def run_convergence(study: StudySpec) -> ConvergenceReport:
     return report
 
 
+def write_convergence_csv(report: ConvergenceReport, path: str) -> None:
+    """Write the report's rows (see ConvergenceReport.rows) as CSV, floats
+    with 17 significant digits."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("benchmark,formulation,quadrature,t,n_elem,qoi,error,rel_error,order\n")
+        for row in report.rows():
+            cells = [str(v) if not isinstance(v, float) else f"{v:.17g}" for v in row[:5]]
+            cells += [f"{v:.17g}" for v in row[5:8]]
+            cells.append("" if row[8] == "" else f"{row[8]:.17g}")
+            fh.write(",".join(cells) + "\n")
+
+
+def print_order_table(report: ConvergenceReport) -> None:
+    """Print each cell's fitted pre-plateau order, then its qoi, relative
+    error and pair order per mesh, and the meshes that failed."""
+    for _, cell in sorted(report.cells.items(), key=lambda kv: repr(kv[0])):
+        order = "n/a" if cell.order is None else f"{cell.order:.2f}"
+        print(f"{cell.benchmark} {cell.formulation} {cell.policy} t={cell.t:g}: "
+              f"fitted order {order}")
+        print(f"  {'n':>4}  {'qoi':>22}  {'rel_error':>12}  {'pair order':>10}")
+        for i, n in enumerate(cell.elements):
+            pair = "" if i == 0 else f"{cell.pair_orders[i - 1]:10.2f}"
+            print(f"  {n:>4}  {cell.qoi[i]:22.15g}  {cell.rel_errors[i]:12.3e}  {pair}")
+        for n, msg in cell.failures.items():
+            print(f"  n={n} failed: {msg}")
+
+
 @dataclass(eq=False)
 class LockingReport:
     study: StudySpec

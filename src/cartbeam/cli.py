@@ -21,7 +21,12 @@ from .assembly import (
     PointConstraint,
     body_table,
 )
-from .benchmarks import StudySpec, run_convergence
+from .benchmarks import (
+    StudySpec,
+    print_order_table,
+    run_convergence,
+    write_convergence_csv,
+)
 from .discretization import FORMULATIONS, formulation
 from .geometry import curve_from_dict
 from .postprocess import export, reactions, strain_energy, tip_displacement
@@ -280,20 +285,8 @@ def cmd_converge(args) -> int:
     report = run_convergence(study)
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "convergence.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("benchmark,formulation,quadrature,t,n_elem,qoi,error,rel_error,order\n")
-        for row in report.rows():
-            cells = [str(v) if not isinstance(v, float) else f"{v:.17g}" for v in row[:5]]
-            cells += [f"{row[5]:.17g}", f"{row[6]:.17g}", f"{row[7]:.17g}"]
-            cells.append("" if row[8] == "" else f"{row[8]:.17g}")
-            fh.write(",".join(cells) + "\n")
-    for key, cell in sorted(report.cells.items(), key=lambda kv: repr(kv[0])):
-        order = "n/a" if cell.order is None else f"{cell.order:.2f}"
-        print(f"{cell.benchmark} {cell.formulation} {cell.policy} t={cell.t:g}: "
-              f"fitted order {order}")
-        for n, msg in cell.failures.items():
-            print(f"  n={n} failed: {msg}")
+    write_convergence_csv(report, os.path.join(out, "convergence.csv"))
+    print_order_table(report)
     return 0
 
 

@@ -54,47 +54,53 @@ class Mesh1D:
         """(start arc length, element length) of element e."""
         return float(self.nodes[e]), float(self.nodes[e + 1] - self.nodes[e])
 
-    def locate(self, s: float) -> tuple[int, float]:
-        """Element index and local coordinate xi in [0, 1] containing s."""
-        e = int(np.clip(np.searchsorted(self.nodes, s, side="right") - 1, 0, self.n_elements - 1))
-        s0, h = self.element(e)
-        return e, (s - s0) / h
+    def locate(self, s):
+        """Element index and local coordinate xi in [0, 1] containing s.
+
+        s may be a 1-d array, which gives an index array and an xi array of
+        its shape; a scalar s is the one-row case and gives (int, float).
+        """
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        e = np.clip(np.searchsorted(self.nodes, s_arr, side="right") - 1, 0, self.n_elements - 1)
+        xi = (s_arr - self.nodes[e]) / (self.nodes[e + 1] - self.nodes[e])
+        if np.ndim(s) == 0:
+            return int(e[0]), float(xi[0])
+        return e, xi
 
 
-_N_BASIS = {"P1": 2, "P2": 3, "H3": 4}
 _MAX_DERIV = {"P1": 1, "P2": 1, "H3": 2}
+# Basis functions in the monomials of xi: row p holds the xi^p coefficients.
+# The H3 slope functions (columns 1 and 3) carry one more factor h.
+_MONOMIAL = {
+    "P1": np.array([[1.0, 0.0], [-1.0, 1.0]]),
+    "P2": np.array([[1.0, 0.0, 0.0], [-3.0, 4.0, -1.0], [2.0, -4.0, 2.0]]),
+    "H3": np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                    [-3.0, -2.0, 3.0, -1.0], [2.0, 1.0, -2.0, 1.0]]),
+}
+_SLOPE = {"P1": np.zeros(2), "P2": np.zeros(3), "H3": np.array([0.0, 1.0, 0.0, 1.0])}
+# d^k/dxi^k xi^p = p! / (p - k)! xi^(p - k): the factor in row k, column p
+_FALLING = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 2.0, 6.0]])
 
 
-def shape_eval(kind: str, h: float, xi: float, nderiv: int = 1) -> np.ndarray:
+def shape_eval(kind: str, h, xi, nderiv: int = 1) -> np.ndarray:
     """Basis values and arc-length derivatives at local coordinate xi in [0, 1].
 
-    Returns an array of shape (nderiv + 1, n_basis); row k holds d^k/ds^k.
-    H3 rows follow the DOF order (value_left, slope_left, value_right,
-    slope_right) with slopes taken with respect to arc length.
+    h (element length) and xi broadcast against each other, and the result
+    has shape broadcast_shape + (nderiv + 1, n_basis): (nderiv + 1, n_basis)
+    for scalars. Row k holds d^k/ds^k = h^-k d^k/dxi^k. H3 rows follow the
+    DOF order (value_left, slope_left, value_right, slope_right) with slopes
+    taken with respect to arc length.
     """
-    if kind not in _N_BASIS:
+    if kind not in _MONOMIAL:
         raise ValueError(f"unknown basis kind {kind!r}")
     if nderiv > _MAX_DERIV[kind]:
         raise UnsupportedOrderError(f"{kind} basis supports d^{_MAX_DERIV[kind]}/ds at most")
-    out = np.empty((nderiv + 1, _N_BASIS[kind]))
-    if kind == "P1":
-        out[0] = [1.0 - xi, xi]
-        if nderiv >= 1:
-            out[1] = np.array([-1.0, 1.0]) / h
-    elif kind == "P2":
-        out[0] = [(1 - xi) * (1 - 2 * xi), 4 * xi * (1 - xi), xi * (2 * xi - 1)]
-        if nderiv >= 1:
-            out[1] = np.array([4 * xi - 3, 4 - 8 * xi, 4 * xi - 1]) / h
-    else:
-        out[0] = [1 - 3 * xi**2 + 2 * xi**3, h * (xi - 2 * xi**2 + xi**3),
-                  3 * xi**2 - 2 * xi**3, h * (xi**3 - xi**2)]
-        if nderiv >= 1:
-            out[1] = np.array([-6 * xi + 6 * xi**2, h * (1 - 4 * xi + 3 * xi**2),
-                               6 * xi - 6 * xi**2, h * (3 * xi**2 - 2 * xi)]) / h
-        if nderiv >= 2:
-            out[2] = np.array([-6 + 12 * xi, h * (-4 + 6 * xi),
-                               6 - 12 * xi, h * (6 * xi - 2)]) / h**2
-    return out
+    coef = _MONOMIAL[kind]
+    k = np.arange(nderiv + 1)[:, None]
+    power = np.maximum(np.arange(len(coef)) - k, 0)
+    h = np.asarray(h, dtype=float)[..., None, None]
+    xi = np.asarray(xi, dtype=float)[..., None, None]
+    return ((_FALLING[:nderiv + 1, :len(coef)] * xi**power) @ coef) * h**(_SLOPE[kind] - k)
 
 
 @dataclass(frozen=True)
@@ -207,18 +213,12 @@ class DofMap:
         per_node = 2 * ncomp if kind == "H3" else ncomp
         n_nodes = len(node_s)
         node_dofs = offset + np.arange(n_nodes * per_node).reshape(n_nodes, per_node)
-        elem_dofs = np.empty((n_el, _N_BASIS[kind] * ncomp), dtype=int)
-        for e in range(n_el):
-            if kind == "P1":
-                nodes = [e, e + 1]
-                blocks = [node_dofs[n] for n in nodes]
-            elif kind == "P2":
-                nodes = [2 * e, 2 * e + 1, 2 * e + 2]
-                blocks = [node_dofs[n] for n in nodes]
-            else:  # H3: (value_left, slope_left, value_right, slope_right)
-                blocks = [node_dofs[e, :ncomp], node_dofs[e, ncomp:],
-                          node_dofs[e + 1, :ncomp], node_dofs[e + 1, ncomp:]]
-            elem_dofs[e] = np.concatenate(blocks)
+        # element e uses nodes first[e] + (0, 1[, 2]); an H3 node's block is
+        # (values, slopes), so two consecutive blocks give the DOF order
+        # (value_left, slope_left, value_right, slope_right)
+        n_elem_nodes = 3 if kind == "P2" else 2
+        first = (2 if kind == "P2" else 1) * np.arange(n_el)
+        elem_dofs = node_dofs[first[:, None] + np.arange(n_elem_nodes)].reshape(n_el, -1)
         self.fields[name] = FieldInfo(kind=kind, ncomp=ncomp, node_s=node_s,
                                       node_dofs=node_dofs, elem_dofs=elem_dofs,
                                       n_dofs=n_nodes * per_node)

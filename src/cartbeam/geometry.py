@@ -44,8 +44,12 @@ def unit(v: Vec3) -> Vec3:
 
 
 def skew(v: Vec3) -> np.ndarray:
-    """Matrix S with S @ w = v x w."""
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    """Matrix S with S @ w = v x w; v of shape (..., 3) gives (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    o = np.zeros_like(x)
+    return np.stack([np.stack([o, -z, y], axis=-1), np.stack([z, o, -x], axis=-1),
+                     np.stack([-y, x, o], axis=-1)], axis=-2)
 
 
 def tangent_projector(t: Vec3) -> np.ndarray:
@@ -54,8 +58,10 @@ def tangent_projector(t: Vec3) -> np.ndarray:
 
 
 def normal_projector(t: Vec3) -> np.ndarray:
-    """Q = I - t (x) t, projection onto the cross-section plane."""
-    return np.eye(3) - np.outer(t, t)
+    """Q = I - t (x) t, projection onto the cross-section plane; t of shape
+    (..., 3) gives (..., 3, 3)."""
+    t = np.asarray(t, dtype=float)
+    return np.eye(3) - t[..., :, None] * t[..., None, :]
 
 
 def orthonormal_completion(t: Vec3) -> tuple[Vec3, Vec3]:

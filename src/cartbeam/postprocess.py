@@ -33,18 +33,26 @@ class Resultants:
     T: np.ndarray
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, 3) arrays, as a column (n, 1). A
+    batched matmul rounds each row like a @ b of one sample would."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0]
+
+
 def _rotation_state(t: np.ndarray, k: np.ndarray, st: FieldState, euler_bernoulli: bool):
-    """(theta, dtheta) at a point with tangent t and curvature vector k, with
-    the Euler-Bernoulli rotation reconstructed as theta = t x u' + t theta_t."""
+    """(theta, dtheta) at points with tangents t and curvature vectors k
+    (n, 3) from a batch state, with the Euler-Bernoulli rotation
+    reconstructed as theta = t x u' + t theta_t."""
     if not euler_bernoulli:
         return st.theta, st.dtheta
-    theta = np.cross(t, st.du) + t * st.theta_t
-    dtheta = (np.cross(k, st.du) + np.cross(t, st.d2u)
-              + k * st.theta_t + t * st.dtheta_t)
+    tt, dtt = st.theta_t[:, None], st.dtheta_t[:, None]
+    theta = np.cross(t, st.du) + t * tt
+    dtheta = np.cross(k, st.du) + np.cross(t, st.d2u) + k * tt + t * dtt
     return theta, dtheta
 
 
 def _section_matrices(solution: SolutionFields, t: np.ndarray):
+    """E|A|, G|A|, E I_sigma at each tangent of t (n, 3, 3), and G J."""
     from .section import inertia_tensor
     mat = solution.model.material
     sec = solution.model.section
@@ -52,30 +60,26 @@ def _section_matrices(solution: SolutionFields, t: np.ndarray):
         mat.G * sec.polar
 
 
-def _samples(solution: SolutionFields, s) -> tuple[np.ndarray, FrameSample]:
-    """The arc lengths as a 1-d array and their frames, from one batch query."""
+def _samples(solution: SolutionFields, s) -> tuple[np.ndarray, FrameSample, FieldState]:
+    """The arc lengths as a 1-d array, their frames and their field state,
+    each from one batch query."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    return s, solution.model.curve.frames(s)
+    return s, solution.model.curve.frames(s), solution.evaluate(s)
 
 
 def resultants(solution: SolutionFields, s) -> Resultants:
     """Plain resultant forms sampled at the given arc lengths."""
-    s, fr = _samples(solution, s)
-    out = {q: np.zeros((len(s), 3)) for q in "NSMT"}
-    eb = solution.form.euler_bernoulli
-    for i, si in enumerate(s):
-        t = fr.t[i]
-        st = solution.evaluate(float(si))
-        EA, GA, EI, GJ = _section_matrices(solution, t)
-        theta, dtheta = _rotation_state(t, fr.kappa[i], st, eb)
-        out["N"][i] = EA * float(t @ st.du) * t
-        if eb:
-            out["S"][i] = 0.0
-        else:
-            out["S"][i] = GA * (st.du - float(t @ st.du) * t - np.cross(theta, t))
-        out["M"][i] = EI @ dtheta
-        out["T"][i] = GJ * float(t @ dtheta) * t
-    return Resultants(s=s, N=out["N"], S=out["S"], M=out["M"], T=out["T"])
+    s, fr, st = _samples(solution, s)
+    t = fr.t
+    EA, GA, EI, GJ = _section_matrices(solution, t)
+    theta, dtheta = _rotation_state(t, fr.kappa, st, solution.form.euler_bernoulli)
+    du_t = _dot(t, st.du)
+    if solution.form.euler_bernoulli:
+        S = np.zeros((len(s), 3))
+    else:
+        S = GA * (st.du - du_t * t - np.cross(theta, t))
+    return Resultants(s=s, N=EA * du_t * t, S=S, M=(EI @ dtheta[:, :, None])[:, :, 0],
+                      T=GJ * _dot(t, dtheta) * t)
 
 
 def resultants_curvature_form(solution: SolutionFields, s) -> Resultants:
@@ -89,31 +93,29 @@ def resultants_curvature_form(solution: SolutionFields, s) -> Resultants:
     where each primed quantity is expanded with (t (x) t)' = t (x) kappa +
     kappa (x) t, so the curvature enters explicitly.
     """
-    s, fr = _samples(solution, s)
-    out = {q: np.zeros((len(s), 3)) for q in "NSMT"}
-    eb = solution.form.euler_bernoulli
-    for i, si in enumerate(s):
-        t, k = fr.t[i], fr.kappa[i]
-        st = solution.evaluate(float(si))
-        EA, GA, EI, GJ = _section_matrices(solution, t)
-        theta, dtheta = _rotation_state(t, k, st, eb)
+    s, fr, st = _samples(solution, s)
+    t, k = fr.t, fr.kappa
+    EA, GA, EI, GJ = _section_matrices(solution, t)
+    theta, dtheta = _rotation_state(t, k, st, solution.form.euler_bernoulli)
 
-        u_t = float(t @ st.u)
-        Qu = st.u - u_t * t
-        th_t = float(t @ theta)
-        Qth = theta - th_t * t
-        # d/ds of tangential components and of projected fields
-        du_t = float(k @ st.u) + float(t @ st.du)
-        dth_t = float(k @ theta) + float(t @ dtheta)
-        dQu = st.du - t * float(k @ st.u) - k * u_t          # (t.grad)(Q u)
-        dQth = dtheta - t * float(k @ theta) - k * th_t      # (t.grad)(Q theta)
+    u_t = _dot(t, st.u)
+    Qu = st.u - u_t * t
+    th_t = _dot(t, theta)
+    Qth = theta - th_t * t
+    # d/ds of tangential components and of projected fields
+    du_t = _dot(k, st.u) + _dot(t, st.du)
+    dth_t = _dot(k, theta) + _dot(t, dtheta)
+    dQu = st.du - t * _dot(k, st.u) - k * u_t          # (t.grad)(Q u)
+    dQth = dtheta - t * _dot(k, theta) - k * th_t      # (t.grad)(Q theta)
 
-        out["N"][i] = EA * (du_t - float(Qu @ k)) * t
-        QdQu = dQu - t * float(t @ dQu)
-        out["S"][i] = 0.0 if eb else GA * (QdQu - np.cross(Qth, t) + u_t * k)
-        out["M"][i] = EI @ (dQth + th_t * k)
-        out["T"][i] = GJ * (dth_t - float(Qth @ k)) * t
-    return Resultants(s=s, N=out["N"], S=out["S"], M=out["M"], T=out["T"])
+    QdQu = dQu - t * _dot(t, dQu)
+    if solution.form.euler_bernoulli:
+        S = np.zeros((len(s), 3))
+    else:
+        S = GA * (QdQu - np.cross(Qth, t) + u_t * k)
+    return Resultants(s=s, N=EA * (du_t - _dot(Qu, k)) * t, S=S,
+                      M=(EI @ (dQth + th_t * k)[:, :, None])[:, :, 0],
+                      T=GJ * (dth_t - _dot(Qth, k)) * t)
 
 
 def shear_angle(solution: SolutionFields, s) -> np.ndarray:
@@ -122,18 +124,13 @@ def shear_angle(solution: SolutionFields, s) -> np.ndarray:
     Recovered as Q gamma = t x (Q u') - Q theta; exactly zero for
     Euler-Bernoulli kinematics, where cross-sections stay normal.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.zeros((len(s), 3))
     if solution.form.euler_bernoulli:
-        return out
-    fr = solution.model.curve.frames(s)
-    for i, si in enumerate(s):
-        t = fr.t[i]
-        st = solution.evaluate(float(si))
-        Qdu = st.du - float(t @ st.du) * t
-        Qth = st.theta - float(t @ st.theta) * t
-        out[i] = np.cross(t, Qdu) - Qth
-    return out
+        return np.zeros((np.size(s), 3))
+    _, fr, st = _samples(solution, s)
+    t = fr.t
+    Qdu = st.du - _dot(t, st.du) * t
+    Qth = st.theta - _dot(t, st.theta) * t
+    return np.cross(t, Qdu) - Qth
 
 
 def sample_points(solution: SolutionFields, mode: str = "quadrature",
@@ -148,22 +145,16 @@ def sample_points(solution: SolutionFields, mode: str = "quadrature",
     if mode == "quadrature":
         from .discretization import quadrature
         rule = quadrature(solution.form, "full").bend
-        pts = [rule.on_element(*mesh.element(e))[0] for e in range(mesh.n_elements)]
-        return np.concatenate(pts)
+        return rule.on_element(mesh.nodes[:-1, None], np.diff(mesh.nodes)[:, None])[0].ravel()
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
 def displacement_samples(solution: SolutionFields, s) -> tuple[np.ndarray, np.ndarray]:
     """(u, theta) sampled at the given arc lengths; theta is reconstructed
     for Euler-Bernoulli solutions."""
-    s, fr = _samples(solution, s)
-    u = np.zeros((len(s), 3))
-    th = np.zeros((len(s), 3))
-    for i, si in enumerate(s):
-        st = solution.evaluate(float(si))
-        u[i] = st.u
-        th[i], _ = _rotation_state(fr.t[i], fr.kappa[i], st, solution.form.euler_bernoulli)
-    return u, th
+    s, fr, st = _samples(solution, s)
+    theta, _ = _rotation_state(fr.t, fr.kappa, st, solution.form.euler_bernoulli)
+    return st.u, theta
 
 
 def tip_displacement(solution: SolutionFields) -> np.ndarray:
@@ -171,7 +162,14 @@ def tip_displacement(solution: SolutionFields) -> np.ndarray:
 
 
 def strain_energy(solution: SolutionFields) -> float:
-    return 0.5 * float(solution.x @ (solution.system.K @ solution.x))
+    """Strain energy 0.5 x.K x of a solved system, from the work identity
+    x.K x = f.x - lambda.g (solve verifies K x + B^T lambda = f, and its
+    gauge rows have g = 0). The quadratic form itself cancels about nine
+    digits on stiff models; the work identity keeps them."""
+    work = float(solution.system.rhs @ solution.x)
+    if solution.system.g is not None:
+        work -= float(solution.multipliers @ solution.system.g)
+    return 0.5 * work
 
 
 def reactions(solution: SolutionFields) -> dict:
@@ -206,14 +204,11 @@ def reaction_force_totals(solution: SolutionFields) -> np.ndarray:
     return -(solution.multipliers @ BZ)
 
 
-_FMT = "{:.17g}"
-
-
 def _write_csv(path: str, header: str, rows: np.ndarray):
+    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT.format(v) for v in row) + "\n")
+        fh.writelines(row_fmt % tuple(row) for row in rows.tolist())
 
 
 def export(solution: SolutionFields, out_dir: str, n_samples: int = 101) -> dict[str, str]:

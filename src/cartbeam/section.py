@@ -134,13 +134,13 @@ def inertia_tensor(section: CrossSection, t: Vec3) -> np.ndarray:
 
     Isotropic: I_sigma = I (I3 - t (x) t). Oriented: I_sigma = C^T C with C
     from `inertia_factor`, that is I1 n2 (x) n2 + I2 n1 (x) n1. Always
-    I_sigma t = 0.
+    I_sigma t = 0. Tangents of shape (..., 3) give tensors (..., 3, 3).
     """
     t = np.asarray(t, dtype=float)
     if section.inertia_iso is not None:
         return section.inertia_iso * normal_projector(t)
     C = inertia_factor(section, t)
-    return C.T @ C
+    return np.swapaxes(C, -1, -2) @ C
 
 
 def inertia_factor(section: CrossSection, t: Vec3) -> np.ndarray:
@@ -148,20 +148,22 @@ def inertia_factor(section: CrossSection, t: Vec3) -> np.ndarray:
 
     Oriented: the constant director is projected onto the normal plane,
     n1 = normalized projection, n2 = t x n1, and C has rows sqrt(I1) n2 and
-    sqrt(I2) n1.
+    sqrt(I2) n1. Tangents of shape (..., 3) give one C per tangent,
+    (..., rows, 3); a director parallel to any of them raises
+    DirectorDegeneracyError.
     """
     t = np.asarray(t, dtype=float)
     if section.inertia_iso is not None:
         return np.sqrt(section.inertia_iso) * normal_projector(t)
     d = section.director
-    dp = d - (d @ t) * t
-    ndp = np.linalg.norm(dp)
-    if ndp < 1e-6:
+    dp = d - (t @ d)[..., None] * t
+    ndp = np.linalg.norm(dp, axis=-1, keepdims=True)
+    if np.any(ndp < 1e-6):
         raise DirectorDegeneracyError("section director is parallel to the tangent")
     n1 = dp / ndp
     n2 = np.cross(t, n1)
     i1, i2 = section.inertia_principal
-    return np.vstack([np.sqrt(i1) * n2, np.sqrt(i2) * n1])
+    return np.stack([np.sqrt(i1) * n2, np.sqrt(i2) * n1], axis=-2)
 
 
 @dataclass(frozen=True)

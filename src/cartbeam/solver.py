@@ -24,7 +24,7 @@ multipliers and reactions, fixes its amplitude.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 import scipy.sparse
@@ -44,7 +44,9 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(eq=False)
 class FieldState:
-    """Raw interpolated field data at one arc length."""
+    """Raw interpolated field data at one arc length, or at each of a 1-d
+    array of arc lengths: then every field leads with the sample axis
+    (theta_t and dtheta_t of shape (n,))."""
 
     s: float
     u: np.ndarray
@@ -54,6 +56,11 @@ class FieldState:
     dtheta: np.ndarray | None
     theta_t: float | None           # Euler-Bernoulli twist
     dtheta_t: float | None
+
+    def row(self, i: int) -> "FieldState":
+        """The state at sample i of a batch state."""
+        return FieldState(**{f.name: None if getattr(self, f.name) is None
+                             else getattr(self, f.name)[i] for f in dc_fields(self)})
 
 
 @dataclass(eq=False)
@@ -76,26 +83,32 @@ class SolutionFields:
     def model(self):
         return self.system.model
 
-    def _field_at(self, name: str, s: float, nderiv: int):
-        dm = self.system.dofmap
-        info = dm.fields[name]
-        e, xi = self.mesh.locate(s)
-        _, h = self.mesh.element(e)
-        sh = shape_eval(info.kind, h, xi, nderiv=nderiv)
-        coeff = self.x[info.elem_dofs[e]].reshape(-1, info.ncomp)
-        return [row @ coeff for row in sh]
+    def _field_at(self, name: str, e: np.ndarray, xi: np.ndarray, nderiv: int) -> np.ndarray:
+        """d^k/ds^k of a field, k = 0..nderiv, at local coordinates xi of
+        elements e, as an array (nderiv + 1, n, ncomp)."""
+        info = self.system.dofmap.fields[name]
+        sh = shape_eval(info.kind, np.diff(self.mesh.nodes)[e], xi, nderiv=nderiv)
+        coeff = self.x[info.elem_dofs[e]].reshape(len(e), -1, info.ncomp)
+        return np.moveaxis(sh @ coeff, 1, 0)
 
-    def evaluate(self, s: float) -> FieldState:
+    def evaluate(self, s) -> FieldState:
+        """Field values and d/ds values at the arc lengths of a 1-d array s,
+        as a FieldState whose fields lead with the sample axis. A scalar s
+        is the one-row case."""
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        e, xi = self.mesh.locate(s_arr)
         form = self.form
         if form.euler_bernoulli:
-            u, du, d2u = self._field_at("u", s, 2)
-            tt, dtt = self._field_at("theta_t", s, 1)
-            return FieldState(s=s, u=u, du=du, d2u=d2u, theta=None, dtheta=None,
-                              theta_t=float(tt[0]), dtheta_t=float(dtt[0]))
-        u, du = self._field_at("u", s, 1)
-        th, dth = self._field_at(form.angle_field, s, 1)
-        return FieldState(s=s, u=u, du=du, d2u=None, theta=th, dtheta=dth,
-                          theta_t=None, dtheta_t=None)
+            u, du, d2u = self._field_at("u", e, xi, 2)
+            tt, dtt = self._field_at("theta_t", e, xi, 1)[..., 0]
+            st = FieldState(s=s_arr, u=u, du=du, d2u=d2u, theta=None, dtheta=None,
+                            theta_t=tt, dtheta_t=dtt)
+        else:
+            u, du = self._field_at("u", e, xi, 1)
+            th, dth = self._field_at(form.angle_field, e, xi, 1)
+            st = FieldState(s=s_arr, u=u, du=du, d2u=None, theta=th, dtheta=dth,
+                            theta_t=None, dtheta_t=None)
+        return st.row(0) if np.ndim(s) == 0 else st
 
     @classmethod
     def from_functions(cls, system: LinearSystem, u=None, du=None,

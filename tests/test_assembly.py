@@ -2,6 +2,7 @@
 and independently coded references, load vectors, and constraint rows."""
 import numpy as np
 import pytest
+import scipy.sparse
 
 from cartbeam.assembly import (
     BCRow,
@@ -16,9 +17,23 @@ from cartbeam.assembly import (
     discretize,
     kinematic_measures,
 )
-from cartbeam.discretization import DofMap, Mesh1D, formulation, gauss_rule, shape_eval
-from cartbeam.geometry import CircularArc, Helix, LineSegment, eval_frame
-from cartbeam.section import Material, circle_section, unit_depth_rect_section
+from cartbeam.discretization import (
+    FORMULATIONS,
+    DofMap,
+    Mesh1D,
+    formulation,
+    gauss_rule,
+    quadrature,
+    shape_eval,
+)
+from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment, eval_frame
+from cartbeam.section import (
+    DirectorDegeneracyError,
+    Material,
+    circle_section,
+    rect_section,
+    unit_depth_rect_section,
+)
 
 
 MAT = Material(E=1e6, nu=0.3)
@@ -244,6 +259,55 @@ class TestStiffness:
         K_full = assemble_stiffness(model, mesh, form, "full").K
         K_red = assemble_stiffness(model, mesh, form, "reduced").K
         assert abs(K_full - K_red).max() <= 1e-12 * abs(K_full).max()
+
+
+SPLIT_CURVES = {
+    "line": LineSegment([0, 0, 0], [3.0, 0.5, 0.0]),
+    "arc": CircularArc([0, 0, 0], 1.5, [1, 0, 0], [0, 1, 0], 0.0, 2.0),
+    "helix": Helix([0, 0, 0], 1.0, 0.3, [1, 0, 0], [0, 1, 0], 0.0, 3.0),
+    "hermite_spline": HermiteSpline(np.array([[0.0, 0, 0], [1.0, 0.6, 0.2], [2.0, 0.0, 0.5]]),
+                                    [1.0, 0.5, 0.0], [1.0, -0.5, 0.3]),
+}
+
+
+class TestMixedSplit:
+    """K = K_soft + C^T diag(1/compliance) C, the split the solver factors."""
+
+    @pytest.mark.parametrize("section", [circle_section(0.2),
+                                         rect_section(0.2, 0.1, [0.0, 0.0, 1.0])],
+                             ids=["circle", "rect"])
+    @pytest.mark.parametrize("kind", sorted(SPLIT_CURVES))
+    @pytest.mark.parametrize("policy", ["full", "reduced"])
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_full_stiffness_is_soft_part_plus_resultant_rows(self, name, policy, kind,
+                                                             section):
+        curve = SPLIT_CURVES[kind]
+        model = BeamModel(curve=curve, material=MAT, section=section,
+                          bc_start=BoundaryCondition.clamped(),
+                          bc_end=BoundaryCondition.free())
+        form = formulation(name)
+        system = assemble_stiffness(model, Mesh1D.uniform(curve.length, 3), form, policy)
+        K = system.K.toarray()
+        stiff = (system.C.T @ scipy.sparse.diags(1.0 / system.compliance) @ system.C).toarray()
+        assert np.abs(K - system.K_soft.toarray() - stiff).max() <= 1e-14 * np.abs(K).max()
+        # one row per element, point of the stiff rule, and strain component
+        # (stretch 1, shear 3)
+        rows_per_point = 1 if form.euler_bernoulli else 4
+        n_points = len(quadrature(form, policy).stretch.points)
+        assert system.C.shape[0] == 3 * n_points * rows_per_point == len(system.compliance)
+
+    def test_director_parallel_to_the_tangent_at_one_point_raises(self):
+        curve = SPLIT_CURVES["arc"]
+        form = formulation("timoshenko_h3p2")
+        mesh = Mesh1D.uniform(curve.length, 3)
+        s0, h = mesh.element(1)
+        s_q = s0 + quadrature(form, "full").bend.points[1] * h
+        model = BeamModel(curve=curve, material=MAT,
+                          section=rect_section(0.2, 0.1, curve.frame(s_q).t),
+                          bc_start=BoundaryCondition.clamped(),
+                          bc_end=BoundaryCondition.free())
+        with pytest.raises(DirectorDegeneracyError):
+            assemble_stiffness(model, mesh, form, "full")
 
 
 class TestLoads:

@@ -67,6 +67,17 @@ class TestShapeFunctions:
         with pytest.raises(ValueError):
             shape_eval("P7", 1.0, 0.5)
 
+    @pytest.mark.parametrize("kind,nderiv", [("P1", 1), ("P2", 1), ("H3", 2), ("H3", 0)])
+    def test_batch_rows_equal_scalar_calls(self, kind, nderiv):
+        h = np.array([[0.3], [1.0], [2.5]])
+        xi = np.array([0.0, 0.21, 0.5, 0.9, 1.0])
+        batch = shape_eval(kind, h, xi, nderiv=nderiv)
+        assert batch.shape == (3, 5) + shape_eval(kind, 1.0, 0.5, nderiv=nderiv).shape
+        for i in range(3):
+            for j in range(5):
+                scalar = shape_eval(kind, float(h[i, 0]), float(xi[j]), nderiv=nderiv)
+                assert np.array_equal(batch[i, j], scalar)
+
 
 class TestQuadrature:
     def test_two_point_integrates_cubic(self):
@@ -120,6 +131,10 @@ class TestMesh:
         assert e == 2 and xi == pytest.approx(0.5)
         e, xi = mesh.locate(4.0)
         assert e == 3 and xi == pytest.approx(1.0)
+        # an array of arc lengths: the scalar call is its one-row case
+        s = np.array([0.0, 0.3, 1.0, 2.5, 4.0])
+        e, xi = mesh.locate(s)
+        assert [mesh.locate(float(v)) for v in s] == list(zip(e.tolist(), xi.tolist()))
 
 
 class TestFormulations:
@@ -158,6 +173,23 @@ class TestDofMap:
                 for e in range(4):
                     seen.update(info.elem_dofs[e].tolist())
             assert seen == set(range(dm.ndof))
+
+    def test_element_dofs_follow_the_node_blocks(self):
+        # element by element: P1 and H3 take nodes e, e + 1 (an H3 element
+        # as value_left, slope_left, value_right, slope_right), P2 takes
+        # nodes 2e, 2e + 1, 2e + 2
+        for name in ("timoshenko_p2p1", "timoshenko_h3p2", "euler_bernoulli_h3"):
+            dm = DofMap(Mesh1D.uniform(2.0, 5), formulation(name))
+            for info in dm.fields.values():
+                nd, nc = info.node_dofs, info.ncomp
+                for e in range(5):
+                    if info.kind == "P1":
+                        blocks = [nd[e], nd[e + 1]]
+                    elif info.kind == "P2":
+                        blocks = [nd[2 * e], nd[2 * e + 1], nd[2 * e + 2]]
+                    else:
+                        blocks = [nd[e, :nc], nd[e, nc:], nd[e + 1, :nc], nd[e + 1, nc:]]
+                    assert np.array_equal(info.elem_dofs[e], np.concatenate(blocks))
 
     def test_end_functional_is_cardinal(self):
         dm = DofMap(Mesh1D.uniform(2.0, 4), formulation("timoshenko_h3p2"))

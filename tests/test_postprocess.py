@@ -4,15 +4,20 @@ Static-equilibrium oracles: on a tip-loaded cantilever the internal force
 transmitted across every section must equal the applied tip load, and the
 reactions recovered from the multipliers must balance all applied loads.
 """
+import json
+import os
+
 import numpy as np
 import pytest
 
 from cartbeam.assembly import BeamModel, BoundaryCondition, LoadCase, discretize
 from cartbeam.benchmarks import make_quarter_arc_model, make_straight_model
-from cartbeam.discretization import formulation
+from cartbeam.cli import load_model
+from cartbeam.discretization import formulation, shape_eval
 from cartbeam.geometry import Helix, LineSegment
 from cartbeam.postprocess import (
     applied_load_totals,
+    displacement_samples,
     export,
     reaction_force_totals,
     reactions,
@@ -22,10 +27,11 @@ from cartbeam.postprocess import (
     shear_angle,
     strain_energy,
 )
-from cartbeam.section import Material, circle_section
+from cartbeam.section import Material, circle_section, inertia_tensor, rect_section
 from cartbeam.solver import SolutionFields, solve_model
 
 MAT = Material(E=1e6, nu=0.3)
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def solved_cantilever(form="timoshenko_h3p2", n=4, P=1.0):
@@ -212,6 +218,16 @@ class TestReactionsAndEnergy:
         assert a_uu == pytest.approx(l_u, rel=1e-10)
         assert strain_energy(sol) == pytest.approx(0.5 * l_u, rel=1e-10)
 
+    def test_energy_keeps_its_digits_on_a_stiff_model(self):
+        with open(os.path.join(CONFIG_DIR, "helix_spring.json")) as fh:
+            model, name, n, policy = load_model(json.load(fh))
+        sol = solve_model(model, formulation(name), n, policy)
+        energy = strain_energy(sol)
+        rng = np.random.default_rng(7)
+        x = sol.x * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, sol.x.shape))
+        moved = SolutionFields(system=sol.system, x=x, multipliers=sol.multipliers)
+        assert abs(strain_energy(moved) - energy) < 1e-12 * abs(energy)
+
 
 class TestExport:
     def test_headers_and_row_counts(self, tmp_path):
@@ -250,3 +266,98 @@ class TestExport:
         p2 = export(sol, str(tmp_path / "b"), n_samples=7)
         for key in p1:
             assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+
+
+def _fields_per_sample(sol, si):
+    """One sample the element-by-element way: locate, scalar shape rows, and
+    one dot product per derivative row; {field: [value, d/ds, ...]}."""
+    e, xi = sol.mesh.locate(float(si))
+    h = sol.mesh.element(e)[1]
+    out = {}
+    for name, info in sol.system.dofmap.fields.items():
+        nderiv = 2 if name == "u" and sol.form.euler_bernoulli else 1
+        coeff = sol.x[info.elem_dofs[e]].reshape(-1, info.ncomp)
+        out[name] = [row @ coeff for row in shape_eval(info.kind, h, xi, nderiv=nderiv)]
+    return out
+
+
+def _per_sample_reference(sol, s):
+    """Resultants and shear angle sample by sample, from scalar field values
+    and the scalar section tensor."""
+    mat, sec = sol.model.material, sol.model.section
+    fr = sol.model.curve.frames(s)
+    eb = sol.form.euler_bernoulli
+    ref = {q: np.zeros((len(s), 3)) for q in ("N", "S", "M", "T", "shear")}
+    for i, si in enumerate(s):
+        t, k = fr.t[i], fr.kappa[i]
+        f = _fields_per_sample(sol, si)
+        du = f["u"][1]
+        if eb:
+            tt, dtt = f["theta_t"][0][0], f["theta_t"][1][0]
+            theta = np.cross(t, du) + t * tt
+            dtheta = np.cross(k, du) + np.cross(t, f["u"][2]) + k * tt + t * dtt
+        else:
+            theta, dtheta = f["theta"]
+            Qdu = du - float(t @ du) * t
+            ref["shear"][i] = np.cross(t, Qdu) - (theta - float(t @ theta) * t)
+            ref["S"][i] = mat.G * sec.area * (Qdu - np.cross(theta, t))
+        ref["N"][i] = mat.E * sec.area * float(t @ du) * t
+        ref["M"][i] = mat.E * inertia_tensor(sec, t) @ dtheta
+        ref["T"][i] = mat.G * sec.polar * float(t @ dtheta) * t
+    return ref
+
+
+class TestBatchEvaluation:
+    """Batch field evaluation and post-processing agree with the sample by
+    sample evaluation at the mesh nodes, which include s = 0 and s = L, and
+    between them."""
+
+    @pytest.mark.parametrize("section", [circle_section(0.15),
+                                         rect_section(0.2, 0.1, [0.0, 0.0, 1.0])],
+                             ids=["circle", "rect"])
+    @pytest.mark.parametrize("name", ["timoshenko_p2p1", "timoshenko_h3p2",
+                                      "euler_bernoulli_h3"])
+    def test_batch_matches_per_sample(self, name, section):
+        model = BeamModel(
+            curve=Helix([0, 0, 0], 1.0, 0.2, [1, 0, 0], [0, 1, 0], 0.0, 3 * np.pi),
+            material=MAT, section=section,
+            bc_start=BoundaryCondition.clamped(), bc_end=BoundaryCondition.free(),
+            loads=LoadCase(force_end=[0.1, -0.2, 0.3], moment_end=[0.02, 0.01, -0.03]))
+        sol = solve_model(model, formulation(name), 6, "full")
+        s = np.concatenate([sol.mesh.nodes, np.linspace(0.0, sol.mesh.length, 25)[1:-1]])
+        assert s[0] == 0.0 and s[len(sol.mesh.nodes) - 1] == sol.mesh.length
+
+        def close(batch, ref, scale=None):
+            scale = np.abs(ref).max() if scale is None else scale
+            assert np.abs(batch - ref).max() <= 1e-14 * scale
+
+        st = sol.evaluate(s)
+        per = [_fields_per_sample(sol, si) for si in s]
+        angle = "theta_t" if sol.form.euler_bernoulli else "theta"
+        close(st.u, np.array([f["u"][0] for f in per]))
+        close(st.du, np.array([f["u"][1] for f in per]))
+        if sol.form.euler_bernoulli:
+            close(st.d2u, np.array([f["u"][2] for f in per]))
+            close(st.theta_t, np.array([f[angle][0][0] for f in per]))
+            close(st.dtheta_t, np.array([f[angle][1][0] for f in per]))
+        else:
+            close(st.theta, np.array([f[angle][0] for f in per]))
+            close(st.dtheta, np.array([f[angle][1] for f in per]))
+
+        # a scalar s is the one-row case
+        one = sol.evaluate(float(s[2]))
+        assert np.array_equal(one.u, st.u[2]) and np.array_equal(one.du, st.du[2])
+
+        # N, S and the shear angle are small differences of u' and theta
+        # terms (t . u' against |u'|, Q u' against theta x t), so their
+        # round-off scales with those terms, not with the result
+        ref = _per_sample_reference(sol, s)
+        res = resultants(sol, s)
+        du = np.abs(st.du).max()
+        terms = max(du, np.abs(displacement_samples(sol, s)[1]).max())
+        mat, sec = model.material, model.section
+        close(res.N, ref["N"], mat.E * sec.area * du)
+        close(res.S, ref["S"], mat.G * sec.area * terms)
+        close(res.M, ref["M"])
+        close(res.T, ref["T"])
+        close(shear_angle(sol, s), ref["shear"], terms)
