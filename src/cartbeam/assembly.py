@@ -43,7 +43,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .discretization import DofMap, Formulation, Mesh1D, quadrature, shape_eval
-from .geometry import FrameSample, ParamCurve, Vec3, normal_projector, skew
+from .geometry import FrameSample, ParamCurve, Vec3, cross3, normal_projector, \
+    orthonormal_completion, skew
 from .section import CrossSection, Material, inertia_factor
 
 
@@ -284,11 +285,14 @@ def _gram(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, 1, 2) @ A
 
 
-def _sparse_nonzero(vals, rows, cols, shape) -> scipy.sparse.csr_matrix:
-    """CSR matrix of the nonzero entries (Timoshenko bend and twist act on
-    theta alone, and many strain rows vanish in plane geometry)."""
-    nz = vals != 0.0
-    return scipy.sparse.csr_matrix((vals[nz], (rows[nz], cols[nz])), shape=shape)
+def _summed_csr(data, indices, indptr, n: int) -> scipy.sparse.csr_matrix:
+    """n x n CSR matrix of rows that may repeat a column, the repeats summed
+    (in place: the matrix may take over the arrays)."""
+    M = scipy.sparse.csr_matrix(
+        (data, indices.astype(np.int32, copy=False), indptr.astype(np.int32, copy=False)),
+        shape=(n, n))
+    M.sum_duplicates()
+    return M
 
 
 def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
@@ -349,14 +353,27 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     # the full element matrices, K = K_soft + C^T diag(1/compliance) C
     ke = ke_soft + _gram(np.sqrt(moduli)[:, None] * c_el)
 
-    rows = np.repeat(edofs_all, nloc, axis=1).ravel()
-    cols = np.tile(edofs_all, (1, nloc)).ravel()
-    shape = (dm.ndof, dm.ndof)
-    K_soft = _sparse_nonzero(ke_soft.ravel(), rows, cols, shape)
+    # C is CSR as built: element-major rows, each over its element's DOFs;
+    # the exact zeros (many strain rows vanish in plane geometry) go
     n_c = n_el * len(moduli)
-    C = _sparse_nonzero(c_el.ravel(), np.repeat(np.arange(n_c, dtype=np.int32), nloc),
-                        np.repeat(edofs_all, c_el.shape[1], axis=0).ravel(), (n_c, dm.ndof))
-    K = scipy.sparse.csr_matrix((ke.ravel(), (rows, cols)), shape=shape)
+    C = scipy.sparse.csr_matrix(
+        (c_el.ravel(), np.repeat(edofs_all, c_el.shape[1], axis=0).ravel(),
+         np.arange(0, n_c * nloc + 1, nloc, dtype=np.int32)), shape=(n_c, dm.ndof))
+    C.eliminate_zeros()
+    # K and K_soft share one index pattern: the element rows grouped by their
+    # global row, in element order, each over its element's (sorted) DOFs.
+    # scipy then sorts each row and sums the entries of elements that share
+    # a node. K_soft keeps the nonzero entries only (Timoshenko bend and
+    # twist act on theta alone).
+    order = np.argsort(edofs_all.ravel(), kind="stable")
+    indices = edofs_all[order // nloc].ravel()
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(edofs_all.ravel(), minlength=dm.ndof) * nloc)])
+    soft = ke_soft.reshape(-1, nloc)[order].ravel()
+    nz = soft != 0.0
+    kept = np.cumsum(nz, dtype=np.int32)
+    K_soft = _summed_csr(soft[nz], indices[nz], np.concatenate([[0], kept[indptr[1:] - 1]]), dm.ndof)
+    del soft, nz, kept      # before K's gather: ~10 % off the assembly's peak memory
+    K = _summed_csr(ke.reshape(-1, nloc)[order].ravel(), indices, indptr, dm.ndof)
     return LinearSystem(K=K, rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
                         model=model, K_soft=K_soft, C=C,
                         compliance=1.0 / np.tile(moduli, n_el), policy=policy)
@@ -400,9 +417,8 @@ def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarr
                        f.reshape(spts.shape + (3,)))
         np.add.at(rhs, dm.fields["u"].elem_dofs, fe.reshape(mesh.n_elements, -1))
 
-    for end, sgn in (("start", -1.0), ("end", +1.0)):
-        fr = curve.frame(0.0 if end == "start" else curve.length)
-        t = fr.t
+    ends = curve.frames(np.array([0.0, curve.length]))
+    for end, sgn, t in zip(("start", "end"), (-1.0, +1.0), ends.t):
         bc = model.bc(end)
 
         if bc.stretching.kind == "natural":
@@ -417,7 +433,7 @@ def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarr
             mbar = _project_normal(bc.bending.value, t, f"natural moment value at {end}")
             if np.any(mbar):
                 if form.euler_bernoulli:
-                    _add_end_row(rhs, dm, "u", end, np.cross(mbar, t), scale=sgn, deriv=1)
+                    _add_end_row(rhs, dm, "u", end, cross3(mbar, t), scale=sgn, deriv=1)
                 else:
                     _add_end_row(rhs, dm, "theta", end, mbar, scale=sgn)
         if bc.twisting.kind == "natural":
@@ -437,7 +453,7 @@ def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarr
             mtang = float(t @ moment)
             if form.euler_bernoulli:
                 if np.any(mperp):
-                    _add_end_row(rhs, dm, "u", end, np.cross(mperp, t), deriv=1)
+                    _add_end_row(rhs, dm, "u", end, cross3(mperp, t), deriv=1)
                 if mtang != 0.0:
                     _add_end_row(rhs, dm, "theta_t", end, [mtang])
             else:
@@ -449,21 +465,17 @@ def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarr
 def _collect_constraint_rows(system: LinearSystem):
     dm, form, model = system.dofmap, system.form, system.model
     curve = model.curve
-    entries = []          # (row_index, dof_indices, coeffs)
+    rows = []             # (dof_indices, coeffs)
     values = []
     infos: list[RowInfo] = []
 
     def add(field, end, direction, value, info: RowInfo, deriv=0):
-        idx, coeff = dm.end_functional(field, end, np.asarray(direction, float), deriv=deriv)
-        entries.append((len(values), idx, coeff))
+        rows.append(dm.end_functional(field, end, np.asarray(direction, float), deriv=deriv))
         values.append(float(value))
         infos.append(info)
 
-    from .geometry import orthonormal_completion
-
-    for end in ("start", "end"):
-        fr = curve.frame(0.0 if end == "start" else curve.length)
-        t = fr.t
+    ends = curve.frames(np.array([0.0, curve.length]))
+    for end, t in zip(("start", "end"), ends.t):
         n1, n2 = orthonormal_completion(t)
         bc = model.bc(end)
 
@@ -478,10 +490,10 @@ def _collect_constraint_rows(system: LinearSystem):
             thbar = _project_normal(bc.bending.value, t, f"essential bending value at {end}")
             if form.euler_bernoulli:
                 # rotation Q theta = t x u'; prescribing it fixes Q u' = thbar x t
-                target = np.cross(thbar, t)
+                target = cross3(thbar, t)
                 for d in (n1, n2):
                     add("u", end, d, float(d @ target),
-                        RowInfo(end, "bending", "moment", np.cross(t, d)), deriv=1)
+                        RowInfo(end, "bending", "moment", cross3(t, d)), deriv=1)
             else:
                 for d in (n1, n2):
                     add("theta", end, d, float(d @ thbar),
@@ -507,7 +519,7 @@ def _collect_constraint_rows(system: LinearSystem):
             raise ValueError(f"point constraint field {pc.field!r} not available "
                              f"for formulation {form.name}")
 
-    return entries, np.asarray(values), infos
+    return rows, np.asarray(values), infos
 
 
 def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
@@ -516,7 +528,7 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
     Linearly dependent but consistent rows are pruned with a warning;
     inconsistent dependent rows raise ConstraintConflictError.
     """
-    entries, values, infos = _collect_constraint_rows(system)
+    rows, values, infos = _collect_constraint_rows(system)
     m = len(values)
     if m == 0:
         system.B = None
@@ -524,18 +536,23 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
         system.rows_info = []
         return system
 
-    Bd = np.zeros((m, system.dofmap.ndof))
-    for r, idx, coeff in entries:
-        Bd[r, idx] += coeff
+    # the rows touch only the DOFs of the end elements: the redundancy QR
+    # runs on those columns alone (all others are zero)
+    ndof = system.dofmap.ndof
+    idx = np.concatenate([i for i, _ in rows])
+    cols = np.unique(idx)
+    Bd = np.zeros((m, len(cols)))
+    Bd[np.repeat(np.arange(m), [len(i) for i, _ in rows]), np.searchsorted(cols, idx)] = \
+        np.concatenate([c for _, c in rows])
 
     _, R, piv = scipy.linalg.qr(Bd.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    tol = max(Bd.shape) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)
+    tol = max(m, ndof) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)
     rank = int(np.sum(diag > max(tol, 1e-12)))
     keep = sorted(piv[:rank])
+    Bk = Bd[keep]
     if rank < m:
         dropped = [j for j in range(m) if j not in keep]
-        Bk = Bd[keep]
         for j in dropped:
             c, *_ = np.linalg.lstsq(Bk.T, Bd[j], rcond=None)
             if abs(c @ values[keep] - values[j]) > 1e-9 * max(1.0, np.abs(values).max()):
@@ -544,7 +561,10 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
                     "earlier constraints")
         warnings.warn(f"dropping {m - rank} redundant, consistent constraint row(s)")
 
-    system.B = scipy.sparse.csr_matrix(Bd[keep])
+    nz = Bk != 0.0
+    system.B = scipy.sparse.csr_matrix(
+        (Bk[nz], np.broadcast_to(cols, Bk.shape)[nz], np.concatenate([[0], np.cumsum(nz.sum(axis=1))])),
+        shape=(rank, ndof))
     system.g = values[keep]
     system.rows_info = [infos[j] for j in keep]
     return system

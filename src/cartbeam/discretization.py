@@ -9,6 +9,7 @@ element matrices independent of the underlying curve parametrization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,9 +151,14 @@ class QuadratureRule:
         return s0 + self.points * h, self.weights * h
 
 
+@lru_cache(maxsize=None)
 def gauss_rule(n: int, role: str = "full") -> QuadratureRule:
+    """The n-point rule, computed once per (n, role) (leggauss is an eigenvalue
+    solve); its arrays are read-only since every caller shares them."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(points=0.5 * (x + 1.0), weights=0.5 * w, role=role)
+    points, weights = 0.5 * (x + 1.0), 0.5 * w
+    points.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(points=points, weights=weights, role=role)
 
 
 @dataclass(frozen=True)
@@ -198,6 +204,7 @@ class DofMap:
         self.mesh = mesh
         self.form = form
         self.fields: dict[str, FieldInfo] = {}
+        self._end_rows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         offset = 0
         offset = self._add_field("u", form.midline, 3, offset)
         offset = self._add_field(form.angle_field, form.angle, form.angle_ncomp, offset)
@@ -237,12 +244,18 @@ class DofMap:
 
     def end_functional(self, name: str, end: str, direction: np.ndarray,
                        deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Row (dof indices, coefficients) of the functional d . field^(deriv)(end)."""
-        info = self.fields[name]
-        e, xi = self.end_element(end)
-        _, h = self.mesh.element(e)
-        sh = shape_eval(info.kind, h, xi, nderiv=deriv)[deriv]
+        """Row (dof indices, coefficients) of the functional d . field^(deriv)(end).
+
+        The end's shape row is evaluated once per (field, end, deriv) of this
+        map and reused for every direction."""
+        key = (name, end, deriv)
+        if key not in self._end_rows:
+            info = self.fields[name]
+            e, xi = self.end_element(end)
+            sh = shape_eval(info.kind, self.mesh.element(e)[1], xi, nderiv=deriv)[deriv]
+            self._end_rows[key] = info.elem_dofs[e], sh
+        dofs, sh = self._end_rows[key]
         direction = np.atleast_1d(np.asarray(direction, dtype=float))
         coeffs = np.outer(sh, direction).ravel()
         keep = coeffs != 0.0
-        return info.elem_dofs[e][keep], coeffs[keep]
+        return dofs[keep], coeffs[keep]

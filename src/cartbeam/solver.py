@@ -138,40 +138,47 @@ def rigid_modes(system: LinearSystem) -> np.ndarray:
     Translations: u = e_a, theta = 0. Rotations about the origin: u = e_a x r(s),
     theta = e_a (twist component e_a . t for Euler-Bernoulli).
     """
+    return _rigid_rows(system, np.arange(system.dofmap.ndof))
+
+
+def _rigid_rows(system: LinearSystem, dofs: np.ndarray) -> np.ndarray:
+    """The rows `dofs` (sorted) of `rigid_modes`, (len(dofs), 6), from one
+    `curve.frames` query at the nodes those DOFs sit on. Row c of a midline
+    value (slope) DOF's rotation block is e_a x x (e_a x t) over a, which is
+    x x e_c (t x e_c)."""
     dm = system.dofmap
-    curve = system.model.curve
-    Z = np.zeros((dm.ndof, 6))
-    eye = np.eye(3)
-
-    uinfo = dm.fields["u"]
-    fr = curve.frames(uinfo.node_s)
-    vdofs = uinfo.node_dofs[:, :3]
-    # e_a x r for a = 0, 1, 2, shape (3, n_nodes, 3)
-    rot = np.cross(eye[:, None, :], fr.x)
-    for a in range(3):
-        Z[vdofs, a] = eye[a]
-        Z[vdofs, 3 + a] = rot[a]
-    if uinfo.kind == "H3":
-        rot_t = np.cross(eye[:, None, :], fr.t)
-        for a in range(3):
-            Z[uinfo.node_dofs[:, 3:], 3 + a] = rot_t[a]
-
-    ainfo = dm.fields[system.form.angle_field]
-    vdofs = ainfo.node_dofs[:, :ainfo.ncomp]
+    u, ang = dm.fields["u"], dm.fields[system.form.angle_field]
+    nu = np.searchsorted(dofs, u.n_dofs)      # the midline DOFs come first
+    un, uc = np.divmod(dofs[:nu], u.node_dofs.shape[1])
+    an, ac = np.divmod(dofs[nu:] - u.n_dofs, ang.node_dofs.shape[1])
+    s = np.concatenate([u.node_s[un], ang.node_s[an]])
+    nodes = np.unique(s)
+    fr = system.model.curve.frames(nodes)
+    at = np.searchsorted(nodes, s)
+    Z = np.zeros((len(dofs), 6))
+    rows, value = np.arange(nu), uc < 3
+    Z[rows[value], uc[value]] = 1.0
+    v = np.where(value[:, None], fr.x[at[:nu]], fr.t[at[:nu]])
+    c = uc % 3
+    Z[rows, 3 + (c + 1) % 3] = v[rows, (c + 2) % 3]
+    Z[rows, 3 + (c + 2) % 3] = -v[rows, (c + 1) % 3]
     if system.form.euler_bernoulli:
-        # the twist DOF carries e_a . t
-        Z[vdofs[:, 0], 3:] = curve.frames(ainfo.node_s).t
+        Z[nu:, 3:] = fr.t[at[nu:]]      # the twist DOF carries e_a . t
     else:
-        for a in range(3):
-            Z[vdofs, 3 + a] = eye[a]
+        Z[nu + np.arange(len(ac)), 3 + ac] = 1.0
     return Z
 
 
 def _free_rigid_mode_count(system: LinearSystem) -> int:
-    Z = rigid_modes(system)
+    """6 minus the rank of B Z, Z the rigid modes, built only at the columns
+    B touches (the DOFs of the end elements)."""
     if system.n_constraints == 0:
         return 6
-    BZ = np.asarray((system.B @ Z))
+    B = system.B
+    cols = np.unique(B.indices)
+    Bd = np.zeros((B.shape[0], len(cols)))
+    Bd[np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)), np.searchsorted(cols, B.indices)] = B.data
+    BZ = Bd @ _rigid_rows(system, cols)
     sv = np.linalg.svd(BZ, compute_uv=False)
     tol = max(BZ.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
     rank = int(np.sum(sv > max(tol, 1e-10)))
@@ -211,8 +218,19 @@ def hourglass_modes(system: LinearSystem, knorm: float | None = None) -> np.ndar
     return H @ Vt[null].T
 
 
+def _segment_reduce(ufunc, M) -> np.ndarray:
+    """ufunc over |entries| of each compressed row (CSR) or column (CSC) of
+    M, 0 where there are none (reduceat alone returns the next entry there)."""
+    out = np.zeros(len(M.indptr) - 1)
+    full = np.flatnonzero(np.diff(M.indptr))
+    if full.size:
+        out[full] = ufunc.reduceat(np.abs(M.data[:M.indptr[-1]]), M.indptr[full])
+    return out
+
+
 def _inf_norm(M) -> float:
-    return float(abs(M).sum(axis=1).max())
+    """max_i sum_j |M_ij| of a CSR matrix."""
+    return float(_segment_reduce(np.add, M).max(initial=0.0))
 
 
 def _hourglass_gauge(system: LinearSystem, modes: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -237,26 +255,32 @@ def _hourglass_gauge(system: LinearSystem, modes: np.ndarray) -> scipy.sparse.cs
 
 
 def _mixed_system(system: LinearSystem, B, g) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-    """The saddle matrix [[K_soft, C^T, B^T], [C, -D, 0], [B, 0, 0]] (CSC)
-    and its right-hand side [f, 0, g], for the unknowns [x, sigma, lambda]."""
+    """The saddle matrix [[K_soft, X^T], [X, E]] (CSC), X = [C; B] and E =
+    diag(-D, 0), and its right-hand side [f, 0, g], for the unknowns [x,
+    sigma, lambda]. Column j < n of the matrix is column j of the CSR stack
+    [K_soft; X], so one transpose of the stack gives the first n columns;
+    column n + k is row k of X, followed by -D_kk for a row of C."""
     n, p = system.dofmap.ndof, system.C.shape[0]
-    Ks, Cc = system.K_soft.tocoo(), system.C.tocoo()
-    ip = n + np.arange(p, dtype=Cc.row.dtype)
-    rows = [Ks.row, Cc.col, n + Cc.row, ip]
-    cols = [Ks.col, n + Cc.row, Cc.col, ip]
-    vals = [Ks.data, Cc.data, Cc.data, -system.compliance]
-    rhs = [system.rhs, np.zeros(p)]
-    m = 0
+    blocks, rhs = [system.K_soft, system.C], [system.rhs, np.zeros(p)]
     if B is not None:
-        Bc = B.tocoo()
-        m = B.shape[0]
-        rows += [Bc.col, n + p + Bc.row]
-        cols += [n + p + Bc.row, Bc.col]
-        vals += [Bc.data, Bc.data]
+        blocks.append(B)
         rhs.append(g)
+    ptr = np.concatenate([[0]] + [M.indptr[1:] for M in blocks])
+    ptr[1:] += np.repeat(np.cumsum([0] + [M.nnz for M in blocks[:-1]]), [M.shape[0] for M in blocks])
+    stack = scipy.sparse.csr_matrix(
+        (np.concatenate([M.data for M in blocks]), np.concatenate([M.indices for M in blocks]), ptr),
+        shape=(ptr.size - 1, n))
+    left = stack.tocsc()
+    # the rows of X, each row of C with its diagonal entry appended
+    xp = ptr[n:] - ptr[n]
+    ends = xp[1:p + 1]
+    ind = np.insert(stack.indices[ptr[n]:], ends, n + np.arange(p))
+    dat = np.insert(stack.data[ptr[n]:], ends, -system.compliance)
+    xp = xp + np.minimum(np.arange(xp.size), p) + left.nnz
+    N = ptr.size - 1
     A = scipy.sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n + p + m, n + p + m))
+        (np.concatenate([left.data, dat]), np.concatenate([left.indices, ind]),
+         np.concatenate([left.indptr, xp[1:]])), shape=(N, N))
     return A, np.concatenate(rhs)
 
 
@@ -298,7 +322,7 @@ def solve(system: LinearSystem) -> SolutionFields:
     # symmetric equilibration, in place (A is symmetric): Hermite slope DOFs,
     # multiplier rows and resultant rows carry very different scales.
     # Factor and refine the equilibrated system D A D y = D rhs, x = D y.
-    d = 1.0 / np.sqrt(np.maximum(abs(A).max(axis=0).toarray().ravel(), 1e-300))
+    d = 1.0 / np.sqrt(np.maximum(_segment_reduce(np.maximum, A), 1e-300))
     A.data *= d[A.indices]
     A.data *= np.repeat(d, np.diff(A.indptr))
     rhs *= d
@@ -319,8 +343,9 @@ def solve(system: LinearSystem) -> SolutionFields:
 
     x, lam = sol[:n], sol[n + p:n + p + m]
     r1 = system.K @ x - system.rhs
-    if m > 0:
-        r1 = r1 + system.B.T @ lam
+    if m > 0:   # + B^T lam, without building B^T
+        Bs = system.B
+        r1 += np.bincount(Bs.indices, Bs.data * np.repeat(lam, np.diff(Bs.indptr)), minlength=n)
     bound = 1e-10 * (np.linalg.norm(system.rhs) + knorm * np.linalg.norm(x) + 1e-300)
     if np.linalg.norm(r1) > max(bound, 1e-300):
         raise SingularSystemError(

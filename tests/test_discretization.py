@@ -113,6 +113,19 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quadrature(formulation("timoshenko_p2p1"), "hourglass")
 
+    def test_rules_are_computed_once_and_read_only(self):
+        # every solve asks for its rules: the memo hands out one shared rule,
+        # so a caller must not be able to write into its arrays
+        assert gauss_rule(3) is gauss_rule(3)
+        assert quadrature(formulation("timoshenko_h3p2"), "reduced").stretch is gauss_rule(2, "reduced")
+        rule = gauss_rule(4)
+        for arr in (rule.points, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        x, w = np.polynomial.legendre.leggauss(4)
+        assert np.array_equal(rule.points, 0.5 * (x + 1.0))
+        assert np.array_equal(rule.weights, 0.5 * w)
+
 
 class TestMesh:
     def test_uniform_covers_interval(self):
@@ -190,6 +203,23 @@ class TestDofMap:
                     else:
                         blocks = [nd[e, :nc], nd[e, nc:], nd[e + 1, :nc], nd[e + 1, nc:]]
                     assert np.array_equal(info.elem_dofs[e], np.concatenate(blocks))
+
+    def test_end_rows_are_evaluated_once_per_field_end_and_derivative(self, monkeypatch):
+        import cartbeam.discretization as disc
+        calls = []
+        real = disc.shape_eval
+        monkeypatch.setattr(disc, "shape_eval", lambda *a, **k: calls.append(a) or real(*a, **k))
+        dm = DofMap(Mesh1D.uniform(2.0, 3), formulation("euler_bernoulli_h3"))
+        rows = [dm.end_functional("u", "end", d, deriv=1) for d in np.eye(3)]
+        assert len(calls) == 1
+        for (idx, coeff), d in zip(rows, np.eye(3)):
+            sh = real("H3", 2.0 / 3, 1.0, nderiv=1)[1]
+            ref = np.outer(sh, d).ravel()
+            assert np.array_equal(coeff, ref[ref != 0.0])
+            assert np.array_equal(idx, dm.fields["u"].elem_dofs[-1][ref != 0.0])
+        dm.end_functional("u", "start", np.ones(3), deriv=1)
+        dm.end_functional("theta_t", "end", [1.0])
+        assert len(calls) == 3
 
     def test_end_functional_is_cardinal(self):
         dm = DofMap(Mesh1D.uniform(2.0, 4), formulation("timoshenko_h3p2"))

@@ -19,6 +19,7 @@ from cartbeam.geometry import (
     ZeroCurvatureError,
     arc_length_table,
     closest_point,
+    cross3,
     curve_from_dict,
     eval_frame,
     frenet,
@@ -64,6 +65,32 @@ class TestProjectors:
         M = np.array([t, n1, n2])
         assert np.allclose(M @ M.T, np.eye(3), atol=1e-12)
         assert np.allclose(np.cross(t, n1), n2, atol=1e-12)
+
+    @staticmethod
+    def _completion_by_np_cross(t):
+        k = int(np.argmin(np.abs(t)))
+        n1 = np.cross(np.eye(3)[k], t)
+        n1 = n1 / np.linalg.norm(n1)
+        return n1, np.cross(t, n1)
+
+    @pytest.mark.parametrize("t", [
+        *np.eye(3), *-np.eye(3),                                  # axis-aligned
+        np.array([1.0, 1.0, 1.0]) / np.sqrt(3), np.array([2.0, 1.0, -1.0]) / np.sqrt(6),
+        np.array([1.0, -2.0, 1.0]) / np.sqrt(6), np.array([-0.0, 0.0, 1.0]),  # tied |t_k|
+        *np.random.default_rng(7).normal(size=(20, 3)),           # random directions
+    ])
+    def test_orthonormal_completion_matches_np_cross_form(self, t):
+        # the explicit 3-vector algebra picks the same axis (the first of tied
+        # smallest |t_k|) and agrees with the np.cross form to 1 ulp
+        t = t / np.linalg.norm(t)
+        for got, ref in zip(orthonormal_completion(t), self._completion_by_np_cross(t)):
+            assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+
+    def test_cross3_is_np_cross_bitwise(self):
+        rng = np.random.default_rng(3)
+        for a, b in rng.normal(size=(50, 2, 3)) * 10.0 ** rng.integers(-8, 8, size=(50, 2, 1)):
+            assert np.array_equal(cross3(a, b), np.cross(a, b))
+        assert np.array_equal(cross3([1.0, 0.0, 0.0], (0.0, 1.0, 0.0)), [0.0, 0.0, 1.0])
 
     def test_skew_matches_cross_product(self):
         rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from cartbeam.assembly import (
     BeamModel,
     BoundaryCondition,
     LoadCase,
+    PointConstraint,
     body_table,
     discretize,
 )
@@ -17,7 +19,16 @@ from cartbeam.discretization import FORMULATIONS, formulation
 from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment
 from cartbeam.postprocess import tip_displacement
 from cartbeam.section import Material, circle_section, unit_depth_rect_section
-from cartbeam.solver import SingularSystemError, hourglass_modes, solve, solve_model
+from cartbeam.solver import (
+    SingularSystemError,
+    _free_rigid_mode_count,
+    _inf_norm,
+    _segment_reduce,
+    hourglass_modes,
+    rigid_modes,
+    solve,
+    solve_model,
+)
 
 MAT = Material(E=1e6, nu=0.3)
 
@@ -309,3 +320,167 @@ class TestSolveProperties:
         assert np.allclose(st.u, u(3.21), atol=1e-12)
         assert np.allclose(st.du, du(3.21), atol=1e-12)
         assert np.allclose(st.theta, th(3.21), atol=1e-12)
+
+
+def _guided():
+    """The guided support of the helix spring: the start holds u and the
+    twist, the end slides along z only."""
+    z = np.zeros(3)
+    return (BoundaryCondition(BCRow("essential", 0.0), BCRow("essential", z.copy()),
+                              BCRow("natural", z.copy()), BCRow("essential", 0.0)),
+            [PointConstraint("end", "u", np.array([1.0, 0.0, 0.0])),
+             PointConstraint("end", "u", np.array([0.0, 1.0, 0.0]))])
+
+
+SUPPORTS = {
+    "clamped": lambda: (BoundaryCondition.clamped(), []),
+    "pinned": lambda: (BoundaryCondition.pinned(), []),
+    "free_free": lambda: (BoundaryCondition.free(), []),
+    "guided": _guided,
+}
+
+
+def _rigid_modes_by_np_cross(system):
+    """rigid_modes as it was written with np.cross, the reference."""
+    dm, curve, eye = system.dofmap, system.model.curve, np.eye(3)
+    Z = np.zeros((dm.ndof, 6))
+    u = dm.fields["u"]
+    fr = curve.frames(u.node_s)
+    rot = np.cross(eye[:, None, :], fr.x)
+    for a in range(3):
+        Z[u.node_dofs[:, :3], a] = eye[a]
+        Z[u.node_dofs[:, :3], 3 + a] = rot[a]
+    if u.kind == "H3":
+        rot_t = np.cross(eye[:, None, :], fr.t)
+        for a in range(3):
+            Z[u.node_dofs[:, 3:], 3 + a] = rot_t[a]
+    ang = dm.fields[system.form.angle_field]
+    if system.form.euler_bernoulli:
+        Z[ang.node_dofs[:, 0], 3:] = curve.frames(ang.node_s).t
+    else:
+        for a in range(3):
+            Z[ang.node_dofs[:, :3], 3 + a] = eye[a]
+    return Z
+
+
+class TestRigidCheck:
+    """The singularity check forms B Z from the rows of Z at the columns B
+    touches; it must count what the full rigid-mode matrix counts."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CURVES))
+    @pytest.mark.parametrize("support", sorted(SUPPORTS))
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_restricted_count_equals_full_count(self, name, support, kind):
+        bc, constraints = SUPPORTS[support]()
+        model = BeamModel(curve=KERNEL_CURVES[kind], material=MAT, section=circle_section(0.2),
+                          bc_start=bc, bc_end=BoundaryCondition.free(),
+                          constraints=constraints)
+        system = discretize(model, formulation(name), 3)
+        Z = rigid_modes(system)
+        assert np.all(np.abs(Z - _rigid_modes_by_np_cross(system))
+                      <= np.spacing(np.abs(_rigid_modes_by_np_cross(system))))
+        if system.n_constraints == 0:
+            full = 6
+        else:
+            BZ = system.B @ Z
+            sv = np.linalg.svd(BZ, compute_uv=False)
+            tol = max(BZ.shape) * np.finfo(float).eps * sv[0]
+            full = 6 - int(np.sum(sv > max(tol, 1e-10)))
+        assert _free_rigid_mode_count(system) == full
+        assert full == {"clamped": 0, "free_free": 6}.get(support, full)
+        if full:
+            with pytest.raises(SingularSystemError, match=f"system is singular: {full} "
+                               "unconstrained rigid-body mode") as err:
+                solve(system)
+            assert err.value.n_rigid_modes == full
+
+
+def _csr(rows, n_cols, cls=scipy.sparse.csr_matrix):
+    """A compressed matrix from explicit (index, value) rows, stored zeros kept."""
+    ptr = np.cumsum([0] + [len(r) for r in rows])
+    ind = np.array([i for r in rows for i, _ in r], dtype=np.int32)
+    dat = np.array([v for r in rows for _, v in r], dtype=float)
+    return cls((dat, ind, ptr), shape=(len(rows), n_cols) if cls is scipy.sparse.csr_matrix
+               else (n_cols, len(rows)))
+
+
+NORM_CASES = {
+    "dense_row": [[(0, -3.0), (2, 1.0)], [(1, 2.0)]],
+    "empty_rows": [[], [(0, -1.0), (3, 4.0)], [], [(2, -5.0)], []],
+    "empty_columns": [[(1, 2.0)], [(1, -7.0), (4, 1.0)]],
+    "stored_zeros": [[(0, 0.0), (1, -2.0)], [(2, 0.0)], [(0, 3.0), (3, 0.0)]],
+    "no_entries": [[], [], []],
+}
+
+
+class TestNormHelpers:
+    """_segment_reduce runs reduceat over the compressed arrays, which for an
+    empty segment returns the next entry instead of 0."""
+
+    @pytest.mark.parametrize("case", sorted(NORM_CASES))
+    def test_column_max_matches_abs_copy(self, case):
+        A = _csr(NORM_CASES[case], 5, scipy.sparse.csc_matrix)
+        ref = abs(A).max(axis=0).toarray().ravel()
+        assert np.array_equal(_segment_reduce(np.maximum, A), ref)
+
+    @pytest.mark.parametrize("case", sorted(NORM_CASES))
+    def test_inf_norm_matches_abs_copy(self, case):
+        M = _csr(NORM_CASES[case], 5)
+        assert _inf_norm(M) == abs(M).sum(axis=1).max()
+
+    def test_on_the_saddle_matrix_and_stiffness(self):
+        from cartbeam.solver import _mixed_system
+        model = bar_model(curve=KERNEL_CURVES["helix"])
+        system = discretize(model, formulation("timoshenko_h3p2"), 3)
+        A, _ = _mixed_system(system, system.B, system.g)
+        assert np.array_equal(_segment_reduce(np.maximum, A), abs(A).max(axis=0).toarray().ravel())
+        assert _inf_norm(system.K) == pytest.approx(abs(system.K).sum(axis=1).max(), rel=1e-15)
+
+
+class TestSaddleMatrix:
+    @pytest.mark.parametrize("policy", ["full", "reduced"])
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_blocks(self, name, policy):
+        # [[K_soft, C^T, B^T], [C, -D, 0], [B, 0, 0]] with K_soft's pattern
+        # and an entry for every compliance, as CSC with sorted indices
+        from cartbeam.solver import _mixed_system
+        model = bar_model(curve=KERNEL_CURVES["hermite_spline"],
+                          loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
+        system = discretize(model, formulation(name), 3, policy)
+        A, rhs = _mixed_system(system, system.B, system.g)
+        n, p, m = system.K.shape[0], system.C.shape[0], system.n_constraints
+        assert A.format == "csc" and A.has_sorted_indices
+        ref = scipy.sparse.bmat([[system.K_soft, system.C.T, system.B.T],
+                                 [system.C, -scipy.sparse.diags(system.compliance), None],
+                                 [system.B, None, None]]).toarray()
+        assert np.array_equal(A.toarray(), ref)
+        assert A.nnz == system.K_soft.nnz + 2 * (system.C.nnz + system.B.nnz) + p
+        assert np.array_equal(rhs, np.concatenate([system.rhs, np.zeros(p), system.g]))
+        assert A.shape == (n + p + m,) * 2
+
+
+class TestCallBudget:
+    """Per-solve geometry and quadrature queries, counted on two consecutive
+    P2-P1 arc solves: one frames query per stiffness rule and one each for
+    the loads, the essential rows and the rigid check; the Gauss rule once."""
+
+    def test_two_arc_solves(self, monkeypatch):
+        from cartbeam.discretization import gauss_rule
+        from cartbeam.geometry import ParamCurve
+        counts = {"frames": 0, "frame": 0, "leggauss": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ParamCurve, "frames", counted("frames", ParamCurve.frames))
+        monkeypatch.setattr(ParamCurve, "frame", counted("frame", ParamCurve.frame))
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            counted("leggauss", np.polynomial.legendre.leggauss))
+        gauss_rule.cache_clear()
+        model = bar_model(curve=KERNEL_CURVES["arc"], loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
+        for _ in range(2):
+            solve_model(model, formulation("timoshenko_p2p1"), 4)
+        assert counts == {"frames": 8, "frame": 0, "leggauss": 1}
