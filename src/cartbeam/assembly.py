@@ -285,12 +285,10 @@ def _gram(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, 1, 2) @ A
 
 
-def _summed_csr(data, indices, indptr, n: int) -> scipy.sparse.csr_matrix:
-    """n x n CSR matrix of rows that may repeat a column, the repeats summed
-    (in place: the matrix may take over the arrays)."""
-    M = scipy.sparse.csr_matrix(
-        (data, indices.astype(np.int32, copy=False), indptr.astype(np.int32, copy=False)),
-        shape=(n, n))
+def _summed_csr(data, indices, row_ends, n: int) -> scipy.sparse.csr_matrix:
+    """n x n CSR matrix of rows that end at row_ends in data and may repeat a
+    column; the repeats are summed in place, in the arrays given."""
+    M = scipy.sparse.csr_matrix((data, indices, np.concatenate([[0], row_ends])), shape=(n, n))
     M.sum_duplicates()
     return M
 
@@ -353,27 +351,23 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     # the full element matrices, K = K_soft + C^T diag(1/compliance) C
     ke = ke_soft + _gram(np.sqrt(moduli)[:, None] * c_el)
 
-    # C is CSR as built: element-major rows, each over its element's DOFs;
-    # the exact zeros (many strain rows vanish in plane geometry) go
+    # C is CSR as built: element-major rows over each element's DOFs, exact
+    # zeros dropped (many strain rows vanish in plane geometry)
     n_c = n_el * len(moduli)
-    C = scipy.sparse.csr_matrix(
-        (c_el.ravel(), np.repeat(edofs_all, c_el.shape[1], axis=0).ravel(),
-         np.arange(0, n_c * nloc + 1, nloc, dtype=np.int32)), shape=(n_c, dm.ndof))
+    C = scipy.sparse.csr_matrix((c_el.ravel(), np.repeat(edofs_all, c_el.shape[1], axis=0).ravel(),
+                                 np.arange(0, n_c * nloc + 1, nloc)), shape=(n_c, dm.ndof))
     C.eliminate_zeros()
-    # K and K_soft share one index pattern: the element rows grouped by their
-    # global row, in element order, each over its element's (sorted) DOFs.
-    # scipy then sorts each row and sums the entries of elements that share
-    # a node. K_soft keeps the nonzero entries only (Timoshenko bend and
-    # twist act on theta alone).
+    # K and K_soft share one index pattern: the element rows grouped by global
+    # row, in element order, summed where elements share a node. K_soft keeps
+    # its nonzero entries only (Timoshenko bend and twist act on theta alone).
     order = np.argsort(edofs_all.ravel(), kind="stable")
     indices = edofs_all[order // nloc].ravel()
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(edofs_all.ravel(), minlength=dm.ndof) * nloc)])
+    ends = np.cumsum(np.bincount(edofs_all.ravel(), minlength=dm.ndof) * nloc)
     soft = ke_soft.reshape(-1, nloc)[order].ravel()
     nz = soft != 0.0
-    kept = np.cumsum(nz, dtype=np.int32)
-    K_soft = _summed_csr(soft[nz], indices[nz], np.concatenate([[0], kept[indptr[1:] - 1]]), dm.ndof)
-    del soft, nz, kept      # before K's gather: ~10 % off the assembly's peak memory
-    K = _summed_csr(ke.reshape(-1, nloc)[order].ravel(), indices, indptr, dm.ndof)
+    K_soft = _summed_csr(soft[nz], indices[nz], np.cumsum(nz, dtype=np.int32)[ends - 1], dm.ndof)
+    del soft, nz    # before K's gather: ~10 % off the assembly's peak memory
+    K = _summed_csr(ke.reshape(-1, nloc)[order].ravel(), indices, ends, dm.ndof)
     return LinearSystem(K=K, rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
                         model=model, K_soft=K_soft, C=C,
                         compliance=1.0 / np.tile(moduli, n_el), policy=policy)
@@ -536,8 +530,7 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
         system.rows_info = []
         return system
 
-    # the rows touch only the DOFs of the end elements: the redundancy QR
-    # runs on those columns alone (all others are zero)
+    # the redundancy QR runs on the columns the rows touch (end element DOFs)
     ndof = system.dofmap.ndof
     idx = np.concatenate([i for i, _ in rows])
     cols = np.unique(idx)
@@ -562,9 +555,8 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
         warnings.warn(f"dropping {m - rank} redundant, consistent constraint row(s)")
 
     nz = Bk != 0.0
-    system.B = scipy.sparse.csr_matrix(
-        (Bk[nz], np.broadcast_to(cols, Bk.shape)[nz], np.concatenate([[0], np.cumsum(nz.sum(axis=1))])),
-        shape=(rank, ndof))
+    B = Bk[nz], np.tile(cols, (rank, 1))[nz], np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
+    system.B = scipy.sparse.csr_matrix(B, shape=(rank, ndof))
     system.g = values[keep]
     system.rows_info = [infos[j] for j in keep]
     return system

@@ -153,8 +153,7 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def gauss_rule(n: int, role: str = "full") -> QuadratureRule:
-    """The n-point rule, computed once per (n, role) (leggauss is an eigenvalue
-    solve); its arrays are read-only since every caller shares them."""
+    """The n-point rule, computed once per (n, role) and shared, so read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
     points, weights = 0.5 * (x + 1.0), 0.5 * w
     points.flags.writeable = weights.flags.writeable = False
@@ -204,7 +203,7 @@ class DofMap:
         self.mesh = mesh
         self.form = form
         self.fields: dict[str, FieldInfo] = {}
-        self._end_rows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._end_rows = {}     # (field, end, deriv) -> (element DOFs, shape row)
         offset = 0
         offset = self._add_field("u", form.midline, 3, offset)
         offset = self._add_field(form.angle_field, form.angle, form.angle_ncomp, offset)
@@ -244,17 +243,13 @@ class DofMap:
 
     def end_functional(self, name: str, end: str, direction: np.ndarray,
                        deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Row (dof indices, coefficients) of the functional d . field^(deriv)(end).
-
-        The end's shape row is evaluated once per (field, end, deriv) of this
-        map and reused for every direction."""
-        key = (name, end, deriv)
-        if key not in self._end_rows:
-            info = self.fields[name]
-            e, xi = self.end_element(end)
-            sh = shape_eval(info.kind, self.mesh.element(e)[1], xi, nderiv=deriv)[deriv]
-            self._end_rows[key] = info.elem_dofs[e], sh
-        dofs, sh = self._end_rows[key]
+        """Row (dof indices, coefficients) of the functional d . field^(deriv)(end);
+        the end's shape row is evaluated once per (field, end, deriv)."""
+        if (name, end, deriv) not in self._end_rows:
+            info, (e, xi) = self.fields[name], self.end_element(end)
+            self._end_rows[name, end, deriv] = (
+                info.elem_dofs[e], shape_eval(info.kind, self.mesh.element(e)[1], xi, deriv)[deriv])
+        dofs, sh = self._end_rows[name, end, deriv]
         direction = np.atleast_1d(np.asarray(direction, dtype=float))
         coeffs = np.outer(sh, direction).ravel()
         keep = coeffs != 0.0

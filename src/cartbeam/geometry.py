@@ -65,8 +65,7 @@ def normal_projector(t: Vec3) -> np.ndarray:
 
 
 def cross3(a, b) -> Vec3:
-    """a x b for one pair of 3-vectors: np.cross's formula on Python floats
-    (the same bits), without its axis handling, which costs ~40x more."""
+    """a x b of two 3-vectors: np.cross's formula (same bits) at ~1/40 its cost."""
     a0, a1, a2 = map(float, a)
     b0, b1, b2 = map(float, b)
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
@@ -75,10 +74,9 @@ def cross3(a, b) -> Vec3:
 def orthonormal_completion(t: Vec3) -> tuple[Vec3, Vec3]:
     """Deterministic pair (n1, n2) with {t, n1, n2} orthonormal.
 
-    n1 is e_k x t normalized, for the axis e_k of the smallest |t_k| (the
-    first on ties). The pair is an arbitrary basis of the normal plane used
-    to express planar constraints; no result may depend on the particular
-    choice.
+    n1 is e_k x t normalized, k the first axis of smallest |t_k|. The pair is
+    an arbitrary basis of the normal plane used to express planar
+    constraints; no result may depend on the particular choice.
     """
     tl = [float(c) for c in t]
     k = min(range(3), key=lambda i: abs(tl[i]))

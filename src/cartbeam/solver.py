@@ -142,10 +142,9 @@ def rigid_modes(system: LinearSystem) -> np.ndarray:
 
 
 def _rigid_rows(system: LinearSystem, dofs: np.ndarray) -> np.ndarray:
-    """The rows `dofs` (sorted) of `rigid_modes`, (len(dofs), 6), from one
-    `curve.frames` query at the nodes those DOFs sit on. Row c of a midline
-    value (slope) DOF's rotation block is e_a x x (e_a x t) over a, which is
-    x x e_c (t x e_c)."""
+    """Rows `dofs` (sorted) of `rigid_modes`, from one `curve.frames` query at
+    their nodes. A midline value (slope) DOF of component c has rotation row
+    (e_a x x)_c = (x x e_c)_a over a, with t for x at a slope."""
     dm = system.dofmap
     u, ang = dm.fields["u"], dm.fields[system.form.angle_field]
     nu = np.searchsorted(dofs, u.n_dofs)      # the midline DOFs come first
@@ -170,14 +169,12 @@ def _rigid_rows(system: LinearSystem, dofs: np.ndarray) -> np.ndarray:
 
 
 def _free_rigid_mode_count(system: LinearSystem) -> int:
-    """6 minus the rank of B Z, Z the rigid modes, built only at the columns
-    B touches (the DOFs of the end elements)."""
+    """6 - rank(B Z), with the rows of Z built at B's columns (end DOFs) only."""
     if system.n_constraints == 0:
         return 6
-    B = system.B
-    cols = np.unique(B.indices)
+    B, cols = system.B, np.unique(system.B.indices)
     Bd = np.zeros((B.shape[0], len(cols)))
-    Bd[np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)), np.searchsorted(cols, B.indices)] = B.data
+    Bd[np.arange(len(Bd)).repeat(np.diff(B.indptr)), cols.searchsorted(B.indices)] = B.data
     BZ = Bd @ _rigid_rows(system, cols)
     sv = np.linalg.svd(BZ, compute_uv=False)
     tol = max(BZ.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
@@ -219,12 +216,10 @@ def hourglass_modes(system: LinearSystem, knorm: float | None = None) -> np.ndar
 
 
 def _segment_reduce(ufunc, M) -> np.ndarray:
-    """ufunc over |entries| of each compressed row (CSR) or column (CSC) of
-    M, 0 where there are none (reduceat alone returns the next entry there)."""
-    out = np.zeros(len(M.indptr) - 1)
-    full = np.flatnonzero(np.diff(M.indptr))
-    if full.size:
-        out[full] = ufunc.reduceat(np.abs(M.data[:M.indptr[-1]]), M.indptr[full])
+    """ufunc over |entries| of each compressed row (CSR) or column (CSC) of M;
+    0 for an empty one, where reduceat alone would return the next entry."""
+    out, full = np.zeros(len(M.indptr) - 1), np.flatnonzero(np.diff(M.indptr))
+    out[full] = ufunc.reduceat(np.abs(M.data[:M.indptr[-1]]), M.indptr[full]) if full.size else 0
     return out
 
 
@@ -255,32 +250,23 @@ def _hourglass_gauge(system: LinearSystem, modes: np.ndarray) -> scipy.sparse.cs
 
 
 def _mixed_system(system: LinearSystem, B, g) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-    """The saddle matrix [[K_soft, X^T], [X, E]] (CSC), X = [C; B] and E =
+    """The saddle matrix [[K_soft, X^T], [X, E]] (CSC), X = [C; B], E =
     diag(-D, 0), and its right-hand side [f, 0, g], for the unknowns [x,
-    sigma, lambda]. Column j < n of the matrix is column j of the CSR stack
-    [K_soft; X], so one transpose of the stack gives the first n columns;
-    column n + k is row k of X, followed by -D_kk for a row of C."""
+    sigma, lambda]. Its first n columns are those of the CSR stack [K_soft;
+    X], one transpose; column n + k is row k of X, then -D_kk for C's rows."""
     n, p = system.dofmap.ndof, system.C.shape[0]
     blocks, rhs = [system.K_soft, system.C], [system.rhs, np.zeros(p)]
     if B is not None:
         blocks.append(B)
         rhs.append(g)
-    ptr = np.concatenate([[0]] + [M.indptr[1:] for M in blocks])
-    ptr[1:] += np.repeat(np.cumsum([0] + [M.nnz for M in blocks[:-1]]), [M.shape[0] for M in blocks])
-    stack = scipy.sparse.csr_matrix(
-        (np.concatenate([M.data for M in blocks]), np.concatenate([M.indices for M in blocks]), ptr),
-        shape=(ptr.size - 1, n))
-    left = stack.tocsc()
-    # the rows of X, each row of C with its diagonal entry appended
-    xp = ptr[n:] - ptr[n]
-    ends = xp[1:p + 1]
-    ind = np.insert(stack.indices[ptr[n]:], ends, n + np.arange(p))
-    dat = np.insert(stack.data[ptr[n]:], ends, -system.compliance)
+    stack = scipy.sparse.vstack(blocks, format="csr")
+    left, N, at = stack.tocsc(), stack.shape[0], stack.indptr[n]
+    xp = stack.indptr[n:] - at          # row pointers of X; C's rows end at xp[1:p + 1]
+    ind = np.insert(stack.indices[at:], xp[1:p + 1], n + np.arange(p))
+    dat = np.insert(stack.data[at:], xp[1:p + 1], -system.compliance)
     xp = xp + np.minimum(np.arange(xp.size), p) + left.nnz
-    N = ptr.size - 1
-    A = scipy.sparse.csc_matrix(
-        (np.concatenate([left.data, dat]), np.concatenate([left.indices, ind]),
-         np.concatenate([left.indptr, xp[1:]])), shape=(N, N))
+    pairs = zip((left.data, left.indices, left.indptr), (dat, ind, xp[1:]))
+    A = scipy.sparse.csc_matrix(tuple(np.concatenate(pair) for pair in pairs), shape=(N, N))
     return A, np.concatenate(rhs)
 
 
