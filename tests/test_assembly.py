@@ -359,30 +359,30 @@ class TestLoads:
         with pytest.warns(UserWarning, match="tangential"):
             assemble_load(model, Mesh1D.uniform(10.0, 2), formulation("timoshenko_p2p1"))
 
-    @pytest.mark.parametrize("curve", [LineSegment([0, 0, 0], [10.0, 0, 0]),
-                                       CircularArc([0, 0, 0], 4.0, [1, 0, 0], [0, 1, 0], 0.3, 2.0)])
-    def test_natural_end_values_match_point_loads_at_free_end(self, curve):
+    def test_natural_end_values_match_point_loads_at_free_end(self):
         # prescribing N/S/M/T resultants at s=L equals applying the same
         # force and moment vectors as concentrated loads (on the arc the two
         # end tangents differ)
         F = np.array([0.5, -1.0, 0.25])
         M = np.array([0.2, 0.15, -0.4])
-        t = eval_frame(curve, curve.length).t
-        bc_end = BoundaryCondition(
-            stretching=BCRow("natural", float(F @ t)),
-            shearing=BCRow("natural", F - float(F @ t) * t),
-            bending=BCRow("natural", M - float(M @ t) * t),
-            twisting=BCRow("natural", float(M @ t)),
-        )
-        mesh = Mesh1D.uniform(curve.length, 3)
-        for name in ("timoshenko_h3p2", "euler_bernoulli_h3"):
-            form = formulation(name)
-            models = [BeamModel(curve=curve, material=MAT, section=circle_section(0.1),
-                                bc_start=BoundaryCondition.clamped(), bc_end=bc, loads=loads)
-                      for bc, loads in ((bc_end, LoadCase()),
-                                        (BoundaryCondition.free(), LoadCase(force_end=F, moment_end=M)))]
-            rhs_bc, rhs_load = (assemble_load(m, mesh, form) for m in models)
-            assert np.allclose(rhs_bc, rhs_load, atol=1e-14)
+        for curve in (LineSegment([0, 0, 0], [10.0, 0, 0]),
+                      CircularArc([0, 0, 0], 4.0, [1, 0, 0], [0, 1, 0], 0.3, 2.0)):
+            t = eval_frame(curve, curve.length).t
+            bc_end = BoundaryCondition(
+                stretching=BCRow("natural", float(F @ t)),
+                shearing=BCRow("natural", F - float(F @ t) * t),
+                bending=BCRow("natural", M - float(M @ t) * t),
+                twisting=BCRow("natural", float(M @ t)),
+            )
+            mesh = Mesh1D.uniform(curve.length, 3)
+            point_loads = LoadCase(force_end=F, moment_end=M)
+            for name in ("timoshenko_h3p2", "euler_bernoulli_h3"):
+                rhs_bc, rhs_load = (
+                    assemble_load(BeamModel(curve=curve, material=MAT, section=circle_section(0.1),
+                                            bc_start=BoundaryCondition.clamped(), bc_end=bc,
+                                            loads=loads), mesh, formulation(name))
+                    for bc, loads in ((bc_end, LoadCase()), (BoundaryCondition.free(), point_loads)))
+                assert np.allclose(rhs_bc, rhs_load, atol=1e-14)
 
 
 class TestEssentialBCs:
