@@ -213,7 +213,7 @@ class TestDofMap:
         rows = [dm.end_functional("u", "end", d, deriv=1) for d in np.eye(3)]
         assert len(calls) == 1
         for (idx, coeff), d in zip(rows, np.eye(3)):
-            sh = real("H3", 2.0 / 3, 1.0, nderiv=1)[1]
+            sh = real("H3", dm.mesh.element(2)[1], 1.0, nderiv=1)[1]
             ref = np.outer(sh, d).ravel()
             assert np.array_equal(coeff, ref[ref != 0.0])
             assert np.array_equal(idx, dm.fields["u"].elem_dofs[-1][ref != 0.0])
