@@ -15,7 +15,6 @@ from .assembly import (
     assemble_load,
     assemble_stiffness,
     discretize,
-    kinematic_measures,
 )
 from .discretization import (
     FORMULATIONS,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import BeamModel, BoundaryCondition, LoadCase, kinematic_measures
+from .assembly import _TERMS, BeamModel, BoundaryCondition, LoadCase, _element_factors
 from .benchmarks import (
     DEFAULT_MATERIAL,
     StudySpec,
@@ -25,7 +25,7 @@ from .benchmarks import (
     run_locking_study,
     solve_demo,
 )
-from .discretization import formulation
+from .discretization import FORMULATIONS, formulation
 from .geometry import CircularArc, Helix, LineSegment, frenet
 from .postprocess import (
     applied_load_totals,
@@ -37,7 +37,7 @@ from .postprocess import (
     sample_points,
     tip_displacement,
 )
-from .section import Material, circle_section, unit_depth_rect_section
+from .section import Material, circle_section, rect_section, unit_depth_rect_section
 from .solver import rigid_modes, solve_model
 
 
@@ -240,6 +240,17 @@ def geometry_identity_suite(slack: float = 1.0) -> CriterionResult:
     return _result("geometry_identity_suite", start, checks)
 
 
+def _point_factors(form, section, fr, u_derivs, angle_derivs):
+    """The G factors of form's terms at frame fr, with identity shape rows
+    (row k is the k-th s-derivative), and x such that G @ x is a term's strain
+    for the field derivatives [u, u', (u'')] and [theta, theta'] or [theta_t, theta_t']."""
+    u, a = np.ravel(u_derivs), np.ravel(angle_derivs)
+    Gs = [_element_factors(tm, form, fr.t, fr.kappa, DEFAULT_MATERIAL, section,
+                           np.eye(len(u_derivs)), np.eye(len(angle_derivs)), u.size, a.size)[0]
+          for tm in _TERMS if not (tm == "shear" and form.euler_bernoulli)]
+    return Gs, np.concatenate([u, a])
+
+
 def mechanics_property_suite(slack: float = 1.0) -> CriterionResult:
     """Rigid modes carry no strain, K is symmetric, the axial / torsion /
     constant-shear / pure-bending patch states are reproduced exactly,
@@ -266,19 +277,22 @@ def mechanics_property_suite(slack: float = 1.0) -> CriterionResult:
                     / (knorm * float(Z[:, a] @ Z[:, a])) for a in range(6))
         checks.append((worst <= 1e-12 * slack, f"{fname}: rigid-mode energy ratio {worst:.1e}"))
 
-    # rigid-body modes pointwise on curved geometry: exact field values
+    # rigid-body modes pointwise on curved geometry, through the G factors the
+    # solver assembles: u' = omega x t, u'' = omega x kappa, theta = omega
+    # (theta_t = t . omega)
     rng = np.random.default_rng(7)
     helix = _helix_mixed_model().curve
+    sections = (circle_section(0.1), rect_section(0.1, 0.05, [0.0, 0.0, 1.0]))
     worst = 0.0
     for _ in range(8):
-        s = rng.uniform(0, helix.length)
-        fr = helix.frame(s)
+        fr = helix.frame(rng.uniform(0, helix.length))
         omega = rng.normal(size=3)
-        meas = kinematic_measures(fr, du=np.cross(omega, fr.t), theta=omega,
-                                  dtheta=np.zeros(3))
-        scale = max(np.linalg.norm(omega), 1e-30)
-        for v in (meas.stretch, meas.shear, meas.bend, meas.twist):
-            worst = max(worst, float(np.linalg.norm(v)) / scale)
+        du, z = np.cross(omega, fr.t), np.zeros(3)
+        for form, sec in ((formulation(f), sec) for f in FORMULATIONS for sec in sections):
+            fields = (([z, du, np.cross(omega, fr.kappa)], [fr.t @ omega, fr.kappa @ omega])
+                      if form.euler_bernoulli else ([z, du], [omega, z]))
+            Gs, x = _point_factors(form, sec, fr, *fields)
+            worst = max([worst] + [np.linalg.norm(G @ x) / np.linalg.norm(omega) for G in Gs])
     checks.append((worst <= 1e-12 * slack, f"curved rigid measures {worst:.1e}"))
 
     # stiffness symmetry on a curved model

@@ -31,7 +31,9 @@ the bending response by ~(L/t)^2, are never rounded into a factored matrix.
 Essential boundary conditions are enforced with Lagrange multipliers since
 they are directional (along t or in the normal plane) while the DOFs are
 global Cartesian components. The boundary bracket sign convention is +1 at
-s = L and -1 at s = 0.
+s = L and -1 at s = 0. A natural and an essential condition are the two
+sides of one pairing per row of the bracket; `_row_functional` is the one
+table of these pairings, for loads and constraints alike.
 """
 from __future__ import annotations
 
@@ -43,36 +45,13 @@ import scipy.linalg
 import scipy.sparse
 
 from .discretization import DofMap, Formulation, Mesh1D, quadrature, shape_eval
-from .geometry import FrameSample, ParamCurve, Vec3, cross3, normal_projector, \
+from .geometry import ParamCurve, Vec3, cross3, normal_projector, \
     orthonormal_completion, skew
 from .section import CrossSection, Material, inertia_factor
 
 
 class ConstraintConflictError(ValueError):
     """Linearly dependent essential constraints with inconsistent values."""
-
-
-@dataclass(eq=False)
-class Measures:
-    """The four strain measures at a point, all plain Cartesian vectors."""
-
-    stretch: Vec3   # P (t.grad) u_mid
-    shear: Vec3     # Q (t.grad) u_mid - theta x t
-    bend: Vec3      # Q (t.grad) theta (paired with I_sigma later)
-    twist: Vec3     # P (t.grad) theta
-
-
-def kinematic_measures(frame: FrameSample, du: Vec3, theta: Vec3, dtheta: Vec3) -> Measures:
-    """Evaluate the strain measures from pointwise field values and d/ds values."""
-    t = frame.t
-    du_t = float(t @ du)
-    dth_t = float(t @ dtheta)
-    return Measures(
-        stretch=du_t * t,
-        shear=(du - du_t * t) - np.cross(theta, t),
-        bend=dtheta - dth_t * t,
-        twist=dth_t * t,
-    )
 
 
 @dataclass(eq=False)
@@ -373,7 +352,20 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
                         compliance=1.0 / np.tile(moduli, n_el), policy=policy)
 
 
-def _project_normal(value: Vec3, t: Vec3, what: str) -> Vec3:
+_SCALAR_ROWS = ("stretching", "twisting")
+_MOMENT_ROWS = ("bending", "twisting")
+# a point constraint is the row that carries its field, with w its direction
+# (the first component for the scalar theta_t) and no projection; an applied
+# end force works on u the same way
+_POINT_ROWS = {"u": "shearing", "theta": "bending", "theta_t": "twisting"}
+
+
+def _row_value(row: str, value, t: Vec3, what: str):
+    """A row's prescribed value: a float on the scalar rows, and on the vector
+    rows the normal-plane part of a vector (with a warning if that drops a
+    tangential part)."""
+    if row in _SCALAR_ROWS:
+        return float(value)
     value = np.asarray(value, dtype=float)
     tangential = float(t @ value)
     if abs(tangential) > 1e-12 * max(np.linalg.norm(value), 1e-30):
@@ -383,10 +375,20 @@ def _project_normal(value: Vec3, t: Vec3, what: str) -> Vec3:
     return value
 
 
-def _add_end_row(rhs: np.ndarray, dm: DofMap, field: str, end: str,
-                 direction, scale: float = 1.0, deriv: int = 0):
-    idx, coeff = dm.end_functional(field, end, np.asarray(direction, float), deriv=deriv)
-    rhs[idx] += scale * coeff
+def _row_functional(form: Formulation, row: str, t: Vec3, w):
+    """(field, direction, deriv) of the end functional of one row of the
+    boundary bracket, the kinematic quantity that the row's resultant works
+    on: w t . u (stretching), w . u (shearing), w . Q theta (bending) and
+    w t . theta (twisting), for a scalar w on the scalar rows and a vector w
+    on the others. Euler-Bernoulli kinematics carry theta_t = t . theta and
+    Q theta = t x u', so there w . Q theta = (w x t) . u'."""
+    if row == "stretching":
+        return "u", w * t, 0
+    if row == "shearing":
+        return "u", w, 0
+    if form.euler_bernoulli:
+        return ("u", cross3(w, t), 1) if row == "bending" else ("theta_t", [w], 0)
+    return "theta", (w * t if row == "twisting" else w), 0
 
 
 def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarray:
@@ -413,45 +415,23 @@ def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarr
 
     ends = curve.frames(np.array([0.0, curve.length]))
     for end, sgn, t in zip(("start", "end"), (-1.0, +1.0), ends.t):
-        bc = model.bc(end)
-
-        if bc.stretching.kind == "natural":
-            nbar = float(bc.stretching.value)
-            if nbar != 0.0:
-                _add_end_row(rhs, dm, "u", end, nbar * t, scale=sgn)
-        if bc.shearing.kind == "natural":
-            sbar = _project_normal(bc.shearing.value, t, f"natural shear value at {end}")
-            if np.any(sbar):
-                _add_end_row(rhs, dm, "u", end, sbar, scale=sgn)
-        if bc.bending.kind == "natural":
-            mbar = _project_normal(bc.bending.value, t, f"natural moment value at {end}")
-            if np.any(mbar):
-                if form.euler_bernoulli:
-                    _add_end_row(rhs, dm, "u", end, cross3(mbar, t), scale=sgn, deriv=1)
-                else:
-                    _add_end_row(rhs, dm, "theta", end, mbar, scale=sgn)
-        if bc.twisting.kind == "natural":
-            tbar = float(bc.twisting.value)
-            if tbar != 0.0:
-                if form.euler_bernoulli:
-                    _add_end_row(rhs, dm, "theta_t", end, [tbar], scale=sgn)
-                else:
-                    _add_end_row(rhs, dm, "theta", end, tbar * t, scale=sgn)
-
+        # (row, w, scale): the natural values on the end bracket, then the
+        # applied force (on u, like a point row) and the applied moment as its
+        # bending part Q m and twisting part t . m
+        terms = [(row, _row_value(row, c.value, t, f"natural {row} value at {end}"), sgn)
+                 for row, c in model.bc(end).rows() if c.kind == "natural"]
         force = model.loads.force_start if end == "start" else model.loads.force_end
         moment = model.loads.moment_start if end == "start" else model.loads.moment_end
-        if force is not None and np.any(force):
-            _add_end_row(rhs, dm, "u", end, force)
-        if moment is not None and np.any(moment):
-            mperp = moment - float(t @ moment) * t
-            mtang = float(t @ moment)
-            if form.euler_bernoulli:
-                if np.any(mperp):
-                    _add_end_row(rhs, dm, "u", end, cross3(mperp, t), deriv=1)
-                if mtang != 0.0:
-                    _add_end_row(rhs, dm, "theta_t", end, [mtang])
-            else:
-                _add_end_row(rhs, dm, "theta", end, moment)
+        if force is not None:
+            terms.append((_POINT_ROWS["u"], force, 1.0))
+        if moment is not None:
+            m_t = float(t @ moment)
+            terms += [("bending", moment - m_t * t, 1.0), ("twisting", m_t, 1.0)]
+        for row, w, scale in terms:
+            if np.any(w):
+                field, direction, deriv = _row_functional(form, row, t, w)
+                idx, coeff = dm.end_functional(field, end, direction, deriv=deriv)
+                rhs[idx] += scale * coeff
 
     return rhs
 
@@ -463,55 +443,35 @@ def _collect_constraint_rows(system: LinearSystem):
     values = []
     infos: list[RowInfo] = []
 
-    def add(field, end, direction, value, info: RowInfo, deriv=0):
-        rows.append(dm.end_functional(field, end, np.asarray(direction, float), deriv=deriv))
+    def add(end, t, row, w, value, label):
+        # the reaction works on the row's kinematic quantity: w t or w
+        field, direction, deriv = _row_functional(form, row, t, w)
+        rows.append(dm.end_functional(field, end, direction, deriv=deriv))
         values.append(float(value))
-        infos.append(info)
+        infos.append(RowInfo(end, label, "moment" if row in _MOMENT_ROWS else "force",
+                             w * t if row in _SCALAR_ROWS else w))
 
     ends = curve.frames(np.array([0.0, curve.length]))
     for end, t in zip(("start", "end"), ends.t):
-        n1, n2 = orthonormal_completion(t)
-        bc = model.bc(end)
-
-        if bc.stretching.kind == "essential":
-            add("u", end, t, float(bc.stretching.value),
-                RowInfo(end, "stretching", "force", t))
-        if bc.shearing.kind == "essential":
-            ubar = _project_normal(bc.shearing.value, t, f"essential shear value at {end}")
-            for d in (n1, n2):
-                add("u", end, d, float(d @ ubar), RowInfo(end, "shearing", "force", d))
-        if bc.bending.kind == "essential":
-            thbar = _project_normal(bc.bending.value, t, f"essential bending value at {end}")
-            if form.euler_bernoulli:
-                # rotation Q theta = t x u'; prescribing it fixes Q u' = thbar x t
-                target = cross3(thbar, t)
-                for d in (n1, n2):
-                    add("u", end, d, float(d @ target),
-                        RowInfo(end, "bending", "moment", cross3(t, d)), deriv=1)
+        normal = orthonormal_completion(t)
+        for row, c in model.bc(end).rows():
+            if c.kind != "essential":
+                continue
+            value = _row_value(row, c.value, t, f"essential {row} value at {end}")
+            if row in _SCALAR_ROWS:
+                add(end, t, row, 1.0, value, row)
             else:
-                for d in (n1, n2):
-                    add("theta", end, d, float(d @ thbar),
-                        RowInfo(end, "bending", "moment", d))
-        if bc.twisting.kind == "essential":
-            if form.euler_bernoulli:
-                add("theta_t", end, [1.0], float(bc.twisting.value),
-                    RowInfo(end, "twisting", "moment", t))
-            else:
-                add("theta", end, t, float(bc.twisting.value),
-                    RowInfo(end, "twisting", "moment", t))
+                for w in normal:
+                    add(end, t, row, w, w @ value, row)
 
     for pc in model.constraints:
-        d = np.asarray(pc.direction, float)
-        if pc.field == "u":
-            add("u", pc.end, d, pc.value, RowInfo(pc.end, "point", "force", d))
-        elif pc.field == "theta" and not form.euler_bernoulli:
-            add("theta", pc.end, d, pc.value, RowInfo(pc.end, "point", "moment", d))
-        elif pc.field == "theta_t" and form.euler_bernoulli:
-            add("theta_t", pc.end, [float(d[0]) if d.ndim else float(d)], pc.value,
-                RowInfo(pc.end, "point", "moment", None))
-        else:
+        if pc.field not in ("u", form.angle_field):
             raise ValueError(f"point constraint field {pc.field!r} not available "
                              f"for formulation {form.name}")
+        row = _POINT_ROWS[pc.field]
+        d = np.asarray(pc.direction, float)
+        add(pc.end, ends.t[("start", "end").index(pc.end)], row,
+            float(np.ravel(d)[0]) if row in _SCALAR_ROWS else d, pc.value, "point")
 
     return rows, np.asarray(values), infos
 

@@ -2,7 +2,8 @@
 built-in acceptance suite.
 
 Exit codes: 0 success, 1 schema/usage error (the message names the offending
-key path), 2 singular system, 3 I/O failure.
+key path) or a model error found during assembly (conflicting constraints, a
+section director along the tangent), 2 singular system, 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -14,9 +15,11 @@ import sys
 import numpy as np
 
 from .assembly import (
+    _SCALAR_ROWS,
     BCRow,
     BeamModel,
     BoundaryCondition,
+    ConstraintConflictError,
     LoadCase,
     PointConstraint,
     body_table,
@@ -29,8 +32,8 @@ from .benchmarks import (
 )
 from .discretization import FORMULATIONS, formulation
 from .geometry import curve_from_dict
-from .postprocess import export, reactions, strain_energy, tip_displacement
-from .section import Material, section_from_shape
+from .postprocess import displacement_samples, export, reactions, strain_energy
+from .section import DirectorDegeneracyError, Material, section_from_shape
 from .solver import SingularSystemError, solve_model
 
 
@@ -78,8 +81,7 @@ _BC_PRESETS = {
     "pinned": BoundaryCondition.pinned,
 }
 
-_ROW_SHAPES = {"stretching": "scalar", "shearing": "vector",
-               "bending": "vector", "twisting": "scalar"}
+_ROWS = [row for row, _ in BoundaryCondition.free().rows()]
 
 
 def _parse_bc(doc, path: str) -> BoundaryCondition:
@@ -90,9 +92,9 @@ def _parse_bc(doc, path: str) -> BoundaryCondition:
         return _BC_PRESETS[doc]()
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected a preset name or an object")
-    _check_keys(doc, path, set(_ROW_SHAPES))
+    _check_keys(doc, path, set(_ROWS))
     rows = {}
-    for row, shape in _ROW_SHAPES.items():
+    for row in _ROWS:
         spec = _require(doc, path, row)
         rpath = f"{path}.{row}"
         if not isinstance(spec, dict) or len(spec) != 1:
@@ -101,7 +103,7 @@ def _parse_bc(doc, path: str) -> BoundaryCondition:
         kind, value = next(iter(spec.items()))
         if kind not in ("natural", "essential"):
             raise SchemaError(f"{rpath}.{kind}", "unknown condition kind")
-        if shape == "scalar":
+        if row in _SCALAR_ROWS:
             try:
                 value = float(value)
             except (TypeError, ValueError):
@@ -140,7 +142,7 @@ def _parse_loads(doc, path: str) -> LoadCase:
     return LoadCase(**kwargs)
 
 
-def _parse_constraints(doc, path: str) -> list[PointConstraint]:
+def _parse_constraints(doc, path: str, fields: tuple[str, str]) -> list[PointConstraint]:
     if doc is None:
         return []
     out = []
@@ -151,8 +153,8 @@ def _parse_constraints(doc, path: str) -> list[PointConstraint]:
         if at not in ("start", "end"):
             raise SchemaError(f"{ipath}.at", "expected 'start' or 'end'")
         fld = item.get("field", "u")
-        if fld not in ("u", "theta", "theta_t"):
-            raise SchemaError(f"{ipath}.field", "expected u, theta, or theta_t")
+        if fld not in fields:
+            raise SchemaError(f"{ipath}.field", f"expected {fields[0]} or {fields[1]}")
         out.append(PointConstraint(end=at, field=fld,
                                    direction=_vec3(_require(item, ipath, "direction"),
                                                    f"{ipath}.direction"),
@@ -213,7 +215,8 @@ def load_model(doc: dict) -> tuple[BeamModel, str, int, str]:
     bc_end = _parse_bc(_require(bcs, "bcs", "end"), "bcs.end")
 
     loads = _parse_loads(doc.get("loads"), "loads")
-    constraints = _parse_constraints(doc.get("constraints"), "constraints")
+    constraints = _parse_constraints(doc.get("constraints"), "constraints",
+                                     ("u", FORMULATIONS[form_name].angle_field))
 
     model = BeamModel(curve=curve, material=material, section=section,
                       bc_start=bc_start, bc_end=bc_end, loads=loads,
@@ -253,13 +256,7 @@ def cmd_solve(args) -> int:
     os.makedirs(out, exist_ok=True)
     export(solution, out, n_samples=args.samples)
 
-    tip = tip_displacement(solution)
-    st = solution.evaluate(solution.mesh.length)
-    if solution.form.euler_bernoulli:
-        fr = solution.model.curve.frame(solution.mesh.length)
-        rot = list(np.cross(fr.t, st.du) + fr.t * st.theta_t)
-    else:
-        rot = list(st.theta)
+    (tip,), (rot,) = displacement_samples(solution, [solution.mesh.length])
     summary = {
         "formulation": form_name,
         "elements": n_elements,
@@ -344,7 +341,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, ConstraintConflictError, DirectorDegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularSystemError as exc:

@@ -180,8 +180,6 @@ def reactions(solution: SolutionFields) -> dict:
     """
     out = {end: {"force": np.zeros(3), "moment": np.zeros(3)} for end in ("start", "end")}
     for lam, info in zip(solution.multipliers, solution.system.rows_info):
-        if info.reaction_dir is None:
-            continue
         out[info.end][info.category] -= lam * info.reaction_dir
     return out
 

@@ -1,5 +1,7 @@
 """Assembly tests: strain measures, element matrices against hand-integrated
 and independently coded references, load vectors, and constraint rows."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -15,8 +17,8 @@ from cartbeam.assembly import (
     assemble_load,
     assemble_stiffness,
     discretize,
-    kinematic_measures,
 )
+from cartbeam.acceptance import _point_factors
 from cartbeam.discretization import (
     FORMULATIONS,
     DofMap,
@@ -61,39 +63,58 @@ def helix_model():
     )
 
 
-class TestKinematicMeasures:
-    def test_constant_twist_on_straight_beam(self):
-        fr = eval_frame(LineSegment([0, 0, 0], [1, 0, 0]), 0.5)
-        c = 0.37
-        meas = kinematic_measures(fr, du=np.zeros(3), theta=c * fr.t, dtheta=np.zeros(3))
-        for v in (meas.stretch, meas.shear, meas.bend, meas.twist):
-            assert np.allclose(v, 0.0, atol=1e-14)
+def rigid_rotation_fields(form, fr, omega):
+    """Pointwise derivatives of u = omega x r(s), theta = omega: u' = omega x t,
+    u'' = omega x kappa, and theta_t = t . omega for Euler-Bernoulli."""
+    du, z = np.cross(omega, fr.t), np.zeros(3)
+    if form.euler_bernoulli:
+        return [z, du, np.cross(omega, fr.kappa)], [fr.t @ omega, fr.kappa @ omega]
+    return [z, du], [omega, z]
 
+
+class TestKinematicMeasures:
+    """The strain operator is the G factors of the assembly, evaluated at
+    pointwise field values."""
+
+    @pytest.mark.parametrize("name", FORMULATIONS)
+    def test_constant_twist_on_straight_beam(self, name):
+        form = formulation(name)
+        fr = eval_frame(LineSegment([0, 0, 0], [1, 0, 0]), 0.5)
+        c, z = 0.37, np.zeros(3)
+        nu = 3 if form.euler_bernoulli else 2
+        angle = [c, 0.0] if form.euler_bernoulli else [c * fr.t, z]
+        Gs, x = _point_factors(form, circle_section(0.1), fr, [z] * nu, angle)
+        for G in Gs:
+            assert np.allclose(G @ x, 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", FORMULATIONS)
+    @pytest.mark.parametrize("section", [circle_section(0.1), rect_section(0.1, 0.05, [0, 0, 1])])
     @pytest.mark.parametrize("curve", [
         LineSegment([0, 0, 0], [2, 1, 0]),
         CircularArc([0, 0, 0], 2.0, [1, 0, 0], [0, 1, 0], 0.0, np.pi),
         Helix([0, 0, 0], 1.0, 0.5, [1, 0, 0], [0, 1, 0], 0.0, 4 * np.pi),
     ])
-    def test_rigid_rotation_gives_zero_measures(self, curve):
+    def test_rigid_rotation_gives_zero_measures(self, curve, section, name):
+        form = formulation(name)
         rng = np.random.default_rng(3)
         omega = rng.normal(size=3)
         for s in np.linspace(0, curve.length, 7):
             fr = eval_frame(curve, s)
-            # u = omega x r(s)  =>  u' = omega x t;  theta = omega (constant)
-            meas = kinematic_measures(fr, du=np.cross(omega, fr.t), theta=omega,
-                                      dtheta=np.zeros(3))
-            scale = np.linalg.norm(omega)
-            for v in (meas.stretch, meas.shear, meas.bend, meas.twist):
-                assert np.linalg.norm(v) <= 1e-10 * scale
+            Gs, x = _point_factors(form, section, fr, *rigid_rotation_fields(form, fr, omega))
+            for G in Gs:
+                assert np.linalg.norm(G @ x) <= 1e-10 * np.linalg.norm(omega)
 
-    def test_unit_tangential_displacement_on_arc(self):
+    @pytest.mark.parametrize("name", ["timoshenko_p2p1", "timoshenko_h3p2"])
+    def test_unit_tangential_displacement_on_arc(self, name):
         # u = t(s): the normal-plane part of u' equals the curvature vector
         R = 2.0
         arc = CircularArc([0, 0, 0], R, [1, 0, 0], [0, 1, 0], 0.0, np.pi)
         fr = eval_frame(arc, 1.1)
-        meas = kinematic_measures(fr, du=fr.kappa, theta=np.zeros(3), dtheta=np.zeros(3))
-        assert np.allclose(meas.shear, fr.kappa, atol=1e-12)
-        assert np.linalg.norm(meas.shear) == pytest.approx(1.0 / R, abs=1e-12)
+        z = np.zeros(3)
+        (_, G_shear, _, _), x = _point_factors(formulation(name), circle_section(0.1), fr,
+                                               [fr.t, fr.kappa], [z, z])
+        assert np.allclose(G_shear @ x, fr.kappa, atol=1e-12)
+        assert np.linalg.norm(G_shear @ x) == pytest.approx(1.0 / R, abs=1e-12)
 
     def test_strain_tensor_contraction_identities(self):
         # P- and Q-projected strain parts are mutually orthogonal under
@@ -383,6 +404,18 @@ class TestLoads:
                                             loads=loads), mesh, formulation(name))
                     for bc, loads in ((bc_end, LoadCase()), (BoundaryCondition.free(), point_loads)))
                 assert np.allclose(rhs_bc, rhs_load, atol=1e-14)
+
+    @pytest.mark.parametrize("name", FORMULATIONS)
+    @pytest.mark.parametrize("row", ["shearing", "bending"])
+    @pytest.mark.parametrize("kind", ["natural", "essential"])
+    def test_each_offending_value_warns_once(self, kind, row, name):
+        rows = {r: c for r, c in BoundaryCondition.free().rows()}
+        rows[row] = BCRow(kind, np.array([1.0, 1.0, 0.0]))     # x-part is tangential
+        model = straight_model(bc_end=BoundaryCondition(**rows))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            discretize(model, formulation(name), 2)
+        assert sum("tangential" in str(w.message) for w in caught) == 1
 
 
 class TestEssentialBCs:

@@ -106,6 +106,30 @@ class TestSolveCommand:
         assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
         assert "bcs" in capsys.readouterr().err
 
+    def test_point_constraint_field_not_in_formulation_exits_1(self, tmp_path, capsys):
+        doc = straight_doc(formulation="euler_bernoulli_h3",
+                           constraints=[{"at": "end", "field": "theta", "direction": [1, 0, 0]}])
+        with pytest.raises(SchemaError, match=r"constraints\[0\]\.field"):
+            load_model(doc)
+        path = write_json(tmp_path / "model.json", doc)
+        assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
+        assert "constraints[0].field" in capsys.readouterr().err
+
+    def test_conflicting_constraints_exit_1(self, tmp_path, capsys):
+        # the clamped start already holds u_y = 0
+        doc = straight_doc(constraints=[{"at": "start", "field": "u", "direction": [0, 1, 0],
+                                         "value": 0.5}])
+        path = write_json(tmp_path / "model.json", doc)
+        assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
+        assert "contradicts" in capsys.readouterr().err
+
+    def test_director_along_tangent_exits_1(self, tmp_path, capsys):
+        doc = straight_doc(section={"shape": "rect", "w": 0.1, "h": 0.2,
+                                    "director": [1, 0, 0]})
+        path = write_json(tmp_path / "model.json", doc)
+        assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
+        assert "director" in capsys.readouterr().err
+
     def test_singular_system_exits_2(self, tmp_path):
         doc = straight_doc(bcs={"start": "free", "end": "free"})
         path = write_json(tmp_path / "model.json", doc)

@@ -10,10 +10,11 @@ import os
 import numpy as np
 import pytest
 
-from cartbeam.assembly import BeamModel, BoundaryCondition, LoadCase, discretize
+from cartbeam.assembly import BeamModel, BoundaryCondition, LoadCase, PointConstraint, \
+    discretize
 from cartbeam.benchmarks import make_quarter_arc_model, make_straight_model
 from cartbeam.cli import load_model
-from cartbeam.discretization import formulation, shape_eval
+from cartbeam.discretization import FORMULATIONS, formulation, shape_eval
 from cartbeam.geometry import Helix, LineSegment
 from cartbeam.postprocess import (
     applied_load_totals,
@@ -188,12 +189,31 @@ class TestShearAngle:
 
 
 class TestReactionsAndEnergy:
-    def test_reactions_balance_tip_load(self):
-        sol = solved_cantilever()
-        r = reactions(sol)
-        assert np.allclose(r["start"]["force"], [0.0, 1.0, 0.0], atol=1e-8)
-        assert np.allclose(r["start"]["moment"], [0.0, 0.0, 10.0], atol=1e-7)
+    @pytest.mark.parametrize("name", FORMULATIONS)
+    def test_reactions_balance_tip_load(self, name):
+        # a 3D tip force and moment on the straight cantilever: the clamp
+        # takes -F and -(M + L e_x x F)
+        F, M = np.array([0.3, -1.0, 0.5]), np.array([0.2, -0.4, 0.7])
+        model = make_straight_model(0.1, L=10.0)
+        model.loads = LoadCase(force_end=F, moment_end=M)
+        r = reactions(solve_model(model, formulation(name), 4))
+        assert np.allclose(r["start"]["force"], -F, atol=1e-8)
+        assert np.allclose(r["start"]["moment"], -(M + np.cross([10.0, 0.0, 0.0], F)), atol=1e-7)
         assert np.allclose(r["end"]["force"], 0.0, atol=1e-12)
+        assert np.allclose(r["end"]["moment"], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name, field", [("euler_bernoulli_h3", "theta_t"),
+                                             ("timoshenko_h3p2", "theta")])
+    def test_held_twist_reaction_balances_end_torque(self, name, field):
+        # a shaft under end torque, clamped at the start, twist held at the end
+        torque = np.array([0.3, 0.0, 0.0])
+        model = BeamModel(curve=LineSegment([0, 0, 0], [2.0, 0, 0]), material=MAT,
+                          section=circle_section(0.1), bc_start=BoundaryCondition.clamped(),
+                          bc_end=BoundaryCondition.free(), loads=LoadCase(moment_end=torque),
+                          constraints=[PointConstraint("end", field, [1.0, 0.0, 0.0])])
+        r = reactions(solve_model(model, formulation(name), 4))
+        total = torque + r["start"]["moment"] + r["end"]["moment"]
+        assert np.linalg.norm(total) <= 1e-10 * np.linalg.norm(torque)
 
     def test_global_force_balance_on_curved_models(self):
         arc = make_quarter_arc_model(0.1)
