@@ -360,6 +360,17 @@ _MOMENT_ROWS = ("bending", "twisting")
 _POINT_ROWS = {"u": "shearing", "theta": "bending", "theta_t": "twisting"}
 
 
+def _point_row(pc: PointConstraint) -> tuple[str, float | Vec3]:
+    """A point constraint's row and its w: the direction, or its first
+    component for the scalar theta_t. A zero w, an empty row, raises."""
+    row, d = _POINT_ROWS[pc.field], np.asarray(pc.direction, float)
+    w = float(np.ravel(d)[0]) if row in _SCALAR_ROWS else d
+    if not np.any(w):
+        hint = "theta_t reads direction[0]" if row in _SCALAR_ROWS else "zero direction"
+        raise ValueError(f"point constraint on {pc.field} at {pc.end} has an empty row ({hint})")
+    return row, w
+
+
 def _row_value(row: str, value, t: Vec3, what: str):
     """A row's prescribed value: a float on the scalar rows, and on the vector
     rows the normal-plane part of a vector (with a warning if that drops a
@@ -399,7 +410,6 @@ def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarr
     forces/moments from the load case enter with + sign at both ends.
     """
     dm = DofMap(mesh, form)
-    curve = model.curve
     rhs = np.zeros(dm.ndof)
 
     if model.loads.body is not None:
@@ -413,7 +423,7 @@ def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarr
                        f.reshape(spts.shape + (3,)))
         np.add.at(rhs, dm.fields["u"].elem_dofs, fe.reshape(mesh.n_elements, -1))
 
-    ends = curve.frames(np.array([0.0, curve.length]))
+    ends = model.curve.end_frames()
     for end, sgn, t in zip(("start", "end"), (-1.0, +1.0), ends.t):
         # (row, w, scale): the natural values on the end bracket, then the
         # applied force (on u, like a point row) and the applied moment as its
@@ -438,7 +448,6 @@ def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarr
 
 def _collect_constraint_rows(system: LinearSystem):
     dm, form, model = system.dofmap, system.form, system.model
-    curve = model.curve
     rows = []             # (dof_indices, coeffs)
     values = []
     infos: list[RowInfo] = []
@@ -451,7 +460,7 @@ def _collect_constraint_rows(system: LinearSystem):
         infos.append(RowInfo(end, label, "moment" if row in _MOMENT_ROWS else "force",
                              w * t if row in _SCALAR_ROWS else w))
 
-    ends = curve.frames(np.array([0.0, curve.length]))
+    ends = model.curve.end_frames()
     for end, t in zip(("start", "end"), ends.t):
         normal = orthonormal_completion(t)
         for row, c in model.bc(end).rows():
@@ -468,10 +477,8 @@ def _collect_constraint_rows(system: LinearSystem):
         if pc.field not in ("u", form.angle_field):
             raise ValueError(f"point constraint field {pc.field!r} not available "
                              f"for formulation {form.name}")
-        row = _POINT_ROWS[pc.field]
-        d = np.asarray(pc.direction, float)
-        add(pc.end, ends.t[("start", "end").index(pc.end)], row,
-            float(np.ravel(d)[0]) if row in _SCALAR_ROWS else d, pc.value, "point")
+        row, w = _point_row(pc)
+        add(pc.end, ends.t[("start", "end").index(pc.end)], row, w, pc.value, "point")
 
     return rows, np.asarray(values), infos
 

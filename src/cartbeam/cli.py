@@ -22,6 +22,7 @@ from .assembly import (
     ConstraintConflictError,
     LoadCase,
     PointConstraint,
+    _point_row,
     body_table,
 )
 from .benchmarks import (
@@ -155,10 +156,13 @@ def _parse_constraints(doc, path: str, fields: tuple[str, str]) -> list[PointCon
         fld = item.get("field", "u")
         if fld not in fields:
             raise SchemaError(f"{ipath}.field", f"expected {fields[0]} or {fields[1]}")
-        out.append(PointConstraint(end=at, field=fld,
-                                   direction=_vec3(_require(item, ipath, "direction"),
-                                                   f"{ipath}.direction"),
-                                   value=float(item.get("value", 0.0))))
+        direction = _vec3(_require(item, ipath, "direction"), f"{ipath}.direction")
+        pc = PointConstraint(at, fld, direction, float(item.get("value", 0.0)))
+        try:
+            _point_row(pc)
+        except ValueError as exc:
+            raise SchemaError(f"{ipath}.direction", str(exc)) from None
+        out.append(pc)
     return out
 
 

@@ -162,6 +162,14 @@ class ParamCurve:
     def frames(self, s) -> FrameSample:
         return eval_frames(self, s)
 
+    def end_frames(self) -> FrameSample:
+        """`frames([0, L])`, computed once per curve; its arrays are read-only."""
+        if getattr(self, "_end_frames", None) is None:
+            self._end_frames = self.frames(np.array([0.0, self.length]))
+            for a in vars(self._end_frames).values():
+                a.flags.writeable = False
+        return self._end_frames
+
     def frenet(self, s: float, kappa_min: float | None = None) -> FrenetFrame:
         return frenet(self, s, kappa_min)
 
@@ -300,16 +308,6 @@ class Helix(ParamCurve):
         return float(np.hypot(self.radius, self.pitch))
 
 
-def _catmull_rom_tangents(points: np.ndarray, t_start: Vec3, t_end: Vec3) -> np.ndarray:
-    n = len(points)
-    m = np.zeros_like(points)
-    m[0] = t_start
-    m[-1] = t_end
-    for i in range(1, n - 1):
-        m[i] = 0.5 * (points[i + 1] - points[i - 1])
-    return m
-
-
 @dataclass(eq=False)
 class HermiteSpline(ParamCurve):
     """C1 cubic Hermite interpolant of knot points; xi in [0, n_pieces].
@@ -328,11 +326,21 @@ class HermiteSpline(ParamCurve):
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) < 2:
             raise ValueError("spline needs at least two 3d knot points")
-        self.tangents = _catmull_rom_tangents(
-            self.points, np.asarray(self.t_start, float), np.asarray(self.t_end, float)
-        )
+        self.tangents = np.vstack([self.t_start, 0.5 * (self.points[2:] - self.points[:-2]),
+                                   self.t_end])
         self.xi0, self.xi1 = 0.0, float(len(self.points) - 1)
-        speeds = self.speed(np.linspace(self.xi0, self.xi1, 16 * len(self.points)))
+        # piece i: r = c0 + c1 u + c2 u^2 + c3 u^3, u = xi - i, and |r'|^2 =
+        # sum_k _sp2[i, k] u^k, where for r' = a + b u + c u^2 the k-th sums the
+        # Gram entries G_jl of (a, b, c) with j + l = k
+        p0, p1, m0, m1 = self.points[:-1], self.points[1:], self.tangents[:-1], self.tangents[1:]
+        self._coef = np.stack([p0, m0, 3 * (p1 - p0) - 2 * m0 - m1, 2 * (p0 - p1) + m0 + m1],
+                              axis=1)
+        abc = self._coef[:, 1:] * [[1.0], [2.0], [3.0]]
+        gram = (abc @ abc.transpose(0, 2, 1))[:, :, ::-1]
+        self._sp2 = np.stack([np.trace(gram, 2 - k, 1, 2) for k in range(5)], axis=1)
+        # |r'| itself (near a zero the quartic keeps half the digits), and exactly at the knots
+        grid = np.linspace(self.xi0, self.xi1, 16 * len(self.points))
+        speeds = np.linalg.norm(np.concatenate([self.d1(grid), self.tangents]), axis=-1)
         if speeds.min() < _SPEED_FLOOR:
             raise DegenerateCurveError("spline parametrization has vanishing speed")
 
@@ -342,28 +350,31 @@ class HermiteSpline(ParamCurve):
         i = np.clip(np.floor(xi), 0, len(self.points) - 2).astype(int)
         return i, xi - i
 
-    def _blend(self, i, h00, h10, h01, h11):
-        return (h00[..., None] * self.points[i] + h10[..., None] * self.tangents[i]
-                + h01[..., None] * self.points[i + 1] + h11[..., None] * self.tangents[i + 1])
-
     def point(self, xi):
         i, u = self._piece(xi)
-        return self._blend(i, 1 - 3 * u**2 + 2 * u**3, u - 2 * u**2 + u**3,
-                           3 * u**2 - 2 * u**3, u**3 - u**2)
+        c, u = self._coef[i], u[..., None]
+        return ((c[..., 3, :] * u + c[..., 2, :]) * u + c[..., 1, :]) * u + c[..., 0, :]
 
     def d1(self, xi):
         i, u = self._piece(xi)
-        return self._blend(i, -6 * u + 6 * u**2, 1 - 4 * u + 3 * u**2,
-                           6 * u - 6 * u**2, 3 * u**2 - 2 * u)
+        c, u = self._coef[i], u[..., None]
+        return (3 * c[..., 3, :] * u + 2 * c[..., 2, :]) * u + c[..., 1, :]
 
     def d2(self, xi):
         i, u = self._piece(xi)
-        return self._blend(i, -6 + 12 * u, -4 + 6 * u, 6 - 12 * u, 6 * u - 2)
+        return 6 * self._coef[i, 3] * u[..., None] + 2 * self._coef[i, 2]
 
     def d3(self, xi):
         i, _ = self._piece(xi)
-        return (12 * self.points[i] + 6 * self.tangents[i]
-                - 12 * self.points[i + 1] + 6 * self.tangents[i + 1])
+        return 6 * self._coef[i, 3]
+
+    def speed(self, xi):
+        # clamped: near a zero the quartic may round below 0, and a NaN would
+        # pass every `speed < floor` check
+        i, u = self._piece(xi)
+        q = self._sp2[i]
+        sp2 = (((q[..., 4] * u + q[..., 3]) * u + q[..., 2]) * u + q[..., 1]) * u + q[..., 0]
+        return np.sqrt(np.maximum(sp2, 0.0))
 
 
 _GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
@@ -391,8 +402,8 @@ class ArcLengthMap:
 
     Constant-speed kinds (line, arc, helix) use the closed-form map; splines
     accumulate per-interval Gauss-Legendre quadrature of |dr/dxi| over a fine
-    grid and invert with safeguarded Newton iteration. Both directions take
-    a scalar or an array and return the same shape.
+    grid and invert with safeguarded Newton iteration from a cubic seed. Both
+    directions take a scalar or an array and return the same shape.
     """
 
     def __init__(self, curve: ParamCurve, n_samples: int = 257):
@@ -401,7 +412,7 @@ class ArcLengthMap:
         self.curve = curve
         xi0, xi1 = curve.xi0, curve.xi1
         grid = np.linspace(xi0, xi1, n_samples)
-        speeds = curve.speed(grid)
+        speeds = ParamCurve.speed(curve, grid)      # |r'|, exact near a zero
         if speeds.min() < _SPEED_FLOOR:
             raise DegenerateCurveError(
                 f"curve speed {speeds.min():.3e} below {_SPEED_FLOOR} at a sample point"
@@ -414,6 +425,7 @@ class ArcLengthMap:
             cum = np.concatenate([[0.0], np.cumsum(seg)])
         self._grid = grid
         self._cum = cum
+        self._speeds = speeds
         self.length = float(cum[-1])
         self.table = np.column_stack([grid, cum])
 
@@ -427,11 +439,12 @@ class ArcLengthMap:
     def xi_of_s(self, s):
         """Invert s(xi) for every entry of s at once.
 
-        Each entry starts from linear interpolation in its table interval,
-        which also brackets the root, and takes safeguarded Newton steps
-        (bisection when a step leaves the bracket) until |s(xi) - s| is at
-        most 1e-13 max(L, 1), or 60 steps. A converged entry is frozen and
-        drops out of the remaining steps.
+        Each entry starts from the cubic Hermite interpolant of xi(s) on its
+        table interval (slopes 1 / speed at the grid), clipped into that
+        interval, which also brackets the root. It then takes safeguarded
+        Newton steps (bisection when a step leaves the bracket) until
+        |s(xi) - s| is at most 1e-13 max(L, 1), or 60 steps. A converged
+        entry is frozen and drops out of the remaining steps.
         """
         s = np.asarray(s, dtype=float)
         if self._const is not None:
@@ -440,7 +453,11 @@ class ArcLengthMap:
         flat = s.ravel()
         i = _interval(cum, flat)
         lo, hi = grid[i], grid[i + 1]
-        xi = lo + (hi - lo) * np.clip((flat - cum[i]) / (cum[i + 1] - cum[i]), 0.0, 1.0)
+        h = cum[i + 1] - cum[i]
+        v = np.clip((flat - cum[i]) / h, 0.0, 1.0)
+        m0, m1 = h / self._speeds[i], h / self._speeds[i + 1]
+        xi = np.clip(lo + (hi - lo) * v * v * (3 - 2 * v)
+                     + v * (1 - v) * ((1 - v) * m0 - v * m1), lo, hi)
         tol = 1e-13 * max(self.length, 1.0)
         live = np.arange(flat.size)
         for _ in range(60):

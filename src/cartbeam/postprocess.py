@@ -69,7 +69,12 @@ def _samples(solution: SolutionFields, s) -> tuple[np.ndarray, FrameSample, Fiel
 
 def resultants(solution: SolutionFields, s) -> Resultants:
     """Plain resultant forms sampled at the given arc lengths."""
-    s, fr, st = _samples(solution, s)
+    return _resultants(solution, *_samples(solution, s))
+
+
+def _resultants(solution: SolutionFields, s: np.ndarray, fr: FrameSample,
+                st: FieldState) -> Resultants:
+    """`resultants` from a sample already taken by `_samples`."""
     t = fr.t
     EA, GA, EI, GJ = _section_matrices(solution, t)
     theta, dtheta = _rotation_state(t, fr.kappa, st, solution.form.euler_bernoulli)
@@ -212,11 +217,10 @@ def _write_csv(path: str, header: str, rows: np.ndarray):
 def export(solution: SolutionFields, out_dir: str, n_samples: int = 101) -> dict[str, str]:
     """Write centerline.csv and resultants.csv (17 significant digits)."""
     os.makedirs(out_dir, exist_ok=True)
-    s = np.linspace(0.0, solution.mesh.length, n_samples)
-    u, th = displacement_samples(solution, s)
-    xs = solution.model.curve.frames(s).x
-    center = np.column_stack([s, xs, u, th])
-    res = resultants(solution, s)
+    s, fr, st = _samples(solution, np.linspace(0.0, solution.mesh.length, n_samples))
+    th, _ = _rotation_state(fr.t, fr.kappa, st, solution.form.euler_bernoulli)
+    center = np.column_stack([s, fr.x, st.u, th])
+    res = _resultants(solution, s, fr, st)
     res_rows = np.column_stack([s, res.N, res.S, res.M, res.T])
 
     paths = {

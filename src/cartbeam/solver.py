@@ -142,18 +142,20 @@ def rigid_modes(system: LinearSystem) -> np.ndarray:
 
 
 def _rigid_rows(system: LinearSystem, dofs: np.ndarray) -> np.ndarray:
-    """Rows `dofs` (sorted) of `rigid_modes`, from one `curve.frames` query at
-    their nodes. A midline value (slope) DOF of component c has rotation row
-    (e_a x x)_c = (x x e_c)_a over a, with t for x at a slope."""
+    """Rows `dofs` (sorted) of `rigid_modes`, from the curve's end frames when
+    all their nodes are end nodes, else one `curve.frames` query. A midline
+    value (slope) DOF of component c has rotation row (e_a x x)_c =
+    (x x e_c)_a over a, with t for x at a slope."""
     dm = system.dofmap
     u, ang = dm.fields["u"], dm.fields[system.form.angle_field]
     nu = np.searchsorted(dofs, u.n_dofs)      # the midline DOFs come first
     un, uc = np.divmod(dofs[:nu], u.node_dofs.shape[1])
     an, ac = np.divmod(dofs[nu:] - u.n_dofs, ang.node_dofs.shape[1])
     s = np.concatenate([u.node_s[un], ang.node_s[an]])
-    nodes = np.unique(s)
-    fr = system.model.curve.frames(nodes)
-    at = np.searchsorted(nodes, s)
+    fr = system.model.curve.end_frames()
+    if not np.isin(s, fr.s).all():
+        fr = system.model.curve.frames(np.unique(s))
+    at = np.searchsorted(fr.s, s)
     Z = np.zeros((len(dofs), 6))
     rows, value = np.arange(nu), uc < 3
     Z[rows[value], uc[value]] = 1.0

@@ -456,3 +456,16 @@ class TestEssentialBCs:
         model.constraints = [PointConstraint("end", "theta_t", [1.0, 0, 0])]
         with pytest.raises(ValueError):
             discretize(model, formulation("timoshenko_p2p1"), 2)
+
+    @pytest.mark.parametrize("name,field,direction", [
+        ("timoshenko_p2p1", "u", [0.0, 0.0, 0.0]),
+        ("timoshenko_h3p2", "theta", [0.0, 0.0, 0.0]),
+        ("euler_bernoulli_h3", "theta_t", [0.0, 1.0, 0.0]),    # theta_t reads direction[0]
+    ])
+    @pytest.mark.parametrize("value", [0.0, 0.1])
+    def test_point_constraint_with_an_empty_row_raises(self, name, field, direction, value):
+        # a free end, so a nonzero row would be independent of the clamped start
+        model = straight_model()
+        model.constraints = [PointConstraint("end", field, direction, value=value)]
+        with pytest.raises(ValueError, match="empty row"):
+            discretize(model, formulation(name), 2)

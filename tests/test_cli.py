@@ -115,6 +115,20 @@ class TestSolveCommand:
         assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
         assert "constraints[0].field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form,field,direction", [
+        ("timoshenko_p2p1", "u", [0, 0, 0]),
+        ("euler_bernoulli_h3", "theta_t", [0, 1, 0]),
+    ])
+    def test_point_constraint_with_an_empty_row_exits_1(self, tmp_path, capsys, form, field,
+                                                        direction):
+        doc = straight_doc(formulation=form, constraints=[
+            {"at": "end", "field": field, "direction": direction, "value": 0.1}])
+        with pytest.raises(SchemaError, match=r"constraints\[0\]\.direction"):
+            load_model(doc)
+        path = write_json(tmp_path / "model.json", doc)
+        assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
+        assert "constraints[0].direction" in capsys.readouterr().err
+
     def test_conflicting_constraints_exit_1(self, tmp_path, capsys):
         # the clamped start already holds u_y = 0
         doc = straight_doc(constraints=[{"at": "start", "field": "u", "direction": [0, 1, 0],

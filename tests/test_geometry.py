@@ -355,6 +355,52 @@ class TestSpline:
             assert np.allclose(spline.point(float(k)), p, atol=1e-12)
 
 
+class TestSplineKernels:
+    """The power-basis evaluation of a spline, its quartic speed and the
+    seeded arc-length inversion."""
+
+    def test_derivatives_match_central_differences(self):
+        spline, h = sample_spline(), 1e-5
+        # inside the pieces: d2 and d3 jump at the knots
+        xi = (np.arange(6)[:, None] + np.array([0.13, 0.5, 0.87])).ravel()
+        for f, df in ((spline.point, spline.d1), (spline.d1, spline.d2), (spline.d2, spline.d3)):
+            fd = (f(xi + h) - f(xi - h)) / (2 * h)
+            assert np.abs(df(xi) - fd).max() <= 1e-8 * np.abs(df(xi)).max()
+
+    def test_speed_is_norm_of_d1(self):
+        spline = sample_spline()
+        xi = np.linspace(spline.xi0, spline.xi1, 1001)
+        ref = np.linalg.norm(spline.d1(xi), axis=-1)
+        assert np.all(np.abs(spline.speed(xi) - ref) <= 1e-14 * ref)
+
+    def test_inversion_meets_its_tolerance_everywhere(self):
+        spline = sample_spline()            # 6 pieces: knots 1, 2, 4, 5 are off the grid
+        amap = spline.arclength()
+        L = amap.length
+        s = np.concatenate([np.linspace(0.0, L, 1001),
+                            amap.s_of_xi(np.arange(len(spline.points), dtype=float)), [0.0, L]])
+        xi = amap.xi_of_s(s)
+        assert np.all(np.abs(amap.s_of_xi(xi) - s) <= 1e-13 * max(L, 1.0))
+
+    def test_vanishing_speed_inside_a_piece_raises(self):
+        # r' = (u - 1/4)(1 + u) w vanishes at u = 1/4, a point of the
+        # arc-length grid; for this w the quartic in u for |r'|^2 rounds
+        # below 0 there, and the speed must come out as 0, not NaN
+        w = np.array([0.1, -0.6, 0.5])
+        spline = HermiteSpline(np.array([[0.0, 0.0, 0.0], 11 / 24 * w]), -0.25 * w, 1.5 * w)
+        assert 0.0 <= spline.speed(0.25) < 1e-8
+        with pytest.raises(DegenerateCurveError):
+            spline.length
+
+    def test_zero_knot_tangent_raises(self):
+        # knot 1 of 6 pieces lies on neither sample grid; its central
+        # difference tangent is zero
+        pts = sample_spline().points.copy()
+        pts[2] = pts[0]
+        with pytest.raises(DegenerateCurveError):
+            HermiteSpline(pts, [0.7, 0.6, 0.0], [0.5, 0.7, 0.4])
+
+
 class TestWireFormat:
     def test_roundtrip_kinds(self):
         docs = [

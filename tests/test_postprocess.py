@@ -15,7 +15,7 @@ from cartbeam.assembly import BeamModel, BoundaryCondition, LoadCase, PointConst
 from cartbeam.benchmarks import make_quarter_arc_model, make_straight_model
 from cartbeam.cli import load_model
 from cartbeam.discretization import FORMULATIONS, formulation, shape_eval
-from cartbeam.geometry import Helix, LineSegment
+from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment, ParamCurve
 from cartbeam.postprocess import (
     applied_load_totals,
     displacement_samples,
@@ -111,8 +111,6 @@ class TestCurvatureForms:
             assert np.allclose(getattr(plain, q), getattr(sep, q), atol=1e-12)
 
     def test_agreement_on_nonplanar_spline_and_off_plane_arc(self):
-        from cartbeam.geometry import CircularArc, HermiteSpline
-
         y = np.linspace(0.0, 4.0, 7)
         pts = np.column_stack([0.5 * np.sin(np.pi * y / 2), y, 0.15 * y**2])
         spline = HermiteSpline(pts, [0.7, 0.6, 0.0], [0.5, 0.7, 0.4])
@@ -279,6 +277,29 @@ class TestExport:
             assert vals[0] == s[i]
             assert vals[1:4] == list(res.N[i])
             assert vals[4:7] == list(res.S[i])
+
+    @pytest.mark.parametrize("curve", [
+        LineSegment([0, 0, 0], [3.0, 0.5, 0.0]),
+        CircularArc([0, 0, 0], 1.5, [1, 0, 0], [0, 1, 0], 0.0, 2.0),
+        Helix([0, 0, 0], 1.0, 0.3, [1, 0, 0], [0, 1, 0], 0.0, 3.0),
+        HermiteSpline(np.array([[0.0, 0, 0], [1.0, 0.6, 0.2], [2.0, 0.0, 0.5]]),
+                      [1.0, 0.5, 0.0], [1.0, -0.5, 0.3]),
+    ], ids=lambda c: c.kind)
+    def test_one_frames_query_per_export(self, tmp_path, monkeypatch, curve):
+        model = BeamModel(curve=curve, material=MAT, section=circle_section(0.1),
+                          bc_start=BoundaryCondition.clamped(), bc_end=BoundaryCondition.free(),
+                          loads=LoadCase(force_end=[0.1, -0.2, 0.3]))
+        sol = solve_model(model, formulation("timoshenko_h3p2"), 4)
+        calls = []
+        frames = ParamCurve.frames
+        monkeypatch.setattr(ParamCurve, "frames", lambda c, s: calls.append(1) or frames(c, s))
+        paths = export(sol, str(tmp_path), n_samples=13)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        data = np.loadtxt(paths["resultants"], delimiter=",", skiprows=1)
+        res = resultants(sol, data[:, 0])
+        ref = np.column_stack([res.s, res.N, res.S, res.M, res.T])
+        assert np.abs(data - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_repeat_export_byte_identical(self, tmp_path):
         sol = solved_cantilever()

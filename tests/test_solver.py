@@ -459,8 +459,9 @@ class TestSaddleMatrix:
 
 class TestCallBudget:
     """Per-solve geometry and quadrature queries, counted on two consecutive
-    P2-P1 arc solves: one frames query per stiffness rule and one each for
-    the loads, the essential rows and the rigid check; the Gauss rule once."""
+    P2-P1 arc solves of a fresh curve: one frames query per stiffness rule,
+    the end frames once for the loads, the essential rows and the rigid
+    check of both solves; the Gauss rule once."""
 
     def test_two_arc_solves(self, monkeypatch):
         from cartbeam.discretization import gauss_rule
@@ -478,7 +479,8 @@ class TestCallBudget:
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             counted("leggauss", np.polynomial.legendre.leggauss))
         gauss_rule.cache_clear()
-        model = bar_model(curve=KERNEL_CURVES["arc"], loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
+        arc = CircularArc([0, 0, 0], 1.5, [1, 0, 0], [0, 1, 0], 0.0, 2.0)
+        model = bar_model(curve=arc, loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
         for _ in range(2):
             solve_model(model, formulation("timoshenko_p2p1"), 4)
-        assert counts == {"frames": 8, "frame": 0, "leggauss": 1}
+        assert counts == {"frames": 3, "frame": 0, "leggauss": 1}
