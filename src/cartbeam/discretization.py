@@ -62,7 +62,10 @@ class Mesh1D:
         its shape; a scalar s is the one-row case and gives (int, float).
         """
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        e = np.clip(np.searchsorted(self.nodes, s_arr, side="right") - 1, 0, self.n_elements - 1)
+        # an s a few ulp short of a node counts as on it, in the element to its
+        # right, so the side a node sample takes does not follow round-off in s
+        e = np.searchsorted(self.nodes, s_arr + 4 * np.spacing(np.abs(s_arr)), side="right")
+        e = np.clip(e - 1, 0, self.n_elements - 1)
         xi = (s_arr - self.nodes[e]) / (self.nodes[e + 1] - self.nodes[e])
         if np.ndim(s) == 0:
             return int(e[0]), float(xi[0])

@@ -329,16 +329,11 @@ class HermiteSpline(ParamCurve):
         self.tangents = np.vstack([self.t_start, 0.5 * (self.points[2:] - self.points[:-2]),
                                    self.t_end])
         self.xi0, self.xi1 = 0.0, float(len(self.points) - 1)
-        # piece i: r = c0 + c1 u + c2 u^2 + c3 u^3, u = xi - i, and |r'|^2 =
-        # sum_k _sp2[i, k] u^k, where for r' = a + b u + c u^2 the k-th sums the
-        # Gram entries G_jl of (a, b, c) with j + l = k
+        # piece i: r = c0 + c1 u + c2 u^2 + c3 u^3, u = xi - i
         p0, p1, m0, m1 = self.points[:-1], self.points[1:], self.tangents[:-1], self.tangents[1:]
         self._coef = np.stack([p0, m0, 3 * (p1 - p0) - 2 * m0 - m1, 2 * (p0 - p1) + m0 + m1],
                               axis=1)
-        abc = self._coef[:, 1:] * [[1.0], [2.0], [3.0]]
-        gram = (abc @ abc.transpose(0, 2, 1))[:, :, ::-1]
-        self._sp2 = np.stack([np.trace(gram, 2 - k, 1, 2) for k in range(5)], axis=1)
-        # |r'| itself (near a zero the quartic keeps half the digits), and exactly at the knots
+        # |r'| on a fine grid, and exactly at the knots
         grid = np.linspace(self.xi0, self.xi1, 16 * len(self.points))
         speeds = np.linalg.norm(np.concatenate([self.d1(grid), self.tangents]), axis=-1)
         if speeds.min() < _SPEED_FLOOR:
@@ -367,14 +362,6 @@ class HermiteSpline(ParamCurve):
     def d3(self, xi):
         i, _ = self._piece(xi)
         return 6 * self._coef[i, 3]
-
-    def speed(self, xi):
-        # clamped: near a zero the quartic may round below 0, and a NaN would
-        # pass every `speed < floor` check
-        i, u = self._piece(xi)
-        q = self._sp2[i]
-        sp2 = (((q[..., 4] * u + q[..., 3]) * u + q[..., 2]) * u + q[..., 1]) * u + q[..., 0]
-        return np.sqrt(np.maximum(sp2, 0.0))
 
 
 _GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
@@ -412,7 +399,7 @@ class ArcLengthMap:
         self.curve = curve
         xi0, xi1 = curve.xi0, curve.xi1
         grid = np.linspace(xi0, xi1, n_samples)
-        speeds = ParamCurve.speed(curve, grid)      # |r'|, exact near a zero
+        speeds = curve.speed(grid)
         if speeds.min() < _SPEED_FLOOR:
             raise DegenerateCurveError(
                 f"curve speed {speeds.min():.3e} below {_SPEED_FLOOR} at a sample point"

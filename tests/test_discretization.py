@@ -149,6 +149,15 @@ class TestMesh:
         e, xi = mesh.locate(s)
         assert [mesh.locate(float(v)) for v in s] == list(zip(e.tolist(), xi.tolist()))
 
+    def test_locate_puts_node_samples_on_one_side(self):
+        # an s a round-off short of a node is in the element that starts at
+        # the node, as the node itself is
+        mesh = Mesh1D.uniform(3.0, 4)
+        node = mesh.nodes[2]
+        for s in (node, np.nextafter(node, 0.0), node - 2 * np.spacing(node)):
+            assert mesh.locate(float(s))[0] == 2
+        assert mesh.locate(float(node - 1e-9))[0] == 1
+
 
 class TestFormulations:
     def test_registry(self):
