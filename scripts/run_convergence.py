@@ -12,7 +12,6 @@ from cartbeam.benchmarks import (
     StudySpec,
     print_order_table,
     run_convergence,
-    run_locking_study,
     write_convergence_csv,
 )
 
@@ -34,9 +33,9 @@ def main():
         write_convergence_csv(report, os.path.join(args.out, f"convergence_{name}.csv"))
 
     print("\nlocking comparison: quarter arc, 8 elements, t = 0.001")
-    lock = run_locking_study(StudySpec("quarter_arc",
-                                       ["timoshenko_p2p1", "timoshenko_h3p2"],
-                                       ["full", "reduced"], [8], [0.001]))
+    lock = run_convergence(StudySpec("quarter_arc",
+                                     ["timoshenko_p2p1", "timoshenko_h3p2"],
+                                     ["full", "reduced"], [8], [0.001]))
     for form in ("timoshenko_p2p1", "timoshenko_h3p2"):
         full = lock.rel_error(form, "full", 0.001, 8)
         red = lock.rel_error(form, "reduced", 0.001, 8)

@@ -60,12 +60,10 @@ from .section import (
     CrossSection,
     DirectorDegeneracyError,
     Material,
-    ThicknessFamily,
     circle_section,
     inertia_tensor,
     rect_section,
     section_from_shape,
-    unit_depth_family,
     unit_depth_rect_section,
 )
 from .solver import SingularSystemError, SolutionFields, solve, solve_model
@@ -77,7 +75,6 @@ from .benchmarks import (
     make_quarter_arc_model,
     make_straight_model,
     run_convergence,
-    run_locking_study,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,8 +21,8 @@ from .benchmarks import (
     make_quarter_arc_model,
     make_straight_model,
     plateau_pair_index,
+    pre_plateau_orders,
     run_convergence,
-    run_locking_study,
     solve_demo,
 )
 from .discretization import FORMULATIONS, formulation
@@ -63,15 +63,13 @@ def _cell_order_checks(cell, expected, tol):
     plateau-starved cells must show at least the expected rate on the pairs
     they have (the reference is an analytic approximation, so fine meshes sit
     on its error floor and cannot witness the rate)."""
-    cut = plateau_pair_index(cell.errors)
-    pre = cell.pair_orders if cut is None else cell.pair_orders[:cut]
-    pre = [p for p in pre if np.isfinite(p)]
+    pre = pre_plateau_orders(cell.pair_orders, cell.plateau_pair)
     label = f"{cell.formulation} t={cell.t}"
     if len(pre) >= 2:
         med = float(np.median(pre))
         return (abs(med - expected) <= tol,
                 f"{label}: order {med:.2f} (target {expected}+-{tol:.2g})")
-    if len(pre) == 1 and cut is not None:
+    if len(pre) == 1 and cell.plateau_pair is not None:
         return (pre[0] >= expected - tol,
                 f"{label}: plateau-limited, single pre-plateau pair order {pre[0]:.2f} "
                 f">= {expected - tol:.2f}")
@@ -124,7 +122,7 @@ def curvature_locking_reduced_integration(slack: float = 1.0) -> CriterionResult
     start = time.time()
     study = StudySpec("quarter_arc", ["timoshenko_p2p1", "timoshenko_h3p2"],
                       ["full", "reduced"], [8], [0.001])
-    report = run_locking_study(study)
+    report = run_convergence(study)
     checks = []
     for name in ("timoshenko_p2p1", "timoshenko_h3p2"):
         ratio = report.full_over_reduced(name, 0.001, 8)
@@ -141,7 +139,7 @@ def straight_beam_no_locking(slack: float = 1.0) -> CriterionResult:
     start = time.time()
     study = StudySpec("straight", ["timoshenko_p2p1", "timoshenko_h3p2"], ["full"],
                       [1, 2, 4, 8, 16, 32], [0.1, 0.001])
-    report = run_locking_study(study)
+    report = run_convergence(study)
     checks = []
     for name in ("timoshenko_p2p1", "timoshenko_h3p2"):
         for n in study.elements:

@@ -1,11 +1,13 @@
-"""Analytical references, convergence/locking studies, and demo problems.
+"""Analytical references, convergence studies, and demo problems.
 
 Two classical cantilever solutions serve as references: a straight beam of
 unit depth under a transverse tip load, and a plane quarter-circle arc under
 a radial tip load. Both are elasticity solutions that assume a parabolic
 end-stress distribution the beam model cannot represent, so measured errors
 eventually plateau; order fitting therefore only uses pre-plateau
-refinements.
+refinements. The locking comparisons (quadrature policy on curved geometry,
+thickness on straight) read their relative errors from the same convergence
+report.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .assembly import BCRow, BeamModel, BoundaryCondition, LoadCase, PointConstr
 from .discretization import formulation
 from .geometry import CircularArc, Helix, HermiteSpline, LineSegment
 from .postprocess import tip_displacement
-from .section import Material, circle_section, unit_depth_family
+from .section import Material, circle_section, unit_depth_rect_section
 from .solver import SolutionFields, solve_model
 
 
@@ -52,7 +54,7 @@ def make_straight_model(t: float, L: float = 10.0, P: float = 1.0,
     return BeamModel(
         curve=LineSegment([0.0, 0.0, 0.0], [L, 0.0, 0.0]),
         material=material,
-        section=unit_depth_family().scale(t),
+        section=unit_depth_rect_section(t),
         bc_start=BoundaryCondition.clamped(),
         bc_end=BoundaryCondition.free(),
         loads=LoadCase(force_end=[0.0, -P, 0.0]),
@@ -67,7 +69,7 @@ def make_quarter_arc_model(t: float, R: float = 1.0, P: float = 1.0,
         curve=CircularArc([0.0, 0.0, 0.0], R, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                           -np.pi / 2.0, 0.0),
         material=material,
-        section=unit_depth_family().scale(t),
+        section=unit_depth_rect_section(t),
         bc_start=BoundaryCondition.clamped(),
         bc_end=BoundaryCondition.free(),
         loads=LoadCase(force_end=[-P, 0.0, 0.0]),
@@ -167,12 +169,15 @@ def plateau_pair_index(errors, drop: float = 0.2) -> int | None:
     return None
 
 
+def pre_plateau_orders(pair_orders, plateau_pair: int | None) -> list[float]:
+    """The finite pair orders before the plateau pair (all of them when None)."""
+    usable = pair_orders if plateau_pair is None else pair_orders[:plateau_pair]
+    return [p for p in usable if np.isfinite(p)]
+
+
 def fitted_order(elements, errors) -> float | None:
     """Median of the observed pre-plateau pair orders (None if no usable pair)."""
-    orders = observed_orders(elements, errors)
-    cut = plateau_pair_index(errors)
-    usable = orders if cut is None else orders[:cut]
-    usable = [p for p in usable if np.isfinite(p)]
+    usable = pre_plateau_orders(observed_orders(elements, errors), plateau_pair_index(errors))
     if not usable:
         return None
     return float(np.median(usable))
@@ -202,6 +207,17 @@ class ConvergenceReport:
 
     def cell(self, formulation: str, policy: str, t: float) -> CellResult:
         return self.cells[(self.study.benchmark, formulation, policy, t)]
+
+    def rel_error(self, formulation: str, policy: str, t: float, n: int) -> float:
+        """Relative tip error of one mesh; raises if that mesh failed to solve."""
+        cell = self.cell(formulation, policy, t)
+        if n in cell.failures:
+            raise RuntimeError(f"{formulation} {policy} t={t} n={n} failed: {cell.failures[n]}")
+        return cell.rel_errors[cell.elements.index(n)]
+
+    def full_over_reduced(self, formulation: str, t: float, n: int) -> float:
+        return (self.rel_error(formulation, "full", t, n)
+                / self.rel_error(formulation, "reduced", t, n))
 
     def rows(self):
         """Flat rows (benchmark, formulation, quadrature, t, n_elem, qoi, error,
@@ -278,41 +294,6 @@ def print_order_table(report: ConvergenceReport) -> None:
             print(f"  {n:>4}  {cell.qoi[i]:22.15g}  {cell.rel_errors[i]:12.3e}  {pair}")
         for n, msg in cell.failures.items():
             print(f"  n={n} failed: {msg}")
-
-
-@dataclass(eq=False)
-class LockingReport:
-    study: StudySpec
-    rel_errors: dict[tuple, float] = field(default_factory=dict)
-
-    def rel_error(self, formulation: str, policy: str, t: float, n: int) -> float:
-        return self.rel_errors[(formulation, policy, t, n)]
-
-    def full_over_reduced(self, formulation: str, t: float, n: int) -> float:
-        return (self.rel_error(formulation, "full", t, n)
-                / self.rel_error(formulation, "reduced", t, n))
-
-    def thickness_ratio(self, formulation: str, policy: str, t_big: float,
-                        t_small: float, n: int) -> float:
-        return (self.rel_error(formulation, policy, t_small, n)
-                / self.rel_error(formulation, policy, t_big, n))
-
-
-def run_locking_study(study: StudySpec) -> LockingReport:
-    """Relative tip errors over (formulation, policy, thickness, mesh), used to
-    compare quadrature policies on curved geometry and thicknesses on straight."""
-    report = LockingReport(study=study)
-    for name in study.formulations:
-        form = formulation(name)
-        for policy in study.quadrature:
-            for t in study.thickness:
-                model = study.model(t)
-                ref = study.reference(t)
-                for n in study.elements:
-                    sol = solve_model(model, form, n, policy)
-                    q = float(tip_displacement(sol)[study.qoi_index])
-                    report.rel_errors[(name, policy, t, n)] = abs(q - ref) / abs(ref)
-    return report
 
 
 def _s_curve(amplitude: float = 0.6, height: float = 4.0, n_knots: int = 9) -> HermiteSpline:

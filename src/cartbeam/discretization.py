@@ -148,19 +148,18 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    role: str
 
     def on_element(self, s0: float, h: float) -> tuple[np.ndarray, np.ndarray]:
         return s0 + self.points * h, self.weights * h
 
 
 @lru_cache(maxsize=None)
-def gauss_rule(n: int, role: str = "full") -> QuadratureRule:
-    """The n-point rule, computed once per (n, role) and shared, so read-only."""
+def gauss_rule(n: int) -> QuadratureRule:
+    """The n-point rule, computed once per n and shared, so read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
     points, weights = 0.5 * (x + 1.0), 0.5 * w
     points.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(points=points, weights=weights, role=role)
+    return QuadratureRule(points=points, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -177,9 +176,9 @@ def quadrature(form: Formulation, policy: str = "full") -> TermRules:
     """Term-class rules: `reduced` drops only stretch and shear to 2-point Gauss."""
     if policy not in ("full", "reduced"):
         raise ValueError(f"unknown quadrature policy {policy!r}")
-    full = gauss_rule(form.full_points, "full")
+    full = gauss_rule(form.full_points)
     if policy == "reduced":
-        red = gauss_rule(2, "reduced")
+        red = gauss_rule(2)
         return TermRules(stretch=red, shear=red, bend=full, twist=full)
     return TermRules(stretch=full, shear=full, bend=full, twist=full)
 

@@ -145,12 +145,11 @@ class ParamCurve:
     def speed(self, xi):
         return np.linalg.norm(self.d1(xi), axis=-1)
 
-    def arclength(self, n_samples: int = 257) -> "ArcLengthMap":
-        cached = getattr(self, "_arclength_map", None)
-        if cached is None:
-            cached = ArcLengthMap(self, n_samples)
-            self._arclength_map = cached
-        return cached
+    def arclength(self) -> "ArcLengthMap":
+        """The curve's arc-length map on the default table, built once per curve."""
+        if getattr(self, "_arclength_map", None) is None:
+            self._arclength_map = ArcLengthMap(self)
+        return self._arclength_map
 
     @property
     def length(self) -> float:

@@ -164,39 +164,3 @@ def inertia_factor(section: CrossSection, t: Vec3) -> np.ndarray:
     n2 = np.cross(t, n1)
     i1, i2 = section.inertia_principal
     return np.stack([np.sqrt(i1) * n2, np.sqrt(i2) * n1], axis=-2)
-
-
-@dataclass(frozen=True)
-class ThicknessFamily:
-    """One-parameter family of geometrically similar sections.
-
-    The reference section corresponds to t = 1; area scales with
-    t**area_exponent and all inertias with t**inertia_exponent. The default
-    exponents (2, 4) describe sections whose full diameter scales with t; the
-    unit-depth family (1, 3) scales only the in-plane thickness.
-    """
-
-    reference: CrossSection
-    area_exponent: int = 2
-    inertia_exponent: int = 4
-
-    def scale(self, t: float) -> CrossSection:
-        if t <= 0:
-            raise ValueError("thickness parameter must be positive")
-        ref = self.reference
-        fa = t**self.area_exponent
-        fi = t**self.inertia_exponent
-        principal = None
-        if ref.inertia_principal is not None:
-            principal = (ref.inertia_principal[0] * fi, ref.inertia_principal[1] * fi)
-        return CrossSection(
-            area=ref.area * fa,
-            polar=ref.polar * fi,
-            inertia_iso=None if ref.inertia_iso is None else ref.inertia_iso * fi,
-            inertia_principal=principal,
-            director=ref.director,
-        )
-
-
-def unit_depth_family() -> ThicknessFamily:
-    return ThicknessFamily(unit_depth_rect_section(1.0), area_exponent=1, inertia_exponent=3)

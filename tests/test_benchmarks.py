@@ -13,12 +13,11 @@ from cartbeam.benchmarks import (
     observed_orders,
     plateau_pair_index,
     run_convergence,
-    run_locking_study,
     solve_demo,
 )
 from cartbeam.discretization import formulation
 from cartbeam.postprocess import displacement_samples, tip_displacement
-from cartbeam.solver import solve_model
+from cartbeam.solver import SingularSystemError, solve_model
 
 
 class TestAnalyticFormulas:
@@ -103,6 +102,23 @@ class TestConvergenceStudy:
         assert cell.order is None
         assert all(row[-1] == "" for row in report.rows())
 
+    def test_rel_error_of_a_failed_mesh_raises_with_its_message(self, monkeypatch):
+        import cartbeam.benchmarks as bm
+
+        def failing_at_four(model, form, n, policy="full"):
+            if n == 4:
+                raise SingularSystemError("planted failure at n=4")
+            return solve_model(model, form, n, policy)
+
+        monkeypatch.setattr(bm, "solve_model", failing_at_four)
+        study = StudySpec("straight", ["timoshenko_p2p1"], ["full"], [2, 4, 8], [0.1])
+        report = run_convergence(study)
+        cell = report.cell("timoshenko_p2p1", "full", 0.1)
+        assert cell.elements == [2, 8] and list(cell.failures) == [4]
+        with pytest.raises(RuntimeError, match="n=4 failed: SingularSystemError: planted failure"):
+            report.rel_error("timoshenko_p2p1", "full", 0.1, 4)
+        assert report.rel_error("timoshenko_p2p1", "full", 0.1, 8) == cell.rel_errors[1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StudySpec("straight", ["timoshenko_p2p1"], ["full"], [], [0.1])
@@ -131,14 +147,15 @@ class TestLockingStudy:
     def test_full_quadrature_locks_on_thin_arc(self):
         study = StudySpec("quarter_arc", ["timoshenko_p2p1"], ["full", "reduced"],
                           [8], [0.001])
-        report = run_locking_study(study)
+        report = run_convergence(study)
         assert report.full_over_reduced("timoshenko_p2p1", 0.001, 8) >= 10.0
 
     def test_straight_beam_insensitive_to_thickness(self):
         study = StudySpec("straight", ["timoshenko_p2p1"], ["full"], [4, 8], [0.1, 0.001])
-        report = run_locking_study(study)
+        report = run_convergence(study)
         for n in (4, 8):
-            ratio = report.thickness_ratio("timoshenko_p2p1", "full", 0.1, 0.001, n)
+            ratio = (report.rel_error("timoshenko_p2p1", "full", 0.001, n)
+                     / report.rel_error("timoshenko_p2p1", "full", 0.1, n))
             assert 0.5 <= ratio <= 2.0
 
     def test_reduced_matches_full_on_straight_bending(self):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cartbeam.benchmarks import analytic_straight_tip
+from cartbeam.benchmarks import analytic_straight_tip, make_quarter_arc_model, make_straight_model
 from cartbeam.cli import SchemaError, load_model, load_study, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -264,3 +264,13 @@ class TestValidateCommand:
 
     def test_unknown_criterion_exits_1(self):
         assert main(["validate", "--criteria", "nonexistent_criterion"]) == 1
+
+
+@pytest.mark.parametrize("name, make", [("straight_cantilever.json", make_straight_model),
+                                        ("quarter_arc.json", make_quarter_arc_model)])
+def test_shipped_config_section_matches_the_study_model(name, make):
+    # the CLI and the convergence studies build the unit-depth section with
+    # one constructor, so the two paths solve with the same bits
+    with open(config(name)) as fh:
+        model = load_model(json.load(fh))[0]
+    assert model.section == make(0.1).section

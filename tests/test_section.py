@@ -9,13 +9,11 @@ from cartbeam.section import (
     CrossSection,
     DirectorDegeneracyError,
     Material,
-    ThicknessFamily,
     circle_section,
     inertia_factor,
     inertia_tensor,
     rect_section,
     section_from_shape,
-    unit_depth_family,
     unit_depth_rect_section,
 )
 
@@ -73,7 +71,8 @@ class TestShapes:
     def test_invalid_dimensions(self):
         for bad in (lambda: rect_section(-1, 2, [0, 1, 0]),
                     lambda: circle_section(0.0),
-                    lambda: unit_depth_rect_section(-0.1)):
+                    lambda: unit_depth_rect_section(-0.1),
+                    lambda: unit_depth_rect_section(0.0)):
             with pytest.raises(ValueError):
                 bad()
 
@@ -157,37 +156,3 @@ class TestInertiaTensor:
                 continue
             C = inertia_factor(sec, t)
             assert np.allclose(C.T @ C, inertia_tensor(sec, t), atol=1e-12)
-
-
-class TestThicknessScaling:
-    def test_reference_at_unit_thickness(self):
-        fam = ThicknessFamily(circle_section(1.0))
-        scaled = fam.scale(1.0)
-        assert scaled.area == fam.reference.area
-        assert scaled.inertia_iso == fam.reference.inertia_iso
-        assert scaled.polar == fam.reference.polar
-
-    def test_square_family_half_thickness(self):
-        fam = ThicknessFamily(circle_section(1.0))
-        scaled = fam.scale(0.5)
-        assert scaled.area == pytest.approx(0.25 * fam.reference.area, rel=1e-14)
-        assert scaled.inertia_iso == pytest.approx(0.0625 * fam.reference.inertia_iso,
-                                                   rel=1e-14)
-
-    def test_unit_depth_family(self):
-        sec = unit_depth_family().scale(0.1)
-        assert sec.area == pytest.approx(0.1, rel=1e-14)
-        assert sec.inertia_iso == pytest.approx(1e-3 / 12.0, rel=1e-14)
-
-    def test_nonpositive_thickness(self):
-        with pytest.raises(ValueError):
-            unit_depth_family().scale(0.0)
-
-    def test_oriented_family_keeps_director(self):
-        fam = ThicknessFamily(rect_section(2.0, 1.0, [0, 0, 1]))
-        scaled = fam.scale(0.5)
-        assert np.allclose(scaled.director, [0, 0, 1])
-        i1, i2 = fam.reference.inertia_principal
-        assert scaled.inertia_principal[0] == pytest.approx(i1 * 0.5**4, rel=1e-14)
-        assert scaled.inertia_principal[1] == pytest.approx(i2 * 0.5**4, rel=1e-14)
-        assert scaled.area == pytest.approx(2.0 * 0.25, rel=1e-14)
