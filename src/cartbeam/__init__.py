@@ -25,11 +25,11 @@ from .discretization import (
     UnsupportedOrderError,
     formulation,
     gauss_rule,
-    quadrature,
     shape_eval,
 )
 from .geometry import (
     AmbiguousProjectionError,
+    ArcLengthMap,
     CircularArc,
     ClosestPointResult,
     DegenerateCurveError,
@@ -40,7 +40,6 @@ from .geometry import (
     LineSegment,
     ParamCurve,
     ZeroCurvatureError,
-    arc_length_table,
     closest_point,
     curve_from_dict,
     eval_frame,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _TERMS, BeamModel, BoundaryCondition, LoadCase, _element_factors
+from .assembly import _SOFT_TERMS, _STIFF_TERMS, BeamModel, BoundaryCondition, LoadCase, \
+    _element_factors
 from .benchmarks import (
     DEFAULT_MATERIAL,
     StudySpec,
@@ -174,7 +175,7 @@ def resultant_form_equivalence(slack: float = 1.0) -> CriterionResult:
     checks = []
     for model, form_name in cases:
         sol = solve_model(model, formulation(form_name), 12, "reduced")
-        s = sample_points(sol, "quadrature")
+        s = sample_points(sol)
         plain = resultants(sol, s)
         sep = resultants_curvature_form(sol, s)
         global_scale = max(np.abs(getattr(plain, q)).max() for q in "NSMT")
@@ -245,7 +246,7 @@ def _point_factors(form, section, fr, u_derivs, angle_derivs):
     u, a = np.ravel(u_derivs), np.ravel(angle_derivs)
     Gs = [_element_factors(tm, form, fr.t, fr.kappa, DEFAULT_MATERIAL, section,
                            np.eye(len(u_derivs)), np.eye(len(angle_derivs)), u.size, a.size)[0]
-          for tm in _TERMS if not (tm == "shear" and form.euler_bernoulli)]
+          for tm in _STIFF_TERMS + _SOFT_TERMS if not (tm == "shear" and form.euler_bernoulli)]
     return Gs, np.concatenate([u, a])
 
 

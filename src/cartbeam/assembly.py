@@ -44,7 +44,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .discretization import DofMap, Formulation, Mesh1D, quadrature, shape_eval
+from .discretization import DofMap, Formulation, Mesh1D, gauss_rule, shape_eval
 from .geometry import ParamCurve, Vec3, cross3, normal_projector, \
     orthonormal_completion, skew
 from .section import CrossSection, Material, inertia_factor
@@ -116,7 +116,8 @@ class PointConstraint:
 class LoadCase:
     """Body force density (force/length^3, constant over each cross-section)
     plus optional concentrated end forces/moments (applied external loads,
-    entering the load functional with + sign at both ends)."""
+    entering the load functional with + sign at both ends). body is a 3-vector
+    or a callable from a 1-d array of n arc lengths to an (n, 3) array."""
 
     def __init__(self, body=None, force_start=None, force_end=None,
                  moment_start=None, moment_end=None):
@@ -134,17 +135,19 @@ def _as_body_function(body):
         return body
     arr = np.asarray(body, dtype=float)
     if arr.shape == (3,):
-        return lambda s: arr
-    raise ValueError("body force must be a 3-vector or a callable of s")
+        return lambda s: np.tile(arr, (len(s), 1))
+    raise ValueError("body force must be a 3-vector or a callable of an arc-length array")
 
 
 def body_table(s_values, f_values):
     """Body force from a per-s table, linearly interpolated per component."""
     s_values = np.asarray(s_values, float)
     f_values = np.asarray(f_values, float)
-    if f_values.shape != (len(s_values), 3):
+    if s_values.ndim != 1 or f_values.shape != (len(s_values), 3):
         raise ValueError("body table needs one 3-vector per s sample")
-    return lambda s: np.array([np.interp(s, s_values, f_values[:, k]) for k in range(3)])
+    if np.any(np.diff(s_values) <= 0):
+        raise ValueError("body table s samples must be strictly increasing")
+    return lambda s: np.column_stack([np.interp(s, s_values, f_values[:, k]) for k in range(3)])
 
 
 @dataclass(eq=False)
@@ -181,7 +184,8 @@ class LinearSystem:
 
     K is the full stiffness; K_soft, C and compliance are its mixed split
     K = K_soft + C^T diag(1/compliance) C (see the module docstring), which
-    is what the solver factors.
+    is what the solver factors. B (m, ndof) and g (m,) are the essential
+    rows B x = g, m >= 0.
     """
 
     K: scipy.sparse.csr_matrix
@@ -190,23 +194,23 @@ class LinearSystem:
     mesh: Mesh1D
     form: Formulation
     model: BeamModel
-    K_soft: scipy.sparse.csr_matrix | None = None
-    C: scipy.sparse.csr_matrix | None = None
-    compliance: np.ndarray | None = None
-    policy: str = "full"
-    B: scipy.sparse.csr_matrix | None = None
-    g: np.ndarray | None = None
+    K_soft: scipy.sparse.csr_matrix
+    C: scipy.sparse.csr_matrix
+    compliance: np.ndarray
+    policy: str
+    B: scipy.sparse.csr_matrix
+    g: np.ndarray
     rows_info: list[RowInfo] = dc_field(default_factory=list)
 
     @property
     def n_constraints(self) -> int:
-        return 0 if self.B is None else self.B.shape[0]
+        return self.B.shape[0]
 
 
-_TERMS = ("stretch", "shear", "bend", "twist")
 # terms whose modulus scales like |A| and whose resultants are carried as
 # unknowns by the solver; bend and twist scale like t^2 |A|
 _STIFF_TERMS = ("stretch", "shear")
+_SOFT_TERMS = ("bend", "twist")
 
 
 def _element_factors(term: str, form: Formulation, t: np.ndarray, kappa: np.ndarray,
@@ -273,19 +277,22 @@ def _summed_csr(data, indices, row_ends, n: int) -> scipy.sparse.csr_matrix:
 
 
 def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
-                       policy: str = "full", terms: tuple[str, ...] = _TERMS) -> LinearSystem:
+                       policy: str = "full") -> LinearSystem:
     """Assemble K = K_stretch + K_shear + K_bend + K_twist (shear omitted for
-    Euler-Bernoulli). Under the reduced policy only stretch and shear use the
-    2-point rule; bend and twist always keep the full rule.
+    Euler-Bernoulli). Bend and twist use the full Gauss rule; stretch and
+    shear use the 2-point rule under the reduced policy, the full rule else.
 
     The same pass records the mixed split K = K_soft + C^T diag(1/compliance) C
     (see LinearSystem), so the stiff terms never need to be factored."""
+    if policy not in ("full", "reduced"):
+        raise ValueError(f"unknown quadrature policy {policy!r}")
     dm = DofMap(mesh, form)
-    rules = quadrature(form, policy)
-    active = [tm for tm in terms if not (tm == "shear" and form.euler_bernoulli)]
-    by_rule: dict[int, list[str]] = {}
-    for tm in active:
-        by_rule.setdefault(id(getattr(rules, tm)), []).append(tm)
+    full = gauss_rule(form.full_points)
+    stiff_rule = gauss_rule(2) if policy == "reduced" else full
+    stiff_terms = _STIFF_TERMS[:1] if form.euler_bernoulli else _STIFF_TERMS
+    # one batch per rule, in the term order stretch, shear, bend, twist
+    batches = [(full, stiff_terms + _SOFT_TERMS)] if stiff_rule is full else \
+        [(stiff_rule, stiff_terms), (full, _SOFT_TERMS)]
     nderiv_u = 2 if form.euler_bernoulli else 1
 
     udofs, adofs = dm.fields["u"].elem_dofs, dm.fields[form.angle_field].elem_dofs
@@ -300,10 +307,9 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     # term by term, and the modulus of each of these rows (the same for
     # every element)
     c_blocks, moduli = [], []
-    for tms in by_rule.values():
+    for rule, tms in batches:
         # one batch geometry query and shape evaluation per rule: every
         # element x point of the rule
-        rule = getattr(rules, tms[0])
         spts, w = rule.on_element(mesh.nodes[:-1, None], lengths[:, None])
         fr = model.curve.frames(spts.ravel())
         t, kappa = fr.t.reshape(spts.shape + (3,)), fr.kappa.reshape(spts.shape + (3,))
@@ -324,7 +330,7 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
             c_blocks.append(np.concatenate(stiff, axis=-2).reshape(n_el, -1, nloc))
             moduli += stiff_k * len(rule.points)
 
-    c_el = np.concatenate(c_blocks, axis=1) if c_blocks else np.zeros((n_el, 0, nloc))
+    c_el = np.concatenate(c_blocks, axis=1)
     c_blocks.clear()    # c_el holds a copy; freeing these keeps the peak memory down
     moduli = np.asarray(moduli, dtype=float)
     # the full element matrices, K = K_soft + C^T diag(1/compliance) C
@@ -349,7 +355,8 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     K = _summed_csr(ke.reshape(-1, nloc)[order].ravel(), indices, ends, dm.ndof)
     return LinearSystem(K=K, rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
                         model=model, K_soft=K_soft, C=C,
-                        compliance=1.0 / np.tile(moduli, n_el), policy=policy)
+                        compliance=1.0 / np.tile(moduli, n_el), policy=policy,
+                        B=scipy.sparse.csr_matrix((0, dm.ndof)), g=np.zeros(0))
 
 
 _SCALAR_ROWS = ("stretching", "twisting")
@@ -402,22 +409,25 @@ def _row_functional(form: Formulation, row: str, t: Vec3, w):
     return "theta", (w * t if row == "twisting" else w), 0
 
 
-def assemble_load(model: BeamModel, mesh: Mesh1D, form: Formulation) -> np.ndarray:
-    """Load vector: |A| integral of f . v_mid (full quadrature) plus end terms.
+def assemble_load(model: BeamModel, dm: DofMap) -> np.ndarray:
+    """Load vector on the DOFs of dm: |A| integral of f . v_mid (full Gauss
+    rule) plus end terms.
 
     Natural boundary values (prescribed resultants) enter through the end
     bracket with sign +1 at s = L and -1 at s = 0; concentrated applied end
     forces/moments from the load case enter with + sign at both ends.
     """
-    dm = DofMap(mesh, form)
+    mesh, form = dm.mesh, dm.form
     rhs = np.zeros(dm.ndof)
 
     if model.loads.body is not None:
-        rule = quadrature(form, "full").bend
+        rule = gauss_rule(form.full_points)
         lengths = np.diff(mesh.nodes)
         spts, w = rule.on_element(mesh.nodes[:-1, None], lengths[:, None])
-        # the body force is a callable of one arc length
-        f = np.array([model.loads.body(si) for si in spts.ravel()], dtype=float)
+        f = np.asarray(model.loads.body(spts.ravel()), dtype=float)
+        if f.shape != (spts.size, 3):
+            raise ValueError(f"body force callable returned shape {f.shape} for {spts.size} "
+                             f"arc lengths; expected ({spts.size}, 3)")
         shu = shape_eval(form.midline, lengths[:, None], rule.points, nderiv=0)[..., 0, :]
         fe = np.einsum("eq,eqb,eqa->eba", w * model.section.area, shu,
                        f.reshape(spts.shape + (3,)))
@@ -491,19 +501,15 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
     """
     rows, values, infos = _collect_constraint_rows(system)
     m = len(values)
-    if m == 0:
-        system.B = None
-        system.g = None
-        system.rows_info = []
-        return system
 
-    # the redundancy QR runs on the columns the rows touch (end element DOFs)
+    # the redundancy QR runs on the columns the rows touch (end element DOFs);
+    # the empty leading parts keep m = 0 on the same path
     ndof = system.dofmap.ndof
-    idx = np.concatenate([i for i, _ in rows])
+    idx = np.concatenate([np.zeros(0, int)] + [i for i, _ in rows])
     cols = np.unique(idx)
     Bd = np.zeros((m, len(cols)))
     Bd[np.repeat(np.arange(m), [len(i) for i, _ in rows]), np.searchsorted(cols, idx)] = \
-        np.concatenate([c for _, c in rows])
+        np.concatenate([np.zeros(0)] + [c for _, c in rows])
 
     _, R, piv = scipy.linalg.qr(Bd.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
@@ -534,5 +540,5 @@ def discretize(model: BeamModel, form: Formulation, n_elements: int,
     """Mesh uniformly on arc length, assemble stiffness + loads, apply BCs."""
     mesh = Mesh1D.uniform(model.curve.length, n_elements)
     system = assemble_stiffness(model, mesh, form, policy)
-    system.rhs = assemble_load(model, mesh, form)
+    system.rhs = assemble_load(model, system.dofmap)
     return apply_essential_bcs(system)

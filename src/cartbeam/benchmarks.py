@@ -160,11 +160,11 @@ def observed_orders(elements, errors) -> list[float]:
     return out
 
 
-def plateau_pair_index(errors, drop: float = 0.2) -> int | None:
+def plateau_pair_index(errors) -> int | None:
     """Index of the first refinement pair where the error fails to shrink by
-    at least `drop` (20 percent); None when every refinement keeps converging."""
+    at least 20 percent; None when every refinement keeps converging."""
     for i in range(len(errors) - 1):
-        if errors[i] <= 0 or errors[i + 1] > (1.0 - drop) * errors[i]:
+        if errors[i] <= 0 or errors[i + 1] > 0.8 * errors[i]:
             return i
     return None
 

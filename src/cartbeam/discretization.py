@@ -1,4 +1,4 @@
-"""Meshes on arc length, shape functions, DOF maps, and quadrature rules.
+"""Meshes on arc length, shape functions, DOF maps, and Gauss rules.
 
 All interpolation is polynomial in the arc length, so directional
 derivatives along the beam are plain d/ds of the element polynomials and
@@ -160,27 +160,6 @@ def gauss_rule(n: int) -> QuadratureRule:
     points, weights = 0.5 * (x + 1.0), 0.5 * w
     points.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(points=points, weights=weights)
-
-
-@dataclass(frozen=True)
-class TermRules:
-    """Quadrature rule per bilinear-form term class."""
-
-    stretch: QuadratureRule
-    shear: QuadratureRule
-    bend: QuadratureRule
-    twist: QuadratureRule
-
-
-def quadrature(form: Formulation, policy: str = "full") -> TermRules:
-    """Term-class rules: `reduced` drops only stretch and shear to 2-point Gauss."""
-    if policy not in ("full", "reduced"):
-        raise ValueError(f"unknown quadrature policy {policy!r}")
-    full = gauss_rule(form.full_points)
-    if policy == "reduced":
-        red = gauss_rule(2)
-        return TermRules(stretch=red, shear=red, bend=full, twist=full)
-    return TermRules(stretch=full, shear=full, bend=full, twist=full)
 
 
 @dataclass(eq=False)

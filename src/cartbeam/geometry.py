@@ -169,8 +169,8 @@ class ParamCurve:
                 a.flags.writeable = False
         return self._end_frames
 
-    def frenet(self, s: float, kappa_min: float | None = None) -> FrenetFrame:
-        return frenet(self, s, kappa_min)
+    def frenet(self, s: float) -> FrenetFrame:
+        return frenet(self, s)
 
     def closest_point(self, x: Vec3) -> ClosestPointResult:
         return closest_point(self, x)
@@ -462,11 +462,6 @@ class ArcLengthMap:
         return _scalar_or_array(xi.reshape(s.shape))
 
 
-def arc_length_table(curve: ParamCurve, n_samples: int = 257) -> ArcLengthMap:
-    """Build the monotone xi <-> s map (table of (xi, s) pairs, total length)."""
-    return ArcLengthMap(curve, n_samples)
-
-
 def _check_s(curve: ParamCurve, s: np.ndarray) -> np.ndarray:
     L = curve.length
     tol = 1e-9 * max(L, 1.0)
@@ -504,11 +499,11 @@ def eval_frame(curve: ParamCurve, s: float) -> FrameSample:
     return FrameSample(s=float(fr.s[0]), x=fr.x[0], t=fr.t[0], kappa=fr.kappa[0])
 
 
-def frenet(curve: ParamCurve, s: float, kappa_min: float | None = None) -> FrenetFrame:
-    """Full Frenet frame with torsion; raises where the curve is straight."""
+def frenet(curve: ParamCurve, s: float) -> FrenetFrame:
+    """Full Frenet frame with torsion; raises where the curve is straight
+    (|kappa| <= 1e-10 / L)."""
     fr = eval_frame(curve, s)
-    if kappa_min is None:
-        kappa_min = 1e-10 / max(curve.length, _SPEED_FLOOR)
+    kappa_min = 1e-10 / max(curve.length, _SPEED_FLOOR)
     k = float(np.linalg.norm(fr.kappa))
     if k <= kappa_min:
         raise ZeroCurvatureError(
@@ -545,11 +540,12 @@ def _polish_stationarity(curve: ParamCurve, x: Vec3, xi: float) -> float:
     return xi
 
 
-def closest_point(curve: ParamCurve, x: Vec3, n_scan: int = 512) -> ClosestPointResult:
+def closest_point(curve: ParamCurve, x: Vec3) -> ClosestPointResult:
     """Project x onto the curve; valid inside the injectivity tube of the midline.
 
-    Dense parameter scan, bounded local minimization of the squared distance,
-    then Newton polish of the stationarity condition (x - p) . r' = 0.
+    Dense parameter scan (512 points), bounded local minimization of the
+    squared distance, then Newton polish of the stationarity condition
+    (x - p) . r' = 0.
     """
     # imported here: scipy.optimize is a third of the package's import time
     # and only this test-oracle projection needs it
@@ -557,6 +553,7 @@ def closest_point(curve: ParamCurve, x: Vec3, n_scan: int = 512) -> ClosestPoint
 
     x = np.asarray(x, dtype=float)
     a, b = curve.xi0, curve.xi1
+    n_scan = 512
     grid = np.linspace(a, b, n_scan)
     diff = x - curve.point(grid)
     d2 = np.einsum("ij,ij->i", diff, diff)

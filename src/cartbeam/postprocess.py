@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discretization import gauss_rule
 from .geometry import FrameSample
 from .solver import FieldState, SolutionFields
 
@@ -138,20 +139,12 @@ def shear_angle(solution: SolutionFields, s) -> np.ndarray:
     return np.cross(t, Qdu) - Qth
 
 
-def sample_points(solution: SolutionFields, mode: str = "quadrature",
-                  n: int | None = None) -> np.ndarray:
-    """Default resultant sampling: interior quadrature points (superconvergent
-    for the reduced-integrated terms) or uniform/element-end points."""
+def sample_points(solution: SolutionFields) -> np.ndarray:
+    """Default resultant sampling: the interior points of the full Gauss rule
+    (superconvergent for the reduced-integrated terms), element by element."""
     mesh = solution.mesh
-    if mode == "uniform":
-        return np.linspace(0.0, mesh.length, n or 101)
-    if mode == "element_ends":
-        return mesh.nodes.copy()
-    if mode == "quadrature":
-        from .discretization import quadrature
-        rule = quadrature(solution.form, "full").bend
-        return rule.on_element(mesh.nodes[:-1, None], np.diff(mesh.nodes)[:, None])[0].ravel()
-    raise ValueError(f"unknown sampling mode {mode!r}")
+    rule = gauss_rule(solution.form.full_points)
+    return rule.on_element(mesh.nodes[:-1, None], np.diff(mesh.nodes)[:, None])[0].ravel()
 
 
 def displacement_samples(solution: SolutionFields, s) -> tuple[np.ndarray, np.ndarray]:
@@ -171,10 +164,8 @@ def strain_energy(solution: SolutionFields) -> float:
     x.K x = f.x - lambda.g (solve verifies K x + B^T lambda = f, and its
     gauge rows have g = 0). The quadratic form itself cancels about nine
     digits on stiff models; the work identity keeps them."""
-    work = float(solution.system.rhs @ solution.x)
-    if solution.system.g is not None:
-        work -= float(solution.multipliers @ solution.system.g)
-    return 0.5 * work
+    system = solution.system
+    return 0.5 * (float(system.rhs @ solution.x) - float(solution.multipliers @ system.g))
 
 
 def reactions(solution: SolutionFields) -> dict:
@@ -201,10 +192,7 @@ def reaction_force_totals(solution: SolutionFields) -> np.ndarray:
     """Total constraint force on the three rigid translations."""
     from .solver import rigid_modes
     Z = rigid_modes(solution.system)
-    if solution.system.n_constraints == 0:
-        return np.zeros(3)
-    BZ = np.asarray(solution.system.B @ Z[:, :3])
-    return -(solution.multipliers @ BZ)
+    return -solution.multipliers @ np.asarray(solution.system.B @ Z[:, :3])
 
 
 def _write_csv(path: str, header: str, rows: np.ndarray):

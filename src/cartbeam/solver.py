@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .assembly import LinearSystem
+from .assembly import LinearSystem, discretize
 from .discretization import shape_eval
 
 
@@ -172,8 +172,6 @@ def _rigid_rows(system: LinearSystem, dofs: np.ndarray) -> np.ndarray:
 
 def _free_rigid_mode_count(system: LinearSystem) -> int:
     """6 - rank(B Z), with the rows of Z built at B's columns (end DOFs) only."""
-    if system.n_constraints == 0:
-        return 6
     B, cols = system.B, np.unique(system.B.indices)
     Bd = np.zeros((B.shape[0], len(cols)))
     Bd[np.arange(len(Bd)).repeat(np.diff(B.indptr)), cols.searchsorted(B.indices)] = B.data
@@ -257,11 +255,7 @@ def _mixed_system(system: LinearSystem, B, g) -> tuple[scipy.sparse.csc_matrix, 
     sigma, lambda]. Its first n columns are those of the CSR stack [K_soft;
     X], one transpose; column n + k is row k of X, then -D_kk for C's rows."""
     n, p = system.dofmap.ndof, system.C.shape[0]
-    blocks, rhs = [system.K_soft, system.C], [system.rhs, np.zeros(p)]
-    if B is not None:
-        blocks.append(B)
-        rhs.append(g)
-    stack = scipy.sparse.vstack(blocks, format="csr")
+    stack = scipy.sparse.vstack([system.K_soft, system.C, B], format="csr")
     left, N, at = stack.tocsc(), stack.shape[0], stack.indptr[n]
     xp = stack.indptr[n:] - at          # row pointers of X; C's rows end at xp[1:p + 1]
     ind = np.insert(stack.indices[at:], xp[1:p + 1], n + np.arange(p))
@@ -269,7 +263,7 @@ def _mixed_system(system: LinearSystem, B, g) -> tuple[scipy.sparse.csc_matrix, 
     xp = xp + np.minimum(np.arange(xp.size), p) + left.nnz
     pairs = zip((left.data, left.indices, left.indptr), (dat, ind, xp[1:]))
     A = scipy.sparse.csc_matrix(tuple(np.concatenate(pair) for pair in pairs), shape=(N, N))
-    return A, np.concatenate(rhs)
+    return A, np.concatenate([system.rhs, np.zeros(p), g])
 
 
 def solve(system: LinearSystem) -> SolutionFields:
@@ -301,9 +295,8 @@ def solve(system: LinearSystem) -> SolutionFields:
                 f"{k} zero-energy mode(s) of {system.form.name} under reduced "
                 "quadrature (every midline slope DOF equal, all else 0); "
                 "use full quadrature for this load", n_rigid_modes=0)
-        gauge = _hourglass_gauge(system, H)
-        B = gauge if B is None else scipy.sparse.vstack([B, gauge], format="csr")
-        g = np.zeros(k) if g is None else np.concatenate([g, np.zeros(k)])
+        B = scipy.sparse.vstack([B, _hourglass_gauge(system, H)], format="csr")
+        g = np.concatenate([g, np.zeros(k)])
 
     A, rhs = _mixed_system(system, B, g)
     p = system.C.shape[0]
@@ -330,24 +323,21 @@ def solve(system: LinearSystem) -> SolutionFields:
         raise SingularSystemError("factorization produced non-finite values", n_rigid_modes=0)
 
     x, lam = sol[:n], sol[n + p:n + p + m]
-    r1 = system.K @ x - system.rhs
-    if m > 0:   # + B^T lam, without building B^T
-        Bs = system.B
-        r1 += np.bincount(Bs.indices, Bs.data * np.repeat(lam, np.diff(Bs.indptr)), minlength=n)
+    # K x - f + B^T lam, without building B^T
+    Bs = system.B
+    r1 = system.K @ x - system.rhs \
+        + np.bincount(Bs.indices, Bs.data * np.repeat(lam, np.diff(Bs.indptr)), minlength=n)
     bound = 1e-10 * (np.linalg.norm(system.rhs) + knorm * np.linalg.norm(x) + 1e-300)
     if np.linalg.norm(r1) > max(bound, 1e-300):
         raise SingularSystemError(
             f"equilibrium residual {np.linalg.norm(r1):.3e} exceeds {bound:.3e}; "
             "system is numerically singular")
-    if m > 0:
-        bnorm = _inf_norm(system.B)
-        r2 = np.linalg.norm(system.B @ x - system.g)
-        if r2 > 1e-10 * max(1.0, np.linalg.norm(system.g), bnorm * np.linalg.norm(x)):
-            raise SingularSystemError(f"constraint residual {r2:.3e} too large")
+    r2 = np.linalg.norm(Bs @ x - system.g)
+    if r2 > 1e-10 * max(1.0, np.linalg.norm(system.g), _inf_norm(Bs) * np.linalg.norm(x)):
+        raise SingularSystemError(f"constraint residual {r2:.3e} too large")
 
     return SolutionFields(system=system, x=x, multipliers=lam)
 
 
 def solve_model(model, form, n_elements: int, policy: str = "full") -> SolutionFields:
-    from .assembly import discretize
     return solve(discretize(model, form, n_elements, policy))

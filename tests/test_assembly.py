@@ -16,6 +16,7 @@ from cartbeam.assembly import (
     apply_essential_bcs,
     assemble_load,
     assemble_stiffness,
+    body_table,
     discretize,
 )
 from cartbeam.acceptance import _point_factors
@@ -25,7 +26,6 @@ from cartbeam.discretization import (
     Mesh1D,
     formulation,
     gauss_rule,
-    quadrature,
     shape_eval,
 )
 from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment, eval_frame
@@ -151,7 +151,8 @@ class TestStiffness:
         model = straight_model(L=L)
         mesh = Mesh1D.uniform(L, 1)
         form = formulation("timoshenko_p2p1")
-        system = assemble_stiffness(model, mesh, form, terms=("stretch",))
+        # on a straight bar the axial block of the full K is the stretch term's
+        system = assemble_stiffness(model, mesh, form)
         dm = system.dofmap
         ux = dm.fields["u"].node_dofs[:, 0]
         K = system.K.toarray()[np.ix_(ux, ux)]
@@ -244,7 +245,8 @@ class TestStiffness:
         model = helix_model()
         mesh = Mesh1D.uniform(model.curve.length, 3)
         form = formulation("timoshenko_p2p1")
-        system = assemble_stiffness(model, mesh, form, terms=("stretch", "shear"))
+        # bend and twist act on theta alone, so K sees only stretch and shear
+        system = assemble_stiffness(model, mesh, form)
         dm = system.dofmap
         rng = np.random.default_rng(5)
         x = np.zeros(dm.ndof)
@@ -314,15 +316,44 @@ class TestMixedSplit:
         # one row per element, point of the stiff rule, and strain component
         # (stretch 1, shear 3)
         rows_per_point = 1 if form.euler_bernoulli else 4
-        n_points = len(quadrature(form, policy).stretch.points)
+        n_points = 2 if policy == "reduced" else form.full_points
         assert system.C.shape[0] == 3 * n_points * rows_per_point == len(system.compliance)
+
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_reduced_policy_only_touches_stretch_and_shear(self, name, monkeypatch):
+        # bend and twist keep the full rule under both policies: the same K_soft
+        # bits; stretch and shear rows of C: 2 points per element under
+        # reduced, the full rule's points under full
+        import cartbeam.assembly
+        curve = SPLIT_CURVES["helix"]
+        model = BeamModel(curve=curve, material=MAT, section=circle_section(0.2),
+                          bc_start=BoundaryCondition.clamped(),
+                          bc_end=BoundaryCondition.free())
+        form, mesh = formulation(name), Mesh1D.uniform(curve.length, 3)
+        rules = []
+        monkeypatch.setattr(cartbeam.assembly, "gauss_rule",
+                            lambda n: rules.append(gauss_rule(n)) or rules[-1])
+        full = assemble_stiffness(model, mesh, form, "full")
+        red = assemble_stiffness(model, mesh, form, "reduced")
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(full.K_soft, attr), getattr(red.K_soft, attr))
+        rows_per_point = 1 if form.euler_bernoulli else 4
+        assert red.C.shape[0] == 3 * 2 * rows_per_point
+        assert full.C.shape[0] == 3 * form.full_points * rows_per_point
+        # the reduced rule is the shared, memoized 2-point rule
+        assert any(rule is gauss_rule(2) for rule in rules)
+
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown quadrature policy 'hourglass'"):
+            assemble_stiffness(straight_model(), Mesh1D.uniform(10.0, 2),
+                               formulation("timoshenko_p2p1"), "hourglass")
 
     def test_director_parallel_to_the_tangent_at_one_point_raises(self):
         curve = SPLIT_CURVES["arc"]
         form = formulation("timoshenko_h3p2")
         mesh = Mesh1D.uniform(curve.length, 3)
         s0, h = mesh.element(1)
-        s_q = s0 + quadrature(form, "full").bend.points[1] * h
+        s_q = s0 + gauss_rule(form.full_points).points[1] * h
         model = BeamModel(curve=curve, material=MAT,
                           section=rect_section(0.2, 0.1, curve.frame(s_q).t),
                           bc_start=BoundaryCondition.clamped(),
@@ -334,7 +365,7 @@ class TestMixedSplit:
 class TestLoads:
     def test_zero_loads_give_zero_rhs(self):
         model = straight_model()
-        rhs = assemble_load(model, Mesh1D.uniform(10.0, 4), formulation("timoshenko_p2p1"))
+        rhs = assemble_load(model, DofMap(Mesh1D.uniform(10.0, 4), formulation("timoshenko_p2p1")))
         assert np.allclose(rhs, 0.0)
 
     def test_tip_point_load_is_nodal(self):
@@ -342,8 +373,8 @@ class TestLoads:
         model = straight_model(loads=LoadCase(force_end=P))
         mesh = Mesh1D.uniform(10.0, 4)
         form = formulation("timoshenko_p2p1")
-        rhs = assemble_load(model, mesh, form)
         dm = DofMap(mesh, form)
+        rhs = assemble_load(model, dm)
         tip_dofs = dm.fields["u"].node_dofs[-1, :]
         assert np.allclose(rhs[tip_dofs], P)
         mask = np.ones(len(rhs), bool)
@@ -361,8 +392,8 @@ class TestLoads:
                           loads=LoadCase(body=f))
         mesh = Mesh1D.uniform(h, 1)
         form = formulation("timoshenko_p2p1")
-        rhs = assemble_load(model, mesh, form)
         dm = DofMap(mesh, form)
+        rhs = assemble_load(model, dm)
         A = model.section.area
         for comp in range(3):
             dofs = dm.fields["u"].node_dofs[:, comp]
@@ -378,7 +409,7 @@ class TestLoads:
         )
         model = straight_model(bc_end=bc_end)
         with pytest.warns(UserWarning, match="tangential"):
-            assemble_load(model, Mesh1D.uniform(10.0, 2), formulation("timoshenko_p2p1"))
+            assemble_load(model, DofMap(Mesh1D.uniform(10.0, 2), formulation("timoshenko_p2p1")))
 
     def test_natural_end_values_match_point_loads_at_free_end(self):
         # prescribing N/S/M/T resultants at s=L equals applying the same
@@ -401,9 +432,52 @@ class TestLoads:
                 rhs_bc, rhs_load = (
                     assemble_load(BeamModel(curve=curve, material=MAT, section=circle_section(0.1),
                                             bc_start=BoundaryCondition.clamped(), bc_end=bc,
-                                            loads=loads), mesh, formulation(name))
+                                            loads=loads), DofMap(mesh, formulation(name)))
                     for bc, loads in ((bc_end, LoadCase()), (BoundaryCondition.free(), point_loads)))
                 assert np.allclose(rhs_bc, rhs_load, atol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    @pytest.mark.parametrize("body", ["constant", "table"])
+    def test_array_body_force_matches_one_call_per_point(self, body, name):
+        # one call on every quadrature point gives the bits of one call per
+        # point with a scalar arc length
+        S = np.array([0.0, 4.0, 10.0])
+        F = np.array([[0.0, -1.0, 0.0], [0.5, -2.0, 0.1], [0.0, 0.0, 1.0]])
+        f = np.array([0.3, -1.5, 0.7])
+        if body == "constant":
+            vector, per_point = f, lambda s: np.array([f for _ in s])
+        else:
+            vector = body_table(S, F)
+            per_point = lambda s: np.array(  # noqa: E731
+                [[np.interp(si, S, F[:, k]) for k in range(3)] for si in s])
+        dm = DofMap(Mesh1D.uniform(helix_model().curve.length, 5), formulation(name))
+        rhs = []
+        for fn in (vector, per_point):
+            model = helix_model()
+            model.loads.body = LoadCase(body=fn).body
+            rhs.append(assemble_load(model, dm))
+        assert np.any(rhs[0] != 0.0) and np.array_equal(rhs[0], rhs[1])
+
+    def test_body_callable_of_the_wrong_shape_raises(self):
+        model = straight_model(loads=LoadCase(body=lambda s: np.zeros(3)))
+        with pytest.raises(ValueError, match=r"expected \(15, 3\)"):
+            discretize(model, formulation("timoshenko_p2p1"), 5)
+
+    def test_discretize_builds_one_dof_map(self, monkeypatch):
+        # the load vector and the constraint rows use the stiffness's map
+        import cartbeam.assembly
+        built = []
+
+        class CountingDofMap(DofMap):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(cartbeam.assembly, "DofMap", CountingDofMap)
+        model = helix_model()
+        model.loads.body = LoadCase(body=[0.0, 0.0, -1.0]).body
+        system = discretize(model, formulation("timoshenko_h3p2"), 4)
+        assert built == [system.dofmap]
 
     @pytest.mark.parametrize("name", FORMULATIONS)
     @pytest.mark.parametrize("row", ["shearing", "bending"])
@@ -431,6 +505,14 @@ class TestEssentialBCs:
 
     def test_free_has_zero_rows(self):
         assert self.count_rows(BoundaryCondition.free()) == 0
+
+    def test_no_essential_rows_is_an_empty_matrix(self):
+        model = straight_model(bc_end=BoundaryCondition.free())
+        model.bc_start = BoundaryCondition.free()
+        system = discretize(model, formulation("timoshenko_h3p2"), 3)
+        assert scipy.sparse.issparse(system.B) and system.B.format == "csr"
+        assert system.B.shape == (0, system.dofmap.ndof) and system.g.shape == (0,)
+        assert system.rows_info == []
 
     def test_pinned_has_three_rows(self):
         assert self.count_rows(BoundaryCondition.pinned()) == 3

@@ -82,11 +82,68 @@ class TestSchema:
         )
         model, form, n, policy = load_model(doc)
         assert form == "timoshenko_p2p1" and n == 8 and policy == "full"
-        assert np.allclose(model.loads.body(5.0), [0, -1.5, 0])
+        f = model.loads.body(np.array([0.0, 5.0]))
+        assert f.shape == (2, 3) and np.allclose(f, [[0, -1, 0], [0, -1.5, 0]])
+
+    def test_body_table_needs_increasing_s(self):
+        # np.interp reads a decreasing table as garbage without a word
+        doc = straight_doc(loads={"body": {"s": [10.0, 0.0], "f": [[0, -2, 0], [0, -1, 0]]}})
+        with pytest.raises(SchemaError, match="loads.body: body table s samples must be"):
+            load_model(doc)
 
     def test_study_empty_elements(self):
         with pytest.raises(SchemaError, match="elements"):
             load_study({"benchmark": "straight", "elements": []})
+
+
+def _edit(doc, path, value):
+    """doc with the value at a dotted key path ("a.b[0].c") replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.replace("[", ".").replace("]", "").split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+ARC = {"kind": "arc", "center": [0, 0, 0], "radius": 10.0, "basis": [[1, 0, 0], [0, 1, 0]],
+       "angle": [0.0, 1.5]}
+CONSTRAINED = straight_doc(constraints=[{"at": "end", "direction": [0, 0, 1], "value": 0.0}])
+STUDY = {"benchmark": "straight", "formulations": ["timoshenko_p2p1"], "elements": [1, 2],
+         "material": {"E": 1e6, "G": 4e5}}
+
+
+@pytest.mark.parametrize("command, doc, path, value", [
+    ("solve", straight_doc(), "constraints", [5]),
+    ("solve", straight_doc(), "bcs", 5),
+    ("solve", straight_doc(), "loads", 5),
+    ("solve", straight_doc(), "loads.end", 5),
+    ("solve", straight_doc(), "curve", 5),
+    ("solve", straight_doc(), "section", 5),
+    ("solve", straight_doc(), "material.G", "abc"),
+    ("solve", straight_doc(), "material.nu", "abc"),
+    ("solve", straight_doc(), "loads.end.force", "abc"),
+    ("solve", straight_doc(), "loads.end.force", [1, "a", 2]),
+    ("solve", straight_doc(curve=ARC), "curve.angle", 5),
+    ("solve", straight_doc(curve=ARC), "curve.basis", 5),
+    ("solve", straight_doc(curve=ARC), "curve.radius", "10"),
+    ("solve", CONSTRAINED, "constraints[0].value", "abc"),
+    ("solve", straight_doc(), "elements", True),
+    ("converge", STUDY, "elements", 5),
+    ("converge", STUDY, "material", 5),
+    ("converge", STUDY, "material.G", "abc"),
+    ("converge", STUDY, "formulations", 5),
+    ("converge", STUDY, "elements", [True, 2]),
+    ("converge", STUDY, "thickness", [0.1, "abc"]),
+    ("converge", STUDY, "load", "abc"),
+], ids=lambda v: json.dumps(v) if not isinstance(v, dict) else "doc")
+def test_malformed_value_exits_1_and_names_its_path(tmp_path, capsys, command, doc, path,
+                                                    value):
+    bad = write_json(tmp_path / "doc.json", _edit(doc, path, value))
+    assert main([command, bad, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "Traceback" not in err
 
 
 class TestSolveCommand:
@@ -258,7 +315,10 @@ class TestValidateCommand:
         assert out.count("[PASS]") == 2
 
     def test_sabotaged_tolerances_fail(self, monkeypatch, capsys):
-        monkeypatch.setenv("CARTBEAM_VALIDATE_SABOTAGE", "1")
+        import cartbeam.acceptance
+        inner = cartbeam.acceptance.run_acceptance
+        monkeypatch.setattr(cartbeam.acceptance, "run_acceptance",
+                            lambda names=None: inner(names=names, slack=1e-12))
         assert main(["validate", "--criteria", "geometry_identity_suite"]) != 0
         assert "[FAIL]" in capsys.readouterr().out
 

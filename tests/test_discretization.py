@@ -12,7 +12,6 @@ from cartbeam.discretization import (
     UnsupportedOrderError,
     formulation,
     gauss_rule,
-    quadrature,
     shape_eval,
 )
 
@@ -98,26 +97,10 @@ class TestQuadrature:
         assert np.sum(w) == pytest.approx(h, rel=1e-12)
         assert np.all((pts >= s0) & (pts <= s0 + h))
 
-    def test_reduced_policy_only_touches_stretch_and_shear(self):
-        for name in ("timoshenko_p2p1", "timoshenko_h3p2", "euler_bernoulli_h3"):
-            form = formulation(name)
-            full = quadrature(form, "full")
-            red = quadrature(form, "reduced")
-            assert len(red.stretch.points) == 2
-            assert len(red.shear.points) == 2
-            assert np.array_equal(red.bend.points, full.bend.points)
-            assert np.array_equal(red.twist.points, full.twist.points)
-            assert len(full.stretch.points) == form.full_points
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            quadrature(formulation("timoshenko_p2p1"), "hourglass")
-
     def test_rules_are_computed_once_and_read_only(self):
         # every solve asks for its rules: the memo hands out one shared rule,
         # so a caller must not be able to write into its arrays
         assert gauss_rule(3) is gauss_rule(3)
-        assert quadrature(formulation("timoshenko_h3p2"), "reduced").stretch is gauss_rule(2)
         rule = gauss_rule(4)
         for arr in (rule.points, rule.weights):
             with pytest.raises(ValueError):

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from cartbeam.geometry import (
     AmbiguousProjectionError,
+    ArcLengthMap,
     CircularArc,
     DegenerateCurveError,
     Helix,
     HermiteSpline,
     LineSegment,
     ZeroCurvatureError,
-    arc_length_table,
     closest_point,
     cross3,
     curve_from_dict,
@@ -101,11 +101,11 @@ class TestProjectors:
 
 class TestArcLength:
     def test_quarter_circle_length(self):
-        assert arc_length_table(quarter_circle()).length == pytest.approx(np.pi / 2, abs=1e-12)
+        assert ArcLengthMap(quarter_circle()).length == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_line_segment_length(self):
         line = LineSegment([0, 0, 0], [3, 4, 0])
-        assert arc_length_table(line).length == pytest.approx(5.0, abs=1e-14)
+        assert ArcLengthMap(line).length == pytest.approx(5.0, abs=1e-14)
 
     def test_helix_length_closed_form_vs_quadrature(self):
         # independent oracle: composite 20-point Gauss-Legendre of |r'(xi)|
@@ -118,12 +118,12 @@ class TestArcLength:
             numeric += half * sum(wi * np.linalg.norm(helix.d1(mid + half * xi))
                                   for xi, wi in zip(x, w))
         closed = 2 * np.pi * np.sqrt(2.0)
-        assert arc_length_table(helix).length == pytest.approx(closed, rel=1e-12)
+        assert ArcLengthMap(helix).length == pytest.approx(closed, rel=1e-12)
         assert numeric == pytest.approx(closed, rel=1e-10)
 
     def test_table_strictly_monotone(self):
         for curve in (quarter_circle(), unit_helix(), sample_spline()):
-            table = arc_length_table(curve, 65).table
+            table = ArcLengthMap(curve, 65).table
             assert np.all(np.diff(table[:, 0]) > 0)
             assert np.all(np.diff(table[:, 1]) > 0)
 
@@ -143,7 +143,7 @@ class TestArcLength:
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            arc_length_table(quarter_circle(), 1)
+            ArcLengthMap(quarter_circle(), 1)
 
     def test_degenerate_spline_rejected(self):
         pts = np.zeros((3, 3))

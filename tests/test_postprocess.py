@@ -51,7 +51,7 @@ class TestResultants:
     def test_constant_shear_state(self):
         # transmitted section force equals the applied tip load everywhere
         sol = solved_cantilever()
-        s = sample_points(sol, "quadrature")
+        s = sample_points(sol)
         res = resultants(sol, s)
         assert np.allclose(res.S, np.array([0.0, -1.0, 0.0]), atol=1e-8)
         assert np.allclose(res.N, 0.0, atol=1e-8)
@@ -66,7 +66,7 @@ class TestResultants:
                           loads=LoadCase(force_end=[0.2, 0.1, -0.4],
                                          moment_end=[0.05, 0.0, 0.02]))
         sol = solve_model(model, formulation("timoshenko_h3p2"), 16, "reduced")
-        s = sample_points(sol, "quadrature")
+        s = sample_points(sol)
         res = resultants(sol, s)
         scale = max(np.abs(v).max() for v in (res.N, res.S, res.M, res.T))
         for i, si in enumerate(s):
@@ -123,7 +123,7 @@ class TestCurvatureForms:
                               bc_start=BoundaryCondition.clamped(),
                               bc_end=BoundaryCondition.free(), loads=loads)
             sol = solve_model(model, formulation(name), 16, "reduced")
-            s = sample_points(sol, "quadrature")
+            s = sample_points(sol)
             plain = resultants(sol, s)
             sep = resultants_curvature_form(sol, s)
             scale = max(np.abs(getattr(plain, q)).max() for q in "NSMT")
