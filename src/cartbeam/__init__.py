@@ -41,7 +41,6 @@ from .geometry import (
     ParamCurve,
     ZeroCurvatureError,
     closest_point,
-    curve_from_dict,
     eval_frame,
     frenet,
 )
@@ -62,7 +61,6 @@ from .section import (
     circle_section,
     inertia_tensor,
     rect_section,
-    section_from_shape,
     unit_depth_rect_section,
 )
 from .solver import SingularSystemError, SolutionFields, solve, solve_model

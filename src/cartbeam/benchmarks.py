@@ -130,23 +130,6 @@ class StudySpec:
         return analytic_quarter_arc_tip(self.load, self.material.E,
                                         self.radius - t / 2.0, self.radius + t / 2.0)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "StudySpec":
-        mat = doc.get("material", {})
-        material = Material(E=float(mat.get("E", 1e6)), G=mat.get("G"),
-                            nu=mat.get("nu", 0.3 if "G" not in mat else None))
-        return cls(
-            benchmark=doc["benchmark"],
-            formulations=list(doc.get("formulations", ["timoshenko_p2p1"])),
-            quadrature=list(doc.get("quadrature", ["full"])),
-            elements=[int(n) for n in doc["elements"]],
-            thickness=[float(t) for t in doc.get("thickness", [0.1])],
-            material=material,
-            load=float(doc.get("load", 1.0)),
-            length=float(doc.get("length", 10.0)),
-            radius=float(doc.get("radius", 1.0)),
-        )
-
 
 def observed_orders(elements, errors) -> list[float]:
     """Observed order per refinement pair, log(e_i / e_{i+1}) / log(n_{i+1} / n_i)."""
@@ -296,9 +279,11 @@ def print_order_table(report: ConvergenceReport) -> None:
             print(f"  n={n} failed: {msg}")
 
 
-def _s_curve(amplitude: float = 0.6, height: float = 4.0, n_knots: int = 9) -> HermiteSpline:
-    """Plane S-shaped midline x = A sin(2 pi y / H) for y in [0, H]; curvature
-    changes sign at mid-height and vanishes at both ends and the inflection."""
+def _s_curve() -> HermiteSpline:
+    """Plane S-shaped midline x = A sin(2 pi y / H) for y in [0, H], A = 0.6,
+    H = 4, through 9 knots; curvature changes sign at mid-height and vanishes
+    at both ends and the inflection."""
+    amplitude, height, n_knots = 0.6, 4.0, 9
     y = np.linspace(0.0, height, n_knots)
     pts = np.column_stack([amplitude * np.sin(2.0 * np.pi * y / height), y,
                            np.zeros(n_knots)])
@@ -319,7 +304,7 @@ class DemoCase:
     description: str
 
 
-def demo_configs(material: Material = DEFAULT_MATERIAL) -> list[DemoCase]:
+def demo_configs() -> list[DemoCase]:
     """Curvature-coupling demonstration problems.
 
     * s_curve_end_torque: twisting moment at the free end of a plane S-beam
@@ -342,7 +327,7 @@ def demo_configs(material: Material = DEFAULT_MATERIAL) -> list[DemoCase]:
 
     demos.append(DemoCase(
         name="s_curve_end_torque",
-        model=BeamModel(curve=_s_curve(), material=material, section=sec,
+        model=BeamModel(curve=_s_curve(), material=DEFAULT_MATERIAL, section=sec,
                         bc_start=BoundaryCondition.free(),
                         bc_end=BoundaryCondition.clamped(),
                         loads=LoadCase(moment_start=0.1 * t_start)),
@@ -354,7 +339,7 @@ def demo_configs(material: Material = DEFAULT_MATERIAL) -> list[DemoCase]:
     inplane = inplane / np.linalg.norm(inplane)
     demos.append(DemoCase(
         name="s_curve_transverse_load",
-        model=BeamModel(curve=_s_curve(), material=material, section=sec,
+        model=BeamModel(curve=_s_curve(), material=DEFAULT_MATERIAL, section=sec,
                         bc_start=BoundaryCondition.free(),
                         bc_end=BoundaryCondition.clamped(),
                         loads=LoadCase(force_start=0.5 * inplane)),
@@ -372,7 +357,7 @@ def demo_configs(material: Material = DEFAULT_MATERIAL) -> list[DemoCase]:
     )
     demos.append(DemoCase(
         name="helix_spring_axial",
-        model=BeamModel(curve=helix, material=material, section=circle_section(0.1),
+        model=BeamModel(curve=helix, material=DEFAULT_MATERIAL, section=circle_section(0.1),
                         bc_start=pinned_twist_held,
                         bc_end=BoundaryCondition.free(),
                         loads=LoadCase(force_end=[0.0, 0.0, -0.1]),
@@ -387,7 +372,7 @@ def demo_configs(material: Material = DEFAULT_MATERIAL) -> list[DemoCase]:
     demos.append(DemoCase(
         name="straight_end_torque",
         model=BeamModel(curve=LineSegment([0.0, 0.0, 0.0], [4.0, 0.0, 0.0]),
-                        material=material, section=sec,
+                        material=DEFAULT_MATERIAL, section=sec,
                         bc_start=BoundaryCondition.clamped(),
                         bc_end=BoundaryCondition.free(),
                         loads=LoadCase(moment_end=[0.1, 0.0, 0.0])),

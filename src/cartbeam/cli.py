@@ -26,15 +26,22 @@ from .assembly import (
     body_table,
 )
 from .benchmarks import (
+    _BENCHMARKS,
     StudySpec,
     print_order_table,
     run_convergence,
     write_convergence_csv,
 )
 from .discretization import FORMULATIONS, formulation
-from .geometry import curve_from_dict
+from .geometry import CircularArc, Helix, HermiteSpline, LineSegment
 from .postprocess import displacement_samples, export, reactions, strain_energy
-from .section import DirectorDegeneracyError, Material, section_from_shape
+from .section import (
+    DirectorDegeneracyError,
+    Material,
+    circle_section,
+    rect_section,
+    unit_depth_rect_section,
+)
 from .solver import SingularSystemError, solve_model
 
 
@@ -68,9 +75,10 @@ def _list(value, path: str) -> list:
     return value
 
 
-def _array(value, path: str, shape=(3,)) -> np.ndarray:
-    """value as a float array of the given shape (-1 matches any length);
-    strings, bools and ragged nesting are refused."""
+def _array(value, path: str, shape=(3,)):
+    """value as a float array of the given shape (-1 matches any length), or
+    as a float when the shape is (); strings, bools and ragged nesting are
+    refused."""
     try:
         arr = np.asarray(value)
     except ValueError:      # ragged nesting
@@ -79,54 +87,79 @@ def _array(value, path: str, shape=(3,)) -> np.ndarray:
             any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
         what = f"numbers of shape {str(shape).replace('-1', 'n')}" if shape else "a number"
         raise SchemaError(path, f"expected {what}")
-    return arr.astype(float)
+    return arr.astype(float) if shape else float(arr)
 
 
 def _number(value, path: str) -> float:
-    return float(_array(value, path, ()))
+    return _array(value, path, ())
 
 
-def _check_kind(doc, path: str, tag: str, specs: dict):
-    """Check doc (an object) against the spec of the kind that doc[tag] names:
-    its keys and the shape of each value."""
-    kind = _object(doc, path).get(tag)
-    if not isinstance(kind, str) or kind not in specs:
-        raise SchemaError(f"{path}.{tag}", f"unknown {path} {tag} {kind!r}")
-    _check_keys(doc, path, {tag, *specs[kind]})
-    for key, shape in specs[kind].items():
-        if key in doc:
-            _array(doc[key], f"{path}.{key}", shape)
+def _positive(value, path: str) -> float:
+    value = _number(value, path)
+    if not value > 0:
+        raise SchemaError(path, "expected a positive number")
+    return value
 
 
-# the keys of each curve kind and section shape, with the shape of each value
-_CURVE_KEYS = {
-    "line": {"p0": (3,), "p1": (3,)},
-    "arc": {"center": (3,), "radius": (), "basis": (2, 3), "angle": (2,)},
-    "helix": {"center": (3,), "radius": (), "pitch": (), "basis": (2, 3), "angle": (2,)},
-    "hermite_spline": {"points": (-1, 3), "end_tangents": (2, 3)},
+def _count(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SchemaError(path, "expected a positive integer")
+    return value
+
+
+def _choice(value, path: str, options):
+    """value, which must be one of the names in options."""
+    if not isinstance(value, str) or value not in options:
+        raise SchemaError(path, f"expected one of {', '.join(options)}; got {value!r}")
+    return value
+
+
+def _build(doc, path: str, tag: str, table: dict):
+    """The object that doc describes. doc[tag] picks a row of table: the keys
+    doc may hold, each with the shape of its value, and the constructor that
+    takes the checked values by key."""
+    shapes, make = table[_choice(_object(doc, path).get(tag), f"{path}.{tag}", table)]
+    _check_keys(doc, path, {tag, *shapes})
+    values = {key: _array(doc[key], f"{path}.{key}", shape)
+              for key, shape in shapes.items() if key in doc}
+    try:
+        return make(values)
+    except KeyError as exc:
+        raise SchemaError(f"{path}.{exc.args[0]}", "missing required key") from None
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
+
+
+# curve kind -> (its keys with the shape of each value, constructor)
+_CURVES = {
+    "line": ({"p0": (3,), "p1": (3,)}, lambda v: LineSegment(v["p0"], v["p1"])),
+    "arc": ({"center": (3,), "radius": (), "basis": (2, 3), "angle": (2,)},
+            lambda v: CircularArc(v["center"], v["radius"], *v["basis"], *v["angle"])),
+    "helix": ({"center": (3,), "radius": (), "pitch": (), "basis": (2, 3), "angle": (2,)},
+              lambda v: Helix(v.get("center", np.zeros(3)), v["radius"], v["pitch"],
+                              *v.get("basis", np.eye(3)[:2]), *v["angle"])),
+    "hermite_spline": ({"points": (-1, 3), "end_tangents": (2, 3)},
+                       lambda v: HermiteSpline(v["points"], *v["end_tangents"])),
 }
 
-_SECTION_KEYS = {
-    "rect": {"w": (), "h": (), "director": (3,)},
-    "circle": {"d": ()},
-    "unit_depth_rect": {"t": ()},
+# section shape -> (its keys with the shape of each value, constructor)
+_SECTIONS = {
+    "rect": ({"w": (), "h": (), "director": (3,)},
+             lambda v: rect_section(v["w"], v["h"], v["director"])),
+    "circle": ({"d": ()}, lambda v: circle_section(v["d"])),
+    "unit_depth_rect": ({"t": ()}, lambda v: unit_depth_rect_section(v["t"])),
 }
 
-_BC_PRESETS = {
-    "clamped": BoundaryCondition.clamped,
-    "free": BoundaryCondition.free,
-    "pinned": BoundaryCondition.pinned,
-}
+_POLICIES = ("full", "reduced")
+
+_BC_PRESETS = ("clamped", "free", "pinned")     # BoundaryCondition constructors
 
 _ROWS = [row for row, _ in BoundaryCondition.free().rows()]
 
 
 def _parse_bc(doc, path: str) -> BoundaryCondition:
     if isinstance(doc, str):
-        if doc not in _BC_PRESETS:
-            raise SchemaError(path, f"unknown preset {doc!r}; use clamped/free/pinned "
-                                    "or a per-row object")
-        return _BC_PRESETS[doc]()
+        return getattr(BoundaryCondition, _choice(doc, path, _BC_PRESETS))()
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected a preset name or an object")
     _check_keys(doc, path, set(_ROWS))
@@ -138,8 +171,7 @@ def _parse_bc(doc, path: str) -> BoundaryCondition:
             raise SchemaError(rpath, 'expected exactly one of {"natural": ...} '
                                      'or {"essential": ...}')
         kind, value = next(iter(spec.items()))
-        if kind not in ("natural", "essential"):
-            raise SchemaError(f"{rpath}.{kind}", "unknown condition kind")
+        _choice(kind, f"{rpath}.{kind}", ("natural", "essential"))
         value = (_number if row in _SCALAR_ROWS else _array)(value, f"{rpath}.{kind}")
         rows[row] = BCRow(kind, value)
     return BoundaryCondition(**rows)
@@ -149,27 +181,22 @@ def _parse_loads(doc, path: str) -> LoadCase:
     if doc is None:
         return LoadCase()
     _check_keys(doc, path, {"body", "start", "end"})
-    body = None
-    if "body" in doc and doc["body"] is not None:
-        b = doc["body"]
-        if isinstance(b, dict):
-            _check_keys(b, f"{path}.body", {"s", "f"})
-            try:
-                body = body_table(_require(b, f"{path}.body", "s"),
-                                  _require(b, f"{path}.body", "f"))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}.body", str(exc)) from None
-        else:
-            body = _array(b, f"{path}.body")
+    body = doc.get("body")
+    if isinstance(body, dict):
+        _check_keys(body, f"{path}.body", {"s", "f"})
+        s, f = (_require(body, f"{path}.body", key) for key in "sf")
+        try:
+            body = body_table(s, f)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}.body", str(exc)) from None
+    elif body is not None:
+        body = _array(body, f"{path}.body")
     kwargs = {"body": body}
     for end in ("start", "end"):
-        if end in doc and doc[end] is not None:
-            sub = doc[end]
-            _check_keys(sub, f"{path}.{end}", {"force", "moment"})
-            if "force" in sub:
-                kwargs[f"force_{end}"] = _array(sub["force"], f"{path}.{end}.force")
-            if "moment" in sub:
-                kwargs[f"moment_{end}"] = _array(sub["moment"], f"{path}.{end}.moment")
+        if doc.get(end) is not None:
+            _check_keys(doc[end], f"{path}.{end}", {"force", "moment"})
+            for key, value in doc[end].items():
+                kwargs[f"{key}_{end}"] = _array(value, f"{path}.{end}.{key}")
     return LoadCase(**kwargs)
 
 
@@ -180,12 +207,8 @@ def _parse_constraints(doc, path: str, fields: tuple[str, str]) -> list[PointCon
     for i, item in enumerate(_list(doc, path)):
         ipath = f"{path}[{i}]"
         _check_keys(item, ipath, {"at", "field", "direction", "value"})
-        at = _require(item, ipath, "at")
-        if at not in ("start", "end"):
-            raise SchemaError(f"{ipath}.at", "expected 'start' or 'end'")
-        fld = item.get("field", "u")
-        if fld not in fields:
-            raise SchemaError(f"{ipath}.field", f"expected {fields[0]} or {fields[1]}")
+        at = _choice(_require(item, ipath, "at"), f"{ipath}.at", ("start", "end"))
+        fld = _choice(item.get("field", "u"), f"{ipath}.field", fields)
         direction = _array(_require(item, ipath, "direction"), f"{ipath}.direction")
         pc = PointConstraint(at, fld, direction, _number(item.get("value", 0.0), f"{ipath}.value"))
         try:
@@ -196,44 +219,30 @@ def _parse_constraints(doc, path: str, fields: tuple[str, str]) -> list[PointCon
     return out
 
 
+def _material(doc, defaults: dict) -> Material:
+    """The Material of a material object. A key it lacks takes its value from
+    defaults, except nu when the object gives G."""
+    _check_keys(doc, "material", {"E", "G", "nu"})
+    values = {**defaults, **{key: _number(v, f"material.{key}") for key, v in doc.items()}}
+    if "G" in doc and "nu" not in doc:
+        values.pop("nu", None)
+    E = _require(values, "material", "E")
+    try:
+        return Material(E=E, G=values.get("G"), nu=values.get("nu"))
+    except ValueError as exc:
+        raise SchemaError("material", str(exc)) from None
+
+
 def load_model(doc: dict) -> tuple[BeamModel, str, int, str]:
     """Validate a model document and build (model, formulation, n_elements, policy)."""
     _check_keys(doc, "", {"curve", "material", "section", "formulation",
                           "elements", "quadrature", "bcs", "loads", "constraints"})
-
-    curve_doc = _require(doc, "", "curve")
-    _check_kind(curve_doc, "curve", "kind", _CURVE_KEYS)
-    try:
-        curve = curve_from_dict(curve_doc)
-    except KeyError as exc:
-        raise SchemaError(f"curve.{exc.args[0]}", "missing required key") from None
-    except ValueError as exc:
-        raise SchemaError("curve", str(exc)) from None
-
-    mat = _material(_require(doc, "", "material"))
-    try:
-        material = Material(E=_require(mat, "material", "E"), G=mat.get("G"), nu=mat.get("nu"))
-    except ValueError as exc:
-        raise SchemaError("material", str(exc)) from None
-
-    sec_doc = _require(doc, "", "section")
-    _check_kind(sec_doc, "section", "shape", _SECTION_KEYS)
-    try:
-        section = section_from_shape(sec_doc)
-    except KeyError as exc:
-        raise SchemaError(f"section.{exc.args[0]}", "missing required key") from None
-    except ValueError as exc:
-        raise SchemaError("section", str(exc)) from None
-
-    form_name = _require(doc, "", "formulation")
-    if not isinstance(form_name, str) or form_name not in FORMULATIONS:
-        raise SchemaError("formulation", f"unknown formulation {form_name!r}")
-    n_elements = _require(doc, "", "elements")
-    if isinstance(n_elements, bool) or not isinstance(n_elements, int) or n_elements < 1:
-        raise SchemaError("elements", "expected a positive integer")
-    policy = doc.get("quadrature", "full")
-    if policy not in ("full", "reduced"):
-        raise SchemaError("quadrature", f"unknown policy {policy!r}")
+    curve = _build(_require(doc, "", "curve"), "curve", "kind", _CURVES)
+    material = _material(_require(doc, "", "material"), {})
+    section = _build(_require(doc, "", "section"), "section", "shape", _SECTIONS)
+    form_name = _choice(_require(doc, "", "formulation"), "formulation", FORMULATIONS)
+    n_elements = _count(_require(doc, "", "elements"), "elements")
+    policy = _choice(doc.get("quadrature", "full"), "quadrature", _POLICIES)
 
     bcs = _require(doc, "", "bcs")
     _check_keys(bcs, "bcs", {"start", "end"})
@@ -250,32 +259,34 @@ def load_model(doc: dict) -> tuple[BeamModel, str, int, str]:
     return model, form_name, n_elements, policy
 
 
-def _material(doc) -> dict:
-    """A material object's numbers, by key."""
-    _check_keys(doc, "material", {"E", "G", "nu"})
-    return {key: _number(value, f"material.{key}") for key, value in doc.items()}
-
-
 def load_study(doc: dict) -> StudySpec:
+    """Validate a study document and build its StudySpec; a key it lacks
+    takes the default that the README lists."""
     _check_keys(doc, "", {"benchmark", "formulations", "quadrature", "elements",
                           "thickness", "material", "load", "length", "radius"})
-    _require(doc, "", "benchmark")
-    for key in ("formulations", "quadrature", "elements", "thickness"):
-        _list(doc.get(key, []), key)
-    elements = _require(doc, "", "elements")
-    if not elements:
-        raise SchemaError("elements", "element list must not be empty")
-    if any(isinstance(n, bool) or not isinstance(n, int) for n in elements):
-        raise SchemaError("elements", "expected a list of integers")
-    for i, t in enumerate(doc.get("thickness", [])):
-        _number(t, f"thickness[{i}]")
-    for key in ("load", "length", "radius"):
-        _number(doc.get(key, 0.0), key)
-    _material(doc.get("material", {}))
-    try:
-        return StudySpec.from_dict(doc)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise SchemaError("study", str(exc)) from None
+
+    def items(key, default, check):
+        return [check(value, f"{key}[{i}]")
+                for i, value in enumerate(_list(doc.get(key, default), key))]
+
+    benchmark = _choice(_require(doc, "", "benchmark"), "benchmark", _BENCHMARKS)
+    formulations = items("formulations", ["timoshenko_p2p1"],
+                         lambda v, p: _choice(v, p, FORMULATIONS))
+    quadrature = items("quadrature", ["full"], lambda v, p: _choice(v, p, _POLICIES))
+    elements = items("elements", _require(doc, "", "elements"), _count)
+    if not elements or any(np.diff(elements) <= 0):
+        raise SchemaError("elements", "expected a nonempty, strictly increasing list")
+    thickness = items("thickness", [0.1], _positive)
+    material = _material(doc.get("material", {}), {"E": 1e6, "nu": 0.3})
+    load = _number(doc.get("load", 1.0), "load")
+    if load == 0:
+        raise SchemaError("load", "expected a nonzero number")
+    length = _positive(doc.get("length", 10.0), "length")
+    radius = _positive(doc.get("radius", 1.0), "radius")
+    if benchmark == "quarter_arc" and radius <= max(thickness, default=0.0) / 2:
+        raise SchemaError("radius", "expected more than half the largest thickness")
+    return StudySpec(benchmark, formulations, quadrature, elements, thickness,
+                     material, load, length, radius)
 
 
 def _read_json(path: str) -> dict:
@@ -291,6 +302,8 @@ def _out_dir(args) -> str:
 
 
 def cmd_solve(args) -> int:
+    if args.samples < 2:
+        raise SchemaError("--samples", "expected at least 2 samples")
     model, form_name, n_elements, policy = load_model(_read_json(args.model))
     solution = solve_model(model, formulation(form_name), n_elements, policy)
     out = _out_dir(args)

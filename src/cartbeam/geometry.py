@@ -593,26 +593,3 @@ def closest_point(curve: ParamCurve, x: Vec3) -> ClosestPointResult:
         )
     p = curve.point(xi_best)
     return ClosestPointResult(p=p, zeta=x - p, s=curve.arclength().s_of_xi(xi_best))
-
-
-def curve_from_dict(doc: dict) -> ParamCurve:
-    """Build a curve from its wire-format description (see the cli module)."""
-    kind = doc.get("kind")
-    if kind == "line":
-        return LineSegment(np.asarray(doc["p0"], float), np.asarray(doc["p1"], float))
-    if kind == "arc":
-        e1, e2 = doc["basis"]
-        th0, th1 = doc["angle"]
-        return CircularArc(np.asarray(doc["center"], float), float(doc["radius"]),
-                           np.asarray(e1, float), np.asarray(e2, float), float(th0), float(th1))
-    if kind == "helix":
-        e1, e2 = doc.get("basis", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        th0, th1 = doc["angle"]
-        return Helix(np.asarray(doc.get("center", [0.0, 0.0, 0.0]), float),
-                     float(doc["radius"]), float(doc["pitch"]),
-                     np.asarray(e1, float), np.asarray(e2, float), float(th0), float(th1))
-    if kind == "hermite_spline":
-        t0, t1 = doc["end_tangents"]
-        return HermiteSpline(np.asarray(doc["points"], float),
-                             np.asarray(t0, float), np.asarray(t1, float))
-    raise ValueError(f"unknown curve kind {kind!r}")

@@ -23,7 +23,8 @@ class DirectorDegeneracyError(ValueError):
 
 @dataclass(frozen=True)
 class Material:
-    """Linear elastic material; construct from (E, nu) or (E, G).
+    """Linear elastic material; construct from (E, nu) or (E, G), and the
+    other of nu and G follows from G = E / (2 (1 + nu)).
 
     No shear correction factor is applied anywhere: the shear and torsion
     stiffnesses use G|A| and G J_sigma as they stand.
@@ -42,6 +43,8 @@ class Material:
             object.__setattr__(self, "G", self.E / (2.0 * (1.0 + self.nu)))
         if self.G <= 0:
             raise ValueError("shear modulus G must be positive")
+        if self.nu is None:
+            object.__setattr__(self, "nu", self.E / (2.0 * self.G) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -112,21 +115,6 @@ def unit_depth_rect_section(t: float) -> CrossSection:
         raise ValueError("thickness must be positive")
     i = t**3 / 12.0
     return CrossSection(area=t, polar=2.0 * i, inertia_iso=i)
-
-
-def section_from_shape(shape: dict) -> CrossSection:
-    """Build a section from its wire-format description (see the cli module)."""
-    name = shape.get("shape")
-    if name == "rect":
-        director = shape.get("director")
-        if director is None:
-            raise ValueError("rect section requires a director")
-        return rect_section(float(shape["w"]), float(shape["h"]), director)
-    if name == "circle":
-        return circle_section(float(shape["d"]))
-    if name == "unit_depth_rect":
-        return unit_depth_rect_section(float(shape["t"]))
-    raise ValueError(f"unknown section shape {name!r}")
 
 
 def inertia_tensor(section: CrossSection, t: Vec3) -> np.ndarray:

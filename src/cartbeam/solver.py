@@ -182,7 +182,7 @@ def _free_rigid_mode_count(system: LinearSystem) -> int:
     return 6 - rank
 
 
-def hourglass_modes(system: LinearSystem, knorm: float | None = None) -> np.ndarray:
+def hourglass_modes(system: LinearSystem, knorm: float) -> np.ndarray:
     """Zero-energy modes that survive the essential rows, columns of (ndof, k).
 
     The candidates are the three hourglass vectors of the H3 midline: in H_a
@@ -196,7 +196,7 @@ def hourglass_modes(system: LinearSystem, knorm: float | None = None) -> np.ndar
     and twist measures see u' through t x u'' and kappa x u', which leaves
     only the combination along t on a straight beam. The columns returned
     are the combinations that K does not see (k = 0 under `full`). knorm is
-    ||K||_inf, computed here unless the caller already has it.
+    ||K||_inf.
     """
     dm = system.dofmap
     if system.form.midline != "H3" or system.policy != "reduced":
@@ -206,8 +206,6 @@ def hourglass_modes(system: LinearSystem, knorm: float | None = None) -> np.ndar
     for a in range(3):
         H[slopes[:, a], a] = 1.0
     KH = system.K @ H
-    if knorm is None:
-        knorm = _inf_norm(system.K)
     _, sv, Vt = np.linalg.svd(KH, full_matrices=False)
     null = sv <= 1e-12 * knorm * np.sqrt(len(slopes))
     if null.all():

@@ -129,19 +129,6 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             StudySpec("straight", ["p9"], ["full"], [2], [0.1])
 
-    def test_from_dict(self):
-        study = StudySpec.from_dict({
-            "benchmark": "quarter_arc",
-            "formulations": ["timoshenko_h3p2"],
-            "quadrature": ["reduced"],
-            "elements": [2, 4, 8],
-            "thickness": [0.1],
-            "material": {"E": 2e6, "nu": 0.25},
-        })
-        assert study.material.E == 2e6
-        assert study.reference(0.1) == pytest.approx(
-            analytic_quarter_arc_tip(1.0, 2e6, 0.95, 1.05))
-
 
 class TestLockingStudy:
     def test_full_quadrature_locks_on_thin_arc(self):

@@ -5,8 +5,17 @@ import os
 import numpy as np
 import pytest
 
-from cartbeam.benchmarks import analytic_straight_tip, make_quarter_arc_model, make_straight_model
+from cartbeam.benchmarks import (
+    analytic_quarter_arc_tip,
+    analytic_straight_tip,
+    demo_configs,
+    make_quarter_arc_model,
+    make_straight_model,
+    solve_demo,
+)
 from cartbeam.cli import SchemaError, load_model, load_study, main
+from cartbeam.discretization import formulation
+from cartbeam.solver import solve_model
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -96,6 +105,90 @@ class TestSchema:
             load_study({"benchmark": "straight", "elements": []})
 
 
+class TestWireFormat:
+    def test_roundtrip_kinds(self):
+        docs = [
+            {"kind": "line", "p0": [0, 0, 0], "p1": [1, 1, 0]},
+            {"kind": "arc", "center": [0, 0, 0], "radius": 2.0,
+             "basis": [[1, 0, 0], [0, 1, 0]], "angle": [0.0, 1.0]},
+            {"kind": "helix", "center": [0, 0, 0], "radius": 1.0, "pitch": 0.2,
+             "basis": [[1, 0, 0], [0, 1, 0]], "angle": [0.0, 6.0]},
+            {"kind": "hermite_spline", "points": [[0, 0, 0], [1, 1, 0], [2, 0, 0]],
+             "end_tangents": [[1, 1, 0], [1, -1, 0]]},
+        ]
+        for doc in docs:
+            curve = load_model(straight_doc(curve=doc))[0].curve
+            assert curve.kind == doc["kind"]
+            assert curve.length > 0
+
+    def test_helix_center_and_basis_default(self):
+        doc = {"kind": "helix", "radius": 1.0, "pitch": 0.2, "angle": [0.0, 6.0]}
+        curve = load_model(straight_doc(curve=doc))[0].curve
+        full = load_model(straight_doc(curve={**doc, "center": [0, 0, 0],
+                                              "basis": [[1, 0, 0], [0, 1, 0]]}))[0].curve
+        xi = np.linspace(0.0, 6.0, 7)
+        assert np.array_equal(curve.point(xi), full.point(xi))
+
+    def test_unknown_kind(self):
+        with pytest.raises(SchemaError, match="curve.kind"):
+            load_model(straight_doc(curve={"kind": "bezier"}))
+
+    def test_section_shapes(self):
+        sec = load_model(straight_doc(section={"shape": "circle", "d": 1.0}))[0].section
+        assert sec.is_isotropic
+        sec = load_model(straight_doc(section={"shape": "rect", "w": 1.0, "h": 2.0,
+                                               "director": [0, 0, 1]}))[0].section
+        assert not sec.is_isotropic
+        with pytest.raises(SchemaError, match="section.director: missing required key"):
+            load_model(straight_doc(section={"shape": "rect", "w": 1.0, "h": 2.0}))
+        with pytest.raises(SchemaError, match="section.shape"):
+            load_model(straight_doc(section={"shape": "triangle"}))
+
+    def test_study(self):
+        study = load_study({
+            "benchmark": "quarter_arc",
+            "formulations": ["timoshenko_h3p2"],
+            "quadrature": ["reduced"],
+            "elements": [2, 4, 8],
+            "thickness": [0.1],
+            "material": {"E": 2e6, "nu": 0.25},
+        })
+        assert study.material.E == 2e6
+        assert study.model(0.1).material is study.material
+        assert study.reference(0.1) == pytest.approx(
+            analytic_quarter_arc_tip(1.0, 2e6, 0.95, 1.05))
+
+    def test_study_defaults(self):
+        study = load_study({"benchmark": "straight", "elements": [2]})
+        assert (study.formulations, study.quadrature, study.thickness) == \
+            (["timoshenko_p2p1"], ["full"], [0.1])
+        assert (study.material.E, study.material.nu) == (1e6, 0.3)
+        assert (study.load, study.length, study.radius) == (1.0, 10.0, 1.0)
+        assert load_study({"benchmark": "straight", "elements": [2],
+                           "material": {"G": 4e5}}).material.nu == 0.25
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_every_shipped_config_loads(name):
+    with open(config(name)) as fh:
+        doc = json.load(fh)
+    (load_study if name.startswith("study_") else load_model)(doc)
+
+
+@pytest.mark.parametrize("name, demo", [("s_curve_torque.json", "s_curve_end_torque"),
+                                        ("s_curve_bend.json", "s_curve_transverse_load"),
+                                        ("helix_spring.json", "helix_spring_axial")])
+def test_shipped_config_solves_like_its_demo(name, demo):
+    # the configs and demo_configs() state the same problems twice; the two
+    # must not drift apart
+    with open(config(name)) as fh:
+        model, form_name, n, policy = load_model(json.load(fh))
+    case = {d.name: d for d in demo_configs()}[demo]
+    assert (form_name, n, policy) == (case.formulation, case.n_elements, case.policy)
+    x = solve_model(model, formulation(form_name), n, policy).x
+    assert np.array_equal(x, solve_demo(case).x)
+
+
 def _edit(doc, path, value):
     """doc with the value at a dotted key path ("a.b[0].c") replaced."""
     doc = json.loads(json.dumps(doc))
@@ -110,8 +203,8 @@ def _edit(doc, path, value):
 ARC = {"kind": "arc", "center": [0, 0, 0], "radius": 10.0, "basis": [[1, 0, 0], [0, 1, 0]],
        "angle": [0.0, 1.5]}
 CONSTRAINED = straight_doc(constraints=[{"at": "end", "direction": [0, 0, 1], "value": 0.0}])
-STUDY = {"benchmark": "straight", "formulations": ["timoshenko_p2p1"], "elements": [1, 2],
-         "material": {"E": 1e6, "G": 4e5}}
+STUDY = {"benchmark": "straight", "formulations": ["timoshenko_p2p1"], "quadrature": ["full"],
+         "elements": [1, 2], "thickness": [0.1], "material": {"E": 1e6, "G": 4e5}}
 
 
 @pytest.mark.parametrize("command, doc, path, value", [
@@ -137,6 +230,15 @@ STUDY = {"benchmark": "straight", "formulations": ["timoshenko_p2p1"], "elements
     ("converge", STUDY, "elements", [True, 2]),
     ("converge", STUDY, "thickness", [0.1, "abc"]),
     ("converge", STUDY, "load", "abc"),
+    ("converge", STUDY, "load", 0),
+    ("converge", STUDY, "length", -1),
+    ("converge", STUDY, "thickness[0]", -0.1),
+    ("converge", {**STUDY, "benchmark": "quarter_arc"}, "radius", 0.01),
+    ("converge", STUDY, "benchmark", "spiral"),
+    ("converge", STUDY, "formulations[0]", "timoshenko_x"),
+    ("converge", STUDY, "quadrature[0]", "selective"),
+    ("converge", STUDY, "elements[0]", 0),
+    ("converge", STUDY, "elements", [2, 2]),
 ], ids=lambda v: json.dumps(v) if not isinstance(v, dict) else "doc")
 def test_malformed_value_exits_1_and_names_its_path(tmp_path, capsys, command, doc, path,
                                                     value):
@@ -215,6 +317,12 @@ class TestSolveCommand:
         assert main(["solve", path, "--out", str(tmp_path / "out")]) == 2
         assert "zero-energy mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_fewer_than_two_samples_exits_1(self, tmp_path, capsys, samples):
+        assert main(["solve", config("straight_cantilever.json"), "--samples", samples,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: --samples: ")
+
     def test_unwritable_output_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -283,6 +391,13 @@ class TestConvergeCommand:
         assert abs(orders[("h3p2", True)] - 4.0) <= 0.3
         lines = open(os.path.join(out, "convergence.csv")).read().splitlines()
         assert len(lines) == 1 + 2 * 2 * 6  # 2 formulations x 2 thicknesses x 6 meshes
+
+    def test_study_with_shear_modulus_converges(self, tmp_path):
+        # STUDY gives E and G; the straight reference needs the nu they imply
+        path = write_json(tmp_path / "study.json", STUDY)
+        out = str(tmp_path / "out")
+        assert main(["converge", path, "--out", out]) == 0
+        assert len(open(os.path.join(out, "convergence.csv")).read().splitlines()) == 3
 
     def test_empty_element_list_exits_1(self, tmp_path):
         path = write_json(tmp_path / "study.json",

@@ -20,7 +20,6 @@ from cartbeam.geometry import (
     ZeroCurvatureError,
     closest_point,
     cross3,
-    curve_from_dict,
     eval_frame,
     frenet,
     normal_projector,
@@ -392,27 +391,6 @@ class TestSplineKernels:
         pts[2] = pts[0]
         with pytest.raises(DegenerateCurveError):
             HermiteSpline(pts, [0.7, 0.6, 0.0], [0.5, 0.7, 0.4])
-
-
-class TestWireFormat:
-    def test_roundtrip_kinds(self):
-        docs = [
-            {"kind": "line", "p0": [0, 0, 0], "p1": [1, 1, 0]},
-            {"kind": "arc", "center": [0, 0, 0], "radius": 2.0,
-             "basis": [[1, 0, 0], [0, 1, 0]], "angle": [0.0, 1.0]},
-            {"kind": "helix", "center": [0, 0, 0], "radius": 1.0, "pitch": 0.2,
-             "basis": [[1, 0, 0], [0, 1, 0]], "angle": [0.0, 6.0]},
-            {"kind": "hermite_spline", "points": [[0, 0, 0], [1, 1, 0], [2, 0, 0]],
-             "end_tangents": [[1, 1, 0], [1, -1, 0]]},
-        ]
-        for doc in docs:
-            curve = curve_from_dict(doc)
-            assert curve.kind == doc["kind"]
-            assert curve.length > 0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            curve_from_dict({"kind": "bezier"})
 
 
 @settings(max_examples=25, deadline=None)

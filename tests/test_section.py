@@ -13,7 +13,6 @@ from cartbeam.section import (
     inertia_factor,
     inertia_tensor,
     rect_section,
-    section_from_shape,
     unit_depth_rect_section,
 )
 
@@ -31,6 +30,10 @@ class TestMaterial:
     def test_explicit_shear_modulus(self):
         mat = Material(E=200.0, G=80.0)
         assert mat.G == 80.0
+
+    def test_poisson_ratio_from_shear_modulus(self):
+        # the straight-cantilever reference reads nu, so (E, G) must give it
+        assert Material(E=1e6, G=4e5).nu == 0.25
 
     @pytest.mark.parametrize("kwargs", [{"E": -1, "nu": 0.3}, {"E": 1.0, "G": -2.0},
                                         {"E": 1.0}])
@@ -75,17 +78,6 @@ class TestShapes:
                     lambda: unit_depth_rect_section(0.0)):
             with pytest.raises(ValueError):
                 bad()
-
-    def test_from_shape_dict(self):
-        sec = section_from_shape({"shape": "circle", "d": 1.0})
-        assert sec.is_isotropic
-        sec = section_from_shape({"shape": "rect", "w": 1.0, "h": 2.0,
-                                  "director": [0, 0, 1]})
-        assert not sec.is_isotropic
-        with pytest.raises(ValueError):
-            section_from_shape({"shape": "rect", "w": 1.0, "h": 2.0})
-        with pytest.raises(ValueError):
-            section_from_shape({"shape": "triangle"})
 
 
 class TestInertiaTensor:
