@@ -22,11 +22,13 @@ segments and inflection points require no special handling.
 
 Besides the full stiffness K, assembly records its mixed split
 K = K_soft + C^T diag(1/compliance) C: K_soft holds bend and twist, and each
-row of C is sqrt(w_q) times one row of a stiff term's unit strain operator
-(stretch P u', and shear Q u' - theta x t unless Euler-Bernoulli) at a point
-q of that term's rule, with compliance 1/(E|A|) or 1/(G|A|). The solver
-carries one resultant unknown per row of C, so the stiff terms, which exceed
-the bending response by ~(L/t)^2, are never rounded into a factored matrix.
+row of C is sqrt(w_q) times one independent strain component at a point q
+of a stiff term's rule: stretch t . u' (compliance 1/(E|A|)) and, unless
+Euler-Bernoulli, shear N (u' - theta x t) (1/(G|A|)), two rows on the
+orthonormal pair N of the normal plane, where that strain lies. So a point
+gives 3 rows of C (Euler-Bernoulli 1). The solver carries one resultant
+unknown per row of C, so the stiff terms, which exceed the bending
+response by ~(L/t)^2, are never rounded into a factored matrix.
 
 Essential boundary conditions are enforced with Lagrange multipliers since
 they are directional (along t or in the normal plane) while the DOFs are
@@ -45,8 +47,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .discretization import DofMap, Formulation, Mesh1D, gauss_rule, shape_eval
-from .geometry import ParamCurve, Vec3, cross3, normal_projector, \
-    orthonormal_completion, skew
+from .geometry import ParamCurve, Vec3, cross3, orthonormal_completion, skew
 from .section import CrossSection, Material, inertia_factor
 
 
@@ -211,6 +212,7 @@ class LinearSystem:
 # unknowns by the solver; bend and twist scale like t^2 |A|
 _STIFF_TERMS = ("stretch", "shear")
 _SOFT_TERMS = ("bend", "twist")
+_FLIP = np.array([[-1.0], [1.0]])     # [n2; n1] -> [-n2; n1]
 
 
 def _element_factors(term: str, form: Formulation, t: np.ndarray, kappa: np.ndarray,
@@ -237,9 +239,11 @@ def _element_factors(term: str, form: Formulation, t: np.ndarray, kappa: np.ndar
         G[..., 0, :nu] = outer(shu[..., 1, :], t)
         return G, mat.E * sec.area
     if term == "shear":
-        G = np.zeros(lead + (3, n))
-        G[..., :nu] = kron(shu[..., 1, :], normal_projector(t))
-        G[..., nu:] = kron(sha[..., 0, :], skew(t))
+        # N (u' - theta x t) = N u' + [-n2; n1] theta, N = [n1; n2]
+        N = orthonormal_completion(t)
+        G = np.zeros(lead + (2, n))
+        G[..., :nu] = kron(shu[..., 1, :], N)
+        G[..., nu:] = kron(sha[..., 0, :], N[..., [1, 0], :] * _FLIP)
         return G, mat.G * sec.area
     if term == "bend":
         CI = inertia_factor(sec, t)
@@ -471,8 +475,7 @@ def _collect_constraint_rows(system: LinearSystem):
                              w * t if row in _SCALAR_ROWS else w))
 
     ends = model.curve.end_frames()
-    for end, t in zip(("start", "end"), ends.t):
-        normal = orthonormal_completion(t)
+    for end, t, normal in zip(("start", "end"), ends.t, orthonormal_completion(ends.t)):
         for row, c in model.bc(end).rows():
             if c.kind != "essential":
                 continue

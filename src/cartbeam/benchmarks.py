@@ -109,6 +109,12 @@ class StudySpec:
         for q in self.quadrature:
             if q not in ("full", "reduced"):
                 raise ValueError(f"unknown quadrature policy {q!r}")
+        if self.load == 0:
+            raise ValueError("load must be nonzero")
+        if min(self.thickness, default=1.0) <= 0 or min(self.length, self.radius) <= 0:
+            raise ValueError("thickness, length and radius must be positive")
+        if self.benchmark == "quarter_arc" and self.radius <= max(self.thickness, default=0) / 2:
+            raise ValueError("radius must exceed half the largest thickness")
 
     @property
     def supports_order_fit(self) -> bool:

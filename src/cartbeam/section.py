@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Vec3, normal_projector, unit
+from .geometry import Vec3, normal_projector, orthonormal_completion, unit
 
 
 class DirectorDegeneracyError(ValueError):
@@ -134,15 +134,16 @@ def inertia_tensor(section: CrossSection, t: Vec3) -> np.ndarray:
 def inertia_factor(section: CrossSection, t: Vec3) -> np.ndarray:
     """Matrix C with C.T @ C = I_sigma(t); used for exactly symmetric assembly.
 
-    Oriented: the constant director is projected onto the normal plane,
-    n1 = normalized projection, n2 = t x n1, and C has rows sqrt(I1) n2 and
-    sqrt(I2) n1. Tangents of shape (..., 3) give one C per tangent,
-    (..., rows, 3); a director parallel to any of them raises
-    DirectorDegeneracyError.
+    Isotropic: C = sqrt(I) N, N the orthonormal pair of the normal plane
+    from `orthonormal_completion`. Oriented: the constant director is
+    projected onto the normal plane, n1 = normalized projection, n2 = t x n1,
+    and C has rows sqrt(I1) n2 and sqrt(I2) n1. Either way C has 2 rows.
+    Tangents of shape (..., 3) give one C per tangent, (..., 2, 3); a
+    director parallel to any of them raises DirectorDegeneracyError.
     """
     t = np.asarray(t, dtype=float)
     if section.inertia_iso is not None:
-        return np.sqrt(section.inertia_iso) * normal_projector(t)
+        return np.sqrt(section.inertia_iso) * orthonormal_completion(t)
     d = section.director
     dp = d - (t @ d)[..., None] * t
     ndp = np.linalg.norm(dp, axis=-1, keepdims=True)

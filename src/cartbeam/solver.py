@@ -11,10 +11,15 @@ sigma, and the solve factors the saddle system
   [ B       0    0   ] [ lambda ]   [ g ]
 
 with K_soft the bend and twist stiffness, D = diag(1/(E|A|), 1/(G|A|)) and B
-the essential rows. Eliminating sigma gives back K x + B^T lambda = f with
-the full assembled K, so the discrete solution is the same; only the
-rounding of the stiff terms no longer swamps the bending response as t -> 0
-(Malkus & Hughes, CMAME 15, 1978; Arnold, Numer. Math. 37, 1981).
+the essential rows. C has one row per independent strain component (3 per
+Timoshenko point, 1 per Euler-Bernoulli point; see `assembly`). Eliminating
+sigma gives back K x + B^T lambda = f with the full assembled K, so the
+discrete solution is the same; only the rounding of the stiff terms no
+longer swamps the bending response as t -> 0 (Malkus & Hughes, CMAME 15,
+1978; Arnold, Numer. Math. 37, 1981). The first solve is refined, at most
+twice, only while |rhs - A y| > 16 eps (|rhs| + |A| |y|) in the max norm:
+below that the residual is its own rounding (Arioli, Demmel & Duff, SIAM
+J. Matrix Anal. Appl. 10, 1989).
 
 Under `reduced` quadrature the H3 midline has zero-energy modes: three for
 `timoshenko_h3p2` on every curve and mesh, one for `euler_bernoulli_h3` on a
@@ -267,10 +272,11 @@ def _mixed_system(system: LinearSystem, B, g) -> tuple[scipy.sparse.csc_matrix, 
 def solve(system: LinearSystem) -> SolutionFields:
     """Factor the mixed saddle system (module docstring) and verify residuals.
 
-    Deterministic sparse LU with symmetric equilibration and two steps of
-    iterative refinement. Raises SingularSystemError when unconstrained
-    rigid modes remain, when the load does work on the zero-energy modes of
-    `hourglass_modes`, or when the factorization or residual checks fail.
+    Deterministic sparse LU with symmetric equilibration, refined while the
+    residual is above round-off (at most two steps). Raises
+    SingularSystemError when unconstrained rigid modes remain, when the load
+    does work on the zero-energy modes of `hourglass_modes`, or when the
+    factorization or residual checks fail.
     """
     n = system.K.shape[0]
     m = system.n_constraints
@@ -314,8 +320,13 @@ def solve(system: LinearSystem) -> SolutionFields:
         raise SingularSystemError(f"factorization failed: {exc}", n_rigid_modes=0) from exc
 
     y = lu.solve(rhs)
-    for _ in range(2):  # iterative refinement
-        y = y + lu.solve(rhs - A @ y)
+    anorm = _inf_norm(A)    # A is symmetric: its column sums are its row sums
+    for _ in range(2):
+        r = rhs - A @ y
+        tol = 16 * np.finfo(float).eps * (np.abs(rhs).max() + anorm * np.abs(y).max())
+        if np.abs(r).max() <= tol:
+            break
+        y = y + lu.solve(r)
     sol = d * y
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("factorization produced non-finite values", n_rigid_modes=0)

@@ -28,7 +28,14 @@ from cartbeam.discretization import (
     gauss_rule,
     shape_eval,
 )
-from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment, eval_frame
+from cartbeam.geometry import (
+    CircularArc,
+    Helix,
+    HermiteSpline,
+    LineSegment,
+    eval_frame,
+    orthonormal_completion,
+)
 from cartbeam.section import (
     DirectorDegeneracyError,
     Material,
@@ -113,7 +120,9 @@ class TestKinematicMeasures:
         z = np.zeros(3)
         (_, G_shear, _, _), x = _point_factors(formulation(name), circle_section(0.1), fr,
                                                [fr.t, fr.kappa], [z, z])
-        assert np.allclose(G_shear @ x, fr.kappa, atol=1e-12)
+        # two rows, the components on the normal-plane pair N
+        assert G_shear.shape[0] == 2
+        assert np.allclose(orthonormal_completion(fr.t).T @ (G_shear @ x), fr.kappa, atol=1e-12)
         assert np.linalg.norm(G_shear @ x) == pytest.approx(1.0 / R, abs=1e-12)
 
     def test_strain_tensor_contraction_identities(self):
@@ -293,31 +302,52 @@ SPLIT_CURVES = {
 }
 
 
+SPLIT_CASES = pytest.mark.parametrize(
+    "name, policy, kind, section",
+    [(name, policy, kind, section) for name in sorted(FORMULATIONS)
+     for policy in ("full", "reduced") for kind in sorted(SPLIT_CURVES)
+     for section in ("circle", "rect")])
+SPLIT_SECTIONS = {"circle": circle_section(0.2), "rect": rect_section(0.2, 0.1, [0.0, 0.0, 1.0])}
+
+
+def split_system(name, policy, kind, section):
+    curve = SPLIT_CURVES[kind]
+    model = BeamModel(curve=curve, material=MAT, section=SPLIT_SECTIONS[section],
+                      bc_start=BoundaryCondition.clamped(), bc_end=BoundaryCondition.free())
+    return assemble_stiffness(model, Mesh1D.uniform(curve.length, 3), formulation(name), policy)
+
+
+def stiff_rows_per_point(form):
+    # stretch 1, and shear 2: the components of u' - theta x t on the
+    # normal-plane pair
+    return 1 if form.euler_bernoulli else 3
+
+
 class TestMixedSplit:
     """K = K_soft + C^T diag(1/compliance) C, the split the solver factors."""
 
-    @pytest.mark.parametrize("section", [circle_section(0.2),
-                                         rect_section(0.2, 0.1, [0.0, 0.0, 1.0])],
-                             ids=["circle", "rect"])
-    @pytest.mark.parametrize("kind", sorted(SPLIT_CURVES))
-    @pytest.mark.parametrize("policy", ["full", "reduced"])
-    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    @SPLIT_CASES
     def test_full_stiffness_is_soft_part_plus_resultant_rows(self, name, policy, kind,
                                                              section):
-        curve = SPLIT_CURVES[kind]
-        model = BeamModel(curve=curve, material=MAT, section=section,
-                          bc_start=BoundaryCondition.clamped(),
-                          bc_end=BoundaryCondition.free())
-        form = formulation(name)
-        system = assemble_stiffness(model, Mesh1D.uniform(curve.length, 3), form, policy)
+        system = split_system(name, policy, kind, section)
+        form = system.form
         K = system.K.toarray()
         stiff = (system.C.T @ scipy.sparse.diags(1.0 / system.compliance) @ system.C).toarray()
         assert np.abs(K - system.K_soft.toarray() - stiff).max() <= 1e-14 * np.abs(K).max()
-        # one row per element, point of the stiff rule, and strain component
-        # (stretch 1, shear 3)
-        rows_per_point = 1 if form.euler_bernoulli else 4
+        # one row per element, point of the stiff rule, and independent
+        # strain component
         n_points = 2 if policy == "reduced" else form.full_points
-        assert system.C.shape[0] == 3 * n_points * rows_per_point == len(system.compliance)
+        assert system.C.shape[0] == 3 * n_points * stiff_rows_per_point(form) \
+            == len(system.compliance)
+
+    @SPLIT_CASES
+    def test_each_point_has_independent_rows(self, name, policy, kind, section):
+        # the rows of C at each quadrature point have full row rank: one
+        # resultant unknown per independent strain component
+        system = split_system(name, policy, kind, section)
+        rows = stiff_rows_per_point(system.form)
+        for block in system.C.toarray().reshape(-1, rows, system.C.shape[1]):
+            assert np.linalg.matrix_rank(block) == rows
 
     @pytest.mark.parametrize("name", sorted(FORMULATIONS))
     def test_reduced_policy_only_touches_stretch_and_shear(self, name, monkeypatch):
@@ -337,9 +367,8 @@ class TestMixedSplit:
         red = assemble_stiffness(model, mesh, form, "reduced")
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(full.K_soft, attr), getattr(red.K_soft, attr))
-        rows_per_point = 1 if form.euler_bernoulli else 4
-        assert red.C.shape[0] == 3 * 2 * rows_per_point
-        assert full.C.shape[0] == 3 * form.full_points * rows_per_point
+        assert red.C.shape[0] == 3 * 2 * stiff_rows_per_point(form)
+        assert full.C.shape[0] == 3 * form.full_points * stiff_rows_per_point(form)
         # the reduced rule is the shared, memoized 2-point rule
         assert any(rule is gauss_rule(2) for rule in rules)
 

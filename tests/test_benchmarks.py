@@ -129,6 +129,23 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             StudySpec("straight", ["p9"], ["full"], [2], [0.1])
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(load=0.0), "load must be nonzero"),
+        (dict(thickness=[0.1, 0.0]), "must be positive"),
+        (dict(thickness=[-0.1]), "must be positive"),
+        (dict(length=0.0), "must be positive"),
+        (dict(radius=-1.0), "must be positive"),
+        (dict(radius=0.01), "half the largest thickness"),
+        (dict(radius=0.05, thickness=[0.01, 0.1]), "half the largest thickness"),
+    ])
+    def test_refuses_what_load_study_refuses(self, kwargs, match):
+        # these specs reached run_convergence and failed outside its per-cell
+        # try (ZeroDivisionError for load 0, "need 0 < a < b" for the radius)
+        spec = dict(benchmark="quarter_arc", formulations=["timoshenko_p2p1"],
+                    quadrature=["full"], elements=[1, 2], thickness=[0.1]) | kwargs
+        with pytest.raises(ValueError, match=match):
+            StudySpec(**spec)
+
 
 class TestLockingStudy:
     def test_full_quadrature_locks_on_thin_arc(self):

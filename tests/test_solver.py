@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from cartbeam.assembly import (
     body_table,
     discretize,
 )
+from cartbeam.benchmarks import make_quarter_arc_model
 from cartbeam.discretization import FORMULATIONS, formulation
 from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment
 from cartbeam.postprocess import tip_displacement
@@ -455,6 +457,69 @@ class TestSaddleMatrix:
         assert A.nnz == system.K_soft.nnz + 2 * (system.C.nnz + system.B.nnz) + p
         assert np.array_equal(rhs, np.concatenate([system.rhs, np.zeros(p), system.g]))
         assert A.shape == (n + p + m,) * 2
+
+    def test_size_of_the_arc_ladder_system(self):
+        # P2-P1 reduced at n=512: 4614 DOFs, 512 x 2 points x 3 resultant
+        # unknowns (stretch 1, shear 2) and 6 multipliers
+        system = discretize(make_quarter_arc_model(0.15), formulation("timoshenko_p2p1"),
+                            512, "reduced")
+        A, _ = _mixed_system(system, system.B, system.g)
+        assert A.shape == (7692, 7692)
+
+
+class TestRefinement:
+    """The first triangular solve is refined only while its residual exceeds
+    the round-off bound, for at most two steps."""
+
+    @staticmethod
+    def counted_splu(monkeypatch, perturb):
+        # every triangular solve is recorded and its result passed to
+        # perturb(call number, y)
+        calls = []
+        real = scipy.sparse.linalg.splu
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                calls.append(b)
+                return perturb(len(calls), self.lu.solve(b))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda A, **kw: Counted(real(A, **kw)))
+        return calls
+
+    @staticmethod
+    def arc_system():
+        return discretize(make_quarter_arc_model(0.15), formulation("timoshenko_p2p1"),
+                          512, "reduced")
+
+    def test_one_triangular_solve_on_an_arc(self, monkeypatch):
+        calls = self.counted_splu(monkeypatch, lambda k, y: y)
+        solve(self.arc_system())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3])
+    def test_a_bad_first_solve_is_refined(self, monkeypatch, scale):
+        rng = np.random.default_rng(5)
+        exact = solve(self.arc_system()).x
+        calls = self.counted_splu(monkeypatch, lambda k, y: y * (
+            1.0 + scale * rng.standard_normal(y.shape)) if k == 1 else y)
+        system = self.arc_system()
+        sol = solve(system)
+        assert 1 < len(calls) <= 3
+        r1 = system.K @ sol.x - system.rhs + system.B.T @ sol.multipliers
+        bound = 1e-10 * (np.linalg.norm(system.rhs) + _inf_norm(system.K) * np.linalg.norm(sol.x))
+        assert np.linalg.norm(r1) <= bound
+        assert np.abs(sol.x - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    def test_a_factorization_that_stays_bad_raises(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        calls = self.counted_splu(monkeypatch, lambda k, y: y * (
+            1.0 + 0.1 * rng.standard_normal(y.shape)))
+        with pytest.raises(SingularSystemError, match="equilibrium residual"):
+            solve(self.arc_system())
+        assert len(calls) == 3
 
 
 class TestCallBudget:
