@@ -21,12 +21,14 @@ geometry; no normal directions along the curve are needed, so straight
 segments and inflection points require no special handling.
 
 Besides the full stiffness K, assembly records its mixed split
-K = K_soft + C^T diag(1/compliance) C: K_soft holds bend and twist, and each
-row of C is sqrt(w_q) times one independent strain component at a point q
-of a stiff term's rule: stretch t . u' (compliance 1/(E|A|)) and, unless
-Euler-Bernoulli, shear N (u' - theta x t) (1/(G|A|)), two rows on the
-orthonormal pair N of the normal plane, where that strain lies. So a point
-gives 3 rows of C (Euler-Bernoulli 1). The solver carries one resultant
+K = K_soft + C^T diag(1/compliance) C: K_soft holds bend and twist, formed
+on the DOFs they act on (the rotation DOFs alone for Timoshenko, every DOF
+for Euler-Bernoulli), and each row of C is sqrt(w_q) times one independent
+strain component at a point q of a stiff term's rule: stretch t . u'
+(compliance 1/(E|A|)) and, unless Euler-Bernoulli, shear
+N (u' - theta x t) (1/(G|A|)), two rows on the orthonormal pair N of the
+normal plane, where that strain lies. So a point gives 3 rows of C
+(Euler-Bernoulli 1). The solver carries one resultant
 unknown per row of C, so the stiff terms, which exceed the bending
 response by ~(L/t)^2, are never rounded into a factored matrix.
 
@@ -185,7 +187,8 @@ class LinearSystem:
 
     K is the full stiffness; K_soft, C and compliance are its mixed split
     K = K_soft + C^T diag(1/compliance) C (see the module docstring), which
-    is what the solver factors. B (m, ndof) and g (m,) are the essential
+    is what the solver factors. For Timoshenko, K_soft has entries on the
+    theta DOFs only. B (m, ndof) and g (m,) are the essential
     rows B x = g, m >= 0.
     """
 
@@ -216,13 +219,15 @@ _FLIP = np.array([[-1.0], [1.0]])     # [n2; n1] -> [-n2; n1]
 
 
 def _element_factors(term: str, form: Formulation, t: np.ndarray, kappa: np.ndarray,
-                     mat: Material, sec: CrossSection, shu: np.ndarray, sha: np.ndarray,
-                     nu: int, na: int) -> tuple[np.ndarray, float]:
-    """Factor G (..., rows, n_local) and modulus k of one term's integrand at
-    points with tangents t and curvature vectors kappa (..., 3), given the
-    shape rows shu, sha (..., nderiv + 1, n_basis) there: a point of weight
-    w contributes w k G^T G. For stretch and shear G is the unit strain
-    operator."""
+                     N: np.ndarray | None, mat: Material, sec: CrossSection, shu: np.ndarray,
+                     sha: np.ndarray, nu: int, na: int) -> tuple[np.ndarray, float, int]:
+    """Factor G, modulus k and first local column c of one term's integrand
+    at points with tangents t, curvature vectors kappa (..., 3) and normal
+    pairs N (..., 2, 3; None where no shear or isotropic bend reads them),
+    given the shape rows shu, sha (..., nderiv + 1, n_basis) there: a point
+    of weight w contributes w k G^T G on the local columns c: of u then angle.
+    Stretch and shear take every column, their G the unit strain operator;
+    Timoshenko bend and twist read theta' alone (c = nu)."""
     lead = t.shape[:-1]
 
     def kron(sh, M):
@@ -231,38 +236,35 @@ def _element_factors(term: str, form: Formulation, t: np.ndarray, kappa: np.ndar
 
     def outer(a, b):
         # the raveled outer product of two vectors per point, as one row
-        return (a[..., :, None] * b[..., None, :]).reshape(lead + (-1,))
+        return (a[..., :, None] * b[..., None, :]).reshape(lead + (1, -1))
 
     n = nu + na
     if term == "stretch":
         G = np.zeros(lead + (1, n))
-        G[..., 0, :nu] = outer(shu[..., 1, :], t)
-        return G, mat.E * sec.area
+        G[..., :nu] = outer(shu[..., 1, :], t)
+        return G, mat.E * sec.area, 0
     if term == "shear":
         # N (u' - theta x t) = N u' + [-n2; n1] theta, N = [n1; n2]
-        N = orthonormal_completion(t)
         G = np.zeros(lead + (2, n))
         G[..., :nu] = kron(shu[..., 1, :], N)
         G[..., nu:] = kron(sha[..., 0, :], N[..., [1, 0], :] * _FLIP)
-        return G, mat.G * sec.area
+        return G, mat.G * sec.area, 0
     if term == "bend":
-        CI = inertia_factor(sec, t)
+        CI = inertia_factor(sec, t, N)
+        if not form.euler_bernoulli:
+            return kron(sha[..., 1, :], CI), mat.E, nu
         G = np.zeros(lead + (CI.shape[-2], n))
-        if form.euler_bernoulli:
-            G[..., :nu] = (kron(shu[..., 1, :], CI @ skew(kappa))
-                           + kron(shu[..., 2, :], CI @ skew(t)))
-            G[..., nu:] = (CI @ kappa[..., None]) * sha[..., None, 0, :]
-        else:
-            G[..., nu:] = kron(sha[..., 1, :], CI)
-        return G, mat.E
+        G[..., :nu] = (kron(shu[..., 1, :], CI @ skew(kappa))
+                       + kron(shu[..., 2, :], CI @ skew(t)))
+        G[..., nu:] = (CI @ kappa[..., None]) * sha[..., None, 0, :]
+        return G, mat.E, 0
     if term == "twist":
+        if not form.euler_bernoulli:
+            return outer(sha[..., 1, :], t), mat.G * sec.polar, nu
         G = np.zeros(lead + (1, n))
-        if form.euler_bernoulli:
-            G[..., 0, :nu] = outer(shu[..., 1, :], np.cross(t, kappa))
-            G[..., 0, nu:] = sha[..., 1, :]
-        else:
-            G[..., 0, nu:] = outer(sha[..., 1, :], t)
-        return G, mat.G * sec.polar
+        G[..., :nu] = outer(shu[..., 1, :], np.cross(t, kappa))
+        G[..., 0, nu:] = sha[..., 1, :]
+        return G, mat.G * sec.polar, 0
     raise ValueError(f"unknown term {term!r}")
 
 
@@ -272,10 +274,21 @@ def _gram(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, 1, 2) @ A
 
 
-def _summed_csr(data, indices, row_ends, n: int) -> scipy.sparse.csr_matrix:
-    """n x n CSR matrix of rows that end at row_ends in data and may repeat a
-    column; the repeats are summed in place, in the arrays given."""
-    M = scipy.sparse.csr_matrix((data, indices, np.concatenate([[0], row_ends])), shape=(n, n))
+def _summed_csr(edofs: np.ndarray, ke: np.ndarray, n: int, nonzero: bool = False
+                ) -> scipy.sparse.csr_matrix:
+    """n x n CSR matrix of the element matrices ke (n_el, m, m) on the DOFs
+    edofs (n_el, m): the element rows grouped by global row, in element
+    order, and summed in place where elements share a DOF; with nonzero, the
+    exact zeros of ke are left out first."""
+    m = edofs.shape[1]
+    order = np.argsort(edofs.ravel(), kind="stable")
+    data, indices = ke.reshape(-1, m)[order].ravel(), edofs[order // m].ravel()
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(edofs.ravel(), minlength=n) * m)])
+    if nonzero:
+        keep = data != 0.0
+        data, indices = data[keep], indices[keep]
+        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+    M = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     M.sum_duplicates()
     return M
 
@@ -306,30 +319,33 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     edofs_all = np.hstack([udofs, adofs]).astype(np.int32)    # scipy's index type
     lengths = np.diff(mesh.nodes)
 
-    ke_soft = np.zeros((n_el, nloc, nloc))
+    # bend and twist: w k G^T G summed over each element's points and rows,
+    # on the local columns c0: that they act on
+    ke_soft = c0 = 0
     # per element, the sqrt(w) G rows of the stiff terms point by point and
     # term by term, and the modulus of each of these rows (the same for
     # every element)
     c_blocks, moduli = [], []
     for rule, tms in batches:
-        # one batch geometry query and shape evaluation per rule: every
-        # element x point of the rule
+        # one batch geometry query, normal-plane basis and shape evaluation
+        # per rule: every element x point of the rule
         spts, w = rule.on_element(mesh.nodes[:-1, None], lengths[:, None])
         fr = model.curve.frames(spts.ravel())
         t, kappa = fr.t.reshape(spts.shape + (3,)), fr.kappa.reshape(spts.shape + (3,))
+        N = orthonormal_completion(t) if "shear" in tms or (
+            "bend" in tms and model.section.is_isotropic) else None
         shu = shape_eval(form.midline, lengths[:, None], rule.points, nderiv=nderiv_u)
         sha = shape_eval(form.angle, lengths[:, None], rule.points, nderiv=1)
         stiff, stiff_k = [], []
         for tm in tms:
-            G, k = _element_factors(tm, form, t, kappa, model.material, model.section,
-                                    shu, sha, nu, na)
+            G, k, c = _element_factors(tm, form, t, kappa, N, model.material, model.section,
+                                       shu, sha, nu, na)
             G *= np.sqrt(w)[..., None, None]
             if tm in _STIFF_TERMS:
                 stiff.append(G)
                 stiff_k += [k] * G.shape[-2]
             else:
-                # w k G^T G summed over each element's points and rows
-                ke_soft += k * _gram(G.reshape(n_el, -1, nloc))
+                ke_soft, c0 = ke_soft + k * _gram(G.reshape(n_el, -1, nloc - c)), c
         if stiff:
             c_blocks.append(np.concatenate(stiff, axis=-2).reshape(n_el, -1, nloc))
             moduli += stiff_k * len(rule.points)
@@ -338,7 +354,8 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     c_blocks.clear()    # c_el holds a copy; freeing these keeps the peak memory down
     moduli = np.asarray(moduli, dtype=float)
     # the full element matrices, K = K_soft + C^T diag(1/compliance) C
-    ke = ke_soft + _gram(np.sqrt(moduli)[:, None] * c_el)
+    ke = _gram(np.sqrt(moduli)[:, None] * c_el)
+    ke[:, c0:, c0:] += ke_soft
 
     # C is CSR as built: element-major rows over each element's DOFs, exact
     # zeros dropped (many strain rows vanish in plane geometry)
@@ -346,17 +363,10 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     C = scipy.sparse.csr_matrix((c_el.ravel(), np.repeat(edofs_all, c_el.shape[1], axis=0).ravel(),
                                  np.arange(0, n_c * nloc + 1, nloc)), shape=(n_c, dm.ndof))
     C.eliminate_zeros()
-    # K and K_soft share one index pattern: the element rows grouped by global
-    # row, in element order, summed where elements share a node. K_soft keeps
-    # its nonzero entries only (Timoshenko bend and twist act on theta alone).
-    order = np.argsort(edofs_all.ravel(), kind="stable")
-    indices = edofs_all[order // nloc].ravel()
-    ends = np.cumsum(np.bincount(edofs_all.ravel(), minlength=dm.ndof) * nloc)
-    soft = ke_soft.reshape(-1, nloc)[order].ravel()
-    nz = soft != 0.0
-    K_soft = _summed_csr(soft[nz], indices[nz], np.cumsum(nz, dtype=np.int32)[ends - 1], dm.ndof)
-    del soft, nz    # before K's gather: ~10 % off the assembly's peak memory
-    K = _summed_csr(ke.reshape(-1, nloc)[order].ravel(), indices, ends, dm.ndof)
+    # K gathers every element DOF, K_soft only those of its columns and keeps
+    # its nonzero entries (plane geometry decouples some angle components)
+    K_soft = _summed_csr(edofs_all[:, c0:], ke_soft, dm.ndof, nonzero=True)
+    K = _summed_csr(edofs_all, ke, dm.ndof)
     return LinearSystem(K=K, rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
                         model=model, K_soft=K_soft, C=C,
                         compliance=1.0 / np.tile(moduli, n_el), policy=policy,

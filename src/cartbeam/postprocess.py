@@ -195,11 +195,15 @@ def reaction_force_totals(solution: SolutionFields) -> np.ndarray:
     return -solution.multipliers @ np.asarray(solution.system.B @ Z[:, :3])
 
 
+_CSV_BLOCK = 256    # rows per % call: the text held at once stays bounded
+
+
 def _write_csv(path: str, header: str, rows: np.ndarray):
     row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(row_fmt % tuple(row) for row in rows.tolist())
+        for block in (rows[i:i + _CSV_BLOCK] for i in range(0, len(rows), _CSV_BLOCK)):
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def export(solution: SolutionFields, out_dir: str, n_samples: int = 101) -> dict[str, str]:

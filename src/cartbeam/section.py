@@ -131,11 +131,11 @@ def inertia_tensor(section: CrossSection, t: Vec3) -> np.ndarray:
     return np.swapaxes(C, -1, -2) @ C
 
 
-def inertia_factor(section: CrossSection, t: Vec3) -> np.ndarray:
+def inertia_factor(section: CrossSection, t: Vec3, N: np.ndarray | None = None) -> np.ndarray:
     """Matrix C with C.T @ C = I_sigma(t); used for exactly symmetric assembly.
 
     Isotropic: C = sqrt(I) N, N the orthonormal pair of the normal plane
-    from `orthonormal_completion`. Oriented: the constant director is
+    (`orthonormal_completion`, unless given). Oriented: the constant director is
     projected onto the normal plane, n1 = normalized projection, n2 = t x n1,
     and C has rows sqrt(I1) n2 and sqrt(I2) n1. Either way C has 2 rows.
     Tangents of shape (..., 3) give one C per tangent, (..., 2, 3); a
@@ -143,7 +143,7 @@ def inertia_factor(section: CrossSection, t: Vec3) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     if section.inertia_iso is not None:
-        return np.sqrt(section.inertia_iso) * orthonormal_completion(t)
+        return np.sqrt(section.inertia_iso) * (orthonormal_completion(t) if N is None else N)
     d = section.director
     dp = d - (t @ d)[..., None] * t
     ndp = np.linalg.norm(dp, axis=-1, keepdims=True)

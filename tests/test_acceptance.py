@@ -104,6 +104,17 @@ def test_criterion_10_curvature_coupling_demos():
     _run(acceptance.curvature_coupling_demos)
 
 
+def test_runtime_limits_read_a_monotonic_clock(monkeypatch):
+    """A wall-clock step during a run neither fails a criterion nor sets its
+    runtime: time.time jumping by 1e4 s per call leaves the 1 s limit of
+    criterion 2 met."""
+    import time
+    clock = iter(range(0, 10**9, 10**4))
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    result = _run(acceptance.h3p2_one_element_quality)
+    assert result.runtime < 1.0
+
+
 def test_sabotage_hook_fails_criteria():
     results = acceptance.run_acceptance(
         names=["geometry_identity_suite", "h3p2_one_element_quality"], slack=1e-12)

@@ -20,6 +20,7 @@ from cartbeam.assembly import (
     discretize,
 )
 from cartbeam.acceptance import _point_factors
+from cartbeam.assembly import _element_factors
 from cartbeam.discretization import (
     FORMULATIONS,
     DofMap,
@@ -90,8 +91,7 @@ class TestKinematicMeasures:
         c, z = 0.37, np.zeros(3)
         nu = 3 if form.euler_bernoulli else 2
         angle = [c, 0.0] if form.euler_bernoulli else [c * fr.t, z]
-        Gs, x = _point_factors(form, circle_section(0.1), fr, [z] * nu, angle)
-        for G in Gs:
+        for G, x in _point_factors(form, circle_section(0.1), fr, [z] * nu, angle):
             assert np.allclose(G @ x, 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("name", FORMULATIONS)
@@ -107,8 +107,8 @@ class TestKinematicMeasures:
         omega = rng.normal(size=3)
         for s in np.linspace(0, curve.length, 7):
             fr = eval_frame(curve, s)
-            Gs, x = _point_factors(form, section, fr, *rigid_rotation_fields(form, fr, omega))
-            for G in Gs:
+            for G, x in _point_factors(form, section, fr,
+                                       *rigid_rotation_fields(form, fr, omega)):
                 assert np.linalg.norm(G @ x) <= 1e-10 * np.linalg.norm(omega)
 
     @pytest.mark.parametrize("name", ["timoshenko_p2p1", "timoshenko_h3p2"])
@@ -118,7 +118,7 @@ class TestKinematicMeasures:
         arc = CircularArc([0, 0, 0], R, [1, 0, 0], [0, 1, 0], 0.0, np.pi)
         fr = eval_frame(arc, 1.1)
         z = np.zeros(3)
-        (_, G_shear, _, _), x = _point_factors(formulation(name), circle_section(0.1), fr,
+        _, (G_shear, x), _, _ = _point_factors(formulation(name), circle_section(0.1), fr,
                                                [fr.t, fr.kappa], [z, z])
         # two rows, the components on the normal-plane pair N
         assert G_shear.shape[0] == 2
@@ -321,6 +321,61 @@ def stiff_rows_per_point(form):
     # stretch 1, and shear 2: the components of u' - theta x t on the
     # normal-plane pair
     return 1 if form.euler_bernoulli else 3
+
+
+def full_column_reference(system):
+    """Dense K and K_soft of a system from the factors of `_element_factors`
+    placed on all of an element's u + angle columns, integrated point by
+    point and added element by element."""
+    model, form, mesh, dm = system.model, system.form, system.mesh, system.dofmap
+    udofs, adofs = dm.fields["u"].elem_dofs, dm.fields[form.angle_field].elem_dofs
+    edofs, nu, na = np.hstack([udofs, adofs]), udofs.shape[1], adofs.shape[1]
+    full = gauss_rule(form.full_points)
+    stiff_rule = gauss_rule(2) if system.policy == "reduced" else full
+    lengths = np.diff(mesh.nodes)
+    K, K_soft = np.zeros((dm.ndof, dm.ndof)), np.zeros((dm.ndof, dm.ndof))
+    for term in ("stretch", "shear", "bend", "twist"):
+        if term == "shear" and form.euler_bernoulli:
+            continue
+        soft = term in ("bend", "twist")
+        rule = full if soft else stiff_rule
+        spts, w = rule.on_element(mesh.nodes[:-1, None], lengths[:, None])
+        fr = model.curve.frames(spts.ravel())
+        t, kappa = fr.t.reshape(spts.shape + (3,)), fr.kappa.reshape(spts.shape + (3,))
+        shu = shape_eval(form.midline, lengths[:, None], rule.points,
+                         nderiv=2 if form.euler_bernoulli else 1)
+        sha = shape_eval(form.angle, lengths[:, None], rule.points, nderiv=1)
+        G, k, c = _element_factors(term, form, t, kappa, orthonormal_completion(t),
+                                   model.material, model.section, shu, sha, nu, na)
+        G_all = np.zeros(G.shape[:-1] + (nu + na,))
+        G_all[..., c:] = G
+        for e in range(mesh.n_elements):
+            for q in range(len(rule.points)):
+                ke = w[e, q] * k * G_all[e, q].T @ G_all[e, q]
+                K[np.ix_(edofs[e], edofs[e])] += ke
+                if soft:
+                    K_soft[np.ix_(edofs[e], edofs[e])] += ke
+    return K, K_soft
+
+
+class TestSoftColumns:
+    """Bend and twist are assembled on the columns they act on: the angle
+    DOFs under Timoshenko, every DOF under Euler-Bernoulli."""
+
+    @SPLIT_CASES
+    def test_matches_full_column_assembly(self, name, policy, kind, section):
+        system = split_system(name, policy, kind, section)
+        K_ref, K_soft_ref = full_column_reference(system)
+        for got, ref in ((system.K, K_ref), (system.K_soft, K_soft_ref)):
+            assert np.abs(got.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @SPLIT_CASES
+    def test_u_entries_of_the_soft_part(self, name, policy, kind, section):
+        # none under Timoshenko, where bend and twist read theta' alone
+        system = split_system(name, policy, kind, section)
+        u = system.dofmap.fields["u"].elem_dofs.ravel()
+        eb = system.form.euler_bernoulli
+        assert (system.K_soft[u].nnz > 0) == (system.K_soft[:, u].nnz > 0) == eb
 
 
 class TestMixedSplit:

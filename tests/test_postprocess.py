@@ -17,6 +17,7 @@ from cartbeam.cli import load_model
 from cartbeam.discretization import FORMULATIONS, formulation, shape_eval
 from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment, ParamCurve
 from cartbeam.postprocess import (
+    _write_csv,
     applied_load_totals,
     displacement_samples,
     export,
@@ -300,6 +301,20 @@ class TestExport:
         res = resultants(sol, data[:, 0])
         ref = np.column_stack([res.s, res.N, res.S, res.M, res.T])
         assert np.abs(data - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257])
+    def test_block_writer_matches_row_format(self, tmp_path, n):
+        # the blocked writer gives the bytes of one %.17g format per row, on
+        # special values and across a block boundary
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300,
+                   0.1, 1.0 / 3.0, -2.5e-17, 123456789.0]
+        rows = np.resize(np.array(special), (n, 10))
+        rows[-1, :] = np.random.default_rng(n).normal(size=10)
+        path = tmp_path / "block.csv"
+        _write_csv(str(path), "a,b,c,d,e,f,g,h,i,j", rows)
+        row_fmt = ",".join(["%.17g"] * 10) + "\n"
+        expected = "a,b,c,d,e,f,g,h,i,j\n" + "".join(row_fmt % tuple(r) for r in rows.tolist())
+        assert path.read_bytes() == expected.encode()
 
     def test_repeat_export_byte_identical(self, tmp_path):
         sol = solved_cantilever()

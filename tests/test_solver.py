@@ -526,12 +526,17 @@ class TestCallBudget:
     """Per-solve geometry and quadrature queries, counted on two consecutive
     P2-P1 arc solves of a fresh curve: one frames query per stiffness rule,
     the end frames once for the loads, the essential rows and the rigid
-    check of both solves; the Gauss rule once."""
+    check of both solves; the Gauss rule once; one normal-plane basis per
+    solve for the shear and the isotropic bend factors of the full rule,
+    and one for the essential end rows."""
 
     def test_two_arc_solves(self, monkeypatch):
+        import cartbeam.assembly
+        import cartbeam.geometry
+        import cartbeam.section
         from cartbeam.discretization import gauss_rule
         from cartbeam.geometry import ParamCurve
-        counts = {"frames": 0, "frame": 0, "leggauss": 0}
+        counts = {"frames": 0, "frame": 0, "leggauss": 0, "orthonormal_completion": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -543,9 +548,12 @@ class TestCallBudget:
         monkeypatch.setattr(ParamCurve, "frame", counted("frame", ParamCurve.frame))
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             counted("leggauss", np.polynomial.legendre.leggauss))
+        completion = counted("orthonormal_completion", cartbeam.geometry.orthonormal_completion)
+        for module in (cartbeam.geometry, cartbeam.assembly, cartbeam.section):
+            monkeypatch.setattr(module, "orthonormal_completion", completion)
         gauss_rule.cache_clear()
         arc = CircularArc([0, 0, 0], 1.5, [1, 0, 0], [0, 1, 0], 0.0, 2.0)
         model = bar_model(curve=arc, loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
         for _ in range(2):
             solve_model(model, formulation("timoshenko_p2p1"), 4)
-        assert counts == {"frames": 3, "frame": 0, "leggauss": 1}
+        assert counts == {"frames": 3, "frame": 0, "leggauss": 1, "orthonormal_completion": 4}
