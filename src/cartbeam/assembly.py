@@ -20,12 +20,12 @@ Only the tangent (plus kappa for Euler-Bernoulli) is ever queried from the
 geometry; no normal directions along the curve are needed, so straight
 segments and inflection points require no special handling.
 
-Besides the full stiffness K, assembly records its mixed split
-K = K_soft + C^T diag(1/compliance) C: K_soft holds bend and twist, formed
-on the DOFs they act on (the rotation DOFs alone for Timoshenko, every DOF
-for Euler-Bernoulli), and each row of C is sqrt(w_q) times one independent
-strain component at a point q of a stiff term's rule: stretch t . u'
-(compliance 1/(E|A|)) and, unless Euler-Bernoulli, shear
+Assembly builds the mixed split K = K_soft + C^T diag(1/compliance) C, and
+K itself only on request (`LinearSystem.K`). K_soft holds bend and twist,
+formed on the DOFs they act on (the rotation DOFs alone for Timoshenko,
+every DOF for Euler-Bernoulli), and each row of C is sqrt(w_q) times one
+independent strain component at a point q of a stiff term's rule: stretch
+t . u' (compliance 1/(E|A|)) and, unless Euler-Bernoulli, shear
 N (u' - theta x t) (1/(G|A|)), two rows on the orthonormal pair N of the
 normal plane, where that strain lies. So a point gives 3 rows of C
 (Euler-Bernoulli 1). The solver carries one resultant
@@ -41,6 +41,7 @@ table of these pairings, for loads and constraints alike.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -185,14 +186,13 @@ class RowInfo:
 class LinearSystem:
     """Assembled stiffness, loads and essential rows of one discretization.
 
-    K is the full stiffness; K_soft, C and compliance are its mixed split
+    K_soft, C and compliance are the mixed split of the stiffness
     K = K_soft + C^T diag(1/compliance) C (see the module docstring), which
-    is what the solver factors. For Timoshenko, K_soft has entries on the
-    theta DOFs only. B (m, ndof) and g (m,) are the essential
-    rows B x = g, m >= 0.
+    is what the solver factors; K is formed only when read (the split is
+    never reassigned). For Timoshenko, K_soft has entries on the theta DOFs
+    only. B (m, ndof) and g (m,) are the essential rows B x = g, m >= 0.
     """
 
-    K: scipy.sparse.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
     mesh: Mesh1D
@@ -209,6 +209,11 @@ class LinearSystem:
     @property
     def n_constraints(self) -> int:
         return self.B.shape[0]
+
+    @functools.cached_property
+    def K(self) -> scipy.sparse.csr_matrix:
+        """The full stiffness, formed from the split on first read and kept."""
+        return (self.K_soft + self.C.T @ scipy.sparse.diags(1 / self.compliance) @ self.C).tocsr()
 
 
 # terms whose modulus scales like |A| and whose resultants are carried as
@@ -274,20 +279,17 @@ def _gram(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, 1, 2) @ A
 
 
-def _summed_csr(edofs: np.ndarray, ke: np.ndarray, n: int, nonzero: bool = False
-                ) -> scipy.sparse.csr_matrix:
+def _summed_csr(edofs: np.ndarray, ke: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
     """n x n CSR matrix of the element matrices ke (n_el, m, m) on the DOFs
-    edofs (n_el, m): the element rows grouped by global row, in element
-    order, and summed in place where elements share a DOF; with nonzero, the
-    exact zeros of ke are left out first."""
+    edofs (n_el, m): the element rows' nonzero entries grouped by global row,
+    in element order, and summed in place where elements share a DOF."""
     m = edofs.shape[1]
     order = np.argsort(edofs.ravel(), kind="stable")
     data, indices = ke.reshape(-1, m)[order].ravel(), edofs[order // m].ravel()
     indptr = np.concatenate([[0], np.cumsum(np.bincount(edofs.ravel(), minlength=n) * m)])
-    if nonzero:
-        keep = data != 0.0
-        data, indices = data[keep], indices[keep]
-        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+    keep = data != 0.0
+    data, indices = data[keep], indices[keep]
+    indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
     M = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     M.sum_duplicates()
     return M
@@ -296,11 +298,10 @@ def _summed_csr(edofs: np.ndarray, ke: np.ndarray, n: int, nonzero: bool = False
 def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
                        policy: str = "full") -> LinearSystem:
     """Assemble K = K_stretch + K_shear + K_bend + K_twist (shear omitted for
-    Euler-Bernoulli). Bend and twist use the full Gauss rule; stretch and
-    shear use the 2-point rule under the reduced policy, the full rule else.
-
-    The same pass records the mixed split K = K_soft + C^T diag(1/compliance) C
-    (see LinearSystem), so the stiff terms never need to be factored."""
+    Euler-Bernoulli) as its mixed split K = K_soft + C^T diag(1/compliance) C
+    (see LinearSystem), so the stiff terms never need to be factored. Bend
+    and twist use the full Gauss rule; stretch and shear use the 2-point rule
+    under the reduced policy, the full rule else."""
     if policy not in ("full", "reduced"):
         raise ValueError(f"unknown quadrature policy {policy!r}")
     dm = DofMap(mesh, form)
@@ -351,23 +352,17 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
             moduli += stiff_k * len(rule.points)
 
     c_el = np.concatenate(c_blocks, axis=1)
-    c_blocks.clear()    # c_el holds a copy; freeing these keeps the peak memory down
     moduli = np.asarray(moduli, dtype=float)
-    # the full element matrices, K = K_soft + C^T diag(1/compliance) C
-    ke = _gram(np.sqrt(moduli)[:, None] * c_el)
-    ke[:, c0:, c0:] += ke_soft
-
     # C is CSR as built: element-major rows over each element's DOFs, exact
     # zeros dropped (many strain rows vanish in plane geometry)
     n_c = n_el * len(moduli)
     C = scipy.sparse.csr_matrix((c_el.ravel(), np.repeat(edofs_all, c_el.shape[1], axis=0).ravel(),
                                  np.arange(0, n_c * nloc + 1, nloc)), shape=(n_c, dm.ndof))
     C.eliminate_zeros()
-    # K gathers every element DOF, K_soft only those of its columns and keeps
-    # its nonzero entries (plane geometry decouples some angle components)
-    K_soft = _summed_csr(edofs_all[:, c0:], ke_soft, dm.ndof, nonzero=True)
-    K = _summed_csr(edofs_all, ke, dm.ndof)
-    return LinearSystem(K=K, rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
+    # K_soft on the DOFs of its columns (plane geometry decouples some angle
+    # components, whose zeros the gather leaves out)
+    K_soft = _summed_csr(edofs_all[:, c0:], ke_soft, dm.ndof)
+    return LinearSystem(rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
                         model=model, K_soft=K_soft, C=C,
                         compliance=1.0 / np.tile(moduli, n_el), policy=policy,
                         B=scipy.sparse.csr_matrix((0, dm.ndof)), g=np.zeros(0))

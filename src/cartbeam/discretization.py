@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import clip_arc_lengths
+
 
 class UnsupportedOrderError(ValueError):
     """A derivative order beyond what the basis supports was requested."""
@@ -59,9 +61,10 @@ class Mesh1D:
         """Element index and local coordinate xi in [0, 1] containing s.
 
         s may be a 1-d array, which gives an index array and an xi array of
-        its shape; a scalar s is the one-row case and gives (int, float).
+        its shape; a scalar s is the one-row case and gives (int, float). An
+        s off [0, L] or not finite raises ValueError (`clip_arc_lengths`).
         """
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        s_arr = clip_arc_lengths(np.atleast_1d(np.asarray(s, dtype=float)), self.length)
         # an s a few ulp short of a node counts as on it, in the element to its
         # right, so the side a node sample takes does not follow round-off in s
         e = np.searchsorted(self.nodes, s_arr + 4 * np.spacing(np.abs(s_arr)), side="right")

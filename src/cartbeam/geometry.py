@@ -470,13 +470,14 @@ class ArcLengthMap:
         return _scalar_or_array(xi.reshape(s.shape))
 
 
-def _check_s(curve: ParamCurve, s: np.ndarray) -> np.ndarray:
-    L = curve.length
-    tol = 1e-9 * max(L, 1.0)
-    outside = (s < -tol) | (s > L + tol)
-    if outside.any():
-        raise ValueError(f"arc length {s[outside][0]} outside [0, {L}]")
-    return np.clip(s, 0.0, L)
+def clip_arc_lengths(s: np.ndarray, length: float) -> np.ndarray:
+    """The arc lengths s clipped onto [0, length]; ValueError, naming the
+    first, where one is not finite or lies off by more than 1e-9 max(length, 1)."""
+    tol = 1e-9 * max(length, 1.0)
+    bad = ~((s >= -tol) & (s <= length + tol))     # NaN compares false
+    if bad.any():
+        raise ValueError(f"arc length {s[bad][0]} outside [0, {length}]")
+    return np.clip(s, 0.0, length)
 
 
 def eval_frames(curve: ParamCurve, s) -> FrameSample:
@@ -489,7 +490,7 @@ def eval_frames(curve: ParamCurve, s) -> FrameSample:
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise ValueError("frames needs a 1-d array of arc lengths")
-    s = _check_s(curve, s)
+    s = clip_arc_lengths(s, curve.length)
     xi = curve.arclength().xi_of_s(s)
     r1 = curve.d1(xi)
     r2 = curve.d2(xi)

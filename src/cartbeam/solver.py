@@ -13,13 +13,13 @@ sigma, and the solve factors the saddle system
 with K_soft the bend and twist stiffness, D = diag(1/(E|A|), 1/(G|A|)) and B
 the essential rows. C has one row per independent strain component (3 per
 Timoshenko point, 1 per Euler-Bernoulli point; see `assembly`). Eliminating
-sigma gives back K x + B^T lambda = f with the full assembled K, so the
+sigma gives back K x + B^T lambda = f with K = K_soft + C^T D^-1 C, so the
 discrete solution is the same; only the rounding of the stiff terms no
 longer swamps the bending response as t -> 0 (Malkus & Hughes, CMAME 15,
-1978; Arnold, Numer. Math. 37, 1981). The first solve is refined, at most
-twice, only while |rhs - A y| > 16 eps (|rhs| + |A| |y|) in the max norm:
-below that the residual is its own rounding (Arioli, Demmel & Duff, SIAM
-J. Matrix Anal. Appl. 10, 1989).
+1978; Arnold, Numer. Math. 37, 1981). K is applied from this split, never
+formed. The first solve is refined, at most twice, only while the residual
+|rhs - A y| > 16 eps (|rhs| + |A| |y|) in the max norm: below that it is
+its own rounding (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989).
 
 Under `reduced` quadrature the H3 midline has zero-energy modes: three for
 `timoshenko_h3p2` on every curve and mesh, one for `euler_bernoulli_h3` on a
@@ -187,7 +187,7 @@ def _free_rigid_mode_count(system: LinearSystem) -> int:
     return 6 - rank
 
 
-def hourglass_modes(system: LinearSystem, knorm: float) -> np.ndarray:
+def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
     """Zero-energy modes that survive the essential rows, columns of (ndof, k).
 
     The candidates are the three hourglass vectors of the H3 midline: in H_a
@@ -200,8 +200,8 @@ def hourglass_modes(system: LinearSystem, knorm: float) -> np.ndarray:
     alone) and are returned as they are. For `euler_bernoulli_h3` the bend
     and twist measures see u' through t x u'' and kappa x u', which leaves
     only the combination along t on a straight beam. The columns returned
-    are the combinations that K does not see (k = 0 under `full`). knorm is
-    ||K||_inf.
+    are the combinations that K does not see (k = 0 under `full`). kappa is
+    max_i K_ii, at most ||K||_inf (see `solve`).
     """
     dm = system.dofmap
     if system.form.midline != "H3" or system.policy != "reduced":
@@ -210,12 +210,22 @@ def hourglass_modes(system: LinearSystem, knorm: float) -> np.ndarray:
     slopes = dm.fields["u"].node_dofs[:, 3:]
     for a in range(3):
         H[slopes[:, a], a] = 1.0
-    KH = system.K @ H
-    _, sv, Vt = np.linalg.svd(KH, full_matrices=False)
-    null = sv <= 1e-12 * knorm * np.sqrt(len(slopes))
+    _, sv, Vt = np.linalg.svd(_apply_stiffness(system, H), full_matrices=False)
+    null = sv <= 1e-12 * kappa * np.sqrt(len(slopes))
     if null.all():
         return H
     return H @ Vt[null].T
+
+
+def _apply_stiffness(system: LinearSystem, X: np.ndarray) -> np.ndarray:
+    """K X = K_soft X + C^T ((C X) / compliance), without forming K."""
+    return system.K_soft @ X + system.C.T @ ((system.C @ X).T / system.compliance).T
+
+
+def _stiffness_scale(system: LinearSystem) -> float:
+    """kappa = max_i K_ii = max_i (K_soft)_ii + sum_k C_ki^2 / compliance_k."""
+    C, w = system.C, system.C.data**2 / np.repeat(system.compliance, np.diff(system.C.indptr))
+    return float((system.K_soft.diagonal() + np.bincount(C.indices, w, minlength=C.shape[1])).max())
 
 
 def _segment_reduce(ufunc, M) -> np.ndarray:
@@ -273,12 +283,13 @@ def solve(system: LinearSystem) -> SolutionFields:
     """Factor the mixed saddle system (module docstring) and verify residuals.
 
     Deterministic sparse LU with symmetric equilibration, refined while the
-    residual is above round-off (at most two steps). Raises
-    SingularSystemError when unconstrained rigid modes remain, when the load
-    does work on the zero-energy modes of `hourglass_modes`, or when the
-    factorization or residual checks fail.
+    residual is above round-off (at most two steps). The equilibrium check
+    scales by kappa = max_i K_ii <= sum_j |K_ij|, so never looser than by
+    ||K||_inf. Raises SingularSystemError when unconstrained rigid modes
+    remain, when the load does work on the zero-energy modes of
+    `hourglass_modes`, or when the factorization or residual checks fail.
     """
-    n = system.K.shape[0]
+    n = system.dofmap.ndof
     m = system.n_constraints
     free = _free_rigid_mode_count(system)
     if free > 0:
@@ -286,8 +297,8 @@ def solve(system: LinearSystem) -> SolutionFields:
             f"system is singular: {free} unconstrained rigid-body mode(s)",
             n_rigid_modes=free)
 
-    knorm = _inf_norm(system.K)
-    H = hourglass_modes(system, knorm)
+    kappa = _stiffness_scale(system)
+    H = hourglass_modes(system, kappa)
     B, g = system.B, system.g
     k = H.shape[1]
     if k:
@@ -334,9 +345,9 @@ def solve(system: LinearSystem) -> SolutionFields:
     x, lam = sol[:n], sol[n + p:n + p + m]
     # K x - f + B^T lam, without building B^T
     Bs = system.B
-    r1 = system.K @ x - system.rhs \
+    r1 = _apply_stiffness(system, x) - system.rhs \
         + np.bincount(Bs.indices, Bs.data * np.repeat(lam, np.diff(Bs.indptr)), minlength=n)
-    bound = 1e-10 * (np.linalg.norm(system.rhs) + knorm * np.linalg.norm(x) + 1e-300)
+    bound = 1e-10 * (np.linalg.norm(system.rhs) + kappa * np.linalg.norm(x) + 1e-300)
     if np.linalg.norm(r1) > max(bound, 1e-300):
         raise SingularSystemError(
             f"equilibrium residual {np.linalg.norm(r1):.3e} exceeds {bound:.3e}; "

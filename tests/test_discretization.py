@@ -141,6 +141,16 @@ class TestMesh:
             assert mesh.locate(float(s))[0] == 2
         assert mesh.locate(float(node - 1e-9))[0] == 1
 
+    @pytest.mark.parametrize("s", [np.nan, -np.inf, -1e-6, 4.0 + 1e-6, 6.0])
+    def test_locate_refuses_arc_lengths_off_the_mesh(self, s):
+        mesh = Mesh1D.uniform(4.0, 4)
+        with pytest.raises(ValueError, match=f"arc length {s}"):
+            mesh.locate(s)
+        with pytest.raises(ValueError, match=f"arc length {s}"):
+            mesh.locate(np.array([0.0, s, 4.0]))
+        # within the 1e-9 max(L, 1) slack an end sample is still located
+        assert mesh.locate(np.array([-1e-12, 4.0 + 1e-12]))[0].tolist() == [0, 3]
+
 
 class TestFormulations:
     def test_registry(self):

@@ -224,6 +224,19 @@ class TestBatchFrames:
             scale = np.abs(want).max()
             assert np.all(np.abs(got - want) <= 1e-14 * scale), name
 
+    @pytest.mark.parametrize("curve_factory", CURVE_FACTORIES, ids=CURVE_IDS)
+    @pytest.mark.parametrize("where", ["nan", "inf", "below", "above"])
+    def test_refuses_arc_lengths_off_the_curve(self, curve_factory, where):
+        # NaN and inf are refused like an s outside [0, L], naming the value,
+        # in a batch of otherwise valid arc lengths
+        curve = curve_factory()
+        L = curve.length
+        bad = {"nan": np.nan, "inf": np.inf, "below": -1e-6 * L, "above": L * (1 + 1e-6)}[where]
+        with pytest.raises(ValueError, match=f"arc length {bad}"):
+            curve.frames(np.array([0.0, bad, L]))
+        with pytest.raises(ValueError, match="arc length"):
+            curve.frame(bad)
+
     def test_frames_needs_one_sample_axis(self):
         with pytest.raises(ValueError):
             quarter_circle().frames(np.zeros((2, 2)))

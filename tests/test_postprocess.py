@@ -417,3 +417,17 @@ class TestBatchEvaluation:
         close(res.M, ref["M"])
         close(res.T, ref["T"])
         close(shear_angle(sol, s), ref["shear"], terms)
+
+    @pytest.mark.parametrize("where", ["before", "beyond", "nan"])
+    def test_refuses_arc_lengths_off_the_beam(self, where):
+        # evaluate refuses what resultants refuses, instead of extrapolating
+        # the end elements' polynomials
+        with open(os.path.join(CONFIG_DIR, "helix_spring.json")) as fh:
+            model, name, n, policy = load_model(json.load(fh))
+        sol = solve_model(model, formulation(name), n, policy)
+        s = {"before": -1.0, "beyond": 1.5 * sol.mesh.length, "nan": np.nan}[where]
+        for query in (sol.evaluate, lambda v: resultants(sol, np.array([v]))):
+            with pytest.raises(ValueError, match=f"arc length {s}"):
+                query(s)
+        with pytest.raises(ValueError, match=f"arc length {s}"):
+            sol.evaluate(np.array([0.0, s]))

@@ -23,10 +23,12 @@ from cartbeam.postprocess import tip_displacement
 from cartbeam.section import Material, circle_section, unit_depth_rect_section
 from cartbeam.solver import (
     SingularSystemError,
+    _apply_stiffness,
     _free_rigid_mode_count,
     _inf_norm,
     _mixed_system,
     _segment_reduce,
+    _stiffness_scale,
     hourglass_modes,
     rigid_modes,
     solve,
@@ -186,7 +188,7 @@ class TestKernel:
             expected = 3
         elif policy == "reduced" and name == "euler_bernoulli_h3" and kind == "line":
             expected = 1
-        H = hourglass_modes(system, _inf_norm(system.K))
+        H = hourglass_modes(system, _stiffness_scale(system))
         assert kernel_dim == expected, eig[:4]
         assert H.shape[1] == expected
         if expected:
@@ -438,6 +440,33 @@ class TestNormHelpers:
         assert _inf_norm(system.K) == pytest.approx(abs(system.K).sum(axis=1).max(), rel=1e-15)
 
 
+class TestStiffnessFromSplit:
+    """solve applies K = K_soft + C^T diag(1/compliance) C from the split and
+    never forms it; its scale kappa = max_i K_ii is never above ||K||_inf."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CURVES))
+    @pytest.mark.parametrize("policy", ["full", "reduced"])
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_solve_reads_the_split_alone(self, name, policy, kind):
+        model = BeamModel(curve=KERNEL_CURVES[kind], material=MAT,
+                          section=circle_section(0.2),
+                          bc_start=BoundaryCondition.clamped(),
+                          bc_end=BoundaryCondition.free(),
+                          loads=LoadCase(force_end=[0.1, -0.2, 0.3]))
+        system = discretize(model, formulation(name), 4, policy)
+        solve(system)
+        assert "K" not in vars(system)
+        kappa, K = _stiffness_scale(system), system.K
+        assert "K" in vars(system)
+        diag = K.diagonal().max()
+        assert abs(kappa - diag) <= 1e-15 * diag
+        assert kappa <= _inf_norm(K)
+        X = np.random.default_rng(5).standard_normal((K.shape[0], 3))
+        KX = K @ X
+        assert np.abs(_apply_stiffness(system, X) - KX).max() <= 1e-14 * np.abs(KX).max()
+        assert np.array_equal(_apply_stiffness(system, X[:, 1]), _apply_stiffness(system, X)[:, 1])
+
+
 class TestSaddleMatrix:
     @pytest.mark.parametrize("policy", ["full", "reduced"])
     @pytest.mark.parametrize("name", sorted(FORMULATIONS))
@@ -528,7 +557,7 @@ class TestCallBudget:
     the end frames once for the loads, the essential rows and the rigid
     check of both solves; the Gauss rule once; one normal-plane basis per
     solve for the shear and the isotropic bend factors of the full rule,
-    and one for the essential end rows."""
+    and one for the essential end rows; one CSR gather (K_soft) per solve."""
 
     def test_two_arc_solves(self, monkeypatch):
         import cartbeam.assembly
@@ -536,7 +565,8 @@ class TestCallBudget:
         import cartbeam.section
         from cartbeam.discretization import gauss_rule
         from cartbeam.geometry import ParamCurve
-        counts = {"frames": 0, "frame": 0, "leggauss": 0, "orthonormal_completion": 0}
+        counts = {"frames": 0, "frame": 0, "leggauss": 0, "orthonormal_completion": 0,
+                  "_summed_csr": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -551,9 +581,12 @@ class TestCallBudget:
         completion = counted("orthonormal_completion", cartbeam.geometry.orthonormal_completion)
         for module in (cartbeam.geometry, cartbeam.assembly, cartbeam.section):
             monkeypatch.setattr(module, "orthonormal_completion", completion)
+        monkeypatch.setattr(cartbeam.assembly, "_summed_csr",
+                            counted("_summed_csr", cartbeam.assembly._summed_csr))
         gauss_rule.cache_clear()
         arc = CircularArc([0, 0, 0], 1.5, [1, 0, 0], [0, 1, 0], 0.0, 2.0)
         model = bar_model(curve=arc, loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
         for _ in range(2):
             solve_model(model, formulation("timoshenko_p2p1"), 4)
-        assert counts == {"frames": 3, "frame": 0, "leggauss": 1, "orthonormal_completion": 4}
+        assert counts == {"frames": 3, "frame": 0, "leggauss": 1, "orthonormal_completion": 4,
+                          "_summed_csr": 2}
