@@ -5,11 +5,19 @@ transmitted across every section must equal the applied tip load, and the
 reactions recovered from the multipliers must balance all applied loads.
 """
 import json
+import math
 import os
+import tempfile
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from cartbeam import postprocess
 from cartbeam.assembly import BeamModel, BoundaryCondition, LoadCase, PointConstraint, \
     discretize
 from cartbeam.benchmarks import make_quarter_arc_model, make_straight_model
@@ -17,6 +25,7 @@ from cartbeam.cli import load_model
 from cartbeam.discretization import FORMULATIONS, formulation, shape_eval
 from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment, ParamCurve
 from cartbeam.postprocess import (
+    _CSV_BLOCK,
     _write_csv,
     applied_load_totals,
     displacement_samples,
@@ -322,6 +331,126 @@ class TestExport:
         p2 = export(sol, str(tmp_path / "b"), n_samples=7)
         for key in p1:
             assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+
+    @pytest.mark.parametrize("n_samples", [0, 1, -3, 2.5])
+    def test_too_few_or_fractional_samples_are_refused(self, tmp_path, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            export(solved_cantilever(), str(tmp_path / "out"), n_samples=n_samples)
+        assert not (tmp_path / "out").exists()
+
+    def test_two_samples_are_the_two_ends(self, tmp_path):
+        paths = export(solved_cantilever(), str(tmp_path), n_samples=2)
+        data = np.loadtxt(paths["centerline"], delimiter=",", skiprows=1)
+        assert data[:, 0].tolist() == [0.0, 10.0]
+
+
+def _row_format(header: str, rows: np.ndarray) -> bytes:
+    """The reference CSV: one '%.17g' format per row."""
+    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return (header + "\n" + "".join(row_fmt % tuple(r) for r in rows.tolist())).encode()
+
+
+def _python_formatted(monkeypatch) -> list:
+    """Record each value that the CSV writer hands to Python's formatting."""
+    seen = []
+    fmt = postprocess._py_format
+    monkeypatch.setattr(postprocess, "_py_format", lambda v: seen.append(v) or fmt(v))
+    return seen
+
+
+class TestCsvFormat:
+    """The array-formatted CSV cells against Python's own '%.17g'."""
+
+    def check(self, tmp_path, values, width=1):
+        rows = np.asarray(values, dtype=float).reshape(-1, width)
+        header = ",".join("c%d" % j for j in range(width))
+        path = tmp_path / "cells.csv"
+        _write_csv(str(path), header, rows)
+        assert path.read_bytes() == _row_format(header, rows)
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(18).integers(0, 2**64, 2**18, dtype=np.uint64)
+        self.check(tmp_path, bits.view(np.float64), width=16)
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path, monkeypatch):
+        p10 = 10.0 ** np.arange(-300, 301)
+        seen = _python_formatted(monkeypatch)
+        self.check(tmp_path, [np.nextafter(p10, -np.inf), p10, np.nextafter(p10, np.inf)],
+                   width=601)
+        # where log10 misplaces the exponent, the array path corrects it: in
+        # range, only a tie (999999999999999.875) and 1e20, whose exponent
+        # stays undecided, are left to Python
+        assert sorted(v for v in seen if 1e-250 <= abs(v) <= 1e250) == [
+            999999999999999.875, 1e20]
+
+    def test_exact_ties_round_half_even(self, tmp_path, monkeypatch):
+        # odd multiples of 1/8 in [2^49, 10^15) carry 18 significant digits,
+        # the last a 5: each is an exact tie at 17 digits, which only
+        # Python's formatting can break (to even)
+        odd = 2 * np.random.default_rng(8).integers(0, (10**15 - 2**49) * 4, 4000) + 1
+        ties = 2.0**49 + odd / 8.0
+        seen = _python_formatted(monkeypatch)
+        self.check(tmp_path, np.concatenate([ties, -ties]), width=8)
+        assert len(seen) == 8000
+
+    def test_notation_switch_points(self, tmp_path):
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+        values = [edges]
+        lo, hi = edges, edges
+        for _ in range(3):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+            values += [lo, hi]
+        self.check(tmp_path, np.concatenate(values + [-v for v in values]), width=4)
+
+    def test_values_rounding_up_to_the_next_power(self, tmp_path):
+        # doubles just below 10^p whose 17 digits round up to 10^p
+        cands = [float(np.nextafter(10.0**p, d)) for p in range(-300, 301) for d in (0.0, np.inf)]
+        cands += [10.0**p for p in range(-300, 301)]
+        up = [v for v in cands if Fraction(v) < Fraction(10) ** round(math.log10(v))
+              and ("%.17g" % v).split("e")[0] == "1"]
+        assert len(up) >= 10
+        self.check(tmp_path, up + [-v for v in up])
+
+    def test_special_values(self, tmp_path):
+        self.check(tmp_path, [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                              1e-250, 1e250, 2.2250738585072014e-308, 1.7976931348623157e308],
+                   width=11)
+
+    @pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                                   3 * _CSV_BLOCK + 7])
+    def test_row_counts_around_the_block(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(n, 13)) * 10.0 ** rng.integers(-8, 20, (n, 13))
+        self.check(tmp_path, rows, width=13)
+
+    @settings(max_examples=50, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 20), st.integers(1, 5)),
+                      elements=st.floats(width=64)))
+    def test_any_float_array(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cells.csv")
+            _write_csv(path, "h", rows)
+            with open(path, "rb") as fh:
+                assert fh.read() == _row_format("h", rows)
+
+    def test_helix_export_needs_no_python_formatting(self, tmp_path, monkeypatch):
+        with open(os.path.join(CONFIG_DIR, "helix_spring.json")) as fh:
+            model, name, n, policy = load_model(json.load(fh))
+        sol = solve_model(model, formulation(name), n, policy)
+        seen = _python_formatted(monkeypatch)
+        export(sol, str(tmp_path), n_samples=1001)
+        assert seen == []
+
+    @pytest.mark.parametrize("n", [20_000, 100_000])
+    def test_transient_memory_is_bounded(self, n):
+        rows = np.random.default_rng(n).normal(size=(n, 13))
+        tracemalloc.start()
+        try:
+            _write_csv(os.devnull, "h", rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 def _fields_per_sample(sol, si):
