@@ -1,37 +1,37 @@
 #!/usr/bin/env python3
-"""Solve the curvature-coupling demo problems and export centerline CSVs.
+"""Solve the curvature-coupling demo problems with `cartbeam solve`.
 
-The S-curve cases show how initial curvature couples twist, bending, and
-midline deflection; the helix case is a spring compressed along its axis
-with a guided end; the straight torque case is the decoupled control.
+Each model file in the package's demos/ directory is solved into
+OUT/<file stem>/ (centerline.csv, resultants.csv, summary.json). As for
+`cartbeam solve`, the environment variable BEAM_OUT overrides --out as OUT.
+The README says what each demo shows.
 """
 import argparse
+import glob
 import os
+import sys
 
-import numpy as np
-
-from cartbeam.benchmarks import demo_configs, solve_demo
-from cartbeam.postprocess import displacement_samples, export, tip_displacement
+from cartbeam import cli
+from cartbeam.benchmarks import DEMO_DIR
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/demos")
-    parser.add_argument("--samples", type=int, default=101)
-    args = parser.parse_args()
+    parser.add_argument("--samples", type=int, default=101, help="resultant sample count")
+    args = parser.parse_args(argv)
+    # taken out of the environment, else cartbeam solve would write every demo to it
+    out = os.environ.pop("BEAM_OUT", None) or args.out
 
-    for demo in demo_configs():
-        solution = solve_demo(demo)
-        out_dir = os.path.join(args.out, demo.name)
-        export(solution, out_dir, n_samples=args.samples)
-        s = np.linspace(0.0, solution.mesh.length, args.samples)
-        u, _ = displacement_samples(solution, s)
-        tip = tip_displacement(solution)
-        print(f"{demo.name}: {demo.description}")
-        print(f"  max |u| = {np.abs(u).max():.4e}, max |u_z| = {np.abs(u[:, 2]).max():.4e}, "
-              f"tip u = ({tip[0]:.3e}, {tip[1]:.3e}, {tip[2]:.3e})")
-        print(f"  wrote {out_dir}/centerline.csv")
+    for path in sorted(glob.glob(os.path.join(DEMO_DIR, "*.json"))):
+        name = os.path.basename(path)[:-5]
+        code = cli.main(["solve", path, "--out", os.path.join(out, name),
+                         "--samples", str(args.samples)])
+        if code:
+            return code
+        print(f"solved {name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

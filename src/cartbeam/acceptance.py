@@ -405,10 +405,10 @@ def curvature_coupling_demos(slack: float = 1.0) -> CriterionResult:
     load keeps the twist identically zero (pure bending); a straight shaft
     under torque keeps its midline fixed."""
     start = time.perf_counter()
-    demos = {d.name: d for d in demo_configs()}
+    demos = demo_configs()
     checks = []
 
-    sol = solve_demo(demos["s_curve_end_torque"])
+    sol = solve_demo(*demos["s_curve_torque"])
     s = np.linspace(0.0, sol.mesh.length, 41)
     u, _ = displacement_samples(sol, s)
     t = sol.model.curve.frames(s).t
@@ -417,18 +417,18 @@ def curvature_coupling_demos(slack: float = 1.0) -> CriterionResult:
     checks.append((qnorm > 1e-8 / slack,
                    f"S-curve torque: max normal-plane displacement {qnorm:.3e}"))
 
-    sol = solve_demo(demos["s_curve_transverse_load"])
+    sol = solve_demo(*demos["s_curve_bend"])
     t = sol.model.curve.frames(s).t
     tmax = float(np.abs(np.einsum("ij,ij->i", t, sol.evaluate(s).theta)).max())
     checks.append((tmax <= 1e-10 * slack,
                    f"S-curve in-plane load: max twist {tmax:.3e}"))
 
-    sol = solve_demo(demos["straight_end_torque"])
+    sol = solve_demo(*demos["straight_torque"])
     u, _ = displacement_samples(sol, np.linspace(0.0, sol.mesh.length, 21))
     checks.append((float(np.abs(u).max()) <= 1e-10 * slack,
                    f"straight torque: max midline displacement {np.abs(u).max():.3e}"))
 
-    sol = solve_demo(demos["helix_spring_axial"])
+    sol = solve_demo(*demos["helix_spring"])
     uz = float(tip_displacement(sol)[2])
     checks.append((uz < 0.0, f"helix spring compresses: tip u_z = {uz:.3e}"))
     return _result("curvature_coupling_demos", start, checks)

@@ -7,20 +7,23 @@ end-stress distribution the beam model cannot represent, so measured errors
 eventually plateau; order fitting therefore only uses pre-plateau
 refinements. The locking comparisons (quadrature policy on curved geometry,
 thickness on straight) read their relative errors from the same convergence
-report.
+report. The curvature-coupling demos are model files in the package's
+demos/ directory, read by cli.load_model like any `cartbeam solve` input.
 """
 from __future__ import annotations
 
+import glob
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BCRow, BeamModel, BoundaryCondition, LoadCase, PointConstraint
+from .assembly import BeamModel, BoundaryCondition, LoadCase
 from .discretization import formulation
-from .geometry import CircularArc, Helix, HermiteSpline, LineSegment
+from .geometry import CircularArc, LineSegment
 from .postprocess import tip_displacement
-from .section import Material, circle_section, unit_depth_rect_section
+from .section import Material, unit_depth_rect_section
 from .solver import SolutionFields, solve_model
 
 
@@ -46,6 +49,9 @@ def analytic_quarter_arc_tip(P: float, E: float, a: float, b: float) -> float:
 
 
 DEFAULT_MATERIAL = Material(E=1e6, nu=0.3)
+
+# the demo model files, shipped as package data
+DEMO_DIR = os.path.join(os.path.dirname(__file__), "demos")
 
 
 def make_straight_model(t: float, L: float = 10.0, P: float = 1.0,
@@ -285,109 +291,14 @@ def print_order_table(report: ConvergenceReport) -> None:
             print(f"  n={n} failed: {msg}")
 
 
-def _s_curve() -> HermiteSpline:
-    """Plane S-shaped midline x = A sin(2 pi y / H) for y in [0, H], A = 0.6,
-    H = 4, through 9 knots; curvature changes sign at mid-height and vanishes
-    at both ends and the inflection."""
-    amplitude, height, n_knots = 0.6, 4.0, 9
-    y = np.linspace(0.0, height, n_knots)
-    pts = np.column_stack([amplitude * np.sin(2.0 * np.pi * y / height), y,
-                           np.zeros(n_knots)])
-    dy = y[1] - y[0]
-    slope0 = amplitude * (2.0 * np.pi / height) * np.cos(0.0)
-    t0 = np.array([slope0 * dy, dy, 0.0])
-    t1 = np.array([slope0 * dy, dy, 0.0])
-    return HermiteSpline(pts, t0, t1)
+def demo_configs() -> dict[str, tuple[BeamModel, str, int, str]]:
+    """The curvature-coupling demos: load_model of each model file in
+    DEMO_DIR, keyed by file stem. The README says what each one shows."""
+    from .cli import _read_json, load_model   # cli imports this module
+
+    return {os.path.basename(path)[:-5]: load_model(_read_json(path))
+            for path in sorted(glob.glob(os.path.join(DEMO_DIR, "*.json")))}
 
 
-@dataclass(eq=False)
-class DemoCase:
-    name: str
-    model: BeamModel
-    formulation: str
-    n_elements: int
-    policy: str
-    description: str
-
-
-def demo_configs() -> list[DemoCase]:
-    """Curvature-coupling demonstration problems.
-
-    * s_curve_end_torque: twisting moment at the free end of a plane S-beam
-      clamped at the top; curvature couples twist into bending, so the
-      midline picks up a nonzero out-of-plane (normal-plane) displacement.
-    * s_curve_transverse_load: in-plane transverse point load on the same
-      S-beam; for a plane curve the in-plane problem decouples exactly from
-      twist, so theta_t stays identically zero (a pure bending problem).
-    * helix_spring_axial: helical spring pinned and torsionally held at one
-      end, guided at the other end so it can move only along the helix axis,
-      compressed by an axial point load.
-    * straight_end_torque: control case, a straight shaft under end torque
-      twists without any midline displacement.
-    """
-    demos = []
-
-    s_curve = _s_curve()
-    sec = circle_section(0.12)
-    t_start = s_curve.frame(0.0).t
-
-    demos.append(DemoCase(
-        name="s_curve_end_torque",
-        model=BeamModel(curve=_s_curve(), material=DEFAULT_MATERIAL, section=sec,
-                        bc_start=BoundaryCondition.free(),
-                        bc_end=BoundaryCondition.clamped(),
-                        loads=LoadCase(moment_start=0.1 * t_start)),
-        formulation="timoshenko_h3p2", n_elements=24, policy="reduced",
-        description="plane S-beam, twisting moment at the free end",
-    ))
-
-    inplane = np.cross(np.array([0.0, 0.0, 1.0]), t_start)
-    inplane = inplane / np.linalg.norm(inplane)
-    demos.append(DemoCase(
-        name="s_curve_transverse_load",
-        model=BeamModel(curve=_s_curve(), material=DEFAULT_MATERIAL, section=sec,
-                        bc_start=BoundaryCondition.free(),
-                        bc_end=BoundaryCondition.clamped(),
-                        loads=LoadCase(force_start=0.5 * inplane)),
-        formulation="timoshenko_h3p2", n_elements=24, policy="reduced",
-        description="plane S-beam, in-plane transverse point load at the free end",
-    ))
-
-    helix = Helix([0.0, 0.0, 0.0], 1.0, 0.15, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                  0.0, 6.0 * np.pi)
-    pinned_twist_held = BoundaryCondition(
-        stretching=BCRow("essential", 0.0),
-        shearing=BCRow("essential", np.zeros(3)),
-        bending=BCRow("natural", np.zeros(3)),
-        twisting=BCRow("essential", 0.0),
-    )
-    demos.append(DemoCase(
-        name="helix_spring_axial",
-        model=BeamModel(curve=helix, material=DEFAULT_MATERIAL, section=circle_section(0.1),
-                        bc_start=pinned_twist_held,
-                        bc_end=BoundaryCondition.free(),
-                        loads=LoadCase(force_end=[0.0, 0.0, -0.1]),
-                        constraints=[
-                            PointConstraint("end", "u", [1.0, 0.0, 0.0]),
-                            PointConstraint("end", "u", [0.0, 1.0, 0.0]),
-                        ]),
-        formulation="timoshenko_h3p2", n_elements=48, policy="reduced",
-        description="helical spring pushed along its axis, guided end",
-    ))
-
-    demos.append(DemoCase(
-        name="straight_end_torque",
-        model=BeamModel(curve=LineSegment([0.0, 0.0, 0.0], [4.0, 0.0, 0.0]),
-                        material=DEFAULT_MATERIAL, section=sec,
-                        bc_start=BoundaryCondition.clamped(),
-                        bc_end=BoundaryCondition.free(),
-                        loads=LoadCase(moment_end=[0.1, 0.0, 0.0])),
-        formulation="timoshenko_h3p2", n_elements=8, policy="full",
-        description="straight shaft under end torque (pure twist control case)",
-    ))
-    return demos
-
-
-def solve_demo(demo: DemoCase) -> SolutionFields:
-    return solve_model(demo.model, formulation(demo.formulation),
-                       demo.n_elements, demo.policy)
+def solve_demo(model: BeamModel, form_name: str, n_elements: int, policy: str) -> SolutionFields:
+    return solve_model(model, formulation(form_name), n_elements, policy)

@@ -181,37 +181,39 @@ class TestLockingStudy:
 
 @pytest.fixture(scope="module")
 def solved():
-    return {demo.name: (demo, solve_demo(demo)) for demo in demo_configs()}
+    return {name: solve_demo(*case) for name, case in demo_configs().items()}
 
 
 class TestDemos:
 
     def test_all_demos_solve_and_export(self, solved, tmp_path):
         from cartbeam.postprocess import export
-        for name, (demo, sol) in solved.items():
+        assert sorted(solved) == ["helix_spring", "s_curve_bend", "s_curve_torque",
+                                  "straight_torque"]
+        for name, sol in solved.items():
             paths = export(sol, str(tmp_path / name), n_samples=21)
             assert open(paths["centerline"]).readline().startswith("s,x,y,z")
 
     def test_torque_on_s_curve_moves_midline_out_of_plane(self, solved):
-        _, sol = solved["s_curve_end_torque"]
+        sol = solved["s_curve_torque"]
         s = np.linspace(0, sol.mesh.length, 33)
         u, _ = displacement_samples(sol, s)
         assert np.abs(u[:, 2]).max() > 1e-8
 
     def test_inplane_load_keeps_twist_zero(self, solved):
-        _, sol = solved["s_curve_transverse_load"]
+        sol = solved["s_curve_bend"]
         for si in np.linspace(0, sol.mesh.length, 33):
             fr = sol.model.curve.frame(float(si))
             st = sol.evaluate(float(si))
             assert abs(float(fr.t @ st.theta)) <= 1e-10
 
     def test_straight_torque_pure_twist(self, solved):
-        _, sol = solved["straight_end_torque"]
+        sol = solved["straight_torque"]
         u, _ = displacement_samples(sol, np.linspace(0, sol.mesh.length, 17))
         assert np.abs(u).max() <= 1e-10
 
     def test_helix_spring_compresses_axially(self, solved):
-        _, sol = solved["helix_spring_axial"]
+        sol = solved["helix_spring"]
         tip = tip_displacement(sol)
         assert tip[2] < 0.0
         assert abs(tip[0]) <= 1e-9 and abs(tip[1]) <= 1e-9

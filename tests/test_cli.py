@@ -1,27 +1,31 @@
 """Command-line front end: schema validation, exit codes, output files."""
+import fnmatch
 import json
 import os
+import tomllib
 
 import numpy as np
 import pytest
 
 from cartbeam.benchmarks import (
+    DEMO_DIR,
     analytic_quarter_arc_tip,
     analytic_straight_tip,
-    demo_configs,
     make_quarter_arc_model,
     make_straight_model,
-    solve_demo,
 )
 from cartbeam.cli import SchemaError, load_model, load_study, main
-from cartbeam.discretization import formulation
-from cartbeam.solver import solve_model
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CONFIG_DIR = os.path.join(ROOT, "configs")
 
 
 def config(name):
     return os.path.join(CONFIG_DIR, name)
+
+
+def demo(name):
+    return os.path.join(DEMO_DIR, name)
 
 
 def write_json(path, doc):
@@ -168,25 +172,24 @@ class TestWireFormat:
                            "material": {"G": 4e5}}).material.nu == 0.25
 
 
-@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
-def test_every_shipped_config_loads(name):
-    with open(config(name)) as fh:
+@pytest.mark.parametrize("path", [config(name) for name in sorted(os.listdir(CONFIG_DIR))]
+                         + [demo(name) for name in sorted(os.listdir(DEMO_DIR))],
+                         ids=os.path.basename)
+def test_every_shipped_config_loads(path):
+    with open(path) as fh:
         doc = json.load(fh)
-    (load_study if name.startswith("study_") else load_model)(doc)
+    (load_study if os.path.basename(path).startswith("study_") else load_model)(doc)
 
 
-@pytest.mark.parametrize("name, demo", [("s_curve_torque.json", "s_curve_end_torque"),
-                                        ("s_curve_bend.json", "s_curve_transverse_load"),
-                                        ("helix_spring.json", "helix_spring_axial")])
-def test_shipped_config_solves_like_its_demo(name, demo):
-    # the configs and demo_configs() state the same problems twice; the two
-    # must not drift apart
-    with open(config(name)) as fh:
-        model, form_name, n, policy = load_model(json.load(fh))
-    case = {d.name: d for d in demo_configs()}[demo]
-    assert (form_name, n, policy) == (case.formulation, case.n_elements, case.policy)
-    x = solve_model(model, formulation(form_name), n, policy).x
-    assert np.array_equal(x, solve_demo(case).x)
+def test_package_data_ships_every_demo():
+    # an installed cartbeam reads its demos from package data, so a demo file
+    # the glob misses would exist in a checkout only
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["cartbeam"]
+    names = sorted(os.listdir(DEMO_DIR))
+    assert names
+    for name in names:
+        assert any(fnmatch.fnmatch(f"demos/{name}", g) for g in globs), name
 
 
 def _edit(doc, path, value):
@@ -352,7 +355,7 @@ class TestSolveCommand:
         from cartbeam.solver import solve_model
         import numpy as np
 
-        doc = json.load(open(config("s_curve_bend.json")))
+        doc = json.load(open(demo("s_curve_bend.json")))
         model, form_name, n, policy = load_model(doc)
         sol = solve_model(model, formulation(form_name), n, policy)
         for si in np.linspace(0.0, sol.mesh.length, 17):
@@ -362,7 +365,7 @@ class TestSolveCommand:
 
     def test_helix_spring_with_constraints(self, tmp_path):
         out = str(tmp_path / "out")
-        assert main(["solve", config("helix_spring.json"), "--out", out]) == 0
+        assert main(["solve", demo("helix_spring.json"), "--out", out]) == 0
         summary = json.load(open(os.path.join(out, "summary.json")))
         tip = summary["tip_displacement"]
         assert tip[2] < 0 and abs(tip[0]) < 1e-8 and abs(tip[1]) < 1e-8

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from cartbeam import postprocess
 from cartbeam.assembly import BeamModel, BoundaryCondition, LoadCase, PointConstraint, \
     discretize
-from cartbeam.benchmarks import make_quarter_arc_model, make_straight_model
+from cartbeam.benchmarks import DEMO_DIR, make_quarter_arc_model, make_straight_model
 from cartbeam.cli import load_model
 from cartbeam.discretization import FORMULATIONS, formulation, shape_eval
 from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment, ParamCurve
@@ -42,7 +42,6 @@ from cartbeam.section import Material, circle_section, inertia_tensor, rect_sect
 from cartbeam.solver import SolutionFields, solve_model
 
 MAT = Material(E=1e6, nu=0.3)
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def solved_cantilever(form="timoshenko_h3p2", n=4, P=1.0):
@@ -247,7 +246,7 @@ class TestReactionsAndEnergy:
         assert strain_energy(sol) == pytest.approx(0.5 * l_u, rel=1e-10)
 
     def test_energy_keeps_its_digits_on_a_stiff_model(self):
-        with open(os.path.join(CONFIG_DIR, "helix_spring.json")) as fh:
+        with open(os.path.join(DEMO_DIR, "helix_spring.json")) as fh:
             model, name, n, policy = load_model(json.load(fh))
         sol = solve_model(model, formulation(name), n, policy)
         energy = strain_energy(sol)
@@ -434,7 +433,7 @@ class TestCsvFormat:
                 assert fh.read() == _row_format("h", rows)
 
     def test_helix_export_needs_no_python_formatting(self, tmp_path, monkeypatch):
-        with open(os.path.join(CONFIG_DIR, "helix_spring.json")) as fh:
+        with open(os.path.join(DEMO_DIR, "helix_spring.json")) as fh:
             model, name, n, policy = load_model(json.load(fh))
         sol = solve_model(model, formulation(name), n, policy)
         seen = _python_formatted(monkeypatch)
@@ -551,7 +550,7 @@ class TestBatchEvaluation:
     def test_refuses_arc_lengths_off_the_beam(self, where):
         # evaluate refuses what resultants refuses, instead of extrapolating
         # the end elements' polynomials
-        with open(os.path.join(CONFIG_DIR, "helix_spring.json")) as fh:
+        with open(os.path.join(DEMO_DIR, "helix_spring.json")) as fh:
             model, name, n, policy = load_model(json.load(fh))
         sol = solve_model(model, formulation(name), n, policy)
         s = {"before": -1.0, "beyond": 1.5 * sol.mesh.length, "nan": np.nan}[where]

@@ -2,8 +2,12 @@
 cartbeam still provides."""
 import importlib.util
 import os
+import sys
 
 import pytest
+
+from cartbeam import cli
+from cartbeam.benchmarks import demo_configs
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPT_DIR = os.path.join(ROOT, "scripts")
@@ -20,6 +24,38 @@ def _load(path, name):
 def test_script_imports_without_running(name):
     module = _load(os.path.join(SCRIPT_DIR, f"{name}.py"), f"_script_{name}")
     assert callable(module.main)
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_run_demos_writes_one_directory_per_demo_file(via, tmp_path, monkeypatch):
+    # BEAM_OUT overrides --out as the base directory, as for cartbeam solve
+    module = _load(os.path.join(SCRIPT_DIR, "run_demos.py"), "_script_run_demos")
+    out = str(tmp_path)
+    if via == "env":
+        monkeypatch.setenv("BEAM_OUT", out)
+        out = str(tmp_path / "unused")
+    monkeypatch.setattr(sys, "argv", ["run_demos.py", "--out", out, "--samples", "3"])
+    assert module.main() == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(demo_configs())
+    for name in os.listdir(tmp_path):
+        assert sorted(os.listdir(tmp_path / name)) == ["centerline.csv", "resultants.csv",
+                                                       "summary.json"]
+
+
+def test_run_demos_refuses_too_few_samples_before_any_solve(tmp_path, monkeypatch, capsys):
+    # exit 1 with the CLI's message, as `cartbeam solve --samples 0` does,
+    # instead of a traceback after the first demo's solve
+    module = _load(os.path.join(SCRIPT_DIR, "run_demos.py"), "_script_run_demos")
+
+    def no_solve(*args):
+        raise AssertionError("solved before the sample count was checked")
+
+    monkeypatch.setattr(cli, "solve_model", no_solve)
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_demos.py", "--out", str(out), "--samples", "0"])
+    assert module.main() == 1
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_every_bench_tracer_target_resolves():
