@@ -2,17 +2,15 @@
 """Solve the curvature-coupling demo problems with `cartbeam solve`.
 
 Each model file in the package's demos/ directory is solved into
-OUT/<file stem>/ (centerline.csv, resultants.csv, summary.json). As for
-`cartbeam solve`, the environment variable BEAM_OUT overrides --out as OUT.
-The README says what each demo shows.
+OUT/<file stem>/ (centerline.csv, resultants.csv, summary.json), OUT
+being --out. The README says what each demo shows.
 """
 import argparse
-import glob
 import os
 import sys
 
 from cartbeam import cli
-from cartbeam.benchmarks import DEMO_DIR
+from cartbeam.benchmarks import demo_files
 
 
 def main(argv=None) -> int:
@@ -20,12 +18,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out/demos")
     parser.add_argument("--samples", type=int, default=101, help="resultant sample count")
     args = parser.parse_args(argv)
-    # taken out of the environment, else cartbeam solve would write every demo to it
-    out = os.environ.pop("BEAM_OUT", None) or args.out
+    # cartbeam solve lets BEAM_OUT override --out, which would put every demo in one directory
+    os.environ.pop("BEAM_OUT", None)
 
-    for path in sorted(glob.glob(os.path.join(DEMO_DIR, "*.json"))):
-        name = os.path.basename(path)[:-5]
-        code = cli.main(["solve", path, "--out", os.path.join(out, name),
+    for name, path in demo_files().items():
+        code = cli.main(["solve", path, "--out", os.path.join(args.out, name),
                          "--samples", str(args.samples)])
         if code:
             return code

@@ -12,7 +12,6 @@ demos/ directory, read by cli.load_model like any `cartbeam solve` input.
 """
 from __future__ import annotations
 
-import glob
 import math
 import os
 from dataclasses import dataclass, field
@@ -291,13 +290,18 @@ def print_order_table(report: ConvergenceReport) -> None:
             print(f"  n={n} failed: {msg}")
 
 
+def demo_files() -> dict[str, str]:
+    """The path of each model file in DEMO_DIR, keyed by file stem."""
+    return {name[:-5]: os.path.join(DEMO_DIR, name)
+            for name in sorted(os.listdir(DEMO_DIR)) if name.endswith(".json")}
+
+
 def demo_configs() -> dict[str, tuple[BeamModel, str, int, str]]:
-    """The curvature-coupling demos: load_model of each model file in
-    DEMO_DIR, keyed by file stem. The README says what each one shows."""
+    """The curvature-coupling demos: load_model of each demo file, keyed by
+    file stem. The README says what each one shows."""
     from .cli import _read_json, load_model   # cli imports this module
 
-    return {os.path.basename(path)[:-5]: load_model(_read_json(path))
-            for path in sorted(glob.glob(os.path.join(DEMO_DIR, "*.json")))}
+    return {name: load_model(_read_json(path)) for name, path in demo_files().items()}
 
 
 def solve_demo(model: BeamModel, form_name: str, n_elements: int, policy: str) -> SolutionFields:

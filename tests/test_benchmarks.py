@@ -1,8 +1,12 @@
 """Benchmark tests: analytic reference formulas (frozen values), convergence
 and locking studies, and the curvature-coupling demo problems."""
+import os
+import shutil
+
 import numpy as np
 import pytest
 
+from cartbeam import benchmarks
 from cartbeam.benchmarks import (
     StudySpec,
     analytic_quarter_arc_tip,
@@ -193,6 +197,17 @@ class TestDemos:
         for name, sol in solved.items():
             paths = export(sol, str(tmp_path / name), n_samples=21)
             assert open(paths["centerline"]).readline().startswith("s,x,y,z")
+
+    def test_demo_files_found_under_any_install_path(self, tmp_path, monkeypatch):
+        # a glob metacharacter in the install path must not hide the demos
+        demo_dir = tmp_path / "site[1]" / "demos"
+        shutil.copytree(benchmarks.DEMO_DIR, demo_dir)
+        monkeypatch.setattr(benchmarks, "DEMO_DIR", str(demo_dir))
+        assert benchmarks.demo_files() == {
+            name[:-5]: os.path.join(demo_dir, name)
+            for name in os.listdir(demo_dir) if name.endswith(".json")}
+        assert sorted(demo_configs()) == ["helix_spring", "s_curve_bend", "s_curve_torque",
+                                          "straight_torque"]
 
     def test_torque_on_s_curve_moves_midline_out_of_plane(self, solved):
         sol = solved["s_curve_torque"]

@@ -26,20 +26,19 @@ def test_script_imports_without_running(name):
     assert callable(module.main)
 
 
-@pytest.mark.parametrize("via", ["flag", "env"])
-def test_run_demos_writes_one_directory_per_demo_file(via, tmp_path, monkeypatch):
-    # BEAM_OUT overrides --out as the base directory, as for cartbeam solve
+def test_run_demos_writes_one_directory_per_demo_file(tmp_path, monkeypatch):
+    # --out alone names the base directory: a BEAM_OUT in the environment
+    # must not draw every demo into that one directory
     module = _load(os.path.join(SCRIPT_DIR, "run_demos.py"), "_script_run_demos")
-    out = str(tmp_path)
-    if via == "env":
-        monkeypatch.setenv("BEAM_OUT", out)
-        out = str(tmp_path / "unused")
-    monkeypatch.setattr(sys, "argv", ["run_demos.py", "--out", out, "--samples", "3"])
+    monkeypatch.setenv("BEAM_OUT", str(tmp_path / "stray"))
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_demos.py", "--out", str(out), "--samples", "3"])
     assert module.main() == 0
-    assert sorted(os.listdir(tmp_path)) == sorted(demo_configs())
-    for name in os.listdir(tmp_path):
-        assert sorted(os.listdir(tmp_path / name)) == ["centerline.csv", "resultants.csv",
-                                                       "summary.json"]
+    assert not (tmp_path / "stray").exists()
+    assert sorted(os.listdir(out)) == sorted(demo_configs())
+    for name in os.listdir(out):
+        assert sorted(os.listdir(out / name)) == ["centerline.csv", "resultants.csv",
+                                                  "summary.json"]
 
 
 def test_run_demos_refuses_too_few_samples_before_any_solve(tmp_path, monkeypatch, capsys):
