@@ -40,9 +40,6 @@ from .geometry import (
     LineSegment,
     ParamCurve,
     ZeroCurvatureError,
-    closest_point,
-    eval_frame,
-    frenet,
 )
 from .postprocess import (
     Resultants,
@@ -50,7 +47,6 @@ from .postprocess import (
     reactions,
     resultants,
     resultants_curvature_form,
-    shear_angle,
     strain_energy,
     tip_displacement,
 )

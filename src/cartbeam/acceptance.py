@@ -27,7 +27,7 @@ from .benchmarks import (
     solve_demo,
 )
 from .discretization import FORMULATIONS, formulation
-from .geometry import CircularArc, Helix, LineSegment, frenet, orthonormal_completion
+from .geometry import CircularArc, Helix, LineSegment, orthonormal_completion
 from .postprocess import (
     applied_load_totals,
     displacement_samples,
@@ -192,7 +192,7 @@ def resultant_form_equivalence(slack: float = 1.0) -> CriterionResult:
 def _fd_zeta_identities(curve, s_values, eps=1e-5):
     worst_t, worst_n = 0.0, 0.0
     for s in s_values:
-        fr = frenet(curve, s)
+        fr = curve.frenet(s)
         x0 = curve.frame(s).x
         for d, target, is_t in ((fr.t, np.zeros(3), True), (fr.n, fr.n, False)):
             zp = curve.closest_point(x0 + eps * d).zeta
@@ -215,14 +215,14 @@ def geometry_identity_suite(slack: float = 1.0) -> CriterionResult:
     checks = []
     helix = Helix([0.0, 0.0, 0.0], 1.0, 1.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                   0.0, 2.0 * np.pi)
-    fr = frenet(helix, 0.37 * helix.length)
+    fr = helix.frenet(0.37 * helix.length)
     checks.append((abs(fr.kappa - 0.5) <= 1e-8 * slack, f"helix kappa {fr.kappa:.12f}"))
     checks.append((abs(fr.tau - 0.5) <= 1e-8 * slack, f"helix tau {fr.tau:.12f}"))
 
     eps = 1e-4
     worst_fs = 0.0
     for s in np.linspace(0.15, 0.85, 5) * helix.length:
-        f0, fp, fm = frenet(helix, s), frenet(helix, s + eps), frenet(helix, s - eps)
+        f0, fp, fm = helix.frenet(s), helix.frenet(s + eps), helix.frenet(s - eps)
         for v_p, v_m, target in (
             (fp.t, fm.t, f0.kappa * f0.n),
             (fp.n, fm.n, -f0.kappa * f0.t + f0.tau * f0.b),

@@ -53,6 +53,9 @@ from .discretization import DofMap, Formulation, Mesh1D, gauss_rule, shape_eval
 from .geometry import ParamCurve, Vec3, cross3, orthonormal_completion, skew
 from .section import CrossSection, Material, inertia_factor
 
+# quadrature policies for the stiff (stretch and shear) terms
+QUADRATURE_POLICIES = ("full", "reduced")
+
 
 class ConstraintConflictError(ValueError):
     """Linearly dependent essential constraints with inconsistent values."""
@@ -149,6 +152,8 @@ def body_table(s_values, f_values):
     f_values = np.asarray(f_values, float)
     if s_values.ndim != 1 or f_values.shape != (len(s_values), 3):
         raise ValueError("body table needs one 3-vector per s sample")
+    if not (np.isfinite(s_values).all() and np.isfinite(f_values).all()):
+        raise ValueError("body table entries must be finite")
     if np.any(np.diff(s_values) <= 0):
         raise ValueError("body table s samples must be strictly increasing")
     return lambda s: np.column_stack([np.interp(s, s_values, f_values[:, k]) for k in range(3)])
@@ -302,7 +307,7 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     (see LinearSystem), so the stiff terms never need to be factored. Bend
     and twist use the full Gauss rule; stretch and shear use the 2-point rule
     under the reduced policy, the full rule else."""
-    if policy not in ("full", "reduced"):
+    if policy not in QUADRATURE_POLICIES:
         raise ValueError(f"unknown quadrature policy {policy!r}")
     dm = DofMap(mesh, form)
     full = gauss_rule(form.full_points)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BeamModel, BoundaryCondition, LoadCase
+from .assembly import QUADRATURE_POLICIES, BeamModel, BoundaryCondition, LoadCase
 from .discretization import formulation
 from .geometry import CircularArc, LineSegment
 from .postprocess import tip_displacement
@@ -112,8 +112,10 @@ class StudySpec:
         for name in self.formulations:
             formulation(name)
         for q in self.quadrature:
-            if q not in ("full", "reduced"):
+            if q not in QUADRATURE_POLICIES:
                 raise ValueError(f"unknown quadrature policy {q!r}")
+        if not np.isfinite([self.load, self.length, self.radius, *self.thickness]).all():
+            raise ValueError("load, thickness, length and radius must be finite")
         if self.load == 0:
             raise ValueError("load must be nonzero")
         if min(self.thickness, default=1.0) <= 0 or min(self.length, self.radius) <= 0:

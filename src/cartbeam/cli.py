@@ -16,6 +16,7 @@ import numpy as np
 
 from .assembly import (
     _SCALAR_ROWS,
+    QUADRATURE_POLICIES,
     BCRow,
     BeamModel,
     BoundaryCondition,
@@ -77,15 +78,17 @@ def _list(value, path: str) -> list:
 
 def _array(value, path: str, shape=(3,)):
     """value as a float array of the given shape (-1 matches any length), or
-    as a float when the shape is (); strings, bools and ragged nesting are
-    refused."""
+    as a float when the shape is (); strings, bools, ragged nesting and the
+    NaN and Infinity that JSON readers accept are refused."""
     try:
         arr = np.asarray(value)
     except ValueError:      # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf" or arr.ndim != len(shape) or \
-            any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
-        what = f"numbers of shape {str(shape).replace('-1', 'n')}" if shape else "a number"
+            any(n not in (-1, m) for n, m in zip(shape, arr.shape)) or \
+            not np.isfinite(arr).all():
+        what = f"finite numbers of shape {str(shape).replace('-1', 'n')}" if shape \
+            else "a finite number"
         raise SchemaError(path, f"expected {what}")
     return arr.astype(float) if shape else float(arr)
 
@@ -149,8 +152,6 @@ _SECTIONS = {
     "circle": ({"d": ()}, lambda v: circle_section(v["d"])),
     "unit_depth_rect": ({"t": ()}, lambda v: unit_depth_rect_section(v["t"])),
 }
-
-_POLICIES = ("full", "reduced")
 
 _BC_PRESETS = ("clamped", "free", "pinned")     # BoundaryCondition constructors
 
@@ -242,7 +243,7 @@ def load_model(doc: dict) -> tuple[BeamModel, str, int, str]:
     section = _build(_require(doc, "", "section"), "section", "shape", _SECTIONS)
     form_name = _choice(_require(doc, "", "formulation"), "formulation", FORMULATIONS)
     n_elements = _count(_require(doc, "", "elements"), "elements")
-    policy = _choice(doc.get("quadrature", "full"), "quadrature", _POLICIES)
+    policy = _choice(doc.get("quadrature", "full"), "quadrature", QUADRATURE_POLICIES)
 
     bcs = _require(doc, "", "bcs")
     _check_keys(bcs, "bcs", {"start", "end"})
@@ -272,7 +273,7 @@ def load_study(doc: dict) -> StudySpec:
     benchmark = _choice(_require(doc, "", "benchmark"), "benchmark", _BENCHMARKS)
     formulations = items("formulations", ["timoshenko_p2p1"],
                          lambda v, p: _choice(v, p, FORMULATIONS))
-    quadrature = items("quadrature", ["full"], lambda v, p: _choice(v, p, _POLICIES))
+    quadrature = items("quadrature", ["full"], lambda v, p: _choice(v, p, QUADRATURE_POLICIES))
     elements = items("elements", _require(doc, "", "elements"), _count)
     if not elements or any(np.diff(elements) <= 0):
         raise SchemaError("elements", "expected a nonempty, strictly increasing list")

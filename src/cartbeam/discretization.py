@@ -214,9 +214,6 @@ class DofMap:
                                       n_dofs=n_nodes * per_node)
         return offset + n_nodes * per_node
 
-    def element_dofs(self, name: str, e: int) -> np.ndarray:
-        return self.fields[name].elem_dofs[e]
-
     def end_element(self, end: str) -> tuple[int, float]:
         """(element index, local xi) of a beam end ('start' or 'end')."""
         if end == "start":

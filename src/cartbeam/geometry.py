@@ -52,11 +52,6 @@ def skew(v: Vec3) -> np.ndarray:
                      np.stack([-y, x, o], axis=-1)], axis=-2)
 
 
-def tangent_projector(t: Vec3) -> np.ndarray:
-    """P = t (x) t, projection onto the tangent line."""
-    return np.outer(t, t)
-
-
 def normal_projector(t: Vec3) -> np.ndarray:
     """Q = I - t (x) t, projection onto the cross-section plane; t of shape
     (..., 3) gives (..., 3, 3)."""
@@ -154,7 +149,7 @@ class ParamCurve:
         return np.linalg.norm(self.d1(xi), axis=-1)
 
     def arclength(self) -> "ArcLengthMap":
-        """The curve's arc-length map on the default table, built once per curve."""
+        """The curve's arc-length map, built once per curve."""
         if getattr(self, "_arclength_map", None) is None:
             self._arclength_map = ArcLengthMap(self)
         return self._arclength_map
@@ -163,11 +158,31 @@ class ParamCurve:
     def length(self) -> float:
         return self.arclength().length
 
-    def frame(self, s: float) -> FrameSample:
-        return eval_frame(self, s)
-
     def frames(self, s) -> FrameSample:
-        return eval_frames(self, s)
+        """Position, unit tangent, and curvature vector at every arc length of
+        a 1-d array s, as a FrameSample whose fields lead with the sample axis.
+
+        kappa = dt/ds follows from the chain rule on the raw parametrization:
+        kappa = (r'' |r'|^2 - r' (r' . r'')) / |r'|^4.
+        """
+        s = np.asarray(s, dtype=float)
+        if s.ndim != 1:
+            raise ValueError("frames needs a 1-d array of arc lengths")
+        s = clip_arc_lengths(s, self.length)
+        xi = self.arclength().xi_of_s(s)
+        r1 = self.d1(xi)
+        r2 = self.d2(xi)
+        sp2 = np.einsum("ij,ij->i", r1, r1)[:, None]
+        if np.any(sp2 < _SPEED_FLOOR**2):
+            raise DegenerateCurveError("vanishing speed at evaluation point")
+        t = r1 / np.sqrt(sp2)
+        kappa = (r2 * sp2 - r1 * np.einsum("ij,ij->i", r1, r2)[:, None]) / sp2**2
+        return FrameSample(s=s, x=self.point(xi), t=t, kappa=kappa)
+
+    def frame(self, s: float) -> FrameSample:
+        """One-row case of `frames`, at the single arc length s."""
+        fr = self.frames([s])
+        return FrameSample(s=float(fr.s[0]), x=fr.x[0], t=fr.t[0], kappa=fr.kappa[0])
 
     def end_frames(self) -> FrameSample:
         """`frames([0, L])`, computed once per curve; its arrays are read-only."""
@@ -178,10 +193,76 @@ class ParamCurve:
         return self._end_frames
 
     def frenet(self, s: float) -> FrenetFrame:
-        return frenet(self, s)
+        """Full Frenet frame with torsion; raises where the curve is straight
+        (|kappa| <= 1e-10 / L)."""
+        fr = self.frame(s)
+        kappa_min = 1e-10 / max(self.length, _SPEED_FLOOR)
+        k = float(np.linalg.norm(fr.kappa))
+        if k <= kappa_min:
+            raise ZeroCurvatureError(
+                f"|kappa| = {k:.3e} <= {kappa_min:.3e}; normal direction undefined"
+            )
+        n = fr.kappa / k
+        b = np.cross(fr.t, n)
+        xi = self.arclength().xi_of_s(s)
+        r1, r2, r3 = self.d1(xi), self.d2(xi), self.d3(xi)
+        c = np.cross(r1, r2)
+        tau = float(c @ r3) / float(c @ c)
+        return FrenetFrame(t=fr.t, n=n, b=b, kappa=k, tau=tau)
 
     def closest_point(self, x: Vec3) -> ClosestPointResult:
-        return closest_point(self, x)
+        """Project x onto the curve; valid inside the injectivity tube of the midline.
+
+        Dense parameter scan (512 points), bounded local minimization of the
+        squared distance, then Newton polish of the stationarity condition
+        (x - p) . r' = 0.
+        """
+        # imported here: scipy.optimize is a third of the package's import time
+        # and only this test-oracle projection needs it
+        from scipy.optimize import minimize_scalar
+
+        x = np.asarray(x, dtype=float)
+        a, b = self.xi0, self.xi1
+        n_scan = 512
+        grid = np.linspace(a, b, n_scan)
+        diff = x - self.point(grid)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        cand = [i for i in range(n_scan)
+                if (i == 0 or d2[i] <= d2[i - 1]) and (i == n_scan - 1 or d2[i] <= d2[i + 1])]
+
+        minima: list[tuple[float, float]] = []
+        for i in cand:
+            lo = grid[max(i - 1, 0)]
+            hi = grid[min(i + 1, n_scan - 1)]
+            if hi > lo:
+                res = minimize_scalar(
+                    lambda xi: float((x - self.point(xi)) @ (x - self.point(xi))),
+                    bounds=(lo, hi), method="bounded",
+                    options={"xatol": 1e-13 * max(b - a, 1.0)},
+                )
+                xi_star = float(res.x)
+            else:
+                xi_star = grid[i]
+            if a + 1e-12 * (b - a) < xi_star < b - 1e-12 * (b - a):
+                xi_star = _polish_stationarity(self, x, xi_star)
+            dist = float(np.linalg.norm(x - self.point(xi_star)))
+            for xi_prev, _ in minima:
+                if abs(xi_prev - xi_star) <= 1e-7 * (b - a):
+                    break
+            else:
+                minima.append((xi_star, dist))
+
+        minima.sort(key=lambda m: m[1])
+        xi_best, d_best = minima[0]
+        scale = max(d_best, 1e-12 * max(np.linalg.norm(x), 1.0))
+        rivals = [m for m in minima[1:] if m[1] - d_best <= 1e-8 * scale]
+        if rivals:
+            raise AmbiguousProjectionError(
+                f"{1 + len(rivals)} closest-point candidates within tolerance; "
+                "point lies outside the injectivity tube"
+            )
+        p = self.point(xi_best)
+        return ClosestPointResult(p=p, zeta=x - p, s=self.arclength().s_of_xi(xi_best))
 
 
 @dataclass(eq=False)
@@ -391,6 +472,9 @@ def _interval(table: np.ndarray, v) -> np.ndarray:
     return np.clip(np.searchsorted(table, v, side="right") - 1, 0, len(table) - 2)
 
 
+_TABLE_SAMPLES = 257      # grid points of the arc-length table
+
+
 class ArcLengthMap:
     """Monotone bijection between the curve parameter xi and arc length s.
 
@@ -400,12 +484,10 @@ class ArcLengthMap:
     directions take a scalar or an array and return the same shape.
     """
 
-    def __init__(self, curve: ParamCurve, n_samples: int = 257):
-        if n_samples < 2:
-            raise ValueError("need at least two arc-length samples")
+    def __init__(self, curve: ParamCurve):
         self.curve = curve
         xi0, xi1 = curve.xi0, curve.xi1
-        grid = np.linspace(xi0, xi1, n_samples)
+        grid = np.linspace(xi0, xi1, _TABLE_SAMPLES)
         speeds = curve.speed(grid)
         if speeds.min() < _SPEED_FLOOR:
             raise DegenerateCurveError(
@@ -421,7 +503,6 @@ class ArcLengthMap:
         self._cum = cum
         self._speeds = speeds
         self.length = float(cum[-1])
-        self.table = np.column_stack([grid, cum])
 
     def s_of_xi(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -480,53 +561,6 @@ def clip_arc_lengths(s: np.ndarray, length: float) -> np.ndarray:
     return np.clip(s, 0.0, length)
 
 
-def eval_frames(curve: ParamCurve, s) -> FrameSample:
-    """Position, unit tangent, and curvature vector at every arc length of a
-    1-d array s, as a FrameSample whose fields lead with the sample axis.
-
-    kappa = dt/ds follows from the chain rule on the raw parametrization:
-    kappa = (r'' |r'|^2 - r' (r' . r'')) / |r'|^4.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("frames needs a 1-d array of arc lengths")
-    s = clip_arc_lengths(s, curve.length)
-    xi = curve.arclength().xi_of_s(s)
-    r1 = curve.d1(xi)
-    r2 = curve.d2(xi)
-    sp2 = np.einsum("ij,ij->i", r1, r1)[:, None]
-    if np.any(sp2 < _SPEED_FLOOR**2):
-        raise DegenerateCurveError("vanishing speed at evaluation point")
-    t = r1 / np.sqrt(sp2)
-    kappa = (r2 * sp2 - r1 * np.einsum("ij,ij->i", r1, r2)[:, None]) / sp2**2
-    return FrameSample(s=s, x=curve.point(xi), t=t, kappa=kappa)
-
-
-def eval_frame(curve: ParamCurve, s: float) -> FrameSample:
-    """One-row case of `eval_frames`, at the single arc length s."""
-    fr = eval_frames(curve, [s])
-    return FrameSample(s=float(fr.s[0]), x=fr.x[0], t=fr.t[0], kappa=fr.kappa[0])
-
-
-def frenet(curve: ParamCurve, s: float) -> FrenetFrame:
-    """Full Frenet frame with torsion; raises where the curve is straight
-    (|kappa| <= 1e-10 / L)."""
-    fr = eval_frame(curve, s)
-    kappa_min = 1e-10 / max(curve.length, _SPEED_FLOOR)
-    k = float(np.linalg.norm(fr.kappa))
-    if k <= kappa_min:
-        raise ZeroCurvatureError(
-            f"|kappa| = {k:.3e} <= {kappa_min:.3e}; normal direction undefined"
-        )
-    n = fr.kappa / k
-    b = np.cross(fr.t, n)
-    xi = curve.arclength().xi_of_s(s)
-    r1, r2, r3 = curve.d1(xi), curve.d2(xi), curve.d3(xi)
-    c = np.cross(r1, r2)
-    tau = float(c @ r3) / float(c @ c)
-    return FrenetFrame(t=fr.t, n=n, b=b, kappa=k, tau=tau)
-
-
 def _polish_stationarity(curve: ParamCurve, x: Vec3, xi: float) -> float:
     a, b = curve.xi0, curve.xi1
     for _ in range(40):
@@ -547,58 +581,3 @@ def _polish_stationarity(curve: ParamCurve, x: Vec3, xi: float) -> float:
             break
         xi = step
     return xi
-
-
-def closest_point(curve: ParamCurve, x: Vec3) -> ClosestPointResult:
-    """Project x onto the curve; valid inside the injectivity tube of the midline.
-
-    Dense parameter scan (512 points), bounded local minimization of the
-    squared distance, then Newton polish of the stationarity condition
-    (x - p) . r' = 0.
-    """
-    # imported here: scipy.optimize is a third of the package's import time
-    # and only this test-oracle projection needs it
-    from scipy.optimize import minimize_scalar
-
-    x = np.asarray(x, dtype=float)
-    a, b = curve.xi0, curve.xi1
-    n_scan = 512
-    grid = np.linspace(a, b, n_scan)
-    diff = x - curve.point(grid)
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    cand = [i for i in range(n_scan)
-            if (i == 0 or d2[i] <= d2[i - 1]) and (i == n_scan - 1 or d2[i] <= d2[i + 1])]
-
-    minima: list[tuple[float, float]] = []
-    for i in cand:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, n_scan - 1)]
-        if hi > lo:
-            res = minimize_scalar(
-                lambda xi: float((x - curve.point(xi)) @ (x - curve.point(xi))),
-                bounds=(lo, hi), method="bounded",
-                options={"xatol": 1e-13 * max(b - a, 1.0)},
-            )
-            xi_star = float(res.x)
-        else:
-            xi_star = grid[i]
-        if a + 1e-12 * (b - a) < xi_star < b - 1e-12 * (b - a):
-            xi_star = _polish_stationarity(curve, x, xi_star)
-        dist = float(np.linalg.norm(x - curve.point(xi_star)))
-        for xi_prev, _ in minima:
-            if abs(xi_prev - xi_star) <= 1e-7 * (b - a):
-                break
-        else:
-            minima.append((xi_star, dist))
-
-    minima.sort(key=lambda m: m[1])
-    xi_best, d_best = minima[0]
-    scale = max(d_best, 1e-12 * max(np.linalg.norm(x), 1.0))
-    rivals = [m for m in minima[1:] if m[1] - d_best <= 1e-8 * scale]
-    if rivals:
-        raise AmbiguousProjectionError(
-            f"{1 + len(rivals)} closest-point candidates within tolerance; "
-            "point lies outside the injectivity tube"
-        )
-    p = curve.point(xi_best)
-    return ClosestPointResult(p=p, zeta=x - p, s=curve.arclength().s_of_xi(xi_best))

@@ -1,4 +1,4 @@
-"""Resultants, shear angle, reactions, energies, and CSV export.
+"""Resultants, reactions, energies, and CSV export.
 
 Section resultants come in two algebraically equivalent flavors: the plain
 forms
@@ -123,21 +123,6 @@ def resultants_curvature_form(solution: SolutionFields, s) -> Resultants:
     return Resultants(s=s, N=EA * (du_t - _dot(Qu, k)) * t, S=S,
                       M=(EI @ (dQth + th_t * k)[:, :, None])[:, :, 0],
                       T=GJ * (dth_t - _dot(Qth, k)) * t)
-
-
-def shear_angle(solution: SolutionFields, s) -> np.ndarray:
-    """Normal-plane shear angle Q gamma with (Q gamma) x t = Q u' - (Q theta) x t.
-
-    Recovered as Q gamma = t x (Q u') - Q theta; exactly zero for
-    Euler-Bernoulli kinematics, where cross-sections stay normal.
-    """
-    if solution.form.euler_bernoulli:
-        return np.zeros((np.size(s), 3))
-    _, fr, st = _samples(solution, s)
-    t = fr.t
-    Qdu = st.du - _dot(t, st.du) * t
-    Qth = st.theta - _dot(t, st.theta) * t
-    return np.cross(t, Qdu) - Qth
 
 
 def sample_points(solution: SolutionFields) -> np.ndarray:

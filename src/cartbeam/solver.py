@@ -115,27 +115,6 @@ class SolutionFields:
                             theta_t=None, dtheta_t=None)
         return st.row(0) if np.ndim(s) == 0 else st
 
-    @classmethod
-    def from_functions(cls, system: LinearSystem, u=None, du=None,
-                       theta=None, dtheta=None, theta_t=None) -> "SolutionFields":
-        """Interpolate given field functions onto the discrete space (useful
-        for manufactured-field checks). du/dtheta supply Hermite slope DOFs."""
-        dm = system.dofmap
-        x = np.zeros(dm.ndof)
-        fns = {"u": (u, du), "theta": (theta, dtheta), "theta_t": (theta_t, None)}
-        for name, info in dm.fields.items():
-            fn, dfn = fns[name]
-            if fn is None:
-                continue
-            for i, s in enumerate(info.node_s):
-                val = np.atleast_1d(np.asarray(fn(s), dtype=float))
-                x[info.node_dofs[i][:info.ncomp]] = val
-                if info.kind == "H3":
-                    if dfn is None:
-                        raise ValueError(f"{name}: H3 interpolation needs the slope function")
-                    x[info.node_dofs[i][info.ncomp:]] = np.atleast_1d(np.asarray(dfn(s), float))
-        return cls(system=system, x=x, multipliers=np.zeros(system.n_constraints))
-
 
 def rigid_modes(system: LinearSystem) -> np.ndarray:
     """Discrete representations of the six rigid-body modes, columns of (ndof, 6).

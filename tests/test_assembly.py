@@ -34,7 +34,6 @@ from cartbeam.geometry import (
     Helix,
     HermiteSpline,
     LineSegment,
-    eval_frame,
     orthonormal_completion,
 )
 from cartbeam.section import (
@@ -87,7 +86,7 @@ class TestKinematicMeasures:
     @pytest.mark.parametrize("name", FORMULATIONS)
     def test_constant_twist_on_straight_beam(self, name):
         form = formulation(name)
-        fr = eval_frame(LineSegment([0, 0, 0], [1, 0, 0]), 0.5)
+        fr = LineSegment([0, 0, 0], [1, 0, 0]).frame(0.5)
         c, z = 0.37, np.zeros(3)
         nu = 3 if form.euler_bernoulli else 2
         angle = [c, 0.0] if form.euler_bernoulli else [c * fr.t, z]
@@ -106,7 +105,7 @@ class TestKinematicMeasures:
         rng = np.random.default_rng(3)
         omega = rng.normal(size=3)
         for s in np.linspace(0, curve.length, 7):
-            fr = eval_frame(curve, s)
+            fr = curve.frame(s)
             for G, x in _point_factors(form, section, fr,
                                        *rigid_rotation_fields(form, fr, omega)):
                 assert np.linalg.norm(G @ x) <= 1e-10 * np.linalg.norm(omega)
@@ -116,7 +115,7 @@ class TestKinematicMeasures:
         # u = t(s): the normal-plane part of u' equals the curvature vector
         R = 2.0
         arc = CircularArc([0, 0, 0], R, [1, 0, 0], [0, 1, 0], 0.0, np.pi)
-        fr = eval_frame(arc, 1.1)
+        fr = arc.frame(1.1)
         z = np.zeros(3)
         _, (G_shear, x), _, _ = _point_factors(formulation(name), circle_section(0.1), fr,
                                                [fr.t, fr.kappa], [z, z])
@@ -268,7 +267,7 @@ class TestStiffness:
         energy_q = 0.0
         for e in range(mesh.n_elements):
             s0, h = mesh.element(e)
-            dofs_u = dm.element_dofs("u", e)
+            dofs_u = dm.fields["u"].elem_dofs[e]
             coeff = x[dofs_u].reshape(-1, 3)
             for xi, wq in zip(rule.points, rule.weights):
                 sh = shape_eval("P2", h, xi, nderiv=1)
@@ -503,7 +502,7 @@ class TestLoads:
         M = np.array([0.2, 0.15, -0.4])
         for curve in (LineSegment([0, 0, 0], [10.0, 0, 0]),
                       CircularArc([0, 0, 0], 4.0, [1, 0, 0], [0, 1, 0], 0.3, 2.0)):
-            t = eval_frame(curve, curve.length).t
+            t = curve.frame(curve.length).t
             bc_end = BoundaryCondition(
                 stretching=BCRow("natural", float(F @ t)),
                 shearing=BCRow("natural", F - float(F @ t) * t),

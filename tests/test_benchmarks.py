@@ -141,6 +141,8 @@ class TestConvergenceStudy:
         (dict(radius=-1.0), "must be positive"),
         (dict(radius=0.01), "half the largest thickness"),
         (dict(radius=0.05, thickness=[0.01, 0.1]), "half the largest thickness"),
+        (dict(load=float("nan")), "must be finite"),
+        (dict(thickness=[0.1, float("inf")]), "must be finite"),
     ])
     def test_refuses_what_load_study_refuses(self, kwargs, match):
         # these specs reached run_convergence and failed outside its per-cell

@@ -206,6 +206,7 @@ def _edit(doc, path, value):
 ARC = {"kind": "arc", "center": [0, 0, 0], "radius": 10.0, "basis": [[1, 0, 0], [0, 1, 0]],
        "angle": [0.0, 1.5]}
 CONSTRAINED = straight_doc(constraints=[{"at": "end", "direction": [0, 0, 1], "value": 0.0}])
+NAN, INF = float("nan"), float("inf")
 STUDY = {"benchmark": "straight", "formulations": ["timoshenko_p2p1"], "quadrature": ["full"],
          "elements": [1, 2], "thickness": [0.1], "material": {"E": 1e6, "G": 4e5}}
 
@@ -242,6 +243,14 @@ STUDY = {"benchmark": "straight", "formulations": ["timoshenko_p2p1"], "quadratu
     ("converge", STUDY, "quadrature[0]", "selective"),
     ("converge", STUDY, "elements[0]", 0),
     ("converge", STUDY, "elements", [2, 2]),
+    # JSON readers accept NaN and Infinity
+    ("solve", straight_doc(curve=ARC), "curve.radius", NAN),
+    ("solve", straight_doc(), "material.E", NAN),
+    ("solve", straight_doc(), "loads.end.force", [0, NAN, 0]),
+    ("solve", straight_doc(), "loads.body", {"s": [0, 10], "f": [[0, NAN, 0], [0, -1, 0]]}),
+    ("solve", straight_doc(), "loads.body", {"s": [0, INF], "f": [[0, -1, 0], [0, -1, 0]]}),
+    ("converge", STUDY, "thickness[0]", INF),
+    ("converge", STUDY, "load", NAN),
 ], ids=lambda v: json.dumps(v) if not isinstance(v, dict) else "doc")
 def test_malformed_value_exits_1_and_names_its_path(tmp_path, capsys, command, doc, path,
                                                     value):

@@ -176,8 +176,8 @@ class TestDofMap:
     def test_shared_nodes_share_indices(self):
         dm = DofMap(Mesh1D.uniform(1.0, 3), formulation("timoshenko_p2p1"))
         for e in range(2):
-            right_of_e = dm.element_dofs("u", e)[-3:]
-            left_of_next = dm.element_dofs("u", e + 1)[:3]
+            right_of_e = dm.fields["u"].elem_dofs[e][-3:]
+            left_of_next = dm.fields["u"].elem_dofs[e + 1][:3]
             assert np.array_equal(right_of_e, left_of_next)
 
     def test_every_dof_appears_in_some_element(self):

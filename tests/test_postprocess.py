@@ -1,4 +1,4 @@
-"""Resultant, shear-angle, reaction, and export tests.
+"""Resultant, reaction, and export tests.
 
 Static-equilibrium oracles: on a tip-loaded cantilever the internal force
 transmitted across every section must equal the applied tip load, and the
@@ -35,11 +35,11 @@ from cartbeam.postprocess import (
     resultants,
     resultants_curvature_form,
     sample_points,
-    shear_angle,
     strain_energy,
 )
 from cartbeam.section import Material, circle_section, inertia_tensor, rect_section
 from cartbeam.solver import SolutionFields, solve_model
+from manufactured import interpolated_solution
 
 MAT = Material(E=1e6, nu=0.3)
 
@@ -150,49 +150,14 @@ class TestCurvatureForms:
         curve = model.curve
         u = lambda s: s * curve.frame(s).t
         du = lambda s: curve.frame(s).t + s * curve.frame(s).kappa
-        sol = SolutionFields.from_functions(system, u=u, du=du,
-                                            theta=lambda s: np.zeros(3),
-                                            dtheta=lambda s: np.zeros(3))
+        sol = interpolated_solution(system, u=u, du=du, theta=lambda s: np.zeros(3),
+                                    dtheta=lambda s: np.zeros(3))
         EA = MAT.E * model.section.area
         for s in system.mesh.nodes:  # interpolation is exact at the nodes
             si = float(s)
             t = curve.frame(si).t
             for res in (resultants(sol, si), resultants_curvature_form(sol, si)):
                 assert np.allclose(res.N[0], EA * t, rtol=1e-10)
-
-
-class TestShearAngle:
-    def test_euler_bernoulli_returns_exact_zero(self):
-        sol = solved_cantilever("euler_bernoulli_h3")
-        gamma = shear_angle(sol, np.linspace(0, 10, 5))
-        assert np.all(gamma == 0.0)
-
-    def test_constant_shear_angle_on_cantilever(self):
-        sol = solved_cantilever("timoshenko_h3p2")
-        s = np.linspace(0.5, 9.5, 9)
-        gamma = shear_angle(sol, s)
-        GA = MAT.G * sol.model.section.area
-        res = resultants(sol, s)
-        for i, si in enumerate(s):
-            t = sol.model.curve.frame(float(si)).t
-            # Q gamma = t x S / (G|A|), constant along the constant-shear beam
-            assert np.allclose(gamma[i], np.cross(t, res.S[i]) / GA, atol=1e-8)
-            assert np.allclose(gamma[i], gamma[0], atol=1e-8)
-            # consistency: G|A| (Q gamma) x t reproduces the shear force
-            assert np.allclose(GA * np.cross(gamma[i], t), res.S[i], atol=1e-10)
-
-    def test_shear_to_rotation_ratio_scales_with_thickness_squared(self):
-        ratios = []
-        ts = [0.1, 0.05, 0.02, 0.01]
-        for t in ts:
-            model = make_straight_model(t)
-            sol = solve_model(model, formulation("timoshenko_h3p2"), 4)
-            s = np.linspace(0.5, 9.5, 9)
-            gamma = shear_angle(sol, s)
-            theta_max = max(np.linalg.norm(sol.evaluate(float(si)).theta) for si in s)
-            ratios.append(np.abs(gamma).max() / theta_max)
-        slope = np.polyfit(np.log(ts), np.log(ratios), 1)[0]
-        assert slope == pytest.approx(2.0, abs=0.2)
 
 
 class TestReactionsAndEnergy:
@@ -466,12 +431,12 @@ def _fields_per_sample(sol, si):
 
 
 def _per_sample_reference(sol, s):
-    """Resultants and shear angle sample by sample, from scalar field values
-    and the scalar section tensor."""
+    """Resultants sample by sample, from scalar field values and the scalar
+    section tensor."""
     mat, sec = sol.model.material, sol.model.section
     fr = sol.model.curve.frames(s)
     eb = sol.form.euler_bernoulli
-    ref = {q: np.zeros((len(s), 3)) for q in ("N", "S", "M", "T", "shear")}
+    ref = {q: np.zeros((len(s), 3)) for q in ("N", "S", "M", "T")}
     for i, si in enumerate(s):
         t, k = fr.t[i], fr.kappa[i]
         f = _fields_per_sample(sol, si)
@@ -483,7 +448,6 @@ def _per_sample_reference(sol, s):
         else:
             theta, dtheta = f["theta"]
             Qdu = du - float(t @ du) * t
-            ref["shear"][i] = np.cross(t, Qdu) - (theta - float(t @ theta) * t)
             ref["S"][i] = mat.G * sec.area * (Qdu - np.cross(theta, t))
         ref["N"][i] = mat.E * sec.area * float(t @ du) * t
         ref["M"][i] = mat.E * inertia_tensor(sec, t) @ dtheta
@@ -532,9 +496,9 @@ class TestBatchEvaluation:
         one = sol.evaluate(float(s[2]))
         assert np.array_equal(one.u, st.u[2]) and np.array_equal(one.du, st.du[2])
 
-        # N, S and the shear angle are small differences of u' and theta
-        # terms (t . u' against |u'|, Q u' against theta x t), so their
-        # round-off scales with those terms, not with the result
+        # N and S are small differences of u' and theta terms (t . u'
+        # against |u'|, Q u' against theta x t), so their round-off scales
+        # with those terms, not with the result
         ref = _per_sample_reference(sol, s)
         res = resultants(sol, s)
         du = np.abs(st.du).max()
@@ -544,7 +508,6 @@ class TestBatchEvaluation:
         close(res.S, ref["S"], mat.G * sec.area * terms)
         close(res.M, ref["M"])
         close(res.T, ref["T"])
-        close(shear_angle(sol, s), ref["shear"], terms)
 
     @pytest.mark.parametrize("where", ["before", "beyond", "nan"])
     def test_refuses_arc_lengths_off_the_beam(self, where):

@@ -34,6 +34,7 @@ from cartbeam.solver import (
     solve,
     solve_model,
 )
+from manufactured import interpolated_solution
 
 MAT = Material(E=1e6, nu=0.3)
 
@@ -314,13 +315,12 @@ class TestSolveProperties:
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(force)
 
     def test_interpolated_fields_match_functions(self):
-        from cartbeam.solver import SolutionFields
         model = bar_model()
         system = discretize(model, formulation("timoshenko_h3p2"), 4)
         u = lambda s: np.array([0.1 * s, -0.2 * s, 0.0])
         du = lambda s: np.array([0.1, -0.2, 0.0])
         th = lambda s: np.array([0.0, 0.0, 0.01 * s])
-        sol = SolutionFields.from_functions(system, u=u, du=du, theta=th)
+        sol = interpolated_solution(system, u=u, du=du, theta=th)
         st = sol.evaluate(3.21)
         assert np.allclose(st.u, u(3.21), atol=1e-12)
         assert np.allclose(st.du, du(3.21), atol=1e-12)
