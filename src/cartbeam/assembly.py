@@ -49,7 +49,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .discretization import DofMap, Formulation, Mesh1D, gauss_rule, shape_eval
+from .discretization import DofMap, Formulation, Mesh1D, gauss_rule
 from .geometry import ParamCurve, Vec3, cross3, orthonormal_completion, skew
 from .section import CrossSection, Material, inertia_factor
 
@@ -195,7 +195,8 @@ class LinearSystem:
     K = K_soft + C^T diag(1/compliance) C (see the module docstring), which
     is what the solver factors; K is formed only when read (the split is
     never reassigned). For Timoshenko, K_soft has entries on the theta DOFs
-    only. B (m, ndof) and g (m,) are the essential rows B x = g, m >= 0.
+    only. B (m, ndof) and g (m,) are the essential rows B x = g, m >= 0,
+    set by `apply_essential_bcs`.
     """
 
     rhs: np.ndarray
@@ -207,8 +208,8 @@ class LinearSystem:
     C: scipy.sparse.csr_matrix
     compliance: np.ndarray
     policy: str
-    B: scipy.sparse.csr_matrix
-    g: np.ndarray
+    B: scipy.sparse.csr_matrix | None = None
+    g: np.ndarray | None = None
     rows_info: list[RowInfo] = dc_field(default_factory=list)
 
     @property
@@ -284,22 +285,6 @@ def _gram(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, 1, 2) @ A
 
 
-def _summed_csr(edofs: np.ndarray, ke: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
-    """n x n CSR matrix of the element matrices ke (n_el, m, m) on the DOFs
-    edofs (n_el, m): the element rows' nonzero entries grouped by global row,
-    in element order, and summed in place where elements share a DOF."""
-    m = edofs.shape[1]
-    order = np.argsort(edofs.ravel(), kind="stable")
-    data, indices = ke.reshape(-1, m)[order].ravel(), edofs[order // m].ravel()
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(edofs.ravel(), minlength=n) * m)])
-    keep = data != 0.0
-    data, indices = data[keep], indices[keep]
-    indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
-    M = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-    M.sum_duplicates()
-    return M
-
-
 def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
                        policy: str = "full") -> LinearSystem:
     """Assemble K = K_stretch + K_shear + K_bend + K_twist (shear omitted for
@@ -340,8 +325,8 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
         t, kappa = fr.t.reshape(spts.shape + (3,)), fr.kappa.reshape(spts.shape + (3,))
         N = orthonormal_completion(t) if "shear" in tms or (
             "bend" in tms and model.section.is_isotropic) else None
-        shu = shape_eval(form.midline, lengths[:, None], rule.points, nderiv=nderiv_u)
-        sha = shape_eval(form.angle, lengths[:, None], rule.points, nderiv=1)
+        shu = rule.shapes(form.midline, lengths[:, None], nderiv_u)
+        sha = rule.shapes(form.angle, lengths[:, None], 1)
         stiff, stiff_k = [], []
         for tm in tms:
             G, k, c = _element_factors(tm, form, t, kappa, N, model.material, model.section,
@@ -362,17 +347,38 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     # zeros dropped (many strain rows vanish in plane geometry)
     n_c = n_el * len(moduli)
     C = scipy.sparse.csr_matrix((c_el.ravel(), np.repeat(edofs_all, c_el.shape[1], axis=0).ravel(),
-                                 np.arange(0, n_c * nloc + 1, nloc)), shape=(n_c, dm.ndof))
+                                 np.arange(0, n_c * nloc + 1, nloc, dtype=np.int32)),
+                                shape=(n_c, dm.ndof))
     C.eliminate_zeros()
-    # K_soft on the DOFs of its columns (plane geometry decouples some angle
-    # components, whose zeros the gather leaves out)
-    K_soft = _summed_csr(edofs_all[:, c0:], ke_soft, dm.ndof)
+    # K_soft on the DOFs of its columns, in a pattern from the DofMap, with no
+    # sort: per field an element holds a run of m DOFs starting `step` after
+    # the previous element's, so a row held by c elements holds a run of
+    # m + step (c - 1), and an element column's place in it follows from c
+    # and whether the row is shared with the previous element (the index into
+    # `table`). Entries that every element gives as exact zeros are left out.
+    ek, fk = edofs_all[:, c0:], [f for name, f in dm.fields.items() if c0 == 0 or name != "u"]
+    m = np.array([f.elem_dofs.shape[1] for f in fk])
+    step = m - [f.node_dofs.shape[1] for f in fk]
+    field = np.repeat(np.arange(len(fk)), m)
+    loc = np.arange(m.sum()) - (np.cumsum(m) - m)[field]
+    table = np.arange(m.sum()) + np.multiply.outer([0, 0, 1, 1], (np.cumsum(step) - step)[field]) \
+        + np.multiply.outer([0, 1, 0, 1], step[field])
+    count = np.bincount(ek.ravel(), minlength=dm.ndof)
+    indptr = np.concatenate([[0], np.cumsum((count > 0) * (m.sum() + step.sum() * (count - 1)))])
+    c = count[ek]
+    at = indptr[ek][..., None] + table[2 * c - 2 + ((c > 1) & (loc < (m - step)[field]))]
+    hit, cols = np.zeros(indptr[-1], bool), np.empty(indptr[-1], np.int32)
+    hit[at[ke_soft != 0.0]] = True
+    cols[at] = ek[:, None, :]
+    kept = np.concatenate([np.zeros(1, np.int32), np.cumsum(hit, dtype=np.int32)])
+    K_soft = scipy.sparse.csr_matrix((np.bincount(at.ravel(), ke_soft.ravel(), indptr[-1])[hit],
+                                      cols[hit], kept[indptr]), shape=(dm.ndof, dm.ndof))
     return LinearSystem(rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
                         model=model, K_soft=K_soft, C=C,
-                        compliance=1.0 / np.tile(moduli, n_el), policy=policy,
-                        B=scipy.sparse.csr_matrix((0, dm.ndof)), g=np.zeros(0))
+                        compliance=1.0 / np.tile(moduli, n_el), policy=policy)
 
 
+_ENDS = ("start", "end")
 _SCALAR_ROWS = ("stretching", "twisting")
 _MOMENT_ROWS = ("bending", "twisting")
 # a point constraint is the row that carries its field, with w its direction
@@ -407,20 +413,22 @@ def _row_value(row: str, value, t: Vec3, what: str):
     return value
 
 
-def _row_functional(form: Formulation, row: str, t: Vec3, w):
-    """(field, direction, deriv) of the end functional of one row of the
-    boundary bracket, the kinematic quantity that the row's resultant works
-    on: w t . u (stretching), w . u (shearing), w . Q theta (bending) and
-    w t . theta (twisting), for a scalar w on the scalar rows and a vector w
-    on the others. Euler-Bernoulli kinematics carry theta_t = t . theta and
-    Q theta = t x u', so there w . Q theta = (w x t) . u'."""
-    if row == "stretching":
-        return "u", w * t, 0
-    if row == "shearing":
-        return "u", w, 0
-    if form.euler_bernoulli:
-        return ("u", cross3(w, t), 1) if row == "bending" else ("theta_t", [w], 0)
-    return "theta", (w * t if row == "twisting" else w), 0
+def _row_functional(form: Formulation, row: str, t: Vec3, w) -> np.ndarray:
+    """The end functional of one row of the boundary bracket, the kinematic
+    quantity that the row's resultant works on: w t . u (stretching), w . u
+    (shearing), w . Q theta (bending) and w t . theta (twisting), for a scalar
+    w on the scalar rows and a vector w on the others, as weights on the end
+    values (u, u' for Euler-Bernoulli, angle), the DOFs of `DofMap.end_dofs`.
+    Euler-Bernoulli kinematics carry theta_t = t . theta and Q theta = t x u',
+    so there w . Q theta = (w x t) . u'."""
+    omega = np.zeros(7 if form.euler_bernoulli else 6)
+    if row in ("stretching", "shearing"):
+        omega[:3] = w * t if row == "stretching" else w
+    elif form.euler_bernoulli:
+        omega[3:] = (*cross3(w, t), 0.0) if row == "bending" else (0.0, 0.0, 0.0, w)
+    else:
+        omega[3:] = w * t if row == "twisting" else w
+    return omega
 
 
 def assemble_load(model: BeamModel, dm: DofMap) -> np.ndarray:
@@ -442,13 +450,13 @@ def assemble_load(model: BeamModel, dm: DofMap) -> np.ndarray:
         if f.shape != (spts.size, 3):
             raise ValueError(f"body force callable returned shape {f.shape} for {spts.size} "
                              f"arc lengths; expected ({spts.size}, 3)")
-        shu = shape_eval(form.midline, lengths[:, None], rule.points, nderiv=0)[..., 0, :]
+        shu = rule.shapes(form.midline, lengths[:, None], 0)[..., 0, :]
         fe = np.einsum("eq,eqb,eqa->eba", w * model.section.area, shu,
                        f.reshape(spts.shape + (3,)))
         np.add.at(rhs, dm.fields["u"].elem_dofs, fe.reshape(mesh.n_elements, -1))
 
     ends = model.curve.end_frames()
-    for end, sgn, t in zip(("start", "end"), (-1.0, +1.0), ends.t):
+    for end, sgn, t in zip(_ENDS, (-1.0, +1.0), ends.t):
         # (row, w, scale): the natural values on the end bracket, then the
         # applied force (on u, like a point row) and the applied moment as its
         # bending part Q m and twisting part t . m
@@ -463,68 +471,51 @@ def assemble_load(model: BeamModel, dm: DofMap) -> np.ndarray:
             terms += [("bending", moment - m_t * t, 1.0), ("twisting", m_t, 1.0)]
         for row, w, scale in terms:
             if np.any(w):
-                field, direction, deriv = _row_functional(form, row, t, w)
-                idx, coeff = dm.end_functional(field, end, direction, deriv=deriv)
-                rhs[idx] += scale * coeff
+                rhs[dm.end_dofs(end)] += scale * _row_functional(form, row, t, w)
 
     return rhs
 
 
-def _collect_constraint_rows(system: LinearSystem):
+def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
+    """Append the essential conditions as Lagrange-multiplier rows: each end's
+    essential conditions in the order of `BoundaryCondition.rows`, then the
+    point constraints. The rows of one end are gathered in one pass: their
+    `_row_functional` weights are their entries on `DofMap.end_dofs`.
+
+    Linearly dependent but consistent rows are pruned with a warning;
+    inconsistent dependent rows raise ConstraintConflictError.
+    """
     dm, form, model = system.dofmap, system.form, system.model
-    rows = []             # (dof_indices, coeffs)
-    values = []
-    infos: list[RowInfo] = []
-
-    def add(end, t, row, w, value, label):
-        # the reaction works on the row's kinematic quantity: w t or w
-        field, direction, deriv = _row_functional(form, row, t, w)
-        rows.append(dm.end_functional(field, end, direction, deriv=deriv))
-        values.append(float(value))
-        infos.append(RowInfo(end, label, "moment" if row in _MOMENT_ROWS else "force",
-                             w * t if row in _SCALAR_ROWS else w))
-
     ends = model.curve.end_frames()
-    for end, t, normal in zip(("start", "end"), ends.t, orthonormal_completion(ends.t)):
+    rows = []             # (end, row, tangent, w, value, label)
+    for end, t, normal in zip(_ENDS, ends.t, orthonormal_completion(ends.t)):
         for row, c in model.bc(end).rows():
-            if c.kind != "essential":
-                continue
-            value = _row_value(row, c.value, t, f"essential {row} value at {end}")
-            if row in _SCALAR_ROWS:
-                add(end, t, row, 1.0, value, row)
-            else:
-                for w in normal:
-                    add(end, t, row, w, w @ value, row)
-
+            if c.kind == "essential":
+                value = _row_value(row, c.value, t, f"essential {row} value at {end}")
+                rows += [(end, row, t, 1.0, value, row)] if row in _SCALAR_ROWS else \
+                    [(end, row, t, w, w @ value, row) for w in normal]
     for pc in model.constraints:
         if pc.field not in ("u", form.angle_field):
             raise ValueError(f"point constraint field {pc.field!r} not available "
                              f"for formulation {form.name}")
         row, w = _point_row(pc)
-        add(pc.end, ends.t[("start", "end").index(pc.end)], row, w, pc.value, "point")
+        rows.append((pc.end, row, ends.t[_ENDS.index(pc.end)], w, pc.value, "point"))
+    B = np.zeros((len(rows), dm.ndof))
+    for end in _ENDS:
+        at = [i for i, r in enumerate(rows) if r[0] == end]
+        if at:
+            B[np.array(at)[:, None], dm.end_dofs(end)] = \
+                [_row_functional(form, *rows[i][1:4]) for i in at]
+    values = np.array([r[4] for r in rows], dtype=float)
+    infos = [RowInfo(end, label, "moment" if row in _MOMENT_ROWS else "force",
+                     w * t if row in _SCALAR_ROWS else w) for end, row, t, w, _, label in rows]
+    m, ndof = B.shape
 
-    return rows, np.asarray(values), infos
-
-
-def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
-    """Append the essential conditions as Lagrange-multiplier rows.
-
-    Linearly dependent but consistent rows are pruned with a warning;
-    inconsistent dependent rows raise ConstraintConflictError.
-    """
-    rows, values, infos = _collect_constraint_rows(system)
-    m = len(values)
-
-    # the redundancy QR runs on the columns the rows touch (end element DOFs);
-    # the empty leading parts keep m = 0 on the same path
-    ndof = system.dofmap.ndof
-    idx = np.concatenate([np.zeros(0, int)] + [i for i, _ in rows])
-    cols = np.unique(idx)
-    Bd = np.zeros((m, len(cols)))
-    Bd[np.repeat(np.arange(m), [len(i) for i, _ in rows]), np.searchsorted(cols, idx)] = \
-        np.concatenate([np.zeros(0)] + [c for _, c in rows])
-
-    _, R, piv = scipy.linalg.qr(Bd.T, mode="economic", pivoting=True)
+    # the redundancy QR runs on the columns the rows touch (end node DOFs);
+    # m = 0 takes the same path
+    cols = np.flatnonzero(B.any(axis=0)).astype(np.int32)    # scipy's index type
+    Bd = B[:, cols]
+    R, piv = scipy.linalg.qr(Bd.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     tol = max(m, ndof) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)
     rank = int(np.sum(diag > max(tol, 1e-12)))
@@ -541,8 +532,8 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
         warnings.warn(f"dropping {m - rank} redundant, consistent constraint row(s)")
 
     nz = Bk != 0.0
-    B = Bk[nz], np.tile(cols, (rank, 1))[nz], np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
-    system.B = scipy.sparse.csr_matrix(B, shape=(rank, ndof))
+    system.B = scipy.sparse.csr_matrix((Bk[nz], np.broadcast_to(cols, Bk.shape)[nz], np.cumsum(
+        np.r_[0, nz.sum(axis=1)], dtype=np.int32)), shape=(rank, ndof))
     system.g = values[keep]
     system.rows_info = [infos[j] for j in keep]
     return system

@@ -8,7 +8,7 @@ element matrices independent of the underlying curve parametrization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -52,10 +52,6 @@ class Mesh1D:
     @property
     def n_elements(self) -> int:
         return len(self.nodes) - 1
-
-    def element(self, e: int) -> tuple[float, float]:
-        """(start arc length, element length) of element e."""
-        return float(self.nodes[e]), float(self.nodes[e + 1] - self.nodes[e])
 
     def locate(self, s):
         """Element index and local coordinate xi in [0, 1] containing s.
@@ -105,9 +101,13 @@ def shape_eval(kind: str, h, xi, nderiv: int = 1) -> np.ndarray:
     coef = _MONOMIAL[kind]
     k = np.arange(nderiv + 1)[:, None]
     power = np.maximum(np.arange(len(coef)) - k, 0)
-    h = np.asarray(h, dtype=float)[..., None, None]
     xi = np.asarray(xi, dtype=float)[..., None, None]
-    return ((_FALLING[:nderiv + 1, :len(coef)] * xi**power) @ coef) * h**(_SLOPE[kind] - k)
+    return ((_FALLING[:nderiv + 1, :len(coef)] * xi**power) @ coef) * _h_powers(kind, h, nderiv)
+
+
+def _h_powers(kind: str, h, nderiv: int) -> np.ndarray:
+    """h^(slope - k): takes row k of the basis in xi to d^k/ds^k (`shape_eval`)."""
+    return np.asarray(h, float)[..., None, None] ** (_SLOPE[kind] - np.arange(nderiv + 1)[:, None])
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,26 @@ def formulation(name: str) -> Formulation:
                          f"choose one of {sorted(FORMULATIONS)}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Gauss-Legendre points and weights on the reference element [0, 1]."""
 
     points: np.ndarray
     weights: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def on_element(self, s0: float, h: float) -> tuple[np.ndarray, np.ndarray]:
         return s0 + self.points * h, self.weights * h
+
+    def shapes(self, kind: str, h, nderiv: int) -> np.ndarray:
+        """shape_eval(kind, h, self.points, nderiv), bitwise: the table on the
+        reference element (h = 1) is computed once per (kind, nderiv), kept
+        read-only, and scaled by the powers of h."""
+        if (kind, nderiv) not in self._tables:
+            table = shape_eval(kind, 1.0, self.points, nderiv)
+            table.flags.writeable = False
+            self._tables[kind, nderiv] = table
+        return self._tables[kind, nderiv] * _h_powers(kind, h, nderiv)
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +198,6 @@ class DofMap:
         self.mesh = mesh
         self.form = form
         self.fields: dict[str, FieldInfo] = {}
-        self._end_rows = {}     # (field, end, deriv) -> (element DOFs, shape row)
         offset = 0
         offset = self._add_field("u", form.midline, 3, offset)
         offset = self._add_field(form.angle_field, form.angle, form.angle_ncomp, offset)
@@ -214,24 +224,13 @@ class DofMap:
                                       n_dofs=n_nodes * per_node)
         return offset + n_nodes * per_node
 
-    def end_element(self, end: str) -> tuple[int, float]:
-        """(element index, local xi) of a beam end ('start' or 'end')."""
-        if end == "start":
-            return 0, 0.0
-        if end == "end":
-            return self.mesh.n_elements - 1, 1.0
-        raise ValueError(f"unknown end {end!r}")
-
-    def end_functional(self, name: str, end: str, direction: np.ndarray,
-                       deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Row (dof indices, coefficients) of the functional d . field^(deriv)(end);
-        the end's shape row is evaluated once per (field, end, deriv)."""
-        if (name, end, deriv) not in self._end_rows:
-            info, (e, xi) = self.fields[name], self.end_element(end)
-            self._end_rows[name, end, deriv] = (
-                info.elem_dofs[e], shape_eval(info.kind, self.mesh.element(e)[1], xi, deriv)[deriv])
-        dofs, sh = self._end_rows[name, end, deriv]
-        direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        coeffs = np.outer(sh, direction).ravel()
-        keep = coeffs != 0.0
-        return dofs[keep], coeffs[keep]
+    def end_dofs(self, end: str) -> np.ndarray:
+        """The DOFs of the node at a beam end ('start' or 'end'): u's values,
+        its slopes under Euler-Bernoulli kinematics, then the angle field's.
+        Every basis is nodal there (its value and H3 slope rows are 0 or 1 at
+        xi = 0 and 1), so these DOFs are the end values of u, u' and angle."""
+        if end not in ("start", "end"):
+            raise ValueError(f"unknown end {end!r}")
+        k, eb = (0 if end == "start" else -1), self.form.euler_bernoulli
+        return np.concatenate([self.fields["u"].node_dofs[k, :6 if eb else 3],
+                               self.fields[self.form.angle_field].node_dofs[k]])

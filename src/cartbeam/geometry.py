@@ -321,8 +321,8 @@ class CircularArc(ParamCurve):
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        if self.radius <= 0:
-            raise ValueError("arc radius must be positive")
+        if not (np.isfinite([self.radius, self.angle0, self.angle1]).all() and self.radius > 0):
+            raise ValueError("arc radius must be positive, and radius and angles finite")
         if not self.angle1 > self.angle0:
             raise ValueError("arc angle range must be increasing")
         self.e1, self.e2 = _checked_plane_basis(self.e1, self.e2)
@@ -363,8 +363,9 @@ class Helix(ParamCurve):
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        if self.radius <= 0:
-            raise ValueError("helix radius must be positive")
+        if not (np.isfinite([self.radius, self.pitch, self.angle0, self.angle1]).all()
+                and self.radius > 0):
+            raise ValueError("helix radius must be positive, and radius, pitch and angles finite")
         if not self.angle1 > self.angle0:
             raise ValueError("helix angle range must be increasing")
         self.e1, self.e2 = _checked_plane_basis(self.e1, self.e2)

@@ -35,6 +35,8 @@ class Material:
     nu: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        if not all(np.isfinite(v) for v in (self.E, self.G, self.nu) if v is not None):
+            raise ValueError("material constants E, G and nu must be finite")
         if self.E is None or self.E <= 0:
             raise ValueError("elastic modulus E must be positive")
         if self.G is None:

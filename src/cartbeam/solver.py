@@ -34,6 +34,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse._sparsetools import csr_tocsc
 
 from .assembly import LinearSystem, discretize
 from .discretization import shape_eval
@@ -156,10 +157,8 @@ def _rigid_rows(system: LinearSystem, dofs: np.ndarray) -> np.ndarray:
 
 def _free_rigid_mode_count(system: LinearSystem) -> int:
     """6 - rank(B Z), with the rows of Z built at B's columns (end DOFs) only."""
-    B, cols = system.B, np.unique(system.B.indices)
-    Bd = np.zeros((B.shape[0], len(cols)))
-    Bd[np.arange(len(Bd)).repeat(np.diff(B.indptr)), cols.searchsorted(B.indices)] = B.data
-    BZ = Bd @ _rigid_rows(system, cols)
+    cols = np.unique(system.B.indices)
+    BZ = system.B.toarray()[:, cols] @ _rigid_rows(system, cols)
     sv = np.linalg.svd(BZ, compute_uv=False)
     tol = max(BZ.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
     rank = int(np.sum(sv > max(tol, 1e-10)))
@@ -187,8 +186,7 @@ def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
         return np.zeros((dm.ndof, 0))
     H = np.zeros((dm.ndof, 3))
     slopes = dm.fields["u"].node_dofs[:, 3:]
-    for a in range(3):
-        H[slopes[:, a], a] = 1.0
+    H[slopes, np.arange(3)] = 1.0
     _, sv, Vt = np.linalg.svd(_apply_stiffness(system, H), full_matrices=False)
     null = sv <= 1e-12 * kappa * np.sqrt(len(slopes))
     if null.all():
@@ -197,8 +195,13 @@ def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
 
 
 def _apply_stiffness(system: LinearSystem, X: np.ndarray) -> np.ndarray:
-    """K X = K_soft X + C^T ((C X) / compliance), without forming K."""
-    return system.K_soft @ X + system.C.T @ ((system.C @ X).T / system.compliance).T
+    """K X = K_soft X + C^T ((C X) / compliance), without forming K or C^T:
+    C^T is applied by bincount over C's entries in row order, the order of
+    scipy's product with C.T, so the bits are the same."""
+    C = system.C
+    W = ((C @ X).T / system.compliance)[..., np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))]
+    CtY = [np.bincount(C.indices, w * C.data, len(X)) for w in np.reshape(W, (-1, C.nnz))]
+    return system.K_soft @ X + np.transpose(CtY).reshape(X.shape)
 
 
 def _stiffness_scale(system: LinearSystem) -> float:
@@ -227,35 +230,41 @@ def _hourglass_gauge(system: LinearSystem, modes: np.ndarray) -> scipy.sparse.cs
     terms telescope to u(L) - u(0). This gauge takes the least hourglass
     content, so nodal slopes and interior displacements converge to the
     `full` answer."""
-    info = system.dofmap.fields["u"]
-    h = np.diff(system.mesh.nodes)
-    weight = np.zeros(len(h) + 1)
-    weight[:-1] += 0.5 * h
-    weight[1:] += 0.5 * h
-    gauge = np.zeros((modes.shape[1], system.dofmap.ndof))
-    for r, v in enumerate(modes[info.node_dofs[0, 3:]].T):
-        for a in range(3):
-            gauge[r, info.node_dofs[:, 3 + a]] = weight * v[a]
-            gauge[r, info.node_dofs[-1, a]] = -v[a]
-            gauge[r, info.node_dofs[0, a]] = v[a]
+    nd, h = system.dofmap.fields["u"].node_dofs, np.diff(system.mesh.nodes)
+    weight = np.pad(0.5 * h, (0, 1)) + np.pad(0.5 * h, (1, 0))
+    V = modes[nd[0, 3:]].T
+    gauge = np.zeros((len(V), system.dofmap.ndof))
+    gauge[:, nd[:, 3:]] = weight[:, None] * V[:, None, :]
+    gauge[:, nd[-1, :3]], gauge[:, nd[0, :3]] = -V, V
     return scipy.sparse.csr_matrix(gauge)
 
 
-def _mixed_system(system: LinearSystem, B, g) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-    """The saddle matrix [[K_soft, X^T], [X, E]] (CSC), X = [C; B], E =
-    diag(-D, 0), and its right-hand side [f, 0, g], for the unknowns [x,
-    sigma, lambda]. Its first n columns are those of the CSR stack [K_soft;
-    X], one transpose; column n + k is row k of X, then -D_kk for C's rows."""
-    n, p = system.dofmap.ndof, system.C.shape[0]
-    stack = scipy.sparse.vstack([system.K_soft, system.C, B], format="csr")
-    left, N, at = stack.tocsc(), stack.shape[0], stack.indptr[n]
-    xp = stack.indptr[n:] - at          # row pointers of X; C's rows end at xp[1:p + 1]
-    ind = np.insert(stack.indices[at:], xp[1:p + 1], n + np.arange(p))
-    dat = np.insert(stack.data[at:], xp[1:p + 1], -system.compliance)
-    xp = xp + np.minimum(np.arange(xp.size), p) + left.nnz
-    pairs = zip((left.data, left.indices, left.indptr), (dat, ind, xp[1:]))
-    A = scipy.sparse.csc_matrix(tuple(np.concatenate(pair) for pair in pairs), shape=(N, N))
-    return A, np.concatenate([system.rhs, np.zeros(p), g])
+def _mixed_system(system: LinearSystem, gauge: scipy.sparse.csr_matrix | None = None
+                  ) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
+    """The saddle matrix [[K_soft, X^T], [X, E]] (CSC), X = [C; B; gauge], E =
+    diag(-D, 0), and its right-hand side [f, 0, g, 0], for the unknowns [x,
+    sigma, lambda]. One constructor, from arrays laid out in linear time: the
+    first n columns are those of the CSR stack S = [K_soft; X], by scipy's
+    compiled counting pass (what `tocsc` runs); column n + k is row k of X,
+    followed by -D_kk for C's rows."""
+    n, p, cn = system.dofmap.ndof, system.C.shape[0], system.C.nnz
+    parts = [system.K_soft, system.C, system.B] + ([] if gauge is None else [gauge])
+    data, ind = (np.concatenate([getattr(M, a) for M in parts]) for a in ("data", "indices"))
+    sp = np.concatenate([[0]] + [M.indptr[1:] + o for M, o in zip(
+        parts, np.cumsum([0] + [M.nnz for M in parts[:-1]]))], dtype=np.int32)
+    N, s0, nnz = len(sp) - 1, sp[n], len(data)
+    Ad, Ai = np.empty(2 * nnz - s0 + p), np.empty(2 * nnz - s0 + p, np.int32)
+    Ap = np.empty(N + 1, np.int32)
+    csr_tocsc(N, n, sp, ind, data, Ap[:n + 1], Ai[:nnz], Ad[:nnz])
+    # then the rows of X from S, each of C's rows followed by its -D_kk
+    at = nnz + np.arange(cn) + np.repeat(np.arange(p), np.diff(system.C.indptr))
+    Ad[at], Ai[at] = data[s0:s0 + cn], ind[s0:s0 + cn]
+    diag = nnz + system.C.indptr[1:] + np.arange(p)
+    Ad[diag], Ai[diag] = -system.compliance, n + np.arange(p)
+    Ad[nnz + cn + p:], Ai[nnz + cn + p:] = data[s0 + cn:], ind[s0 + cn:]
+    Ap[n + 1:] = sp[n + 1:] - s0 + nnz + np.minimum(np.arange(1, N - n + 1), p)
+    rhs = np.concatenate([system.rhs, np.zeros(p), system.g, np.zeros(N - n - p - len(system.g))])
+    return scipy.sparse.csc_matrix((Ad, Ai, Ap), shape=(N, N)), rhs
 
 
 def solve(system: LinearSystem) -> SolutionFields:
@@ -278,7 +287,6 @@ def solve(system: LinearSystem) -> SolutionFields:
 
     kappa = _stiffness_scale(system)
     H = hourglass_modes(system, kappa)
-    B, g = system.B, system.g
     k = H.shape[1]
     if k:
         work = system.rhs @ H
@@ -289,10 +297,8 @@ def solve(system: LinearSystem) -> SolutionFields:
                 f"{k} zero-energy mode(s) of {system.form.name} under reduced "
                 "quadrature (every midline slope DOF equal, all else 0); "
                 "use full quadrature for this load", n_rigid_modes=0)
-        B = scipy.sparse.vstack([B, _hourglass_gauge(system, H)], format="csr")
-        g = np.concatenate([g, np.zeros(k)])
 
-    A, rhs = _mixed_system(system, B, g)
+    A, rhs = _mixed_system(system, _hourglass_gauge(system, H) if k else None)
     p = system.C.shape[0]
     # symmetric equilibration, in place (A is symmetric): Hermite slope DOFs,
     # multiplier rows and resultant rows carry very different scales.

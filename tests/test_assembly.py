@@ -266,7 +266,7 @@ class TestStiffness:
         E, G, A = MAT.E, MAT.G, model.section.area
         energy_q = 0.0
         for e in range(mesh.n_elements):
-            s0, h = mesh.element(e)
+            s0, h = mesh.nodes[e], mesh.nodes[e + 1] - mesh.nodes[e]
             dofs_u = dm.fields["u"].elem_dofs[e]
             coeff = x[dofs_u].reshape(-1, 3)
             for xi, wq in zip(rule.points, rule.weights):
@@ -435,7 +435,7 @@ class TestMixedSplit:
         curve = SPLIT_CURVES["arc"]
         form = formulation("timoshenko_h3p2")
         mesh = Mesh1D.uniform(curve.length, 3)
-        s0, h = mesh.element(1)
+        s0, h = mesh.nodes[1], mesh.nodes[2] - mesh.nodes[1]
         s_q = s0 + gauss_rule(form.full_points).points[1] * h
         model = BeamModel(curve=curve, material=MAT,
                           section=rect_section(0.2, 0.1, curve.frame(s_q).t),

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cartbeam.discretization import (
+    FORMULATIONS,
     DofMap,
     FormulationError,
     Formulation,
@@ -109,6 +110,24 @@ class TestQuadrature:
         assert np.array_equal(rule.points, 0.5 * (x + 1.0))
         assert np.array_equal(rule.weights, 0.5 * w)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_shape_tables_are_the_uncached_formula(self, n):
+        # rule.shapes scales a table kept per (kind, nderiv) by the powers of
+        # h; at the rule's points it gives the bits of shape_eval, which
+        # evaluates the polynomials afresh, for a batch of element lengths
+        rule = gauss_rule(n)
+        h = np.array([[0.3], [1.0], [2.7e-3]])
+        for kind, top in (("P1", 1), ("P2", 1), ("H3", 2)):
+            for nderiv in range(top + 1):
+                for _ in range(2):      # the first call fills the table, the second reads it
+                    got = rule.shapes(kind, h, nderiv)
+                    assert np.array_equal(got, shape_eval(kind, h, rule.points, nderiv))
+                    assert got.shape == (3, n, nderiv + 1, len(shape_eval(kind, 1.0, 0.5, 0)[0]))
+                with pytest.raises(ValueError, match="read-only"):
+                    rule._tables[kind, nderiv][..., 0] = 1.0
+        with pytest.raises(UnsupportedOrderError):
+            rule.shapes("P2", h, 2)
+
 
 class TestMesh:
     def test_uniform_covers_interval(self):
@@ -206,33 +225,25 @@ class TestDofMap:
                         blocks = [nd[e, :nc], nd[e, nc:], nd[e + 1, :nc], nd[e + 1, nc:]]
                     assert np.array_equal(info.elem_dofs[e], np.concatenate(blocks))
 
-    def test_end_rows_are_evaluated_once_per_field_end_and_derivative(self, monkeypatch):
-        import cartbeam.discretization as disc
-        calls = []
-        real = disc.shape_eval
-        monkeypatch.setattr(disc, "shape_eval", lambda *a, **k: calls.append(a) or real(*a, **k))
-        dm = DofMap(Mesh1D.uniform(2.0, 3), formulation("euler_bernoulli_h3"))
-        rows = [dm.end_functional("u", "end", d, deriv=1) for d in np.eye(3)]
-        assert len(calls) == 1
-        for (idx, coeff), d in zip(rows, np.eye(3)):
-            sh = real("H3", dm.mesh.element(2)[1], 1.0, nderiv=1)[1]
-            ref = np.outer(sh, d).ravel()
-            assert np.array_equal(coeff, ref[ref != 0.0])
-            assert np.array_equal(idx, dm.fields["u"].elem_dofs[-1][ref != 0.0])
-        dm.end_functional("u", "start", np.ones(3), deriv=1)
-        dm.end_functional("theta_t", "end", [1.0])
-        assert len(calls) == 3
-
-    def test_end_functional_is_cardinal(self):
-        dm = DofMap(Mesh1D.uniform(2.0, 4), formulation("timoshenko_h3p2"))
-        idx, coeff = dm.end_functional("u", "end", np.array([0.0, 1.0, 0.0]))
-        assert len(idx) == 1
-        assert coeff[0] == pytest.approx(1.0)
-        # derivative functional touches only the slope DOF
-        idx_d, coeff_d = dm.end_functional("u", "start", np.array([1.0, 0.0, 0.0]), deriv=1)
-        assert len(idx_d) == 1
-        assert coeff_d[0] == pytest.approx(1.0)
-        assert idx_d[0] != idx[0]
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_end_dofs_are_the_end_values(self, name):
+        # every basis is nodal at the beam ends: the end element's shape rows
+        # for u, u' (Euler-Bernoulli) and the angle pick exactly end_dofs, with
+        # coefficient 1.0 and exact zeros elsewhere, on a nonuniform mesh
+        form = formulation(name)
+        dm = DofMap(Mesh1D([0.0, 0.3, 1.1, 1.25, 2.0]), form)
+        u, a = dm.fields["u"], dm.fields[form.angle_field]
+        parts = [(u, 0), (u, 1), (a, 0)] if form.euler_bernoulli else [(u, 0), (a, 0)]
+        for end, e, xi in (("start", 0, 0.0), ("end", -1, 1.0)):
+            h = np.diff(dm.mesh.nodes)[e]
+            picked = [info.elem_dofs[e][np.outer(shape_eval(info.kind, h, xi, d)[d], row).ravel() == 1.0]
+                      for info, d in parts for row in np.eye(info.ncomp)]
+            for info, d in parts:
+                rows = np.outer(shape_eval(info.kind, h, xi, d)[d], np.ones(info.ncomp)).ravel()
+                assert set(rows) <= {0.0, 1.0}
+            assert np.array_equal(np.concatenate(picked), dm.end_dofs(end))
+        with pytest.raises(ValueError, match="unknown end"):
+            dm.end_dofs("middle")
 
 
 class TestInterpolationOrders:
@@ -249,7 +260,7 @@ class TestInterpolationOrders:
             mesh = Mesh1D.uniform(L, n)
             total = 0.0
             for e in range(n):
-                s0, h = mesh.element(e)
+                s0, h = mesh.nodes[e], mesh.nodes[e + 1] - mesh.nodes[e]
                 if kind == "P1":
                     nodes = [s0, s0 + h]
                     coeff = np.array([f(s) for s in nodes])
@@ -274,7 +285,7 @@ class TestInterpolationOrders:
         mesh = Mesh1D.uniform(L, 3)
         worst = 0.0
         for e in range(3):
-            s0, h = mesh.element(e)
+            s0, h = mesh.nodes[e], mesh.nodes[e + 1] - mesh.nodes[e]
             coeff = np.array([f(s0), df(s0), f(s0 + h), df(s0 + h)])
             for xi in np.linspace(0, 1, 9):
                 sh = shape_eval("H3", h, xi, nderiv=0)[0]

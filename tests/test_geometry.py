@@ -39,6 +39,22 @@ def sample_spline():
     return HermiteSpline(pts, [0.7, 0.6, 0.0], [0.5, 0.7, 0.4])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CircularArc([0, 0, 0], np.nan, [1, 0, 0], [0, 1, 0], 0.0, 1.0),
+    lambda: CircularArc([0, 0, 0], np.inf, [1, 0, 0], [0, 1, 0], 0.0, 1.0),
+    lambda: CircularArc([0, 0, 0], 1.0, [1, 0, 0], [0, 1, 0], 0.0, np.inf),
+    lambda: CircularArc([0, 0, 0], 1.0, [1, 0, 0], [0, 1, 0], -np.inf, 1.0),
+    lambda: Helix([0, 0, 0], np.nan, 1.0, [1, 0, 0], [0, 1, 0], 0.0, 1.0),
+    lambda: Helix([0, 0, 0], 1.0, np.nan, [1, 0, 0], [0, 1, 0], 0.0, 1.0),
+    lambda: Helix([0, 0, 0], 1.0, np.inf, [1, 0, 0], [0, 1, 0], 0.0, 1.0),
+    lambda: Helix([0, 0, 0], 1.0, 1.0, [1, 0, 0], [0, 1, 0], 0.0, np.inf),
+])
+def test_non_finite_curve_numbers_are_refused(make):
+    # radius <= 0 is false for NaN, and an infinite angle gives an infinite length
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 unit_vectors = st.builds(
     lambda a, b: np.array([np.cos(a) * np.sin(b), np.sin(a) * np.sin(b), np.cos(b)]),
     st.floats(0, 2 * np.pi), st.floats(0.01, np.pi - 0.01),

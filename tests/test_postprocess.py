@@ -421,7 +421,7 @@ def _fields_per_sample(sol, si):
     """One sample the element-by-element way: locate, scalar shape rows, and
     one dot product per derivative row; {field: [value, d/ds, ...]}."""
     e, xi = sol.mesh.locate(float(si))
-    h = sol.mesh.element(e)[1]
+    h = float(np.diff(sol.mesh.nodes)[e])
     out = {}
     for name, info in sol.system.dofmap.fields.items():
         nderiv = 2 if name == "u" and sol.form.euler_bernoulli else 1

@@ -41,6 +41,14 @@ class TestMaterial:
         with pytest.raises(ValueError):
             Material(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"E": np.nan, "nu": 0.3}, {"E": np.inf, "nu": 0.3},
+                                        {"E": 1.0, "G": np.inf}, {"E": 1.0, "nu": np.nan},
+                                        {"E": 1.0, "G": 0.4, "nu": -np.inf}])
+    def test_non_finite_constants(self, kwargs):
+        # E <= 0 and G <= 0 are false for NaN, so finiteness is its own check
+        with pytest.raises(ValueError, match="finite"):
+            Material(**kwargs)
+
 
 class TestShapes:
     def test_unit_depth_rect(self):

@@ -25,6 +25,7 @@ from cartbeam.solver import (
     SingularSystemError,
     _apply_stiffness,
     _free_rigid_mode_count,
+    _hourglass_gauge,
     _inf_norm,
     _mixed_system,
     _segment_reduce,
@@ -435,7 +436,7 @@ class TestNormHelpers:
     def test_on_the_saddle_matrix_and_stiffness(self):
         model = bar_model(curve=KERNEL_CURVES["helix"])
         system = discretize(model, formulation("timoshenko_h3p2"), 3)
-        A, _ = _mixed_system(system, system.B, system.g)
+        A, _ = _mixed_system(system)
         assert np.array_equal(_segment_reduce(np.maximum, A), abs(A).max(axis=0).toarray().ravel())
         assert _inf_norm(system.K) == pytest.approx(abs(system.K).sum(axis=1).max(), rel=1e-15)
 
@@ -468,31 +469,58 @@ class TestStiffnessFromSplit:
 
 
 class TestSaddleMatrix:
+    @staticmethod
+    def check(system, gauge=None):
+        # [[K_soft, C^T, B^T], [C, -D, 0], [B, 0, 0]] with any gauge rows in B
+        # below the essential rows, from one constructor: its arrays are those
+        # of the bmat reference as CSC with sorted indices. The first columns
+        # come from the CSR stack [K_soft; C; B], so they need no symmetry,
+        # but K_soft is bitwise symmetric, pattern and values, all the same.
+        B = system.B if gauge is None else scipy.sparse.vstack([system.B, gauge], format="csr")
+        A, rhs = _mixed_system(system, gauge)
+        n, p, m = system.dofmap.ndof, system.C.shape[0], B.shape[0]
+        ref = scipy.sparse.bmat([[system.K_soft, system.C.T, B.T],
+                                 [system.C, -scipy.sparse.diags(system.compliance), None],
+                                 [B, None, None]], format="csc")
+        ref.sort_indices()
+        assert A.format == "csc" and A.has_sorted_indices and A.shape == (n + p + m,) * 2
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, attr), getattr(ref, attr))
+        assert A.nnz == system.K_soft.nnz + 2 * (system.C.nnz + B.nnz) + p
+        assert np.array_equal(rhs, np.concatenate([system.rhs, np.zeros(p), system.g,
+                                                   np.zeros(m - system.n_constraints)]))
+        K, KT = system.K_soft, system.K_soft.T.tocsr()
+        KT.sort_indices()
+        assert K.has_sorted_indices
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(K, attr), getattr(KT, attr))
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CURVES))
     @pytest.mark.parametrize("policy", ["full", "reduced"])
     @pytest.mark.parametrize("name", sorted(FORMULATIONS))
-    def test_blocks(self, name, policy):
-        # [[K_soft, C^T, B^T], [C, -D, 0], [B, 0, 0]] with K_soft's pattern
-        # and an entry for every compliance, as CSC with sorted indices
-        model = bar_model(curve=KERNEL_CURVES["hermite_spline"],
-                          loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
-        system = discretize(model, formulation(name), 3, policy)
-        A, rhs = _mixed_system(system, system.B, system.g)
-        n, p, m = system.K.shape[0], system.C.shape[0], system.n_constraints
-        assert A.format == "csc" and A.has_sorted_indices
-        ref = scipy.sparse.bmat([[system.K_soft, system.C.T, system.B.T],
-                                 [system.C, -scipy.sparse.diags(system.compliance), None],
-                                 [system.B, None, None]]).toarray()
-        assert np.array_equal(A.toarray(), ref)
-        assert A.nnz == system.K_soft.nnz + 2 * (system.C.nnz + system.B.nnz) + p
-        assert np.array_equal(rhs, np.concatenate([system.rhs, np.zeros(p), system.g]))
-        assert A.shape == (n + p + m,) * 2
+    def test_blocks(self, name, policy, kind, n):
+        model = bar_model(curve=KERNEL_CURVES[kind], loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
+        self.check(discretize(model, formulation(name), n, policy))
+
+    def test_blocks_with_point_rows_and_gauge_rows(self):
+        # H3-P2 reduced on a helix guided at its free end: B holds the point
+        # constraint rows, and the three hourglass gauge rows go below them
+        model = bar_model(curve=KERNEL_CURVES["helix"])
+        model.constraints = [PointConstraint("end", "u", [1.0, 0.0, 0.0]),
+                             PointConstraint("end", "theta", [0.0, 0.6, 0.8], 0.01)]
+        system = discretize(model, formulation("timoshenko_h3p2"), 5, "reduced")
+        assert sum(info.label == "point" for info in system.rows_info) == 2
+        gauge = _hourglass_gauge(system, hourglass_modes(system, _stiffness_scale(system)))
+        assert gauge.shape == (3, system.dofmap.ndof)
+        self.check(system, gauge)
 
     def test_size_of_the_arc_ladder_system(self):
         # P2-P1 reduced at n=512: 4614 DOFs, 512 x 2 points x 3 resultant
         # unknowns (stretch 1, shear 2) and 6 multipliers
         system = discretize(make_quarter_arc_model(0.15), formulation("timoshenko_p2p1"),
                             512, "reduced")
-        A, _ = _mixed_system(system, system.B, system.g)
+        A, _ = _mixed_system(system)
         assert A.shape == (7692, 7692)
 
 
@@ -557,7 +585,25 @@ class TestCallBudget:
     the end frames once for the loads, the essential rows and the rigid
     check of both solves; the Gauss rule once; one normal-plane basis per
     solve for the shear and the isotropic bend factors of the full rule,
-    and one for the essential end rows; one CSR gather (K_soft) per solve."""
+    and one for the essential end rows; four scipy compressed-matrix
+    constructions per solve: K_soft, C, B and the saddle matrix."""
+
+    def test_samples_take_the_uncached_shape_path(self, monkeypatch):
+        # the tables of QuadratureRule.shapes serve the quadrature points
+        # alone: field samples at arbitrary xi evaluate the polynomials afresh
+        import cartbeam.solver
+        from cartbeam.discretization import gauss_rule, shape_eval
+        sol = solve_model(bar_model(loads=LoadCase(force_end=[0.0, 0.0, 1.0])),
+                          formulation("timoshenko_h3p2"), 3)
+        tables = {n: dict(gauss_rule(n)._tables) for n in (2, 4)}
+        calls = []
+        monkeypatch.setattr(cartbeam.solver, "shape_eval",
+                            lambda *a, **k: calls.append(a) or shape_eval(*a, **k))
+        sol.evaluate(np.linspace(0.0, 10.0, 7))
+        assert len(calls) == 2
+        for n, kept in tables.items():
+            assert gauss_rule(n)._tables.keys() == kept.keys()
+            assert all(gauss_rule(n)._tables[key] is table for key, table in kept.items())
 
     def test_two_arc_solves(self, monkeypatch):
         import cartbeam.assembly
@@ -566,7 +612,7 @@ class TestCallBudget:
         from cartbeam.discretization import gauss_rule
         from cartbeam.geometry import ParamCurve
         counts = {"frames": 0, "frame": 0, "leggauss": 0, "orthonormal_completion": 0,
-                  "_summed_csr": 0}
+                  "sparse_constructions": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -581,12 +627,12 @@ class TestCallBudget:
         completion = counted("orthonormal_completion", cartbeam.geometry.orthonormal_completion)
         for module in (cartbeam.geometry, cartbeam.assembly, cartbeam.section):
             monkeypatch.setattr(module, "orthonormal_completion", completion)
-        monkeypatch.setattr(cartbeam.assembly, "_summed_csr",
-                            counted("_summed_csr", cartbeam.assembly._summed_csr))
+        monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "__init__", counted(
+            "sparse_constructions", scipy.sparse._compressed._cs_matrix.__init__))
         gauss_rule.cache_clear()
         arc = CircularArc([0, 0, 0], 1.5, [1, 0, 0], [0, 1, 0], 0.0, 2.0)
         model = bar_model(curve=arc, loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
         for _ in range(2):
             solve_model(model, formulation("timoshenko_p2p1"), 4)
         assert counts == {"frames": 3, "frame": 0, "leggauss": 1, "orthonormal_completion": 4,
-                          "_summed_csr": 2}
+                          "sparse_constructions": 8}
