@@ -473,6 +473,9 @@ def assemble_load(model: BeamModel, dm: DofMap) -> np.ndarray:
             if np.any(w):
                 rhs[dm.end_dofs(end)] += scale * _row_functional(form, row, t, w)
 
+    if not np.isfinite(rhs).all():
+        raise ValueError("the load vector is not finite: check the body force, the end "
+                         "forces and moments, and the natural end values")
     return rhs
 
 
@@ -507,6 +510,9 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
             B[np.array(at)[:, None], dm.end_dofs(end)] = \
                 [_row_functional(form, *rows[i][1:4]) for i in at]
     values = np.array([r[4] for r in rows], dtype=float)
+    bad = [f"{label} at {end}" for (end, *_, label), v in zip(rows, values) if not np.isfinite(v)]
+    if bad:
+        raise ValueError(f"essential value not finite: {', '.join(bad)}")
     infos = [RowInfo(end, label, "moment" if row in _MOMENT_ROWS else "force",
                      w * t if row in _SCALAR_ROWS else w) for end, row, t, w, _, label in rows]
     m, ndof = B.shape

@@ -53,22 +53,16 @@ class Mesh1D:
     def n_elements(self) -> int:
         return len(self.nodes) - 1
 
-    def locate(self, s):
-        """Element index and local coordinate xi in [0, 1] containing s.
-
-        s may be a 1-d array, which gives an index array and an xi array of
-        its shape; a scalar s is the one-row case and gives (int, float). An
-        s off [0, L] or not finite raises ValueError (`clip_arc_lengths`).
-        """
-        s_arr = clip_arc_lengths(np.atleast_1d(np.asarray(s, dtype=float)), self.length)
+    def locate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Element index and local coordinate xi in [0, 1] of each arc length
+        of a 1-d array s. An s off [0, L] or not finite raises ValueError
+        (`clip_arc_lengths`)."""
+        s = clip_arc_lengths(s, self.length)
         # an s a few ulp short of a node counts as on it, in the element to its
         # right, so the side a node sample takes does not follow round-off in s
-        e = np.searchsorted(self.nodes, s_arr + 4 * np.spacing(np.abs(s_arr)), side="right")
+        e = np.searchsorted(self.nodes, s + 4 * np.spacing(np.abs(s)), side="right")
         e = np.clip(e - 1, 0, self.n_elements - 1)
-        xi = (s_arr - self.nodes[e]) / (self.nodes[e + 1] - self.nodes[e])
-        if np.ndim(s) == 0:
-            return int(e[0]), float(xi[0])
-        return e, xi
+        return e, (s - self.nodes[e]) / (self.nodes[e + 1] - self.nodes[e])
 
 
 _MAX_DERIV = {"P1": 1, "P2": 1, "H3": 2}

@@ -46,10 +46,10 @@ def unit(v: Vec3) -> Vec3:
 def skew(v: Vec3) -> np.ndarray:
     """Matrix S with S @ w = v x w; v of shape (..., 3) gives (..., 3, 3)."""
     v = np.asarray(v, dtype=float)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    o = np.zeros_like(x)
-    return np.stack([np.stack([o, -z, y], axis=-1), np.stack([z, o, -x], axis=-1),
-                     np.stack([-y, x, o], axis=-1)], axis=-2)
+    S = np.zeros(v.shape[:-1] + (9,))
+    S[..., [7, 2, 3]] = v       # S_21 = x, S_02 = y, S_10 = z
+    S[..., [5, 6, 1]] = -v
+    return S.reshape(v.shape[:-1] + (3, 3))
 
 
 def normal_projector(t: Vec3) -> np.ndarray:
@@ -274,6 +274,8 @@ class LineSegment(ParamCurve):
     def __post_init__(self):
         self.p0 = np.asarray(self.p0, dtype=float)
         self.p1 = np.asarray(self.p1, dtype=float)
+        if not np.isfinite([self.p0, self.p1]).all():
+            raise ValueError("line segment endpoints must be finite")
         self.xi0, self.xi1 = 0.0, 1.0
         if np.linalg.norm(self.p1 - self.p0) < _SPEED_FLOOR:
             raise DegenerateCurveError("line segment endpoints coincide")
@@ -415,6 +417,9 @@ class HermiteSpline(ParamCurve):
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) < 2:
             raise ValueError("spline needs at least two 3d knot points")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.t_start).all()
+                and np.isfinite(self.t_end).all()):
+            raise ValueError("spline knots and end tangents must be finite")
         self.tangents = np.vstack([self.t_start, 0.5 * (self.points[2:] - self.points[:-2]),
                                    self.t_end])
         self.xi0, self.xi1 = 0.0, float(len(self.points) - 1)

@@ -142,7 +142,10 @@ def displacement_samples(solution: SolutionFields, s) -> tuple[np.ndarray, np.nd
 
 
 def tip_displacement(solution: SolutionFields) -> np.ndarray:
-    return solution.evaluate(solution.mesh.length).u
+    """u at s = L: the end node's u value DOFs, every basis being nodal there
+    (`DofMap.end_dofs`). Adding 0.0 turns a -0.0 into the +0.0 that
+    `evaluate` gives."""
+    return solution.x[solution.system.dofmap.fields["u"].node_dofs[-1, :3]] + 0.0
 
 
 def strain_energy(solution: SolutionFields) -> float:

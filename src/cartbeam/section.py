@@ -67,6 +67,9 @@ class CrossSection:
     director: Vec3 | None = None
 
     def __post_init__(self):
+        numbers = [self.area, self.polar, self.inertia_iso, self.inertia_principal, self.director]
+        if not all(np.isfinite(v).all() for v in numbers if v is not None):
+            raise ValueError("section properties must be finite")
         if self.area <= 0 or self.polar <= 0:
             raise ValueError("area and polar inertia must be positive")
         if (self.inertia_iso is None) == (self.inertia_principal is None):

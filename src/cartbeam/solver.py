@@ -37,7 +37,8 @@ import scipy.sparse.linalg
 from scipy.sparse._sparsetools import csr_tocsc
 
 from .assembly import LinearSystem, discretize
-from .discretization import shape_eval
+from .discretization import Formulation, shape_eval
+from .geometry import FrameSample, skew
 
 
 class SingularSystemError(RuntimeError):
@@ -117,48 +118,42 @@ class SolutionFields:
         return st.row(0) if np.ndim(s) == 0 else st
 
 
+def _rigid_node_rows(form: Formulation, fr: FrameSample, slopes: bool
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the six rigid-body modes at nodes with frames fr: translations
+    u = e_a (column a), rotations about the origin u = e_a x x, theta = e_a
+    (column 3 + a). On u's values [I | e_a x x], then, if `slopes`, on its
+    slopes [0 | e_a x t], as (n, 3 or 6, 6); on the angle [0 | I], or [0 | t]
+    on the Euler-Bernoulli twist theta_t = t . theta, as (n, angle_ncomp, 6).
+    Column a of skew(v)^T = -skew(v) is e_a x v."""
+    eye, zero = np.broadcast_to(np.eye(3), (len(fr.s), 3, 3)), np.zeros((len(fr.s), 3, 3))
+    mid = [np.concatenate([eye, skew(fr.x).mT], axis=2)]
+    if slopes:
+        mid.append(np.concatenate([zero, skew(fr.t).mT], axis=2))
+    ang = np.concatenate([zero[:, :1], fr.t[:, None]] if form.euler_bernoulli
+                         else [zero, eye], axis=2)
+    return np.concatenate(mid, axis=1), ang
+
+
 def rigid_modes(system: LinearSystem) -> np.ndarray:
-    """Discrete representations of the six rigid-body modes, columns of (ndof, 6).
-
-    Translations: u = e_a, theta = 0. Rotations about the origin: u = e_a x r(s),
-    theta = e_a (twist component e_a . t for Euler-Bernoulli).
-    """
-    return _rigid_rows(system, np.arange(system.dofmap.ndof))
-
-
-def _rigid_rows(system: LinearSystem, dofs: np.ndarray) -> np.ndarray:
-    """Rows `dofs` (sorted) of `rigid_modes`, from the curve's end frames when
-    all their nodes are end nodes, else one `curve.frames` query. A midline
-    value (slope) DOF of component c has rotation row (e_a x x)_c =
-    (x x e_c)_a over a, with t for x at a slope."""
-    dm = system.dofmap
-    u, ang = dm.fields["u"], dm.fields[system.form.angle_field]
-    nu = np.searchsorted(dofs, u.n_dofs)      # the midline DOFs come first
-    un, uc = np.divmod(dofs[:nu], u.node_dofs.shape[1])
-    an, ac = np.divmod(dofs[nu:] - u.n_dofs, ang.node_dofs.shape[1])
-    s = np.concatenate([u.node_s[un], ang.node_s[an]])
-    fr = system.model.curve.end_frames()
-    if not np.isin(s, fr.s).all():
-        fr = system.model.curve.frames(np.unique(s))
-    at = np.searchsorted(fr.s, s)
-    Z = np.zeros((len(dofs), 6))
-    rows, value = np.arange(nu), uc < 3
-    Z[rows[value], uc[value]] = 1.0
-    v = np.where(value[:, None], fr.x[at[:nu]], fr.t[at[:nu]])
-    c = uc % 3
-    Z[rows, 3 + (c + 1) % 3] = v[rows, (c + 2) % 3]
-    Z[rows, 3 + (c + 2) % 3] = -v[rows, (c + 1) % 3]
-    if system.form.euler_bernoulli:
-        Z[nu:, 3:] = fr.t[at[nu:]]      # the twist DOF carries e_a . t
-    else:
-        Z[nu + np.arange(len(ac)), 3 + ac] = 1.0
+    """Discrete representations of the six rigid-body modes, columns of (ndof, 6):
+    the rows of `_rigid_node_rows` scattered through each field's node DOFs."""
+    form, curve = system.form, system.model.curve
+    u, ang = (system.dofmap.fields[name] for name in ("u", form.angle_field))
+    Z = np.zeros((system.dofmap.ndof, 6))
+    Z[u.node_dofs] = _rigid_node_rows(form, curve.frames(u.node_s), u.kind == "H3")[0]
+    Z[ang.node_dofs] = _rigid_node_rows(form, curve.frames(ang.node_s), False)[1]
     return Z
 
 
 def _free_rigid_mode_count(system: LinearSystem) -> int:
-    """6 - rank(B Z), with the rows of Z built at B's columns (end DOFs) only."""
-    cols = np.unique(system.B.indices)
-    BZ = system.B.toarray()[:, cols] @ _rigid_rows(system, cols)
+    """6 - rank(B Z), with the rows of Z at the end nodes' DOFs, the only
+    columns B touches, in `DofMap.end_dofs` order (u's slopes only under
+    Euler-Bernoulli kinematics)."""
+    Z = np.concatenate(_rigid_node_rows(system.form, system.model.curve.end_frames(),
+                                        system.form.euler_bernoulli), axis=1)
+    cols = np.concatenate([system.dofmap.end_dofs(end) for end in ("start", "end")])
+    BZ = system.B.toarray()[:, cols] @ Z.reshape(-1, 6)
     sv = np.linalg.svd(BZ, compute_uv=False)
     tol = max(BZ.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
     rank = int(np.sum(sv > max(tol, 1e-10)))

@@ -142,29 +142,21 @@ class TestMesh:
 
     def test_locate(self):
         mesh = Mesh1D.uniform(4.0, 4)
-        e, xi = mesh.locate(2.5)
-        assert e == 2 and xi == pytest.approx(0.5)
-        e, xi = mesh.locate(4.0)
-        assert e == 3 and xi == pytest.approx(1.0)
-        # an array of arc lengths: the scalar call is its one-row case
-        s = np.array([0.0, 0.3, 1.0, 2.5, 4.0])
-        e, xi = mesh.locate(s)
-        assert [mesh.locate(float(v)) for v in s] == list(zip(e.tolist(), xi.tolist()))
+        e, xi = mesh.locate(np.array([0.0, 0.3, 1.0, 2.5, 4.0]))
+        assert e.tolist() == [0, 0, 1, 2, 3]
+        assert xi == pytest.approx([0.0, 0.3, 0.0, 0.5, 1.0])
 
     def test_locate_puts_node_samples_on_one_side(self):
         # an s a round-off short of a node is in the element that starts at
         # the node, as the node itself is
         mesh = Mesh1D.uniform(3.0, 4)
         node = mesh.nodes[2]
-        for s in (node, np.nextafter(node, 0.0), node - 2 * np.spacing(node)):
-            assert mesh.locate(float(s))[0] == 2
-        assert mesh.locate(float(node - 1e-9))[0] == 1
+        s = np.array([node, np.nextafter(node, 0.0), node - 2 * np.spacing(node), node - 1e-9])
+        assert mesh.locate(s)[0].tolist() == [2, 2, 2, 1]
 
     @pytest.mark.parametrize("s", [np.nan, -np.inf, -1e-6, 4.0 + 1e-6, 6.0])
     def test_locate_refuses_arc_lengths_off_the_mesh(self, s):
         mesh = Mesh1D.uniform(4.0, 4)
-        with pytest.raises(ValueError, match=f"arc length {s}"):
-            mesh.locate(s)
         with pytest.raises(ValueError, match=f"arc length {s}"):
             mesh.locate(np.array([0.0, s, 4.0]))
         # within the 1e-9 max(L, 1) slack an end sample is still located

@@ -420,7 +420,7 @@ class TestCsvFormat:
 def _fields_per_sample(sol, si):
     """One sample the element-by-element way: locate, scalar shape rows, and
     one dot product per derivative row; {field: [value, d/ds, ...]}."""
-    e, xi = sol.mesh.locate(float(si))
+    (e,), (xi,) = sol.mesh.locate(np.array([float(si)]))
     h = float(np.diff(sol.mesh.nodes)[e])
     out = {}
     for name, info in sol.system.dofmap.fields.items():

@@ -1,4 +1,6 @@
 """Solver tests: patch-exact states, singularity detection, determinism."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,7 +22,7 @@ from cartbeam.benchmarks import make_quarter_arc_model
 from cartbeam.discretization import FORMULATIONS, formulation
 from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment
 from cartbeam.postprocess import tip_displacement
-from cartbeam.section import Material, circle_section, unit_depth_rect_section
+from cartbeam.section import Material, circle_section, rect_section, unit_depth_rect_section
 from cartbeam.solver import (
     SingularSystemError,
     _apply_stiffness,
@@ -154,6 +156,54 @@ class TestSingularityDetection:
         assert err.value.n_rigid_modes == 3
 
 
+NAN3 = [np.nan, 0.0, 0.0]
+NON_FINITE_MODELS = {
+    "end_force": lambda: bar_model(loads=LoadCase(force_end=NAN3)),
+    "end_moment": lambda: bar_model(loads=LoadCase(moment_start=[0.0, np.nan, 0.0])),
+    "body_constant": lambda: bar_model(loads=LoadCase(body=NAN3)),
+    "body_callable": lambda: bar_model(loads=LoadCase(
+        body=lambda s: np.column_stack([np.full(len(s), np.nan), 0 * s, 0 * s]))),
+    "natural_end_value": lambda: bar_model(bc_end=BoundaryCondition(
+        BCRow("natural", np.nan), BCRow("natural", np.zeros(3)),
+        BCRow("natural", np.zeros(3)), BCRow("natural", 0.0))),
+    "essential_end_value": lambda: bar_model(bc_start=BoundaryCondition(
+        BCRow("essential", 0.0), BCRow("essential", [0.0, np.nan, 0.0]),
+        BCRow("essential", np.zeros(3)), BCRow("essential", 0.0))),
+    "point_constraint_value": lambda: BeamModel(
+        curve=LineSegment([0, 0, 0], [10.0, 0, 0]), material=MAT,
+        section=unit_depth_rect_section(0.1), bc_start=BoundaryCondition.clamped(),
+        bc_end=BoundaryCondition.free(),
+        constraints=[PointConstraint("end", "u", [0.0, 1.0, 0.0], np.nan)]),
+}
+NON_FINITE_INPUTS = {
+    "line_endpoint": lambda: LineSegment([0, 0, 0], [np.nan, 0, 0]),
+    "spline_knot": lambda: HermiteSpline(np.array([[0.0, 0, 0], [1.0, np.nan, 0]]),
+                                         [1, 0, 0], [1, 0, 0]),
+    "spline_tangent": lambda: HermiteSpline(np.array([[0.0, 0, 0], [1.0, 0, 0]]),
+                                            [1, 0, 0], [np.inf, 0, 0]),
+    "circle_section": lambda: circle_section(np.nan),
+    "rect_section": lambda: rect_section(np.nan, 0.1, [0, 0, 1]),
+    "unit_depth_rect_section": lambda: unit_depth_rect_section(np.nan),
+    "infinite_section": lambda: circle_section(np.inf),
+}
+
+
+class TestNonFiniteData:
+    """Non-finite input is refused as a ValueError when it is built or
+    assembled, never reported as a singular system."""
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_MODELS))
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_solve_refuses_non_finite_data(self, name, case):
+        with pytest.raises(ValueError, match="not finite"):
+            solve_model(NON_FINITE_MODELS[case](), formulation(name), 3)
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+    def test_constructors_refuse_non_finite_numbers(self, case):
+        with pytest.raises(ValueError, match="must be finite"):
+            NON_FINITE_INPUTS[case]()
+
+
 KERNEL_CURVES = {
     "line": LineSegment([0, 0, 0], [3.0, 0.5, 0.0]),
     "arc": CircularArc([0, 0, 0], 1.5, [1, 0, 0], [0, 1, 0], 0.0, 2.0),
@@ -200,6 +250,22 @@ class TestKernel:
             assert np.linalg.matrix_rank(H) == expected
             knorm = np.abs(K).sum(axis=1).max()
             assert np.linalg.norm(K @ H) <= 1e-12 * knorm * np.linalg.norm(H)
+
+
+class TestTipDisplacement:
+    """The tip is the end node's u values: every basis is nodal at s = L."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CURVES))
+    @pytest.mark.parametrize("policy", ["full", "reduced"])
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_tip_is_the_field_at_the_end(self, name, policy, kind):
+        model = BeamModel(curve=KERNEL_CURVES[kind], material=MAT,
+                          section=circle_section(0.2),
+                          bc_start=BoundaryCondition.clamped(),
+                          bc_end=BoundaryCondition.free(),
+                          loads=LoadCase(force_end=[0.3, -0.2, 1.0]))
+        sol = solve_model(model, formulation(name), 3, policy)
+        assert tip_displacement(sol).tobytes() == sol.evaluate(sol.mesh.length).u.tobytes()
 
 
 class TestHourglassModes:
@@ -369,19 +435,39 @@ def _rigid_modes_by_np_cross(system):
     return Z
 
 
+def _end_points(form):
+    """A free end held by point constraints on u and on the angle field (the
+    twist theta_t under Euler-Bernoulli kinematics)."""
+    return [PointConstraint("end", "u", np.array([0.2, 1.0, -0.4])),
+            PointConstraint("end", form.angle_field, np.array([1.0, 0.3, 0.5]))]
+
+
+END_SUPPORTS = {
+    "free": lambda form: (BoundaryCondition.free(), []),
+    "pinned": lambda form: (BoundaryCondition.pinned(), []),
+    "clamped": lambda form: (BoundaryCondition.clamped(), []),
+    "points": lambda form: (BoundaryCondition.free(), _end_points(form)),
+}
+
+
 class TestRigidCheck:
-    """The singularity check forms B Z from the rows of Z at the columns B
-    touches; it must count what the full rigid-mode matrix counts."""
+    """The singularity check forms B Z from the closed-form rows of Z at the
+    end nodes; it must count what the full rigid-mode matrix counts."""
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_CURVES))
+    @pytest.mark.parametrize("end", sorted(END_SUPPORTS))
     @pytest.mark.parametrize("support", sorted(SUPPORTS))
     @pytest.mark.parametrize("name", sorted(FORMULATIONS))
-    def test_restricted_count_equals_full_count(self, name, support, kind):
+    def test_restricted_count_equals_full_count(self, name, support, end, kind):
+        form = formulation(name)
         bc, constraints = SUPPORTS[support]()
+        bc_end, end_constraints = END_SUPPORTS[end](form)
         model = BeamModel(curve=KERNEL_CURVES[kind], material=MAT, section=circle_section(0.2),
-                          bc_start=bc, bc_end=BoundaryCondition.free(),
-                          constraints=constraints)
-        system = discretize(model, formulation(name), 3)
+                          bc_start=bc, bc_end=bc_end,
+                          constraints=constraints + end_constraints)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "dropping .* redundant")
+            system = discretize(model, form, 3)
         Z, Z_ref = rigid_modes(system), _rigid_modes_by_np_cross(system)
         assert np.all(np.abs(Z - Z_ref) <= np.spacing(np.abs(Z_ref)))
         if system.n_constraints == 0:
@@ -392,7 +478,10 @@ class TestRigidCheck:
             tol = max(BZ.shape) * np.finfo(float).eps * sv[0]
             full = 6 - int(np.sum(sv > max(tol, 1e-10)))
         assert _free_rigid_mode_count(system) == full
-        assert full == {"clamped": 0, "free_free": 6}.get(support, full)
+        if support == "clamped" or end == "clamped":
+            assert full == 0
+        elif support == "free_free" and end == "free":
+            assert full == 6
         if full:
             with pytest.raises(SingularSystemError, match=f"system is singular: {full} "
                                "unconstrained rigid-body mode") as err:
