@@ -267,6 +267,11 @@ def _format_cells(v: np.ndarray) -> np.ndarray:
     k = np.floor(np.log10(x)).astype(np.int64)
     F, f = _scaled(x, xh, xl, k)
     for step in range(3):       # bring y into [10^16, 10^17)
+        # a y within round-off below 10^16 reads as 10^16: its 17 digits at
+        # this k are 1 and zeros whether the exact y is 10^16 or just below,
+        # so an exact power of ten whose scale is not a double stays put
+        low = (F == 10 ** 16 - 1) & (f > 1 - 2.0 ** -30)
+        F[low], f[low] = 10 ** 16, 0.0
         off = (F >= 10 ** 17).astype(np.int64) - (F < 10 ** 16)
         i = np.flatnonzero(off)
         if i.size == 0 or step == 2:

@@ -17,24 +17,40 @@ sigma gives back K x + B^T lambda = f with K = K_soft + C^T D^-1 C, so the
 discrete solution is the same; only the rounding of the stiff terms no
 longer swamps the bending response as t -> 0 (Malkus & Hughes, CMAME 15,
 1978; Arnold, Numer. Math. 37, 1981). K is applied from this split, never
-formed. The first solve is refined, at most twice, only while the residual
-|rhs - A y| > 16 eps (|rhs| + |A| |y|) in the max norm: below that it is
-its own rounding (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989).
+formed.
+
+Every unknown couples only within one element: the geometry enters through
+the tangent alone, each row of C and each resultant belong to one element,
+and B acts on the end nodes. So the solve numbers [x, sigma, lambda] in a
+structural order, by index arithmetic on the `DofMap` with no sort: each
+node's DOFs, then the sigma rows and interior DOFs of the element to its
+right; each end's multipliers sit next to their end node. The saddle
+matrix is then a band whose half-width is a constant of the formulation and
+quadrature policy (16 to 26), whatever the curve or mesh. Its entries are
+equilibrated symmetrically and written straight into LAPACK band storage,
+which `dgbtrf` factors by LU with partial pivoting (the multipliers and,
+under Timoshenko kinematics, the midline DOFs have zero diagonals) and
+`dgbtrs` solves. The first solve is refined, at most twice, only while the
+residual |rhs - A y| > 16 eps (|rhs| + |A| |y|) in the max norm: below that
+it is its own rounding (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl.
+10, 1989).
 
 Under `reduced` quadrature the H3 midline has zero-energy modes: three for
 `timoshenko_h3p2` on every curve and mesh, one for `euler_bernoulli_h3` on a
 straight beam (see `hourglass_modes`). A load that does work on them is
-refused; otherwise one gauge row per mode, kept out of the model's
-multipliers and reactions, fixes its amplitude.
+refused. Otherwise each mode is gauged by one row on node 0's slope DOFs,
+its slope direction there, which keeps the band; x is then projected onto
+the least-hourglass gauge G x = 0 (`_least_hourglass`), x <- x - H (G H)^-1
+G x. This is exact: C H = 0, B H = 0 and K H = 0, so sigma, the
+multipliers and the reactions do not move. The gauge rows are kept out of
+the model's multipliers and reactions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.sparse._sparsetools import csr_tocsc
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .assembly import LinearSystem, discretize
 from .discretization import Formulation, shape_eval
@@ -218,59 +234,111 @@ def _inf_norm(M) -> float:
     return float(_segment_reduce(np.add, M).max(initial=0.0))
 
 
-def _hourglass_gauge(system: LinearSystem, modes: np.ndarray) -> scipy.sparse.csr_matrix:
-    """One gauge row per mode: sum_e h_e a2_e . v = 0, where a2_e = (m_left +
-    m_right)/2 - (u_right - u_left)/h_e is the hourglass coefficient of
-    element e (m the slope DOFs) and v the mode's slope direction. The u
-    terms telescope to u(L) - u(0). This gauge takes the least hourglass
-    content, so nodal slopes and interior displacements converge to the
-    `full` answer."""
+def _least_hourglass(system: LinearSystem, V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """G X for the least-hourglass rows G, one per mode: sum_e h_e a2_e . v,
+    where a2_e = (m_left + m_right)/2 - (u_right - u_left)/h_e is the
+    hourglass coefficient of element e (m the slope DOFs) and v the mode's
+    slope direction, a row of V. The u terms telescope to u(L) - u(0). This
+    gauge takes the least hourglass content, so nodal slopes and interior
+    displacements converge to the `full` answer."""
     nd, h = system.dofmap.fields["u"].node_dofs, np.diff(system.mesh.nodes)
     weight = np.pad(0.5 * h, (0, 1)) + np.pad(0.5 * h, (1, 0))
-    V = modes[nd[0, 3:]].T
-    gauge = np.zeros((len(V), system.dofmap.ndof))
-    gauge[:, nd[:, 3:]] = weight[:, None] * V[:, None, :]
-    gauge[:, nd[-1, :3]], gauge[:, nd[0, :3]] = -V, V
-    return scipy.sparse.csr_matrix(gauge)
+    return V @ (np.tensordot(weight, X[nd[:, 3:]], axes=1) + X[nd[0, :3]] - X[nd[-1, :3]])
 
 
-def _mixed_system(system: LinearSystem, gauge: scipy.sparse.csr_matrix | None = None
-                  ) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-    """The saddle matrix [[K_soft, X^T], [X, E]] (CSC), X = [C; B; gauge], E =
-    diag(-D, 0), and its right-hand side [f, 0, g, 0], for the unknowns [x,
-    sigma, lambda]. One constructor, from arrays laid out in linear time: the
-    first n columns are those of the CSR stack S = [K_soft; X], by scipy's
-    compiled counting pass (what `tocsc` runs); column n + k is row k of X,
-    followed by -D_kk for C's rows."""
-    n, p, cn = system.dofmap.ndof, system.C.shape[0], system.C.nnz
-    parts = [system.K_soft, system.C, system.B] + ([] if gauge is None else [gauge])
-    data, ind = (np.concatenate([getattr(M, a) for M in parts]) for a in ("data", "indices"))
-    sp = np.concatenate([[0]] + [M.indptr[1:] + o for M, o in zip(
-        parts, np.cumsum([0] + [M.nnz for M in parts[:-1]]))], dtype=np.int32)
-    N, s0, nnz = len(sp) - 1, sp[n], len(data)
-    Ad, Ai = np.empty(2 * nnz - s0 + p), np.empty(2 * nnz - s0 + p, np.int32)
-    Ap = np.empty(N + 1, np.int32)
-    csr_tocsc(N, n, sp, ind, data, Ap[:n + 1], Ai[:nnz], Ad[:nnz])
-    # then the rows of X from S, each of C's rows followed by its -D_kk
-    at = nnz + np.arange(cn) + np.repeat(np.arange(p), np.diff(system.C.indptr))
-    Ad[at], Ai[at] = data[s0:s0 + cn], ind[s0:s0 + cn]
-    diag = nnz + system.C.indptr[1:] + np.arange(p)
-    Ad[diag], Ai[diag] = -system.compliance, n + np.arange(p)
-    Ad[nnz + cn + p:], Ai[nnz + cn + p:] = data[s0 + cn:], ind[s0 + cn:]
-    Ap[n + 1:] = sp[n + 1:] - s0 + nnz + np.minimum(np.arange(1, N - n + 1), p)
-    rhs = np.concatenate([system.rhs, np.zeros(p), system.g, np.zeros(N - n - p - len(system.g))])
-    return scipy.sparse.csc_matrix((Ad, Ai, Ap), shape=(N, N)), rhs
+def _band_layout(system: LinearSystem, k: int) -> tuple[np.ndarray, int]:
+    """The band position of each saddle unknown, indexed in the order [x,
+    sigma, lambda, gauge], and the half-bandwidth. Node i's DOFs (each
+    field's vertex node) come first, then the sigma rows of element i (C's
+    rows are element-major) and its interior DOFs (the P2 midpoint nodes),
+    then node i + 1. The start multipliers and the k gauge rows, which touch
+    node 0 alone, come before node 0; the end multipliers after the last node.
+    The half-bandwidth follows from element 0's places: sigma couples to every
+    DOF of its element, x to x only through K_soft (on the angle field alone
+    under Timoshenko kinematics), and a multiplier to its end node."""
+    dm, form, n_el = system.dofmap, system.form, system.mesh.n_elements
+    n, p, m = dm.ndof, system.C.shape[0], system.n_constraints
+    fields = dm.fields.values()
+    vert = [f.node_dofs[::2] if f.kind == "P2" else f.node_dofs for f in fields]
+    blocks = vert + [n + np.arange(p).reshape(n_el, -1)] + \
+        [f.node_dofs[1::2] for f in fields if f.kind == "P2"]
+    nv, step = sum(b.shape[1] for b in vert), sum(b.shape[1] for b in blocks)
+    at_start = np.array([info.end == "start" for info in system.rows_info], bool)
+    ms = int(at_start.sum())
+    first = ms + k
+    pos = np.empty(n + p + m + k, np.intp)
+    offset = first
+    for b in blocks:
+        pos[b] = offset + step * np.arange(len(b))[:, None] + np.arange(b.shape[1])
+        offset += b.shape[1]
+    lam = n + p + np.arange(m)
+    pos[lam[at_start]] = np.arange(ms)
+    pos[n + p + m:] = ms + np.arange(k)
+    pos[lam[~at_start]] = first + step * n_el + nv + np.arange(m - ms)
+    ex, es = pos[np.hstack([f.elem_dofs[0] for f in fields])], pos[n:n + p // n_el]
+    soft = ex if form.euler_bernoulli else pos[dm.fields[form.angle_field].elem_dofs[0]]
+    kl = max(np.ptp(soft), es.max() - ex.min(), ex.max() - es.min(), first + nv - 1,
+             m - ms + nv - 1)
+    return pos, int(kl)
+
+
+def _saddle_entries(system: LinearSystem, V: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The saddle matrix A = [[K_soft, X^T], [X, E]], X = [C; B; gauge], E =
+    diag(-D, 0), and its right-hand side [f, 0, g, 0], equilibrated: S A S
+    and S rhs with S = diag(d), d_i = 1/sqrt(max_j |A_ij|) (A is symmetric),
+    each entry v becoming v (d_i d_j). The gauge row of mode j reads the
+    slope DOFs of node 0 in the direction V[j]. Returns the entries (rows,
+    columns, values) and rhs in the order of `_band_layout`, then d and that
+    layout (pos, kl), d and pos in the order [x, sigma, lambda, gauge]."""
+    n, p, m, k = system.dofmap.ndof, system.C.shape[0], system.n_constraints, len(V)
+    pos, kl = _band_layout(system, k)
+    C, B, K = system.C, system.B, system.K_soft
+    slopes = system.dofmap.fields["u"].node_dofs[0, 3:]
+    # X's (rows, columns, values) in the order [x, sigma, lambda, gauge]
+    X_rows = np.concatenate([n + np.repeat(np.arange(p), np.diff(C.indptr)),
+                             n + p + np.repeat(np.arange(m), np.diff(B.indptr)),
+                             np.repeat(n + p + m + np.arange(k), len(slopes))])
+    X_cols = np.concatenate([C.indices, B.indices, np.tile(slopes, k)])
+    X_vals = np.concatenate([C.data, B.data, V.ravel()])
+    amax = np.zeros(len(pos))
+    amax[:n] = _segment_reduce(np.maximum, K)
+    amax[n:n + p] = system.compliance
+    np.maximum.at(amax, X_rows, np.abs(X_vals))
+    np.maximum.at(amax, X_cols, np.abs(X_vals))
+    d = 1.0 / np.sqrt(np.maximum(amax, 1e-300))
+    K_rows = np.repeat(np.arange(n), np.diff(K.indptr))
+    X_vals = X_vals * (d[X_rows] * d[X_cols])
+    sigma = n + np.arange(p)
+    i = pos[np.concatenate([K_rows, X_rows, X_cols, sigma])]
+    j = pos[np.concatenate([K.indices, X_cols, X_rows, sigma])]
+    v = np.concatenate([K.data * (d[K_rows] * d[K.indices]), X_vals, X_vals,
+                        -system.compliance * d[sigma]**2])
+    rhs = np.zeros(len(pos))
+    rhs[pos] = d * np.concatenate([system.rhs, np.zeros(p), system.g, np.zeros(k)])
+    return i, j, v, rhs, d, pos, kl
+
+
+def _band_storage(i: np.ndarray, j: np.ndarray, v: np.ndarray, kl: int, N: int) -> np.ndarray:
+    """The N x N matrix with entries v at (i, j), |i - j| <= kl, in LAPACK band
+    storage for `dgbtrf` with kl = ku: Fortran order, kl rows on top for the
+    fill of the row swaps, A[i, j] at ab[2 kl + i - j, j]. One scatter, with
+    no sparse intermediate."""
+    ldab = 3 * kl + 1
+    ab = np.zeros(ldab * N)
+    ab[2 * kl + i - j + ldab * j] = v
+    return ab.reshape((ldab, N), order="F")
 
 
 def solve(system: LinearSystem) -> SolutionFields:
     """Factor the mixed saddle system (module docstring) and verify residuals.
 
-    Deterministic sparse LU with symmetric equilibration, refined while the
-    residual is above round-off (at most two steps). The equilibrium check
-    scales by kappa = max_i K_ii <= sum_j |K_ij|, so never looser than by
-    ||K||_inf. Raises SingularSystemError when unconstrained rigid modes
-    remain, when the load does work on the zero-energy modes of
-    `hourglass_modes`, or when the factorization or residual checks fail.
+    Banded LU with partial pivoting (LAPACK `dgbtrf`) of the symmetrically
+    equilibrated system, refined while the residual is above round-off (at
+    most two steps). The equilibrium check scales by kappa = max_i K_ii <=
+    sum_j |K_ij|, so never looser than by ||K||_inf. Raises
+    SingularSystemError when unconstrained rigid modes remain, when the load
+    does work on the zero-energy modes of `hourglass_modes`, or when the
+    factorization or residual checks fail.
     """
     n = system.dofmap.ndof
     m = system.n_constraints
@@ -293,36 +361,34 @@ def solve(system: LinearSystem) -> SolutionFields:
                 "quadrature (every midline slope DOF equal, all else 0); "
                 "use full quadrature for this load", n_rigid_modes=0)
 
-    A, rhs = _mixed_system(system, _hourglass_gauge(system, H) if k else None)
-    p = system.C.shape[0]
-    # symmetric equilibration, in place (A is symmetric): Hermite slope DOFs,
-    # multiplier rows and resultant rows carry very different scales.
-    # Factor and refine the equilibrated system D A D y = D rhs, x = D y.
-    d = 1.0 / np.sqrt(np.maximum(_segment_reduce(np.maximum, A), 1e-300))
-    A.data *= d[A.indices]
-    A.data *= np.repeat(d, np.diff(A.indptr))
-    rhs *= d
-    try:
-        # SuperLU's panel workspace grows with panel_size x unknowns; a
-        # narrow panel keeps the mixed system's transient memory small at
-        # no measurable cost in time for these banded matrices
-        lu = scipy.sparse.linalg.splu(A, panel_size=4)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"factorization failed: {exc}", n_rigid_modes=0) from exc
+    # each mode's slope direction at node 0: the local gauge row, and the
+    # direction of its least-hourglass row
+    V = H[system.dofmap.fields["u"].node_dofs[0, 3:]].T
+    i, j, v, rhs, d, pos, kl = _saddle_entries(system, V)
+    p, N = system.C.shape[0], len(rhs)
+    anorm = float(np.bincount(i, np.abs(v), N).max())
+    ab = _band_storage(i, j, v, kl, N)
+    lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
+    if info > 0:
+        raise SingularSystemError(f"factorization failed: pivot {info} is exactly zero",
+                                  n_rigid_modes=0)
 
-    y = lu.solve(rhs)
-    anorm = _inf_norm(A)    # A is symmetric: its column sums are its row sums
+    y = dgbtrs(lu, kl, kl, rhs, piv)[0]
     for _ in range(2):
-        r = rhs - A @ y
+        r = rhs - np.bincount(i, v * y[j], N)
         tol = 16 * np.finfo(float).eps * (np.abs(rhs).max() + anorm * np.abs(y).max())
         if np.abs(r).max() <= tol:
             break
-        y = y + lu.solve(r)
-    sol = d * y
+        y = y + dgbtrs(lu, kl, kl, r, piv)[0]
+    sol = d * y[pos]
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("factorization produced non-finite values", n_rigid_modes=0)
 
     x, lam = sol[:n], sol[n + p:n + p + m]
+    if k:
+        # the local gauge leaves x in the least-hourglass gauge up to a
+        # combination of the modes, which C, B and K do not see
+        x = x - H @ np.linalg.solve(_least_hourglass(system, V, H), _least_hourglass(system, V, x))
     # K x - f + B^T lam, without building B^T
     Bs = system.B
     r1 = _apply_stiffness(system, x) - system.rhs \

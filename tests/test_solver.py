@@ -1,11 +1,12 @@
 """Solver tests: patch-exact states, singularity detection, determinism."""
+import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,18 +19,21 @@ from cartbeam.assembly import (
     body_table,
     discretize,
 )
-from cartbeam.benchmarks import make_quarter_arc_model
+from cartbeam.benchmarks import DEMO_DIR, make_quarter_arc_model
+from cartbeam.cli import load_model
 from cartbeam.discretization import FORMULATIONS, formulation
 from cartbeam.geometry import CircularArc, Helix, HermiteSpline, LineSegment
-from cartbeam.postprocess import tip_displacement
+from cartbeam.postprocess import reaction_force_totals, tip_displacement
 from cartbeam.section import Material, circle_section, rect_section, unit_depth_rect_section
+import cartbeam.solver
 from cartbeam.solver import (
     SingularSystemError,
+    SolutionFields,
     _apply_stiffness,
     _free_rigid_mode_count,
-    _hourglass_gauge,
+    _band_storage,
     _inf_norm,
-    _mixed_system,
+    _saddle_entries,
     _segment_reduce,
     _stiffness_scale,
     hourglass_modes,
@@ -154,6 +158,17 @@ class TestSingularityDetection:
         with pytest.raises(SingularSystemError) as err:
             solve_model(model, formulation("timoshenko_h3p2"), 3)
         assert err.value.n_rigid_modes == 3
+
+    def test_an_exactly_zero_pivot_raises(self):
+        # with no stiffness at all the free DOFs' columns of the saddle
+        # matrix are zero, so the band LU meets an exactly zero pivot
+        system = discretize(bar_model(loads=LoadCase(force_end=[0.0, -1.0, 0.0])),
+                            formulation("timoshenko_p2p1"), 3)
+        system.K_soft.data[:] = 0.0
+        system.C.data[:] = 0.0
+        with pytest.raises(SingularSystemError, match="pivot .* is exactly zero") as err:
+            solve(system)
+        assert err.value.n_rigid_modes == 0
 
 
 NAN3 = [np.nan, 0.0, 0.0]
@@ -525,7 +540,7 @@ class TestNormHelpers:
     def test_on_the_saddle_matrix_and_stiffness(self):
         model = bar_model(curve=KERNEL_CURVES["helix"])
         system = discretize(model, formulation("timoshenko_h3p2"), 3)
-        A, _ = _mixed_system(system)
+        A = _saddle_reference(system, NO_GAUGE)[0].tocsc()
         assert np.array_equal(_segment_reduce(np.maximum, A), abs(A).max(axis=0).toarray().ravel())
         assert _inf_norm(system.K) == pytest.approx(abs(system.K).sum(axis=1).max(), rel=1e-15)
 
@@ -557,40 +572,77 @@ class TestStiffnessFromSplit:
         assert np.array_equal(_apply_stiffness(system, X[:, 1]), _apply_stiffness(system, X)[:, 1])
 
 
+NO_GAUGE = np.zeros((0, 3))
+# the half-bandwidth of the structural order, per formulation and policy, on
+# every curve and mesh: an element's block of node DOFs, sigma rows and
+# interior DOFs, plus the K_soft coupling to the next node (on the angle
+# field alone under Timoshenko kinematics, on every DOF under Euler-Bernoulli)
+HALF_BANDWIDTH = {
+    ("euler_bernoulli_h3", "full"): 18, ("euler_bernoulli_h3", "reduced"): 16,
+    ("timoshenko_h3p2", "full"): 26, ("timoshenko_h3p2", "reduced"): 20,
+    ("timoshenko_p2p1", "full"): 20, ("timoshenko_p2p1", "reduced"): 17,
+}
+
+
+def _saddle_reference(system, V):
+    """[[K_soft, C^T, B^T], [C, -D, 0], [B, 0, 0]] by scipy's bmat (COO), with
+    one gauge row per row of V below B's rows, on node 0's slope DOFs, and
+    the right-hand side [f, 0, g, 0], both in the order [x, sigma, lambda,
+    gauge]."""
+    n, p, k = system.dofmap.ndof, system.C.shape[0], len(V)
+    slopes = system.dofmap.fields["u"].node_dofs[0, 3:]
+    gauge = scipy.sparse.csr_matrix((V.ravel(), np.tile(slopes, k), np.arange(0, 3 * k + 1, 3)),
+                                    shape=(k, n))
+    B = scipy.sparse.vstack([system.B, gauge], format="csr")
+    ref = scipy.sparse.bmat([[system.K_soft, system.C.T, B.T],
+                             [system.C, -scipy.sparse.diags(system.compliance), None],
+                             [B, None, None]], format="coo")
+    return ref, np.concatenate([system.rhs, np.zeros(p), system.g, np.zeros(k)])
+
+
+def _gauge_directions(system):
+    """What solve gauges: each zero-energy mode's slope direction at node 0."""
+    H = hourglass_modes(system, _stiffness_scale(system))
+    return H[system.dofmap.fields["u"].node_dofs[0, 3:]].T
+
+
 class TestSaddleMatrix:
     @staticmethod
-    def check(system, gauge=None):
-        # [[K_soft, C^T, B^T], [C, -D, 0], [B, 0, 0]] with any gauge rows in B
-        # below the essential rows, from one constructor: its arrays are those
-        # of the bmat reference as CSC with sorted indices. The first columns
-        # come from the CSR stack [K_soft; C; B], so they need no symmetry,
-        # but K_soft is bitwise symmetric, pattern and values, all the same.
-        B = system.B if gauge is None else scipy.sparse.vstack([system.B, gauge], format="csr")
-        A, rhs = _mixed_system(system, gauge)
-        n, p, m = system.dofmap.ndof, system.C.shape[0], B.shape[0]
-        ref = scipy.sparse.bmat([[system.K_soft, system.C.T, B.T],
-                                 [system.C, -scipy.sparse.diags(system.compliance), None],
-                                 [B, None, None]], format="csc")
-        ref.sort_indices()
-        assert A.format == "csc" and A.has_sorted_indices and A.shape == (n + p + m,) * 2
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(A, attr), getattr(ref, attr))
-        assert A.nnz == system.K_soft.nnz + 2 * (system.C.nnz + B.nnz) + p
-        assert np.array_equal(rhs, np.concatenate([system.rhs, np.zeros(p), system.g,
-                                                   np.zeros(m - system.n_constraints)]))
+    def check(system, V):
+        # every entry of the LAPACK band storage is the equilibrated bmat
+        # reference's entry v d_i d_j at the permuted place, with d_i =
+        # 1/sqrt(max_j |A_ij|), or 0 where the reference has none; the right
+        # side is the reference's, scaled and permuted the same way
+        i, j, v, rhs, d, pos, kl = _saddle_entries(system, V)
+        ref, ref_rhs = _saddle_reference(system, V)
+        N = ref.shape[0]
+        ab = _band_storage(i, j, v, kl, N)
+        assert np.array_equal(np.sort(pos), np.arange(N))
+        assert np.array_equal(d, 1.0 / np.sqrt(np.maximum(
+            abs(ref).max(axis=0).toarray().ravel(), 1e-300)))
+        assert ab.shape == (3 * kl + 1, N) and ab.flags.f_contiguous
+        i, j = pos[ref.row], pos[ref.col]
+        assert np.abs(i - j).max() <= kl
+        expect = np.zeros_like(ab)
+        expect[2 * kl + i - j, j] = ref.data * (d[ref.row] * d[ref.col])
+        assert np.array_equal(ab, expect)
+        assert np.array_equal(rhs[pos], ref_rhs * d)
+        # K_soft is bitwise symmetric, pattern and values, so the band is too
         K, KT = system.K_soft, system.K_soft.T.tocsr()
         KT.sort_indices()
         assert K.has_sorted_indices
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(K, attr), getattr(KT, attr))
+        return kl
 
-    @pytest.mark.parametrize("n", [1, 3, 64])
+    @pytest.mark.parametrize("n", [1, 3, 64, 512])
     @pytest.mark.parametrize("kind", sorted(KERNEL_CURVES))
     @pytest.mark.parametrize("policy", ["full", "reduced"])
     @pytest.mark.parametrize("name", sorted(FORMULATIONS))
     def test_blocks(self, name, policy, kind, n):
         model = bar_model(curve=KERNEL_CURVES[kind], loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
-        self.check(discretize(model, formulation(name), n, policy))
+        system = discretize(model, formulation(name), n, policy)
+        assert self.check(system, _gauge_directions(system)) == HALF_BANDWIDTH[name, policy]
 
     def test_blocks_with_point_rows_and_gauge_rows(self):
         # H3-P2 reduced on a helix guided at its free end: B holds the point
@@ -600,17 +652,92 @@ class TestSaddleMatrix:
                              PointConstraint("end", "theta", [0.0, 0.6, 0.8], 0.01)]
         system = discretize(model, formulation("timoshenko_h3p2"), 5, "reduced")
         assert sum(info.label == "point" for info in system.rows_info) == 2
-        gauge = _hourglass_gauge(system, hourglass_modes(system, _stiffness_scale(system)))
-        assert gauge.shape == (3, system.dofmap.ndof)
-        self.check(system, gauge)
+        V = _gauge_directions(system)
+        assert V.shape == (3, 3)
+        assert self.check(system, V) == HALF_BANDWIDTH["timoshenko_h3p2", "reduced"]
 
     def test_size_of_the_arc_ladder_system(self):
         # P2-P1 reduced at n=512: 4614 DOFs, 512 x 2 points x 3 resultant
         # unknowns (stretch 1, shear 2) and 6 multipliers
         system = discretize(make_quarter_arc_model(0.15), formulation("timoshenko_p2p1"),
                             512, "reduced")
-        A, _ = _mixed_system(system)
-        assert A.shape == (7692, 7692)
+        i, j, v, rhs, d, pos, kl = _saddle_entries(system, NO_GAUGE)
+        assert kl == HALF_BANDWIDTH["timoshenko_p2p1", "reduced"]
+        assert _band_storage(i, j, v, kl, len(rhs)).shape == (3 * kl + 1, 7692)
+
+
+def _least_hourglass_rows(system, modes):
+    """The least-hourglass gauge rows, dense: per mode with slope direction v,
+    sum_e h_e a2_e . v with a2_e = (m_left + m_right)/2 - (u_right - u_left)/h_e."""
+    nd, h = system.dofmap.fields["u"].node_dofs, np.diff(system.mesh.nodes)
+    G = np.zeros((len(modes), system.dofmap.ndof))
+    for row, v in zip(G, modes):
+        for e, he in enumerate(h):
+            row[nd[e, 3:]] += 0.5 * he * v
+            row[nd[e + 1, 3:]] += 0.5 * he * v
+            row[nd[e + 1, :3]] -= v
+            row[nd[e, :3]] += v
+    return G
+
+
+def _dense_least_hourglass_solve(system, modes):
+    """x and the multipliers of the saddle system with the least-hourglass
+    rows G below B, [[K_soft, C^T, X^T], [C, -D, 0], [X, 0, 0]] with X =
+    [B; G], by a dense LU, for the zero-energy modes whose slope directions
+    are the rows of modes."""
+    X = np.vstack([system.B.toarray(), _least_hourglass_rows(system, modes)])
+    C, p = system.C.toarray(), system.C.shape[0]
+    A = np.block([[system.K_soft.toarray(), C.T, X.T],
+                  [C, -np.diag(system.compliance), np.zeros((p, len(X)))],
+                  [X, np.zeros((len(X), p + len(X)))]])
+    y = scipy.linalg.solve(A, np.concatenate([system.rhs, np.zeros(p), system.g,
+                                              np.zeros(len(modes))]))
+    n, m = system.dofmap.ndof, system.n_constraints
+    return y[:n], y[n + p:n + p + m]
+
+
+LOCAL_GAUGE_CASES = [("timoshenko_h3p2", kind) for kind in sorted(KERNEL_CURVES)] \
+    + [("euler_bernoulli_h3", "line")]
+
+
+class TestLocalGauge:
+    """Under H3 reduced, solve gauges each zero-energy mode by one row on
+    node 0's slope DOFs and projects x onto the least-hourglass gauge after:
+    x, the multipliers and the reactions are those of a dense solve with
+    the least-hourglass rows."""
+
+    @staticmethod
+    def check(sol, modes):
+        system = sol.system
+        x, lam = _dense_least_hourglass_solve(system, modes)
+        assert np.abs(sol.x - x).max() <= 1e-10 * np.abs(x).max()
+        assert np.abs(sol.multipliers - lam).max() <= 1e-10 * np.abs(lam).max()
+        ref = reaction_force_totals(SolutionFields(system=system, x=x, multipliers=lam))
+        assert np.abs(reaction_force_totals(sol) - ref).max() <= 1e-10 * np.abs(lam).max()
+        # the gauge rows are not model constraints
+        assert len(sol.multipliers) == len(system.rows_info) == system.n_constraints
+
+    @pytest.mark.parametrize("name, kind", LOCAL_GAUGE_CASES)
+    def test_projected_x_is_the_least_hourglass_answer(self, name, kind):
+        curve = KERNEL_CURVES[kind]
+        model = BeamModel(curve=curve, material=MAT, section=circle_section(0.2),
+                          bc_start=BoundaryCondition.clamped(), bc_end=BoundaryCondition.free(),
+                          loads=LoadCase(body=[0.0, -0.01, 0.02], force_end=[0.3, -0.2, 1.0],
+                                         moment_end=[0.1, 0.0, -0.2]),
+                          constraints=[PointConstraint("end", "u", [0.0, 0.6, 0.8])])
+        sol = solve_model(model, formulation(name), 6, "reduced")
+        if name == "timoshenko_h3p2":
+            modes = np.eye(3)
+        else:
+            modes = curve.end_frames().t[:1]
+        self.check(sol, modes)
+
+    @pytest.mark.parametrize("demo", ["helix_spring", "s_curve_bend", "s_curve_torque"])
+    def test_shipped_reduced_demos(self, demo):
+        with open(os.path.join(DEMO_DIR, demo + ".json")) as fh:
+            model, name, n, policy = load_model(json.load(fh))
+        assert (name, policy) == ("timoshenko_h3p2", "reduced")
+        self.check(solve_model(model, formulation(name), n, policy), np.eye(3))
 
 
 class TestRefinement:
@@ -618,21 +745,18 @@ class TestRefinement:
     the round-off bound, for at most two steps."""
 
     @staticmethod
-    def counted_splu(monkeypatch, perturb):
-        # every triangular solve is recorded and its result passed to
+    def counted_dgbtrs(monkeypatch, perturb):
+        # every band triangular solve is recorded and its result passed to
         # perturb(call number, y)
         calls = []
-        real = scipy.sparse.linalg.splu
+        real = cartbeam.solver.dgbtrs
 
-        class Counted:
-            def __init__(self, lu):
-                self.lu = lu
+        def counted(lu, kl, ku, b, piv, **kw):
+            calls.append(b)
+            y, info = real(lu, kl, ku, b, piv, **kw)
+            return perturb(len(calls), y), info
 
-            def solve(self, b):
-                calls.append(b)
-                return perturb(len(calls), self.lu.solve(b))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda A, **kw: Counted(real(A, **kw)))
+        monkeypatch.setattr(cartbeam.solver, "dgbtrs", counted)
         return calls
 
     @staticmethod
@@ -641,7 +765,7 @@ class TestRefinement:
                           512, "reduced")
 
     def test_one_triangular_solve_on_an_arc(self, monkeypatch):
-        calls = self.counted_splu(monkeypatch, lambda k, y: y)
+        calls = self.counted_dgbtrs(monkeypatch, lambda k, y: y)
         solve(self.arc_system())
         assert len(calls) == 1
 
@@ -649,7 +773,7 @@ class TestRefinement:
     def test_a_bad_first_solve_is_refined(self, monkeypatch, scale):
         rng = np.random.default_rng(5)
         exact = solve(self.arc_system()).x
-        calls = self.counted_splu(monkeypatch, lambda k, y: y * (
+        calls = self.counted_dgbtrs(monkeypatch, lambda k, y: y * (
             1.0 + scale * rng.standard_normal(y.shape)) if k == 1 else y)
         system = self.arc_system()
         sol = solve(system)
@@ -661,7 +785,7 @@ class TestRefinement:
 
     def test_a_factorization_that_stays_bad_raises(self, monkeypatch):
         rng = np.random.default_rng(5)
-        calls = self.counted_splu(monkeypatch, lambda k, y: y * (
+        calls = self.counted_dgbtrs(monkeypatch, lambda k, y: y * (
             1.0 + 0.1 * rng.standard_normal(y.shape)))
         with pytest.raises(SingularSystemError, match="equilibrium residual"):
             solve(self.arc_system())
@@ -674,8 +798,9 @@ class TestCallBudget:
     the end frames once for the loads, the essential rows and the rigid
     check of both solves; the Gauss rule once; one normal-plane basis per
     solve for the shear and the isotropic bend factors of the full rule,
-    and one for the essential end rows; four scipy compressed-matrix
-    constructions per solve: K_soft, C, B and the saddle matrix."""
+    and one for the essential end rows; three scipy compressed-matrix
+    constructions per solve: K_soft, C and B (the saddle matrix goes
+    straight into LAPACK band storage)."""
 
     def test_samples_take_the_uncached_shape_path(self, monkeypatch):
         # the tables of QuadratureRule.shapes serve the quadrature points
@@ -724,4 +849,4 @@ class TestCallBudget:
         for _ in range(2):
             solve_model(model, formulation("timoshenko_p2p1"), 4)
         assert counts == {"frames": 3, "frame": 0, "leggauss": 1, "orthonormal_completion": 4,
-                          "sparse_constructions": 8}
+                          "sparse_constructions": 6}
