@@ -21,16 +21,16 @@ geometry; no normal directions along the curve are needed, so straight
 segments and inflection points require no special handling.
 
 Assembly builds the mixed split K = K_soft + C^T diag(1/compliance) C, and
-K itself only on request (`LinearSystem.K`). K_soft holds bend and twist,
-formed on the DOFs they act on (the rotation DOFs alone for Timoshenko,
-every DOF for Euler-Bernoulli), and each row of C is sqrt(w_q) times one
-independent strain component at a point q of a stiff term's rule: stretch
-t . u' (compliance 1/(E|A|)) and, unless Euler-Bernoulli, shear
-N (u' - theta x t) (1/(G|A|)), two rows on the orthonormal pair N of the
-normal plane, where that strain lies. So a point gives 3 rows of C
-(Euler-Bernoulli 1). The solver carries one resultant
-unknown per row of C, so the stiff terms, which exceed the bending
-response by ~(L/t)^2, are never rounded into a factored matrix.
+K itself only on request (`LinearSystem.K`). K_soft holds bend and twist as
+entries (`LinearSystem.soft_entries`), formed on the DOFs they act on (the
+rotation DOFs alone for Timoshenko, every DOF for Euler-Bernoulli), and
+each row of C is sqrt(w_q) times one independent strain component at a
+point q of a stiff term's rule: stretch t . u' (compliance 1/(E|A|)) and,
+unless Euler-Bernoulli, shear N (u' - theta x t) (1/(G|A|)), two rows on
+the orthonormal pair N of the normal plane, where that strain lies. So a
+point gives 3 rows of C (Euler-Bernoulli 1). The solver carries one
+resultant unknown per row of C, so the stiff terms, which exceed the
+bending response by ~(L/t)^2, are never rounded into a factored matrix.
 
 Essential boundary conditions are enforced with Lagrange multipliers since
 they are directional (along t or in the normal plane) while the DOFs are
@@ -193,10 +193,11 @@ class LinearSystem:
 
     K_soft, C and compliance are the mixed split of the stiffness
     K = K_soft + C^T diag(1/compliance) C (see the module docstring), which
-    is what the solver factors; K is formed only when read (the split is
-    never reassigned). For Timoshenko, K_soft has entries on the theta DOFs
-    only. B (m, ndof) and g (m,) are the essential rows B x = g, m >= 0,
-    set by `apply_essential_bcs`.
+    is what the solver factors; K_soft is held as `soft_entries` (rows,
+    columns and values in element order, each (row, column) once), and K_soft
+    and K are formed only when read (the split is never reassigned). For
+    Timoshenko, K_soft has entries on the theta DOFs only. B (m, ndof) and
+    g (m,) are the essential rows B x = g, m >= 0, set by `apply_essential_bcs`.
     """
 
     rhs: np.ndarray
@@ -204,7 +205,7 @@ class LinearSystem:
     mesh: Mesh1D
     form: Formulation
     model: BeamModel
-    K_soft: scipy.sparse.csr_matrix
+    soft_entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     C: scipy.sparse.csr_matrix
     compliance: np.ndarray
     policy: str
@@ -215,6 +216,12 @@ class LinearSystem:
     @property
     def n_constraints(self) -> int:
         return self.B.shape[0]
+
+    @functools.cached_property
+    def K_soft(self) -> scipy.sparse.csr_matrix:
+        """The bend and twist stiffness from `soft_entries`, with sorted indices."""
+        rows, cols, values = self.soft_entries
+        return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(self.dofmap.ndof,) * 2)
 
     @functools.cached_property
     def K(self) -> scipy.sparse.csr_matrix:
@@ -350,31 +357,24 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
                                  np.arange(0, n_c * nloc + 1, nloc, dtype=np.int32)),
                                 shape=(n_c, dm.ndof))
     C.eliminate_zeros()
-    # K_soft on the DOFs of its columns, in a pattern from the DofMap, with no
-    # sort: per field an element holds a run of m DOFs starting `step` after
-    # the previous element's, so a row held by c elements holds a run of
-    # m + step (c - 1), and an element column's place in it follows from c
-    # and whether the row is shared with the previous element (the index into
-    # `table`). Entries that every element gives as exact zeros are left out.
-    ek, fk = edofs_all[:, c0:], [f for name, f in dm.fields.items() if c0 == 0 or name != "u"]
-    m = np.array([f.elem_dofs.shape[1] for f in fk])
-    step = m - [f.node_dofs.shape[1] for f in fk]
-    field = np.repeat(np.arange(len(fk)), m)
-    loc = np.arange(m.sum()) - (np.cumsum(m) - m)[field]
-    table = np.arange(m.sum()) + np.multiply.outer([0, 0, 1, 1], (np.cumsum(step) - step)[field]) \
-        + np.multiply.outer([0, 1, 0, 1], step[field])
-    count = np.bincount(ek.ravel(), minlength=dm.ndof)
-    indptr = np.concatenate([[0], np.cumsum((count > 0) * (m.sum() + step.sum() * (count - 1)))])
-    c = count[ek]
-    at = indptr[ek][..., None] + table[2 * c - 2 + ((c > 1) & (loc < (m - step)[field]))]
-    hit, cols = np.zeros(indptr[-1], bool), np.empty(indptr[-1], np.int32)
-    hit[at[ke_soft != 0.0]] = True
-    cols[at] = ek[:, None, :]
-    kept = np.concatenate([np.zeros(1, np.int32), np.cumsum(hit, dtype=np.int32)])
-    K_soft = scipy.sparse.csr_matrix((np.bincount(at.ravel(), ke_soft.ravel(), indptr[-1])[hit],
-                                      cols[hit], kept[indptr]), shape=(dm.ndof, dm.ndof))
+    # K_soft as entries on the DOFs of its columns. Neighbours share one node,
+    # so the block of each element on its left node's DOFs (L, the first nd
+    # of each field's m) is folded into the previous element's on the same
+    # DOFs (R, its right node's, the last nd); all else has one element.
+    # Slots that every element gives as exact zeros are left out.
+    fk = [f for name, f in dm.fields.items() if c0 == 0 or name != "u"]
+    nd, m = [f.node_dofs.shape[1] for f in fk], [f.elem_dofs.shape[1] for f in fk]
+    L = np.concatenate([a + np.arange(k) for a, k in zip(np.cumsum([0] + m), nd)])
+    R = L + np.repeat(np.subtract(m, nd), nd)
+    hit = ke_soft != 0.0
+    ke_soft[:-1, R[:, None], R] = ke_soft[1:, L[:, None], L] + ke_soft[:-1, R[:, None], R]
+    hit[:-1, R[:, None], R] |= hit[1:, L[:, None], L]
+    hit[1:, L[:, None], L] = False
+    ek = np.hstack([udofs, adofs])[:, c0:]    # intp, for fast gathers by index
+    soft_entries = (np.broadcast_to(ek[:, :, None], hit.shape)[hit],
+                    np.broadcast_to(ek[:, None, :], hit.shape)[hit], ke_soft[hit])
     return LinearSystem(rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
-                        model=model, K_soft=K_soft, C=C,
+                        model=model, soft_entries=soft_entries, C=C,
                         compliance=1.0 / np.tile(moduli, n_el), policy=policy)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import QUADRATURE_POLICIES, BeamModel, BoundaryCondition, LoadCase
-from .discretization import formulation
+from .discretization import element_count, formulation
 from .geometry import CircularArc, LineSegment
 from .postprocess import tip_displacement
 from .section import Material, unit_depth_rect_section
@@ -105,8 +105,7 @@ class StudySpec:
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
         if len(self.elements) == 0:
             raise ValueError("element list must not be empty")
-        if any(n < 1 for n in self.elements):
-            raise ValueError("element counts must be positive")
+        self.elements = [element_count(n) for n in self.elements]
         if len(self.elements) > 1 and not all(np.diff(self.elements) > 0):
             raise ValueError("element counts must be strictly increasing")
         for name in self.formulations:

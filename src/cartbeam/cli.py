@@ -33,7 +33,7 @@ from .benchmarks import (
     run_convergence,
     write_convergence_csv,
 )
-from .discretization import FORMULATIONS, formulation
+from .discretization import FORMULATIONS, element_count, formulation
 from .geometry import CircularArc, Helix, HermiteSpline, LineSegment
 from .postprocess import displacement_samples, export, reactions, strain_energy
 from .section import (
@@ -105,9 +105,10 @@ def _positive(value, path: str) -> float:
 
 
 def _count(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise SchemaError(path, "expected a positive integer")
-    return value
+    try:
+        return element_count(value)
+    except ValueError:
+        raise SchemaError(path, "expected a positive integer") from None
 
 
 def _choice(value, path: str, options):

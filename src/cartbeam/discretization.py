@@ -8,6 +8,7 @@ element matrices independent of the underlying curve parametrization.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,6 +23,14 @@ class UnsupportedOrderError(ValueError):
 
 class FormulationError(ValueError):
     """Incompatible space combination (e.g. Euler-Bernoulli without H3 midline)."""
+
+
+def element_count(n) -> int:
+    """n as an int if it is a positive integer (a numpy integer too); a bool
+    or a non-integral number raises ValueError."""
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"element count must be a positive integer, got {n!r}")
+    return int(n)
 
 
 @dataclass(eq=False)
@@ -41,9 +50,7 @@ class Mesh1D:
 
     @classmethod
     def uniform(cls, length: float, n_elements: int) -> "Mesh1D":
-        if n_elements < 1:
-            raise ValueError("need at least one element")
-        return cls(np.linspace(0.0, length, n_elements + 1))
+        return cls(np.linspace(0.0, length, element_count(n_elements) + 1))
 
     @property
     def length(self) -> float:

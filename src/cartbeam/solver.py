@@ -206,32 +206,23 @@ def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
 
 
 def _apply_stiffness(system: LinearSystem, X: np.ndarray) -> np.ndarray:
-    """K X = K_soft X + C^T ((C X) / compliance), without forming K or C^T:
-    C^T is applied by bincount over C's entries in row order, the order of
-    scipy's product with C.T, so the bits are the same."""
-    C = system.C
+    """K X = K_soft X + C^T ((C X) / compliance), without forming K_soft, K
+    or C^T: both are applied by bincount, K_soft over `soft_entries` and C^T
+    over C's entries in row order, the order of scipy's product with C.T."""
+    C, (rows, cols, vals) = system.C, system.soft_entries
     W = ((C @ X).T / system.compliance)[..., np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))]
-    CtY = [np.bincount(C.indices, w * C.data, len(X)) for w in np.reshape(W, (-1, C.nnz))]
-    return system.K_soft @ X + np.transpose(CtY).reshape(X.shape)
+    KX = [np.bincount(rows, vals * x[cols], len(X)) + np.bincount(C.indices, w * C.data, len(X))
+          for x, w in zip(np.reshape(X.T, (-1, len(X))), np.reshape(W, (-1, C.nnz)))]
+    return np.transpose(KX).reshape(X.shape)
 
 
 def _stiffness_scale(system: LinearSystem) -> float:
     """kappa = max_i K_ii = max_i (K_soft)_ii + sum_k C_ki^2 / compliance_k."""
     C, w = system.C, system.C.data**2 / np.repeat(system.compliance, np.diff(system.C.indptr))
-    return float((system.K_soft.diagonal() + np.bincount(C.indices, w, minlength=C.shape[1])).max())
-
-
-def _segment_reduce(ufunc, M) -> np.ndarray:
-    """ufunc over |entries| of each compressed row (CSR) or column (CSC) of M;
-    0 for an empty one, where reduceat alone would return the next entry."""
-    out, full = np.zeros(len(M.indptr) - 1), np.flatnonzero(np.diff(M.indptr))
-    out[full] = ufunc.reduceat(np.abs(M.data[:M.indptr[-1]]), M.indptr[full]) if full.size else 0
-    return out
-
-
-def _inf_norm(M) -> float:
-    """max_i sum_j |M_ij| of a CSR matrix."""
-    return float(_segment_reduce(np.add, M).max(initial=0.0))
+    rows, cols, vals = system.soft_entries
+    diag = np.flatnonzero(rows == cols)
+    return float((np.bincount(rows[diag], vals[diag], C.shape[1])
+                  + np.bincount(C.indices, w, C.shape[1])).max())
 
 
 def _least_hourglass(system: LinearSystem, V: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -292,7 +283,7 @@ def _saddle_entries(system: LinearSystem, V: np.ndarray) -> tuple[np.ndarray, ..
     layout (pos, kl), d and pos in the order [x, sigma, lambda, gauge]."""
     n, p, m, k = system.dofmap.ndof, system.C.shape[0], system.n_constraints, len(V)
     pos, kl = _band_layout(system, k)
-    C, B, K = system.C, system.B, system.K_soft
+    C, B, (K_rows, K_cols, K_vals) = system.C, system.B, system.soft_entries
     slopes = system.dofmap.fields["u"].node_dofs[0, 3:]
     # X's (rows, columns, values) in the order [x, sigma, lambda, gauge]
     X_rows = np.concatenate([n + np.repeat(np.arange(p), np.diff(C.indptr)),
@@ -301,17 +292,16 @@ def _saddle_entries(system: LinearSystem, V: np.ndarray) -> tuple[np.ndarray, ..
     X_cols = np.concatenate([C.indices, B.indices, np.tile(slopes, k)])
     X_vals = np.concatenate([C.data, B.data, V.ravel()])
     amax = np.zeros(len(pos))
-    amax[:n] = _segment_reduce(np.maximum, K)
     amax[n:n + p] = system.compliance
-    np.maximum.at(amax, X_rows, np.abs(X_vals))
-    np.maximum.at(amax, X_cols, np.abs(X_vals))
+    # K_soft is symmetric, so its rows give its column maxima too
+    np.maximum.at(amax, np.concatenate([K_rows, X_rows, X_cols]),
+                  np.abs(np.concatenate([K_vals, X_vals, X_vals])))
     d = 1.0 / np.sqrt(np.maximum(amax, 1e-300))
-    K_rows = np.repeat(np.arange(n), np.diff(K.indptr))
     X_vals = X_vals * (d[X_rows] * d[X_cols])
     sigma = n + np.arange(p)
     i = pos[np.concatenate([K_rows, X_rows, X_cols, sigma])]
-    j = pos[np.concatenate([K.indices, X_cols, X_rows, sigma])]
-    v = np.concatenate([K.data * (d[K_rows] * d[K.indices]), X_vals, X_vals,
+    j = pos[np.concatenate([K_cols, X_cols, X_rows, sigma])]
+    v = np.concatenate([K_vals * (d[K_rows] * d[K_cols]), X_vals, X_vals,
                         -system.compliance * d[sigma]**2])
     rhs = np.zeros(len(pos))
     rhs[pos] = d * np.concatenate([system.rhs, np.zeros(p), system.g, np.zeros(k)])
@@ -391,15 +381,17 @@ def solve(system: LinearSystem) -> SolutionFields:
         x = x - H @ np.linalg.solve(_least_hourglass(system, V, H), _least_hourglass(system, V, x))
     # K x - f + B^T lam, without building B^T
     Bs = system.B
+    B_rows = np.repeat(np.arange(m), np.diff(Bs.indptr))
     r1 = _apply_stiffness(system, x) - system.rhs \
-        + np.bincount(Bs.indices, Bs.data * np.repeat(lam, np.diff(Bs.indptr)), minlength=n)
+        + np.bincount(Bs.indices, Bs.data * lam[B_rows], minlength=n)
     bound = 1e-10 * (np.linalg.norm(system.rhs) + kappa * np.linalg.norm(x) + 1e-300)
     if np.linalg.norm(r1) > max(bound, 1e-300):
         raise SingularSystemError(
             f"equilibrium residual {np.linalg.norm(r1):.3e} exceeds {bound:.3e}; "
             "system is numerically singular")
     r2 = np.linalg.norm(Bs @ x - system.g)
-    if r2 > 1e-10 * max(1.0, np.linalg.norm(system.g), _inf_norm(Bs) * np.linalg.norm(x)):
+    B_inf = np.bincount(B_rows, np.abs(Bs.data), m).max(initial=0.0)
+    if r2 > 1e-10 * max(1.0, np.linalg.norm(system.g), B_inf * np.linalg.norm(x)):
         raise SingularSystemError(f"constraint residual {r2:.3e} too large")
 
     return SolutionFields(system=system, x=x, multipliers=lam)

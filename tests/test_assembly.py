@@ -377,6 +377,42 @@ class TestSoftColumns:
         assert (system.K_soft[u].nnz > 0) == (system.K_soft[:, u].nnz > 0) == eb
 
 
+class TestSoftEntries:
+    """K_soft is held as (rows, columns, values): each element's block, with
+    its block on the node it shares with the previous element folded into
+    that element's, and the slots that every element gives as exact zeros
+    left out."""
+
+    @SPLIT_CASES
+    def test_each_slot_once_and_no_exact_zeros(self, name, policy, kind, section,
+                                               monkeypatch):
+        # the element blocks w k G^T G as assembly forms them, captured from
+        # its factors and Gram products: the entries are their sums (at most
+        # two per slot, so bitwise in any order) on exactly the slots where
+        # some element's block is nonzero
+        import cartbeam.assembly
+        ks, grams = [], []
+        factors, gram = cartbeam.assembly._element_factors, cartbeam.assembly._gram
+        monkeypatch.setattr(cartbeam.assembly, "_element_factors", lambda term, *a: ks.append(
+            term) or factors(term, *a))
+        monkeypatch.setattr(cartbeam.assembly, "_gram",
+                            lambda A: grams.append(gram(A)) or grams[-1])
+        system = split_system(name, policy, kind, section)
+        mat, sec = system.model.material, system.model.section
+        moduli = {"bend": mat.E, "twist": mat.G * sec.polar}
+        ke = sum(moduli[term] * g for term, g in zip([k for k in ks if k in moduli], grams))
+        dm = system.dofmap
+        ek = np.hstack([dm.fields["u"].elem_dofs,
+                        dm.fields[system.form.angle_field].elem_dofs])[:, -ke.shape[-1]:]
+        rows, cols, vals = system.soft_entries
+        e, i, j = np.nonzero(ke)
+        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(set(zip(
+            ek[e, i].tolist(), ek[e, j].tolist())))
+        dense = np.zeros((dm.ndof, dm.ndof))
+        np.add.at(dense, (ek[:, :, None], ek[:, None, :]), ke)
+        assert np.array_equal(vals, dense[rows, cols])
+
+
 class TestMixedSplit:
     """K = K_soft + C^T diag(1/compliance) C, the split the solver factors."""
 

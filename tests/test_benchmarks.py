@@ -19,7 +19,8 @@ from cartbeam.benchmarks import (
     run_convergence,
     solve_demo,
 )
-from cartbeam.discretization import formulation
+from cartbeam.cli import load_study
+from cartbeam.discretization import Mesh1D, formulation
 from cartbeam.postprocess import displacement_samples, tip_displacement
 from cartbeam.solver import SingularSystemError, solve_model
 
@@ -132,6 +133,25 @@ class TestConvergenceStudy:
             StudySpec("spiral", ["timoshenko_p2p1"], ["full"], [2], [0.1])
         with pytest.raises(ValueError):
             StudySpec("straight", ["p9"], ["full"], [2], [0.1])
+
+    @pytest.mark.parametrize("elements", [[1.5, 3], [2.0, 4.0], [True, 2], [np.True_, 2],
+                                          [0, 2], [np.int64(2), np.int32(4)]])
+    def test_element_counts_are_positive_integers(self, elements):
+        # a bool or a non-integral count is refused as load_study refuses it
+        # (1.5 used to fail inside the cell, 2.0 left it without meshes and
+        # True ran as one element); numpy integers are integers
+        spec = dict(benchmark="straight", formulations=["timoshenko_p2p1"],
+                    quadrature=["full"], elements=elements, thickness=[0.1])
+        if all(isinstance(n, np.integer) for n in elements):
+            assert StudySpec(**spec).elements == [2, 4]
+            assert Mesh1D.uniform(1.0, elements[0]).n_elements == 2
+            return
+        with pytest.raises(ValueError, match="elements"):
+            load_study({"benchmark": "straight", "elements": elements})
+        with pytest.raises(ValueError, match="element count must be a positive integer"):
+            StudySpec(**spec)
+        with pytest.raises(ValueError, match="element count must be a positive integer"):
+            Mesh1D.uniform(1.0, elements[0])
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(load=0.0), "load must be nonzero"),

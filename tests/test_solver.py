@@ -32,9 +32,7 @@ from cartbeam.solver import (
     _apply_stiffness,
     _free_rigid_mode_count,
     _band_storage,
-    _inf_norm,
     _saddle_entries,
-    _segment_reduce,
     _stiffness_scale,
     hourglass_modes,
     rigid_modes,
@@ -164,7 +162,7 @@ class TestSingularityDetection:
         # matrix are zero, so the band LU meets an exactly zero pivot
         system = discretize(bar_model(loads=LoadCase(force_end=[0.0, -1.0, 0.0])),
                             formulation("timoshenko_p2p1"), 3)
-        system.K_soft.data[:] = 0.0
+        system.soft_entries[2][:] = 0.0
         system.C.data[:] = 0.0
         with pytest.raises(SingularSystemError, match="pivot .* is exactly zero") as err:
             solve(system)
@@ -504,47 +502,6 @@ class TestRigidCheck:
             assert err.value.n_rigid_modes == full
 
 
-def _csr(rows, n_cols, cls=scipy.sparse.csr_matrix):
-    """A compressed matrix from explicit (index, value) rows, stored zeros kept."""
-    ptr = np.cumsum([0] + [len(r) for r in rows])
-    ind = np.array([i for r in rows for i, _ in r], dtype=np.int32)
-    dat = np.array([v for r in rows for _, v in r], dtype=float)
-    return cls((dat, ind, ptr), shape=(len(rows), n_cols) if cls is scipy.sparse.csr_matrix
-               else (n_cols, len(rows)))
-
-
-NORM_CASES = {
-    "dense_row": [[(0, -3.0), (2, 1.0)], [(1, 2.0)]],
-    "empty_rows": [[], [(0, -1.0), (3, 4.0)], [], [(2, -5.0)], []],
-    "empty_columns": [[(1, 2.0)], [(1, -7.0), (4, 1.0)]],
-    "stored_zeros": [[(0, 0.0), (1, -2.0)], [(2, 0.0)], [(0, 3.0), (3, 0.0)]],
-    "no_entries": [[], [], []],
-}
-
-
-class TestNormHelpers:
-    """_segment_reduce runs reduceat over the compressed arrays, which for an
-    empty segment returns the next entry instead of 0."""
-
-    @pytest.mark.parametrize("case", sorted(NORM_CASES))
-    def test_column_max_matches_abs_copy(self, case):
-        A = _csr(NORM_CASES[case], 5, scipy.sparse.csc_matrix)
-        ref = abs(A).max(axis=0).toarray().ravel()
-        assert np.array_equal(_segment_reduce(np.maximum, A), ref)
-
-    @pytest.mark.parametrize("case", sorted(NORM_CASES))
-    def test_inf_norm_matches_abs_copy(self, case):
-        M = _csr(NORM_CASES[case], 5)
-        assert _inf_norm(M) == abs(M).sum(axis=1).max()
-
-    def test_on_the_saddle_matrix_and_stiffness(self):
-        model = bar_model(curve=KERNEL_CURVES["helix"])
-        system = discretize(model, formulation("timoshenko_h3p2"), 3)
-        A = _saddle_reference(system, NO_GAUGE)[0].tocsc()
-        assert np.array_equal(_segment_reduce(np.maximum, A), abs(A).max(axis=0).toarray().ravel())
-        assert _inf_norm(system.K) == pytest.approx(abs(system.K).sum(axis=1).max(), rel=1e-15)
-
-
 class TestStiffnessFromSplit:
     """solve applies K = K_soft + C^T diag(1/compliance) C from the split and
     never forms it; its scale kappa = max_i K_ii is never above ||K||_inf."""
@@ -560,12 +517,12 @@ class TestStiffnessFromSplit:
                           loads=LoadCase(force_end=[0.1, -0.2, 0.3]))
         system = discretize(model, formulation(name), 4, policy)
         solve(system)
-        assert "K" not in vars(system)
+        assert "K" not in vars(system) and "K_soft" not in vars(system)
         kappa, K = _stiffness_scale(system), system.K
         assert "K" in vars(system)
         diag = K.diagonal().max()
         assert abs(kappa - diag) <= 1e-15 * diag
-        assert kappa <= _inf_norm(K)
+        assert kappa <= abs(K).sum(axis=1).max()
         X = np.random.default_rng(5).standard_normal((K.shape[0], 3))
         KX = K @ X
         assert np.abs(_apply_stiffness(system, X) - KX).max() <= 1e-14 * np.abs(KX).max()
@@ -627,7 +584,8 @@ class TestSaddleMatrix:
         expect[2 * kl + i - j, j] = ref.data * (d[ref.row] * d[ref.col])
         assert np.array_equal(ab, expect)
         assert np.array_equal(rhs[pos], ref_rhs * d)
-        # K_soft is bitwise symmetric, pattern and values, so the band is too
+        # K_soft, built from its entries, has sorted indices and is bitwise
+        # symmetric, pattern and values, so the band is too
         K, KT = system.K_soft, system.K_soft.T.tocsr()
         KT.sort_indices()
         assert K.has_sorted_indices
@@ -779,7 +737,8 @@ class TestRefinement:
         sol = solve(system)
         assert 1 < len(calls) <= 3
         r1 = system.K @ sol.x - system.rhs + system.B.T @ sol.multipliers
-        bound = 1e-10 * (np.linalg.norm(system.rhs) + _inf_norm(system.K) * np.linalg.norm(sol.x))
+        bound = 1e-10 * (np.linalg.norm(system.rhs)
+                         + abs(system.K).sum(axis=1).max() * np.linalg.norm(sol.x))
         assert np.linalg.norm(r1) <= bound
         assert np.abs(sol.x - exact).max() <= 1e-10 * np.abs(exact).max()
 
@@ -798,9 +757,9 @@ class TestCallBudget:
     the end frames once for the loads, the essential rows and the rigid
     check of both solves; the Gauss rule once; one normal-plane basis per
     solve for the shear and the isotropic bend factors of the full rule,
-    and one for the essential end rows; three scipy compressed-matrix
-    constructions per solve: K_soft, C and B (the saddle matrix goes
-    straight into LAPACK band storage)."""
+    and one for the essential end rows; two scipy compressed-matrix
+    constructions per solve: C and B (K_soft stays as entries and the
+    saddle matrix goes straight into LAPACK band storage)."""
 
     def test_samples_take_the_uncached_shape_path(self, monkeypatch):
         # the tables of QuadratureRule.shapes serve the quadrature points
@@ -849,4 +808,4 @@ class TestCallBudget:
         for _ in range(2):
             solve_model(model, formulation("timoshenko_p2p1"), 4)
         assert counts == {"frames": 3, "frame": 0, "leggauss": 1, "orthonormal_completion": 4,
-                          "sparse_constructions": 6}
+                          "sparse_constructions": 4}
