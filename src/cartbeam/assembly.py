@@ -47,7 +47,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .discretization import DofMap, Formulation, Mesh1D, gauss_rule
 from .geometry import ParamCurve, Vec3, cross3, orthonormal_completion, skew
@@ -193,11 +192,14 @@ class LinearSystem:
 
     K_soft, C and compliance are the mixed split of the stiffness
     K = K_soft + C^T diag(1/compliance) C (see the module docstring), which
-    is what the solver factors; K_soft is held as `soft_entries` (rows,
-    columns and values in element order, each (row, column) once), and K_soft
-    and K are formed only when read (the split is never reassigned). For
-    Timoshenko, K_soft has entries on the theta DOFs only. B (m, ndof) and
-    g (m,) are the essential rows B x = g, m >= 0, set by `apply_essential_bcs`.
+    is what the solver factors, each held on the DOFs it acts on: K_soft as
+    `soft_entries` (rows, columns and values in element order, each (row,
+    column) once; for Timoshenko on the theta DOFs only), C as `C_blocks`
+    (n_el, rows, nloc) on `DofMap.element_dofs`. The essential rows B x = g,
+    m >= 0, set by `apply_essential_bcs`, are `B_end` (m, k) on
+    `DofMap.boundary_dofs` and g (m,). The scipy matrices K_soft, K, C and B
+    are formed only when read, and import scipy.sparse, which the solve path
+    never loads (the split is never reassigned).
     """
 
     rhs: np.ndarray
@@ -206,26 +208,47 @@ class LinearSystem:
     form: Formulation
     model: BeamModel
     soft_entries: tuple[np.ndarray, np.ndarray, np.ndarray]
-    C: scipy.sparse.csr_matrix
+    C_blocks: np.ndarray
     compliance: np.ndarray
     policy: str
-    B: scipy.sparse.csr_matrix | None = None
+    B_end: np.ndarray | None = None
     g: np.ndarray | None = None
     rows_info: list[RowInfo] = dc_field(default_factory=list)
 
     @property
     def n_constraints(self) -> int:
-        return self.B.shape[0]
+        return self.B_end.shape[0]
 
     @functools.cached_property
     def K_soft(self) -> scipy.sparse.csr_matrix:
         """The bend and twist stiffness from `soft_entries`, with sorted indices."""
+        import scipy.sparse
         rows, cols, values = self.soft_entries
         return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(self.dofmap.ndof,) * 2)
 
     @functools.cached_property
+    def C(self) -> scipy.sparse.csr_matrix:
+        """C (p, ndof), formed from `C_blocks` on first read and kept."""
+        return self._csr(self.C_blocks, self.dofmap.element_dofs()[:, None])
+
+    @functools.cached_property
+    def B(self) -> scipy.sparse.csr_matrix:
+        """B (m, ndof), formed from `B_end` on first read and kept."""
+        return self._csr(self.B_end, self.dofmap.boundary_dofs())
+
+    def _csr(self, blocks: np.ndarray, cols: np.ndarray) -> scipy.sparse.csr_matrix:
+        """The rows of blocks (..., k) on the columns cols (broadcast), as a
+        CSR matrix with ndof columns and no explicit zeros."""
+        import scipy.sparse
+        nz = blocks != 0.0
+        indptr = np.r_[0, np.cumsum(nz.sum(axis=-1))]
+        return scipy.sparse.csr_matrix((blocks[nz], np.broadcast_to(cols, blocks.shape)[nz],
+                                        indptr), shape=(len(indptr) - 1, self.dofmap.ndof))
+
+    @functools.cached_property
     def K(self) -> scipy.sparse.csr_matrix:
         """The full stiffness, formed from the split on first read and kept."""
+        import scipy.sparse
         return (self.K_soft + self.C.T @ scipy.sparse.diags(1 / self.compliance) @ self.C).tocsr()
 
 
@@ -310,19 +333,17 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
         [(stiff_rule, stiff_terms), (full, _SOFT_TERMS)]
     nderiv_u = 2 if form.euler_bernoulli else 1
 
-    udofs, adofs = dm.fields["u"].elem_dofs, dm.fields[form.angle_field].elem_dofs
-    nu, na = udofs.shape[1], adofs.shape[1]
+    nu, na = (dm.fields[name].elem_dofs.shape[1] for name in ("u", form.angle_field))
     nloc = nu + na
     n_el = mesh.n_elements
-    edofs_all = np.hstack([udofs, adofs]).astype(np.int32)    # scipy's index type
     lengths = np.diff(mesh.nodes)
 
     # bend and twist: w k G^T G summed over each element's points and rows,
     # on the local columns c0: that they act on
     ke_soft = c0 = 0
     # per element, the sqrt(w) G rows of the stiff terms point by point and
-    # term by term, and the modulus of each of these rows (the same for
-    # every element)
+    # term by term (the blocks of C on the element's DOFs), and the modulus
+    # of each of these rows (the same for every element)
     c_blocks, moduli = [], []
     for rule, tms in batches:
         # one batch geometry query, normal-plane basis and shape evaluation
@@ -348,15 +369,6 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
             c_blocks.append(np.concatenate(stiff, axis=-2).reshape(n_el, -1, nloc))
             moduli += stiff_k * len(rule.points)
 
-    c_el = np.concatenate(c_blocks, axis=1)
-    moduli = np.asarray(moduli, dtype=float)
-    # C is CSR as built: element-major rows over each element's DOFs, exact
-    # zeros dropped (many strain rows vanish in plane geometry)
-    n_c = n_el * len(moduli)
-    C = scipy.sparse.csr_matrix((c_el.ravel(), np.repeat(edofs_all, c_el.shape[1], axis=0).ravel(),
-                                 np.arange(0, n_c * nloc + 1, nloc, dtype=np.int32)),
-                                shape=(n_c, dm.ndof))
-    C.eliminate_zeros()
     # K_soft as entries on the DOFs of its columns. Neighbours share one node,
     # so the block of each element on its left node's DOFs (L, the first nd
     # of each field's m) is folded into the previous element's on the same
@@ -370,11 +382,12 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     ke_soft[:-1, R[:, None], R] = ke_soft[1:, L[:, None], L] + ke_soft[:-1, R[:, None], R]
     hit[:-1, R[:, None], R] |= hit[1:, L[:, None], L]
     hit[1:, L[:, None], L] = False
-    ek = np.hstack([udofs, adofs])[:, c0:]    # intp, for fast gathers by index
+    ek = dm.element_dofs()[:, c0:]
     soft_entries = (np.broadcast_to(ek[:, :, None], hit.shape)[hit],
                     np.broadcast_to(ek[:, None, :], hit.shape)[hit], ke_soft[hit])
     return LinearSystem(rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
-                        model=model, soft_entries=soft_entries, C=C,
+                        model=model, soft_entries=soft_entries,
+                        C_blocks=np.concatenate(c_blocks, axis=1),
                         compliance=1.0 / np.tile(moduli, n_el), policy=policy)
 
 
@@ -482,8 +495,8 @@ def assemble_load(model: BeamModel, dm: DofMap) -> np.ndarray:
 def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
     """Append the essential conditions as Lagrange-multiplier rows: each end's
     essential conditions in the order of `BoundaryCondition.rows`, then the
-    point constraints. The rows of one end are gathered in one pass: their
-    `_row_functional` weights are their entries on `DofMap.end_dofs`.
+    point constraints. A row's `_row_functional` weights are its entries on
+    its end's part of `DofMap.boundary_dofs`, the columns of `B_end`.
 
     Linearly dependent but consistent rows are pruned with a warning;
     inconsistent dependent rows raise ConstraintConflictError.
@@ -503,43 +516,37 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
                              f"for formulation {form.name}")
         row, w = _point_row(pc)
         rows.append((pc.end, row, ends.t[_ENDS.index(pc.end)], w, pc.value, "point"))
-    B = np.zeros((len(rows), dm.ndof))
-    for end in _ENDS:
-        at = [i for i, r in enumerate(rows) if r[0] == end]
-        if at:
-            B[np.array(at)[:, None], dm.end_dofs(end)] = \
-                [_row_functional(form, *rows[i][1:4]) for i in at]
+    # each row on its end's half of `DofMap.boundary_dofs`
+    B = np.zeros((len(rows), 2, len(dm.end_dofs("start"))))
+    for i, (end, row, t, w, *_) in enumerate(rows):
+        B[i, _ENDS.index(end)] = _row_functional(form, row, t, w)
+    B = B.reshape(len(rows), 2 * B.shape[2])
     values = np.array([r[4] for r in rows], dtype=float)
     bad = [f"{label} at {end}" for (end, *_, label), v in zip(rows, values) if not np.isfinite(v)]
     if bad:
         raise ValueError(f"essential value not finite: {', '.join(bad)}")
     infos = [RowInfo(end, label, "moment" if row in _MOMENT_ROWS else "force",
                      w * t if row in _SCALAR_ROWS else w) for end, row, t, w, _, label in rows]
-    m, ndof = B.shape
 
-    # the redundancy QR runs on the columns the rows touch (end node DOFs);
-    # m = 0 takes the same path
-    cols = np.flatnonzero(B.any(axis=0)).astype(np.int32)    # scipy's index type
-    Bd = B[:, cols]
-    R, piv = scipy.linalg.qr(Bd.T, mode="r", pivoting=True)
+    # the redundancy QR and its tolerance see the block alone, so the rows
+    # kept do not depend on the mesh; m = 0 takes the same path
+    m, k = B.shape
+    R, piv = scipy.linalg.qr(B.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
-    tol = max(m, ndof) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)
+    tol = max(m, k) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)
     rank = int(np.sum(diag > max(tol, 1e-12)))
     keep = sorted(piv[:rank])
-    Bk = Bd[keep]
+    Bk = B[keep]
     if rank < m:
-        dropped = [j for j in range(m) if j not in keep]
-        for j in dropped:
-            c, *_ = np.linalg.lstsq(Bk.T, Bd[j], rcond=None)
+        for j in (j for j in range(m) if j not in keep):
+            c, *_ = np.linalg.lstsq(Bk.T, B[j], rcond=None)
             if abs(c @ values[keep] - values[j]) > 1e-9 * max(1.0, np.abs(values).max()):
                 raise ConstraintConflictError(
                     f"constraint '{infos[j].label}' at {infos[j].end} contradicts "
                     "earlier constraints")
         warnings.warn(f"dropping {m - rank} redundant, consistent constraint row(s)")
 
-    nz = Bk != 0.0
-    system.B = scipy.sparse.csr_matrix((Bk[nz], np.broadcast_to(cols, Bk.shape)[nz], np.cumsum(
-        np.r_[0, nz.sum(axis=1)], dtype=np.int32)), shape=(rank, ndof))
+    system.B_end = Bk
     system.g = values[keep]
     system.rows_info = [infos[j] for j in keep]
     return system

@@ -235,3 +235,11 @@ class DofMap:
         k, eb = (0 if end == "start" else -1), self.form.euler_bernoulli
         return np.concatenate([self.fields["u"].node_dofs[k, :6 if eb else 3],
                                self.fields[self.form.angle_field].node_dofs[k]])
+
+    def element_dofs(self) -> np.ndarray:
+        """Each element's DOFs, u's then the angle field's, (n_elements, nloc)."""
+        return np.hstack([f.elem_dofs for f in self.fields.values()])
+
+    def boundary_dofs(self) -> np.ndarray:
+        """end_dofs('start') then end_dofs('end')."""
+        return np.concatenate([self.end_dofs("start"), self.end_dofs("end")])

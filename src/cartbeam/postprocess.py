@@ -170,18 +170,19 @@ def reactions(solution: SolutionFields) -> dict:
 
 
 def applied_load_totals(solution: SolutionFields) -> np.ndarray:
-    """Total applied force, computed as the load functional on the three
-    rigid translations (exact for the discrete system)."""
-    from .solver import rigid_modes
-    Z = rigid_modes(solution.system)
-    return np.array([float(solution.system.rhs @ Z[:, a]) for a in range(3)])
+    """Total applied force: the load functional on the three rigid
+    translations (exact for the discrete system), e_a on u's value DOFs and
+    0 on every other DOF."""
+    system = solution.system
+    return system.rhs[system.dofmap.fields["u"].node_dofs[:, :3]].sum(axis=0)
 
 
 def reaction_force_totals(solution: SolutionFields) -> np.ndarray:
-    """Total constraint force on the three rigid translations."""
-    from .solver import rigid_modes
-    Z = rigid_modes(solution.system)
-    return -solution.multipliers @ np.asarray(solution.system.B @ Z[:, :3])
+    """Total constraint force on the three rigid translations: -lambda times
+    B's columns on each end's u values, the first three of its block."""
+    system = solution.system
+    m, k = system.B_end.shape
+    return -solution.multipliers @ system.B_end.reshape(m, 2, k // 2)[:, :, :3].sum(axis=1)
 
 
 # CSV cells are formatted with array operations and come out exactly as

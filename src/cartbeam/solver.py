@@ -21,19 +21,20 @@ formed.
 
 Every unknown couples only within one element: the geometry enters through
 the tangent alone, each row of C and each resultant belong to one element,
-and B acts on the end nodes. So the solve numbers [x, sigma, lambda] in a
-structural order, by index arithmetic on the `DofMap` with no sort: each
-node's DOFs, then the sigma rows and interior DOFs of the element to its
-right; each end's multipliers sit next to their end node. The saddle
-matrix is then a band whose half-width is a constant of the formulation and
-quadrature policy (16 to 26), whatever the curve or mesh. Its entries are
-equilibrated symmetrically and written straight into LAPACK band storage,
-which `dgbtrf` factors by LU with partial pivoting (the multipliers and,
-under Timoshenko kinematics, the midline DOFs have zero diagonals) and
-`dgbtrs` solves. The first solve is refined, at most twice, only while the
-residual |rhs - A y| > 16 eps (|rhs| + |A| |y|) in the max norm: below that
-it is its own rounding (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl.
-10, 1989).
+and B acts on the end nodes; the solve reads them as the blocks that
+assembly holds, with no scipy sparse matrix. So it numbers [x, sigma,
+lambda] in a structural order, by index arithmetic on the `DofMap` with no
+sort: each node's DOFs, then the sigma rows and interior DOFs of the
+element to its right; each end's multipliers sit next to their end node.
+The saddle matrix is then a band whose half-width is a constant of the
+formulation and quadrature policy (16 to 26), whatever the curve or mesh.
+Its entries are equilibrated symmetrically and written straight into LAPACK
+band storage, which `dgbtrf` factors by LU with partial pivoting (the
+multipliers and, under Timoshenko kinematics, the midline DOFs have zero
+diagonals) and `dgbtrs` solves. The first solve is refined, at most twice,
+only while the residual |rhs - A y| > 16 eps (|rhs| + |A| |y|) in the max
+norm: below that it is its own rounding (Arioli, Demmel & Duff, SIAM J.
+Matrix Anal. Appl. 10, 1989).
 
 Under `reduced` quadrature the H3 midline has zero-energy modes: three for
 `timoshenko_h3p2` on every curve and mesh, one for `euler_bernoulli_h3` on a
@@ -163,13 +164,12 @@ def rigid_modes(system: LinearSystem) -> np.ndarray:
 
 
 def _free_rigid_mode_count(system: LinearSystem) -> int:
-    """6 - rank(B Z), with the rows of Z at the end nodes' DOFs, the only
-    columns B touches, in `DofMap.end_dofs` order (u's slopes only under
+    """6 - rank(B Z), with the rows of Z at the end nodes' DOFs, the columns
+    of `B_end`, in `DofMap.boundary_dofs` order (u's slopes only under
     Euler-Bernoulli kinematics)."""
     Z = np.concatenate(_rigid_node_rows(system.form, system.model.curve.end_frames(),
                                         system.form.euler_bernoulli), axis=1)
-    cols = np.concatenate([system.dofmap.end_dofs(end) for end in ("start", "end")])
-    BZ = system.B.toarray()[:, cols] @ Z.reshape(-1, 6)
+    BZ = system.B_end @ Z.reshape(-1, 6)
     sv = np.linalg.svd(BZ, compute_uv=False)
     tol = max(BZ.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
     rank = int(np.sum(sv > max(tol, 1e-10)))
@@ -206,23 +206,25 @@ def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
 
 
 def _apply_stiffness(system: LinearSystem, X: np.ndarray) -> np.ndarray:
-    """K X = K_soft X + C^T ((C X) / compliance), without forming K_soft, K
-    or C^T: both are applied by bincount, K_soft over `soft_entries` and C^T
-    over C's entries in row order, the order of scipy's product with C.T."""
-    C, (rows, cols, vals) = system.C, system.soft_entries
-    W = ((C @ X).T / system.compliance)[..., np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))]
-    KX = [np.bincount(rows, vals * x[cols], len(X)) + np.bincount(C.indices, w * C.data, len(X))
-          for x, w in zip(np.reshape(X.T, (-1, len(X))), np.reshape(W, (-1, C.nnz)))]
+    """K X = K_soft X + C^T ((C X) / compliance), column by column, without
+    forming K_soft, K or C: K_soft by bincount over `soft_entries`, C and C^T
+    by batched products with `C_blocks`, whose element sums a bincount adds."""
+    (rows, cols, vals), Cb, e = system.soft_entries, system.C_blocks, system.dofmap.element_dofs()
+    comp = system.compliance.reshape(Cb.shape[:2])
+    KX = [np.bincount(rows, vals * x[cols], len(x)) + np.bincount(
+        e.ravel(), (((Cb @ x[e][..., None])[..., 0] / comp)[:, None] @ Cb).ravel(), len(x))
+        for x in np.reshape(X.T, (-1, len(X)))]
     return np.transpose(KX).reshape(X.shape)
 
 
 def _stiffness_scale(system: LinearSystem) -> float:
     """kappa = max_i K_ii = max_i (K_soft)_ii + sum_k C_ki^2 / compliance_k."""
-    C, w = system.C, system.C.data**2 / np.repeat(system.compliance, np.diff(system.C.indptr))
+    Cb, e, n = system.C_blocks, system.dofmap.element_dofs(), system.dofmap.ndof
+    w = (Cb**2 / system.compliance.reshape(Cb.shape[:2])[..., None]).sum(axis=1)
     rows, cols, vals = system.soft_entries
     diag = np.flatnonzero(rows == cols)
-    return float((np.bincount(rows[diag], vals[diag], C.shape[1])
-                  + np.bincount(C.indices, w, C.shape[1])).max())
+    return float((np.bincount(rows[diag], vals[diag], n)
+                  + np.bincount(e.ravel(), w.ravel(), n)).max())
 
 
 def _least_hourglass(system: LinearSystem, V: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -248,7 +250,7 @@ def _band_layout(system: LinearSystem, k: int) -> tuple[np.ndarray, int]:
     DOF of its element, x to x only through K_soft (on the angle field alone
     under Timoshenko kinematics), and a multiplier to its end node."""
     dm, form, n_el = system.dofmap, system.form, system.mesh.n_elements
-    n, p, m = dm.ndof, system.C.shape[0], system.n_constraints
+    n, p, m = dm.ndof, len(system.compliance), system.n_constraints
     fields = dm.fields.values()
     vert = [f.node_dofs[::2] if f.kind == "P2" else f.node_dofs for f in fields]
     blocks = vert + [n + np.arange(p).reshape(n_el, -1)] + \
@@ -266,11 +268,21 @@ def _band_layout(system: LinearSystem, k: int) -> tuple[np.ndarray, int]:
     pos[lam[at_start]] = np.arange(ms)
     pos[n + p + m:] = ms + np.arange(k)
     pos[lam[~at_start]] = first + step * n_el + nv + np.arange(m - ms)
-    ex, es = pos[np.hstack([f.elem_dofs[0] for f in fields])], pos[n:n + p // n_el]
+    ex, es = pos[dm.element_dofs()[0]], pos[n:n + p // n_el]
     soft = ex if form.euler_bernoulli else pos[dm.fields[form.angle_field].elem_dofs[0]]
     kl = max(np.ptp(soft), es.max() - ex.min(), ex.max() - es.min(), first + nv - 1,
              m - ms + nv - 1)
     return pos, int(kl)
+
+
+def _block_entries(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray
+                   ) -> tuple[np.ndarray, ...]:
+    """(rows, columns, values) of the nonzero entries of blocks (..., r, c), in
+    C order: entry [..., a, b] lies in row rows[..., a], column cols[..., b]."""
+    r, c = blocks.shape[-2:]
+    f = np.flatnonzero(blocks != 0.0)
+    i = f // c
+    return rows.ravel()[i], cols.ravel()[i // r * c + f % c], blocks.ravel()[f]
 
 
 def _saddle_entries(system: LinearSystem, V: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -281,16 +293,16 @@ def _saddle_entries(system: LinearSystem, V: np.ndarray) -> tuple[np.ndarray, ..
     slope DOFs of node 0 in the direction V[j]. Returns the entries (rows,
     columns, values) and rhs in the order of `_band_layout`, then d and that
     layout (pos, kl), d and pos in the order [x, sigma, lambda, gauge]."""
-    n, p, m, k = system.dofmap.ndof, system.C.shape[0], system.n_constraints, len(V)
+    dm, Cb = system.dofmap, system.C_blocks
+    n, p, m, k = dm.ndof, len(system.compliance), system.n_constraints, len(V)
     pos, kl = _band_layout(system, k)
-    C, B, (K_rows, K_cols, K_vals) = system.C, system.B, system.soft_entries
-    slopes = system.dofmap.fields["u"].node_dofs[0, 3:]
-    # X's (rows, columns, values) in the order [x, sigma, lambda, gauge]
-    X_rows = np.concatenate([n + np.repeat(np.arange(p), np.diff(C.indptr)),
-                             n + p + np.repeat(np.arange(m), np.diff(B.indptr)),
-                             np.repeat(n + p + m + np.arange(k), len(slopes))])
-    X_cols = np.concatenate([C.indices, B.indices, np.tile(slopes, k)])
-    X_vals = np.concatenate([C.data, B.data, V.ravel()])
+    K_rows, K_cols, K_vals = system.soft_entries
+    # X's (rows, columns, values) block by block, exact zeros left out (half
+    # of C's in plane geometry), in the order [x, sigma, lambda, gauge]
+    X_rows, X_cols, X_vals = (np.concatenate(z) for z in zip(
+        _block_entries(Cb, n + np.arange(p).reshape(Cb.shape[:2]), dm.element_dofs()),
+        _block_entries(system.B_end, n + p + np.arange(m), dm.boundary_dofs()),
+        _block_entries(V, n + p + m + np.arange(k), dm.fields["u"].node_dofs[0, 3:])))
     amax = np.zeros(len(pos))
     amax[n:n + p] = system.compliance
     # K_soft is symmetric, so its rows give its column maxima too
@@ -330,8 +342,7 @@ def solve(system: LinearSystem) -> SolutionFields:
     does work on the zero-energy modes of `hourglass_modes`, or when the
     factorization or residual checks fail.
     """
-    n = system.dofmap.ndof
-    m = system.n_constraints
+    n, m = system.dofmap.ndof, system.n_constraints
     free = _free_rigid_mode_count(system)
     if free > 0:
         raise SingularSystemError(
@@ -355,7 +366,7 @@ def solve(system: LinearSystem) -> SolutionFields:
     # direction of its least-hourglass row
     V = H[system.dofmap.fields["u"].node_dofs[0, 3:]].T
     i, j, v, rhs, d, pos, kl = _saddle_entries(system, V)
-    p, N = system.C.shape[0], len(rhs)
+    p, N = len(system.compliance), len(rhs)
     anorm = float(np.bincount(i, np.abs(v), N).max())
     ab = _band_storage(i, j, v, kl, N)
     lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
@@ -379,18 +390,17 @@ def solve(system: LinearSystem) -> SolutionFields:
         # the local gauge leaves x in the least-hourglass gauge up to a
         # combination of the modes, which C, B and K do not see
         x = x - H @ np.linalg.solve(_least_hourglass(system, V, H), _least_hourglass(system, V, x))
-    # K x - f + B^T lam, without building B^T
-    Bs = system.B
-    B_rows = np.repeat(np.arange(m), np.diff(Bs.indptr))
-    r1 = _apply_stiffness(system, x) - system.rhs \
-        + np.bincount(Bs.indices, Bs.data * lam[B_rows], minlength=n)
+    # K x - f + B^T lam, B on the end nodes' DOFs
+    B, ends = system.B_end, system.dofmap.boundary_dofs()
+    r1 = _apply_stiffness(system, x) - system.rhs
+    r1[ends] += lam @ B
     bound = 1e-10 * (np.linalg.norm(system.rhs) + kappa * np.linalg.norm(x) + 1e-300)
     if np.linalg.norm(r1) > max(bound, 1e-300):
         raise SingularSystemError(
             f"equilibrium residual {np.linalg.norm(r1):.3e} exceeds {bound:.3e}; "
             "system is numerically singular")
-    r2 = np.linalg.norm(Bs @ x - system.g)
-    B_inf = np.bincount(B_rows, np.abs(Bs.data), m).max(initial=0.0)
+    r2 = np.linalg.norm(B @ x[ends] - system.g)
+    B_inf = np.abs(B).sum(axis=1).max(initial=0.0)
     if r2 > 1e-10 * max(1.0, np.linalg.norm(system.g), B_inf * np.linalg.norm(x)):
         raise SingularSystemError(f"constraint residual {r2:.3e} too large")
 

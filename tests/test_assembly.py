@@ -1,5 +1,8 @@
 """Assembly tests: strain measures, element matrices against hand-integrated
 and independently coded references, load vectors, and constraint rows."""
+import glob
+import json
+import os
 import warnings
 
 import numpy as np
@@ -20,6 +23,8 @@ from cartbeam.assembly import (
     discretize,
 )
 from cartbeam.acceptance import _point_factors
+from cartbeam.benchmarks import demo_files
+from cartbeam.cli import load_model
 from cartbeam.assembly import _element_factors
 from cartbeam.discretization import (
     FORMULATIONS,
@@ -36,6 +41,7 @@ from cartbeam.geometry import (
     LineSegment,
     orthonormal_completion,
 )
+from cartbeam.solver import SingularSystemError, solve
 from cartbeam.section import (
     DirectorDegeneracyError,
     Material,
@@ -46,6 +52,10 @@ from cartbeam.section import (
 
 
 MAT = Material(E=1e6, nu=0.3)
+# every model file shipped, the study files aside
+MODEL_FILES = [p for p in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                                       "configs", "*.json")))
+               if not os.path.basename(p).startswith("study_")] + list(demo_files().values())
 
 
 def straight_model(L=10.0, section=None, loads=None, bc_end=None):
@@ -629,7 +639,7 @@ class TestEssentialBCs:
         model = straight_model(bc_end=BoundaryCondition.free())
         model.bc_start = BoundaryCondition.free()
         system = discretize(model, formulation("timoshenko_h3p2"), 3)
-        assert scipy.sparse.issparse(system.B) and system.B.format == "csr"
+        assert system.B_end.shape == (0, len(system.dofmap.boundary_dofs())) == (0, 12)
         assert system.B.shape == (0, system.dofmap.ndof) and system.g.shape == (0,)
         assert system.rows_info == []
 
@@ -651,6 +661,47 @@ class TestEssentialBCs:
         with pytest.warns(UserWarning, match="redundant"):
             system = discretize(model, formulation("timoshenko_p2p1"), 2)
         assert system.n_constraints == 6
+
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_row_drop_does_not_depend_on_the_mesh(self, name):
+        # a point row on u a hair (3e-12) off the first shearing row: its
+        # pivot is far above round-off, so it is kept at every mesh size, and
+        # the axial translation it holds so weakly stays a rigid mode
+        t = np.array([1.0, 0.0, 0.0])
+        w1 = orthonormal_completion(t)[0]
+        bc = BoundaryCondition.clamped()
+        bc.stretching = BCRow("natural", 0.0)
+        model = BeamModel(curve=LineSegment([0, 0, 0], [10, 0, 0]), material=MAT,
+                          section=circle_section(0.1), bc_start=bc,
+                          bc_end=BoundaryCondition.free(),
+                          constraints=[PointConstraint("start", "u", w1 + 3e-12 * t)])
+        seen = []
+        for n in (2, 64, 4096):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                system = discretize(model, formulation(name), n)
+            with pytest.raises(SingularSystemError) as err:
+                solve(system)
+            seen.append((system.B_end.tobytes(), system.g.tobytes(),
+                         [(i.end, i.label) for i in system.rows_info],
+                         [str(w.message) for w in caught], err.value.n_rigid_modes))
+        assert seen[0][2][-1] == ("start", "point") and len(seen[0][2]) == 6
+        assert seen[0][3] == [] and seen[0][4] == 1
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    @pytest.mark.parametrize("path", MODEL_FILES, ids=os.path.basename)
+    @pytest.mark.parametrize("policy", ["full", "reduced"])
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_rows_do_not_depend_on_the_mesh(self, name, policy, path):
+        # the rows read the end frames alone: the same bits at every n
+        with open(path) as fh:
+            model = load_model(dict(json.load(fh), formulation=name, quadrature=policy))[0]
+        seen = []
+        for n in (1, 3, 64):
+            system = discretize(model, formulation(name), n, policy)
+            seen.append((system.B_end.tobytes(), system.g.tobytes(),
+                         [(i.end, i.label) for i in system.rows_info]))
+        assert seen[1] == seen[0] and seen[2] == seen[0]
 
     def test_point_constraint_field_checked(self):
         model = straight_model()

@@ -2,6 +2,8 @@
 import fnmatch
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -261,6 +263,19 @@ def test_malformed_value_exits_1_and_names_its_path(tmp_path, capsys, command, d
 
 
 class TestSolveCommand:
+    def test_solve_never_imports_scipy_sparse(self, tmp_path):
+        # K_soft, C and B stay as entries and blocks on the solve path; only
+        # reading LinearSystem's scipy matrices would load scipy.sparse
+        code = ("import sys\nfrom cartbeam.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'")
+        path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code, "solve", demo("helix_spring.json"),
+                              "--out", str(tmp_path / "out")],
+                             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
     def test_shipped_straight_model(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["solve", config("straight_cantilever.json"), "--out", out]) == 0

@@ -163,7 +163,7 @@ class TestSingularityDetection:
         system = discretize(bar_model(loads=LoadCase(force_end=[0.0, -1.0, 0.0])),
                             formulation("timoshenko_p2p1"), 3)
         system.soft_entries[2][:] = 0.0
-        system.C.data[:] = 0.0
+        system.C_blocks[:] = 0.0
         with pytest.raises(SingularSystemError, match="pivot .* is exactly zero") as err:
             solve(system)
         assert err.value.n_rigid_modes == 0
@@ -757,8 +757,8 @@ class TestCallBudget:
     the end frames once for the loads, the essential rows and the rigid
     check of both solves; the Gauss rule once; one normal-plane basis per
     solve for the shear and the isotropic bend factors of the full rule,
-    and one for the essential end rows; two scipy compressed-matrix
-    constructions per solve: C and B (K_soft stays as entries and the
+    and one for the essential end rows; no scipy sparse matrix (K_soft stays
+    as entries, C as element blocks and B as an end-node block, and the
     saddle matrix goes straight into LAPACK band storage)."""
 
     def test_samples_take_the_uncached_shape_path(self, monkeypatch):
@@ -808,4 +808,4 @@ class TestCallBudget:
         for _ in range(2):
             solve_model(model, formulation("timoshenko_p2p1"), 4)
         assert counts == {"frames": 3, "frame": 0, "leggauss": 1, "orthonormal_completion": 4,
-                          "sparse_constructions": 4}
+                          "sparse_constructions": 0}
