@@ -49,7 +49,7 @@ import numpy as np
 import scipy.linalg
 
 from .discretization import DofMap, Formulation, Mesh1D, gauss_rule
-from .geometry import ParamCurve, Vec3, cross3, orthonormal_completion, skew
+from .geometry import FrameSample, ParamCurve, Vec3, cross3, orthonormal_completion, skew
 from .section import CrossSection, Material, inertia_factor
 
 # quadrature policies for the stiff (stretch and shear) terms
@@ -170,6 +170,8 @@ class BeamModel:
     bc_end: BoundaryCondition
     loads: LoadCase = dc_field(default_factory=LoadCase)
     constraints: list[PointConstraint] = dc_field(default_factory=list)
+    # the `EndTerms` of each formulation name, kept by `end_terms`
+    _end_terms: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def bc(self, end: str) -> BoundaryCondition:
         return self.bc_start if end == "start" else self.bc_end
@@ -197,9 +199,11 @@ class LinearSystem:
     column) once; for Timoshenko on the theta DOFs only), C as `C_blocks`
     (n_el, rows, nloc) on `DofMap.element_dofs`. The essential rows B x = g,
     m >= 0, set by `apply_essential_bcs`, are `B_end` (m, k) on
-    `DofMap.boundary_dofs` and g (m,). The scipy matrices K_soft, K, C and B
-    are formed only when read, and import scipy.sparse, which the solve path
-    never loads (the split is never reassigned).
+    `DofMap.boundary_dofs` and g (m,), both read-only, with the count of
+    rigid-body modes they leave free (`_free_rigid_mode_count`). The scipy
+    matrices K_soft, K, C and B are formed only when read, and import
+    scipy.sparse, which the solve path never loads (the split is never
+    reassigned).
     """
 
     rhs: np.ndarray
@@ -214,6 +218,7 @@ class LinearSystem:
     B_end: np.ndarray | None = None
     g: np.ndarray | None = None
     rows_info: list[RowInfo] = dc_field(default_factory=list)
+    free_rigid_modes: int | None = None
 
     @property
     def n_constraints(self) -> int:
@@ -403,7 +408,7 @@ _POINT_ROWS = {"u": "shearing", "theta": "bending", "theta_t": "twisting"}
 def _point_row(pc: PointConstraint) -> tuple[str, float | Vec3]:
     """A point constraint's row and its w: the direction, or its first
     component for the scalar theta_t. A zero w, an empty row, raises."""
-    row, d = _POINT_ROWS[pc.field], np.asarray(pc.direction, float)
+    row, d = _POINT_ROWS[pc.field], np.array(pc.direction, float)
     w = float(np.ravel(d)[0]) if row in _SCALAR_ROWS else d
     if not np.any(w):
         hint = "theta_t reads direction[0]" if row in _SCALAR_ROWS else "zero direction"
@@ -411,17 +416,17 @@ def _point_row(pc: PointConstraint) -> tuple[str, float | Vec3]:
     return row, w
 
 
-def _row_value(row: str, value, t: Vec3, what: str):
+def _row_value(row: str, value, t: Vec3, what: str, notes: list[str]):
     """A row's prescribed value: a float on the scalar rows, and on the vector
-    rows the normal-plane part of a vector (with a warning if that drops a
-    tangential part)."""
+    rows the normal-plane part of a vector (noting a warning in notes if that
+    drops a tangential part)."""
     if row in _SCALAR_ROWS:
         return float(value)
     value = np.asarray(value, dtype=float)
     tangential = float(t @ value)
     if abs(tangential) > 1e-12 * max(np.linalg.norm(value), 1e-30):
-        warnings.warn(f"{what} has a tangential component {tangential:.3e}; projecting "
-                      "onto the normal plane")
+        notes.append(f"{what} has a tangential component {tangential:.3e}; projecting "
+                     "onto the normal plane")
         value = value - tangential * t
     return value
 
@@ -444,14 +449,64 @@ def _row_functional(form: Formulation, row: str, t: Vec3, w) -> np.ndarray:
     return omega
 
 
+@dataclass(eq=False)
+class EndTerms:
+    """What a model's end data give under one formulation, whatever the mesh:
+    every basis is nodal at the ends, so these are weights on the DOFs of
+    `DofMap.end_dofs`. Two halves, each None until built and kept only once
+    it builds, so an error comes back on every call:
+    - `assemble_load`'s: the end-load vectors, each (end, weights) in the
+      order they are added, and the messages of their warnings;
+    - `apply_essential_bcs`'s: `B_end`, g and `rows_info`, the count of
+      rows dropped and of rigid-body modes the rows leave free, and the
+      messages of their warnings.
+    The arrays are read-only."""
+
+    key: list
+    loads: list[tuple[str, np.ndarray]] | None = None
+    load_warnings: list[str] = dc_field(default_factory=list)
+    B_end: np.ndarray | None = None
+    g: np.ndarray | None = None
+    rows_info: list[RowInfo] = dc_field(default_factory=list)
+    dropped: int = 0
+    free_rigid_modes: int = 0
+    row_warnings: list[str] = dc_field(default_factory=list)
+
+
+def end_terms(model: BeamModel, form: Formulation) -> EndTerms:
+    """The `EndTerms` of model under form, kept on the model, one per
+    formulation name. Its key holds the contents of every input it reads:
+    the formulation, the curve's end frames (one read-only object per curve),
+    each end row's kind and value, each point constraint's end, field,
+    direction and value, and the applied end forces and moments. So a value
+    edited in place, a condition, constraint, load or curve replaced, or a
+    constraint appended gives a new entry, with no half built."""
+    rows, loads = [c for end in _ENDS for _, c in model.bc(end).rows()], model.loads
+    key = [form, model.curve.end_frames(), *(c.kind for c in rows),
+           *(s for pc in model.constraints for s in (pc.end, pc.field))]
+    # each value as its dtype, shape and bytes; one flat list, as its length
+    # fixes the number of constraints
+    for value in [*(c.value for c in rows),
+                  *(v for pc in model.constraints for v in (pc.direction, pc.value)),
+                  loads.force_start, loads.force_end, loads.moment_start, loads.moment_end]:
+        a = np.asarray(value)
+        key += (a.dtype, a.shape, a.tobytes())
+    entry = model._end_terms.get(form.name)
+    if entry is None or entry.key != key:
+        entry = model._end_terms[form.name] = EndTerms(key)
+    return entry
+
+
+def _warn(messages: list[str]) -> None:
+    """Give the warnings of a half of `EndTerms`, on every call that reads it."""
+    for message in messages:
+        warnings.warn(message)
+
+
 def assemble_load(model: BeamModel, dm: DofMap) -> np.ndarray:
     """Load vector on the DOFs of dm: |A| integral of f . v_mid (full Gauss
-    rule) plus end terms.
-
-    Natural boundary values (prescribed resultants) enter through the end
-    bracket with sign +1 at s = L and -1 at s = 0; concentrated applied end
-    forces/moments from the load case enter with + sign at both ends.
-    """
+    rule) plus the end terms of `EndTerms` (`_end_loads`), added one at a
+    time, since the body load shares the end DOFs."""
     mesh, form = dm.mesh, dm.form
     rhs = np.zeros(dm.ndof)
 
@@ -468,12 +523,38 @@ def assemble_load(model: BeamModel, dm: DofMap) -> np.ndarray:
                        f.reshape(spts.shape + (3,)))
         np.add.at(rhs, dm.fields["u"].elem_dofs, fe.reshape(mesh.n_elements, -1))
 
-    ends = model.curve.end_frames()
-    for end, sgn, t in zip(_ENDS, (-1.0, +1.0), ends.t):
+    terms = end_terms(model, form)
+    if terms.loads is None:
+        notes = []
+        try:
+            loads = _end_loads(model, form, notes)
+        finally:
+            _warn(notes)
+        terms.loads, terms.load_warnings = loads, notes
+    else:
+        _warn(terms.load_warnings)
+    for end, weights in terms.loads:
+        rhs[dm.end_dofs(end)] += weights
+
+    if not np.isfinite(rhs).all():
+        raise ValueError("the load vector is not finite: check the body force, the end "
+                         "forces and moments, and the natural end values")
+    return rhs
+
+
+def _end_loads(model: BeamModel, form: Formulation, notes: list[str]
+               ) -> list[tuple[str, np.ndarray]]:
+    """The end terms of the load vector, each (end, weights on the end's
+    DOFs), in the order they are added. Natural boundary values (prescribed
+    resultants) enter through the end bracket with sign +1 at s = L and -1
+    at s = 0; concentrated applied end forces/moments from the load case
+    enter with + sign at both ends."""
+    out = []
+    for end, sgn, t in zip(_ENDS, (-1.0, +1.0), model.curve.end_frames().t):
         # (row, w, scale): the natural values on the end bracket, then the
         # applied force (on u, like a point row) and the applied moment as its
         # bending part Q m and twisting part t . m
-        terms = [(row, _row_value(row, c.value, t, f"natural {row} value at {end}"), sgn)
+        terms = [(row, _row_value(row, c.value, t, f"natural {row} value at {end}", notes), sgn)
                  for row, c in model.bc(end).rows() if c.kind == "natural"]
         force = model.loads.force_start if end == "start" else model.loads.force_end
         moment = model.loads.moment_start if end == "start" else model.loads.moment_end
@@ -484,30 +565,56 @@ def assemble_load(model: BeamModel, dm: DofMap) -> np.ndarray:
             terms += [("bending", moment - m_t * t, 1.0), ("twisting", m_t, 1.0)]
         for row, w, scale in terms:
             if np.any(w):
-                rhs[dm.end_dofs(end)] += scale * _row_functional(form, row, t, w)
-
-    if not np.isfinite(rhs).all():
-        raise ValueError("the load vector is not finite: check the body force, the end "
-                         "forces and moments, and the natural end values")
-    return rhs
+                weights = scale * _row_functional(form, row, t, w)
+                weights.flags.writeable = False
+                out.append((end, weights))
+    return out
 
 
 def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
-    """Append the essential conditions as Lagrange-multiplier rows: each end's
-    essential conditions in the order of `BoundaryCondition.rows`, then the
-    point constraints. A row's `_row_functional` weights are its entries on
-    its end's part of `DofMap.boundary_dofs`, the columns of `B_end`.
+    """Set the essential conditions as Lagrange-multiplier rows: `B_end`, g
+    and `rows_info`, and the count of rigid-body modes they leave free, from
+    the model's `EndTerms`, built on the first call (`_essential_rows`) and
+    read on every later one, for any mesh, until an input changes (see
+    `end_terms`). A call that reads them gets the same read-only `B_end` and
+    g, a new `rows_info` list and the same warnings, in the same order.
+    """
+    form, model = system.form, system.model
+    terms = end_terms(model, form)
+    if terms.B_end is None:
+        notes = []
+        try:
+            rows = _essential_rows(model, form, len(system.dofmap.end_dofs("start")), notes)
+        finally:
+            _warn(notes)
+        terms.B_end, terms.g, terms.rows_info, terms.dropped = rows
+        terms.free_rigid_modes = _free_rigid_mode_count(form, model.curve.end_frames(),
+                                                        terms.B_end)
+        terms.row_warnings = notes
+    else:
+        _warn(terms.row_warnings)
+    system.B_end, system.g, system.free_rigid_modes = terms.B_end, terms.g, terms.free_rigid_modes
+    system.rows_info = list(terms.rows_info)
+    return system
+
+
+def _essential_rows(model: BeamModel, form: Formulation, k: int, notes: list[str]
+                    ) -> tuple[np.ndarray, np.ndarray, list[RowInfo], int]:
+    """B_end (read-only), g (read-only), rows_info and the count of rows
+    dropped: each end's essential conditions in the order of
+    `BoundaryCondition.rows`, then the point constraints. A row's
+    `_row_functional` weights (k of them) are its entries on its end's part
+    of `DofMap.boundary_dofs`, the columns of B_end.
 
     Linearly dependent but consistent rows are pruned with a warning;
     inconsistent dependent rows raise ConstraintConflictError.
     """
-    dm, form, model = system.dofmap, system.form, system.model
     ends = model.curve.end_frames()
     rows = []             # (end, row, tangent, w, value, label)
     for end, t, normal in zip(_ENDS, ends.t, orthonormal_completion(ends.t)):
         for row, c in model.bc(end).rows():
             if c.kind == "essential":
-                value = _row_value(row, c.value, t, f"essential {row} value at {end}")
+                value = _row_value(row, c.value, t, f"essential {row} value at {end}", notes)
                 rows += [(end, row, t, 1.0, value, row)] if row in _SCALAR_ROWS else \
                     [(end, row, t, w, w @ value, row) for w in normal]
     for pc in model.constraints:
@@ -517,23 +624,25 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
         row, w = _point_row(pc)
         rows.append((pc.end, row, ends.t[_ENDS.index(pc.end)], w, pc.value, "point"))
     # each row on its end's half of `DofMap.boundary_dofs`
-    B = np.zeros((len(rows), 2, len(dm.end_dofs("start"))))
+    B = np.zeros((len(rows), 2, k))
     for i, (end, row, t, w, *_) in enumerate(rows):
         B[i, _ENDS.index(end)] = _row_functional(form, row, t, w)
-    B = B.reshape(len(rows), 2 * B.shape[2])
+    B = B.reshape(len(rows), 2 * k)
     values = np.array([r[4] for r in rows], dtype=float)
     bad = [f"{label} at {end}" for (end, *_, label), v in zip(rows, values) if not np.isfinite(v)]
     if bad:
         raise ValueError(f"essential value not finite: {', '.join(bad)}")
     infos = [RowInfo(end, label, "moment" if row in _MOMENT_ROWS else "force",
                      w * t if row in _SCALAR_ROWS else w) for end, row, t, w, _, label in rows]
+    for info in infos:
+        info.reaction_dir.flags.writeable = False
 
     # the redundancy QR and its tolerance see the block alone, so the rows
     # kept do not depend on the mesh; m = 0 takes the same path
-    m, k = B.shape
+    m = len(rows)
     R, piv = scipy.linalg.qr(B.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
-    tol = max(m, k) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)
+    tol = max(m, 2 * k) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)
     rank = int(np.sum(diag > max(tol, 1e-12)))
     keep = sorted(piv[:rank])
     Bk = B[keep]
@@ -544,12 +653,39 @@ def apply_essential_bcs(system: LinearSystem) -> LinearSystem:
                 raise ConstraintConflictError(
                     f"constraint '{infos[j].label}' at {infos[j].end} contradicts "
                     "earlier constraints")
-        warnings.warn(f"dropping {m - rank} redundant, consistent constraint row(s)")
+        notes.append(f"dropping {m - rank} redundant, consistent constraint row(s)")
+    g = values[keep]
+    Bk.flags.writeable = g.flags.writeable = False
+    return Bk, g, [infos[j] for j in keep], m - rank
 
-    system.B_end = Bk
-    system.g = values[keep]
-    system.rows_info = [infos[j] for j in keep]
-    return system
+
+def _rigid_node_rows(form: Formulation, fr: FrameSample, slopes: bool
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the six rigid-body modes at nodes with frames fr: translations
+    u = e_a (column a), rotations about the origin u = e_a x x, theta = e_a
+    (column 3 + a). On u's values [I | e_a x x], then, if `slopes`, on its
+    slopes [0 | e_a x t], as (n, 3 or 6, 6); on the angle [0 | I], or [0 | t]
+    on the Euler-Bernoulli twist theta_t = t . theta, as (n, angle_ncomp, 6).
+    Column a of skew(v)^T = -skew(v) is e_a x v."""
+    eye, zero = np.broadcast_to(np.eye(3), (len(fr.s), 3, 3)), np.zeros((len(fr.s), 3, 3))
+    mid = [np.concatenate([eye, skew(fr.x).mT], axis=2)]
+    if slopes:
+        mid.append(np.concatenate([zero, skew(fr.t).mT], axis=2))
+    ang = np.concatenate([zero[:, :1], fr.t[:, None]] if form.euler_bernoulli
+                         else [zero, eye], axis=2)
+    return np.concatenate(mid, axis=1), ang
+
+
+def _free_rigid_mode_count(form: Formulation, ends: FrameSample, B_end: np.ndarray) -> int:
+    """6 - rank(B Z), with the rows of Z at the end nodes (frames ends), the
+    columns of `B_end`, in `DofMap.boundary_dofs` order (u's slopes only
+    under Euler-Bernoulli kinematics)."""
+    Z = np.concatenate(_rigid_node_rows(form, ends, form.euler_bernoulli), axis=1)
+    BZ = B_end @ Z.reshape(-1, 6)
+    sv = np.linalg.svd(BZ, compute_uv=False)
+    tol = max(BZ.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
+    rank = int(np.sum(sv > max(tol, 1e-10)))
+    return 6 - rank
 
 
 def discretize(model: BeamModel, form: Formulation, n_elements: int,

@@ -53,9 +53,8 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .assembly import LinearSystem, discretize
-from .discretization import Formulation, shape_eval
-from .geometry import FrameSample, skew
+from .assembly import LinearSystem, _rigid_node_rows, discretize
+from .discretization import shape_eval
 
 
 class SingularSystemError(RuntimeError):
@@ -135,23 +134,6 @@ class SolutionFields:
         return st.row(0) if np.ndim(s) == 0 else st
 
 
-def _rigid_node_rows(form: Formulation, fr: FrameSample, slopes: bool
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the six rigid-body modes at nodes with frames fr: translations
-    u = e_a (column a), rotations about the origin u = e_a x x, theta = e_a
-    (column 3 + a). On u's values [I | e_a x x], then, if `slopes`, on its
-    slopes [0 | e_a x t], as (n, 3 or 6, 6); on the angle [0 | I], or [0 | t]
-    on the Euler-Bernoulli twist theta_t = t . theta, as (n, angle_ncomp, 6).
-    Column a of skew(v)^T = -skew(v) is e_a x v."""
-    eye, zero = np.broadcast_to(np.eye(3), (len(fr.s), 3, 3)), np.zeros((len(fr.s), 3, 3))
-    mid = [np.concatenate([eye, skew(fr.x).mT], axis=2)]
-    if slopes:
-        mid.append(np.concatenate([zero, skew(fr.t).mT], axis=2))
-    ang = np.concatenate([zero[:, :1], fr.t[:, None]] if form.euler_bernoulli
-                         else [zero, eye], axis=2)
-    return np.concatenate(mid, axis=1), ang
-
-
 def rigid_modes(system: LinearSystem) -> np.ndarray:
     """Discrete representations of the six rigid-body modes, columns of (ndof, 6):
     the rows of `_rigid_node_rows` scattered through each field's node DOFs."""
@@ -161,19 +143,6 @@ def rigid_modes(system: LinearSystem) -> np.ndarray:
     Z[u.node_dofs] = _rigid_node_rows(form, curve.frames(u.node_s), u.kind == "H3")[0]
     Z[ang.node_dofs] = _rigid_node_rows(form, curve.frames(ang.node_s), False)[1]
     return Z
-
-
-def _free_rigid_mode_count(system: LinearSystem) -> int:
-    """6 - rank(B Z), with the rows of Z at the end nodes' DOFs, the columns
-    of `B_end`, in `DofMap.boundary_dofs` order (u's slopes only under
-    Euler-Bernoulli kinematics)."""
-    Z = np.concatenate(_rigid_node_rows(system.form, system.model.curve.end_frames(),
-                                        system.form.euler_bernoulli), axis=1)
-    BZ = system.B_end @ Z.reshape(-1, 6)
-    sv = np.linalg.svd(BZ, compute_uv=False)
-    tol = max(BZ.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > max(tol, 1e-10)))
-    return 6 - rank
 
 
 def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
@@ -186,11 +155,12 @@ def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
     and shear terms do not see it; end rows act on values only, so no
     essential condition removes it. For `timoshenko_h3p2` all three are
     zero-energy modes on every curve and mesh (bend and twist act on theta
-    alone) and are returned as they are. For `euler_bernoulli_h3` the bend
-    and twist measures see u' through t x u'' and kappa x u', which leaves
-    only the combination along t on a straight beam. The columns returned
-    are the combinations that K does not see (k = 0 under `full`). kappa is
-    max_i K_ii, at most ||K||_inf (see `solve`).
+    alone), so they are returned as they are, in closed form. For
+    `euler_bernoulli_h3` the bend and twist measures see u' through t x u''
+    and kappa x u', which leaves only the combination along t on a straight
+    beam: the columns returned are the combinations that K does not see, by
+    an SVD of K H (k = 0 under `full`), with kappa max_i K_ii, at most
+    ||K||_inf (see `solve`).
     """
     dm = system.dofmap
     if system.form.midline != "H3" or system.policy != "reduced":
@@ -198,6 +168,8 @@ def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
     H = np.zeros((dm.ndof, 3))
     slopes = dm.fields["u"].node_dofs[:, 3:]
     H[slopes, np.arange(3)] = 1.0
+    if not system.form.euler_bernoulli:
+        return H
     _, sv, Vt = np.linalg.svd(_apply_stiffness(system, H), full_matrices=False)
     null = sv <= 1e-12 * kappa * np.sqrt(len(slopes))
     if null.all():
@@ -343,7 +315,7 @@ def solve(system: LinearSystem) -> SolutionFields:
     factorization or residual checks fail.
     """
     n, m = system.dofmap.ndof, system.n_constraints
-    free = _free_rigid_mode_count(system)
+    free = system.free_rigid_modes
     if free > 0:
         raise SingularSystemError(
             f"system is singular: {free} unconstrained rigid-body mode(s)",

@@ -693,15 +693,22 @@ class TestEssentialBCs:
     @pytest.mark.parametrize("policy", ["full", "reduced"])
     @pytest.mark.parametrize("name", sorted(FORMULATIONS))
     def test_rows_do_not_depend_on_the_mesh(self, name, policy, path):
-        # the rows read the end frames alone: the same bits at every n
-        with open(path) as fh:
-            model = load_model(dict(json.load(fh), formulation=name, quadrature=policy))[0]
-        seen = []
+        # the rows read the end frames alone: the same bits at every n. One
+        # model solved at every n reads its rows from its `EndTerms` after
+        # the first, so each n is also compared with a freshly loaded model,
+        # which builds them anew
+        def load():
+            with open(path) as fh:
+                return load_model(dict(json.load(fh), formulation=name, quadrature=policy))[0]
+
+        model = load()
+        kept, fresh = [], []
         for n in (1, 3, 64):
-            system = discretize(model, formulation(name), n, policy)
-            seen.append((system.B_end.tobytes(), system.g.tobytes(),
-                         [(i.end, i.label) for i in system.rows_info]))
-        assert seen[1] == seen[0] and seen[2] == seen[0]
+            for m, seen in ((model, kept), (load(), fresh)):
+                system = discretize(m, formulation(name), n, policy)
+                seen.append((system.B_end.tobytes(), system.g.tobytes(),
+                             [(i.end, i.label) for i in system.rows_info]))
+        assert fresh == kept and kept[1] == kept[0] and kept[2] == kept[0]
 
     def test_point_constraint_field_checked(self):
         model = straight_model()
@@ -721,3 +728,140 @@ class TestEssentialBCs:
         model.constraints = [PointConstraint("end", field, direction, value=value)]
         with pytest.raises(ValueError, match="empty row"):
             discretize(model, formulation(name), 2)
+
+
+def memo_model():
+    """An arc with an essential start, a natural end value, end loads, a body
+    load on the end DOFs too and a point constraint: every input of
+    `EndTerms`."""
+    bc_end = BoundaryCondition.free()
+    bc_end.stretching = BCRow("natural", 0.3)
+    bc_end.bending = BCRow("natural", np.array([0.0, 0.0, 0.2]))
+    return BeamModel(curve=CircularArc([0, 0, 0], 1.5, [1, 0, 0], [0, 1, 0], 0.0, 2.0),
+                     material=MAT, section=circle_section(0.2),
+                     bc_start=BoundaryCondition.clamped(), bc_end=bc_end,
+                     loads=LoadCase(body=[0.0, -0.1, 0.0], force_end=[0.2, 0.0, 0.1],
+                                    moment_end=[0.0, 0.05, 0.0]),
+                     constraints=[PointConstraint("end", "u", [0.0, 0.6, 0.8], 0.01)])
+
+
+def _bc_value_in_place(m):
+    m.bc_start.shearing.value[2] = 0.003        # the start tangent is e_y
+
+
+def _bc_end_replaced(m):
+    m.bc_end = BoundaryCondition.free()
+    m.bc_end.stretching = BCRow("essential", 0.005)
+
+
+def _kind_flipped(m):
+    m.bc_end.twisting.kind = "essential"        # its value 0.0 stays
+
+
+def _constraints_replaced(m):
+    m.constraints = [PointConstraint("end", "u", [1.0, 0.0, 0.0], 0.02)]
+
+
+def _constraint_appended(m):
+    m.constraints.append(PointConstraint("end", "u", [0.0, 0.0, 1.0], -0.01))
+
+
+def _force_in_place(m):
+    m.loads.force_end[1] = 0.5
+
+
+def _curve_swapped(m):
+    m.curve = CircularArc([0, 0, 0], 2.0, [1, 0, 0], [0, 1, 0], 0.0, 1.5)
+
+
+MEMO_CHANGES = [_bc_value_in_place, _bc_end_replaced, _kind_flipped, _constraints_replaced,
+                _constraint_appended, _force_in_place, _curve_swapped]
+
+
+class TestEndTermsMemo:
+    """A model keeps its `EndTerms` per formulation; a solve after any change
+    of an input gives what a fresh model with that change gives, bit for
+    bit, and the warnings and errors come back on every call."""
+
+    @staticmethod
+    def state(model, name, n):
+        system = discretize(model, formulation(name), n)
+        sol = solve(system)
+        return (system.B_end.tobytes(), system.g.tobytes(), system.rhs.tobytes(),
+                [(i.end, i.label, i.category, np.asarray(i.reaction_dir).tobytes())
+                 for i in system.rows_info], sol.x.tobytes())
+
+    @pytest.mark.parametrize("change", MEMO_CHANGES, ids=lambda f: f.__name__.strip("_"))
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_a_changed_input_is_never_served_stale(self, name, change):
+        model = memo_model()
+        self.state(model, name, 4)
+        change(model)
+        fresh = memo_model()
+        change(fresh)
+        after = self.state(model, name, 6)
+        assert after == self.state(fresh, name, 6)
+        assert after != self.state(memo_model(), name, 6)
+
+    @pytest.mark.parametrize("first", sorted(FORMULATIONS))
+    @pytest.mark.parametrize("second", sorted(FORMULATIONS))
+    def test_each_formulation_has_its_own_entry(self, first, second):
+        model = memo_model()
+        self.state(model, first, 4)
+        assert self.state(model, second, 5) == self.state(memo_model(), second, 5)
+        assert set(model._end_terms) == {first, second}
+
+    def test_a_read_shares_the_read_only_rows(self):
+        model = memo_model()
+        one, two = (discretize(model, formulation("timoshenko_p2p1"), n) for n in (2, 7))
+        assert two.B_end is one.B_end and two.g is one.g
+        assert two.rows_info is not one.rows_info and two.rows_info == one.rows_info
+        with pytest.raises(ValueError, match="read-only"):
+            two.B_end[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            two.g[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            two.rows_info[-1].reaction_dir[0] = 1.0
+
+    def test_a_row_keeps_its_own_copy_of_a_direction(self):
+        # an edit of the direction in place changes the next solve's rows,
+        # not the reaction directions of a system already returned
+        direction = np.array([0.0, 0.6, 0.8])
+        model = straight_model()
+        model.constraints = [PointConstraint("end", "u", direction)]
+        system = discretize(model, formulation("timoshenko_p2p1"), 3)
+        direction[1] = 0.0
+        assert system.rows_info[-1].reaction_dir.tolist() == [0.0, 0.6, 0.8]
+        again = discretize(model, formulation("timoshenko_p2p1"), 3)
+        assert again.rows_info[-1].reaction_dir.tolist() == [0.0, 0.0, 0.8]
+
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_warnings_come_on_every_call(self, name):
+        # an essential value and a natural value with tangential parts, and
+        # a consistent duplicate of the first shearing row
+        bc_start = BoundaryCondition.clamped()
+        bc_start.shearing = BCRow("essential", np.array([0.01, 0.0, 0.0]))
+        bc_end = BoundaryCondition.free()
+        bc_end.bending = BCRow("natural", np.array([0.3, 0.1, 0.0]))
+        model = straight_model(bc_end=bc_end)
+        model.bc_start = bc_start
+        model.constraints = [PointConstraint("start", "u", [0.0, 1.0, 0.0])]
+        seen = []
+        for n in (2, 3, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                discretize(model, formulation(name), n)
+            seen.append([str(w.message) for w in caught])
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+        assert [m.split(" has")[0] for m in seen[0][:2]] == [
+            "natural bending value at end", "essential shearing value at start"]
+        assert seen[0][2] == "dropping 1 redundant, consistent constraint row(s)"
+        assert model._end_terms[name].dropped == 1
+
+    def test_a_conflict_raises_on_every_call(self):
+        model = straight_model()
+        model.constraints = [PointConstraint("start", "u", [0.0, 1.0, 0.0], value=0.5)]
+        for n in (2, 3):
+            with pytest.raises(ConstraintConflictError):
+                discretize(model, formulation("timoshenko_p2p1"), n)
+            assert model._end_terms["timoshenko_p2p1"].B_end is None

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from cartbeam import cli
-from cartbeam.benchmarks import demo_configs
+from cartbeam.benchmarks import ConvergenceReport, StudySpec, demo_configs, write_convergence_csv
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPT_DIR = os.path.join(ROOT, "scripts")
@@ -24,6 +24,27 @@ def _load(path, name):
 def test_script_imports_without_running(name):
     module = _load(os.path.join(SCRIPT_DIR, f"{name}.py"), f"_script_{name}")
     assert callable(module.main)
+
+
+def test_run_convergence_writes_both_studies_and_the_locking_lines(tmp_path, monkeypatch,
+                                                                     capsys):
+    module = _load(os.path.join(SCRIPT_DIR, "run_convergence.py"), "_script_run_convergence")
+    empty = tmp_path / "empty.csv"
+    write_convergence_csv(ConvergenceReport(study=StudySpec("straight", ["timoshenko_p2p1"],
+                                                            ["full"], [1], [0.1])),
+                          str(empty))
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_convergence.py", "--out", str(out)])
+    module.main()
+    header = empty.read_text()
+    for name in ("straight", "quarter_arc"):
+        lines = (out / f"convergence_{name}.csv").read_text().splitlines(keepends=True)
+        assert lines[0] == header and len(lines) > 1
+        assert all(line.startswith(name + ",") for line in lines[1:])
+    printed = capsys.readouterr().out
+    assert "locking comparison: quarter arc, 8 elements, t = 0.001" in printed
+    for form in ("timoshenko_p2p1", "timoshenko_h3p2"):
+        assert f"  {form}: rel error full " in printed
 
 
 def test_run_demos_writes_one_directory_per_demo_file(tmp_path, monkeypatch):

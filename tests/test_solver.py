@@ -16,6 +16,7 @@ from cartbeam.assembly import (
     BoundaryCondition,
     LoadCase,
     PointConstraint,
+    _free_rigid_mode_count,
     body_table,
     discretize,
 )
@@ -30,7 +31,6 @@ from cartbeam.solver import (
     SingularSystemError,
     SolutionFields,
     _apply_stiffness,
-    _free_rigid_mode_count,
     _band_storage,
     _saddle_entries,
     _stiffness_scale,
@@ -490,7 +490,8 @@ class TestRigidCheck:
             sv = np.linalg.svd(BZ, compute_uv=False)
             tol = max(BZ.shape) * np.finfo(float).eps * sv[0]
             full = 6 - int(np.sum(sv > max(tol, 1e-10)))
-        assert _free_rigid_mode_count(system) == full
+        assert _free_rigid_mode_count(form, model.curve.end_frames(), system.B_end) == full
+        assert system.free_rigid_modes == full
         if support == "clamped" or end == "clamped":
             assert full == 0
         elif support == "free_free" and end == "free":
@@ -753,13 +754,14 @@ class TestRefinement:
 
 class TestCallBudget:
     """Per-solve geometry and quadrature queries, counted on two consecutive
-    P2-P1 arc solves of a fresh curve: one frames query per stiffness rule,
+    P2-P1 arc solves of one model: one frames query per stiffness rule,
     the end frames once for the loads, the essential rows and the rigid
     check of both solves; the Gauss rule once; one normal-plane basis per
     solve for the shear and the isotropic bend factors of the full rule,
-    and one for the essential end rows; no scipy sparse matrix (K_soft stays
-    as entries, C as element blocks and B as an end-node block, and the
-    saddle matrix goes straight into LAPACK band storage)."""
+    and one for the essential end rows of the first solve alone (the second
+    reads them from the model's `EndTerms`); no scipy sparse matrix (K_soft
+    stays as entries, C as element blocks and B as an end-node block, and
+    the saddle matrix goes straight into LAPACK band storage)."""
 
     def test_samples_take_the_uncached_shape_path(self, monkeypatch):
         # the tables of QuadratureRule.shapes serve the quadrature points
@@ -807,5 +809,39 @@ class TestCallBudget:
         model = bar_model(curve=arc, loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
         for _ in range(2):
             solve_model(model, formulation("timoshenko_p2p1"), 4)
-        assert counts == {"frames": 3, "frame": 0, "leggauss": 1, "orthonormal_completion": 4,
+        assert counts == {"frames": 3, "frame": 0, "leggauss": 1, "orthonormal_completion": 3,
                           "sparse_constructions": 0}
+
+    def test_a_second_mesh_reuses_the_end_terms(self, monkeypatch):
+        # the redundancy QR and the rigid-mode check run once per model and
+        # formulation, not once per mesh
+        import cartbeam.assembly
+        counts = {"qr": 0, "rigid": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg, "qr", counted("qr", scipy.linalg.qr))
+        monkeypatch.setattr(cartbeam.assembly, "_free_rigid_mode_count", counted(
+            "rigid", cartbeam.assembly._free_rigid_mode_count))
+        arc = CircularArc([0, 0, 0], 1.5, [1, 0, 0], [0, 1, 0], 0.0, 2.0)
+        model = bar_model(curve=arc, loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
+        solve_model(model, formulation("timoshenko_p2p1"), 4)
+        assert counts == {"qr": 1, "rigid": 1}
+        solve_model(model, formulation("timoshenko_p2p1"), 8)
+        assert counts == {"qr": 1, "rigid": 1}
+
+    @pytest.mark.parametrize("name, calls", [("timoshenko_h3p2", 1), ("euler_bernoulli_h3", 2)])
+    def test_reduced_modes_of_h3p2_take_no_stiffness_product(self, monkeypatch, name, calls):
+        # the residual check applies K once; the three H3-P2 modes are in
+        # closed form, while Euler-Bernoulli's SVD of K H applies K again
+        seen = []
+        real = cartbeam.solver._apply_stiffness
+        monkeypatch.setattr(cartbeam.solver, "_apply_stiffness",
+                            lambda *a: seen.append(a) or real(*a))
+        solve_model(bar_model(loads=LoadCase(force_end=[0.0, -1.0, 0.5])), formulation(name),
+                    4, "reduced")
+        assert len(seen) == calls
