@@ -24,7 +24,9 @@ class DirectorDegeneracyError(ValueError):
 @dataclass(frozen=True)
 class Material:
     """Linear elastic material; construct from (E, nu) or (E, G), and the
-    other of nu and G follows from G = E / (2 (1 + nu)).
+    other of nu and G follows from G = E / (2 (1 + nu)). Both may be given
+    if they satisfy it to 1e-9 relative: the beam reads G, the straight
+    cantilever reference reads nu. nu must exceed -1.
 
     No shear correction factor is applied anywhere: the shear and torsion
     stiffnesses use G|A| and G J_sigma as they stand.
@@ -39,10 +41,17 @@ class Material:
             raise ValueError("material constants E, G and nu must be finite")
         if self.E is None or self.E <= 0:
             raise ValueError("elastic modulus E must be positive")
+        if self.nu is not None:
+            if self.nu <= -1.0:
+                raise ValueError(f"Poisson ratio nu must exceed -1, got {self.nu!r}")
+            G_nu = self.E / (2.0 * (1.0 + self.nu))
+            if self.G is None:
+                object.__setattr__(self, "G", G_nu)
+            elif abs(self.G - G_nu) > 1e-9 * G_nu:
+                raise ValueError(f"G = {self.G!r} and nu = {self.nu!r} disagree: "
+                                 f"E / (2 (1 + nu)) = {G_nu!r}")
         if self.G is None:
-            if self.nu is None:
-                raise ValueError("provide either G or nu")
-            object.__setattr__(self, "G", self.E / (2.0 * (1.0 + self.nu)))
+            raise ValueError("provide either G or nu")
         if self.G <= 0:
             raise ValueError("shear modulus G must be positive")
         if self.nu is None:

@@ -19,22 +19,35 @@ longer swamps the bending response as t -> 0 (Malkus & Hughes, CMAME 15,
 1978; Arnold, Numer. Math. 37, 1981). K is applied from this split, never
 formed.
 
+Under a P2 midline the solve factors fewer unknowns. K_soft does not read
+an element's midpoint DOFs, and C's columns on them are a_q [t_q; N_q] at
+point q, a scaled rotation, so their rows say only sum_q a_q n_q = f_m for
+the global resultants n_q = [t_q; N_q]^T sigma_q. Each element's midpoint
+DOFs are eliminated in closed form with the resultant combination they fix
+(`_condense`): its stiff unknowns become its global force resultant (3
+under `reduced`; 6 under `full`, with the middle point's sigma), and after
+the solve the midpoint DOFs are recovered from the part of C x = D sigma
+that the condensed rows leave out. So P2-P1 factors 9 unknowns per element
+under `reduced` (12 under `full`) in place of 15 (18). Under an H3 midline
+the stiff unknowns are sigma as they stand.
+
 Every unknown couples only within one element: the geometry enters through
 the tangent alone, each row of C and each resultant belong to one element,
 and B acts on the end nodes; the solve reads them as the blocks that
-assembly holds, with no scipy sparse matrix. So it numbers [x, sigma,
+assembly holds, with no scipy sparse matrix. So it numbers [x, stiff,
 lambda] in a structural order, by index arithmetic on the `DofMap` with no
-sort: each node's DOFs, then the sigma rows and interior DOFs of the
-element to its right; each end's multipliers sit next to their end node.
-The saddle matrix is then a band whose half-width is a constant of the
-formulation and quadrature policy (16 to 26), whatever the curve or mesh.
-Its entries are equilibrated symmetrically and written straight into LAPACK
-band storage, which `dgbtrf` factors by LU with partial pivoting (the
+sort: each node's DOFs, then the stiff unknowns and interior angle DOFs of
+the element to its right; each end's multipliers sit next to their end
+node. The saddle matrix is then a band whose half-width is a constant of
+the formulation and quadrature policy (11 to 26), whatever the curve or
+mesh. Its entries are equilibrated symmetrically and written straight into
+LAPACK band storage, which `dgbtrf` factors by LU with partial pivoting (the
 multipliers and, under Timoshenko kinematics, the midline DOFs have zero
 diagonals) and `dgbtrs` solves. The first solve is refined, at most twice,
 only while the residual |rhs - A y| > 16 eps (|rhs| + |A| |y|) in the max
 norm: below that it is its own rounding (Arioli, Demmel & Duff, SIAM J.
-Matrix Anal. Appl. 10, 1989).
+Matrix Anal. Appl. 10, 1989). The equilibrium and constraint checks read
+x, midpoint DOFs included, with K from the full split.
 
 Under `reduced` quadrature the H3 midline has zero-energy modes: three for
 `timoshenko_h3p2` on every curve and mesh, one for `euler_bernoulli_h3` on a
@@ -211,27 +224,120 @@ def _least_hourglass(system: LinearSystem, V: np.ndarray, X: np.ndarray) -> np.n
     return V @ (np.tensordot(weight, X[nd[:, 3:]], axes=1) + X[nd[0, :3]] - X[nd[-1, :3]])
 
 
-def _band_layout(system: LinearSystem, k: int) -> tuple[np.ndarray, int]:
+@dataclass(eq=False)
+class StiffBlocks:
+    """The stiff unknowns of the saddle system, s per element, in element
+    order: their rows `rows` (n_el, s, c) on the element DOFs `cols` (n_el,
+    c), their compliance `comp`, as the diagonal (n_el s,) or as one dense
+    block per element (n_el, s, s), and the right-hand side on x (`rhs`) and
+    on them (`rhs_s`). Under an H3 midline they are sigma, C's rows as
+    assembled. Under a P2 midline they are each element's resultants once
+    its midpoint DOFs are condensed (`_condense`), and the rest is what
+    recovers those DOFs (`midpoint_dofs`), on the rows of C at the two
+    points where its midpoint columns C_m are not 0: Z, sigma_p, the
+    compliance D, C_m and the vertex columns C_x there, and a2 = sum_q
+    a_q^2."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    comp: np.ndarray
+    rhs: np.ndarray
+    rhs_s: np.ndarray
+    Z: np.ndarray | None = None
+    sigma_p: np.ndarray | None = None
+    D: np.ndarray | None = None
+    C_m: np.ndarray | None = None
+    C_x: np.ndarray | None = None
+    a2: np.ndarray | None = None
+
+    def midpoint_dofs(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """u_m = C_m^T (D sigma - C_x x) / a2 per element, (n_el, 3), with
+        sigma = sigma_p + Z n: the part of the resultant rows C x - D sigma =
+        0 along C_m, which the condensed system leaves out. n is the first 3
+        of each element's stiff unknowns tau."""
+        n = tau.reshape(len(self.Z), -1)[:, :3, None]
+        e = self.D * (self.sigma_p + (self.Z @ n)[..., 0]) - (self.C_x @ x[self.cols][..., None])[..., 0]
+        return (e[:, None] @ self.C_m)[:, 0] / self.a2[:, None]
+
+
+def _stiff_blocks(system: LinearSystem) -> StiffBlocks:
+    """The stiff unknowns that `solve` factors: condensed for a P2 midline."""
+    if system.form.midline == "P2":
+        return _condense(system)
+    return StiffBlocks(system.C_blocks, system.dofmap.element_dofs(), system.compliance,
+                       system.rhs, np.zeros(len(system.compliance)))
+
+
+def _condense(system: LinearSystem) -> StiffBlocks:
+    """Eliminate each element's P2 midpoint DOFs u_m with the resultants
+    they fix. K_soft does not read u_m, and C's columns on it are a_q R_q
+    at point q (a_q = sqrt(w_q) phi_m'(s_q)), R_q = [t_q; N_q] orthonormal,
+    so its rows say sum_q a_q R_q^T sigma_q = f_m, and C_m^T C_m = a2 I.
+    Both P2 rules have a_q != 0 at two points, j and l (a_q = 0 at the
+    3-point rule's middle point). So sigma = sigma_p + Z n + the middle
+    point's sigma, with sigma_p = C_m f_m / a2 and Z = C_m,j / a_j^2 at j,
+    -C_m,l / a_l^2 at l: C_m^T Z = 0, and sigma_q = R_q n' at both, n' a
+    multiple of the element's global force resultant. The unknowns [n, the
+    middle sigma] have rows [Z^T C_x; C_x at the middle point] on the
+    vertex DOFs and the compliance diag(Z^T D Z, D at the middle point);
+    the load becomes [f_x - C_x^T sigma_p, Z^T D sigma_p, 0], and 0 on the
+    midpoint rows."""
+    dm, Cb = system.dofmap, system.C_blocks
+    n_el, r, nloc = Cb.shape
+    D = system.compliance.reshape(n_el, r)
+    # u's local columns are (left, midpoint, right) x 3 components; j and l
+    # are the first and the last point, and a row of a_q R_q has norm |a_q|
+    vert, jl = [0, 1, 2, *range(6, nloc)], [0, 1, 2, r - 3, r - 2, r - 1]
+    C_jl, D_jl = Cb[:, jl], D[:, jl]
+    C_m, C_x = C_jl[..., 3:6], C_jl[..., vert]
+    a2j = np.square(C_m[:, ::3]).sum(axis=2)
+    # an element with no stiff term (C = 0) keeps zero rows, a zero pivot
+    a2j[a2j == 0.0] = np.inf
+    Z = (C_m.reshape(n_el, 2, 3, 3) / (a2j * [1.0, -1.0])[..., None, None]).reshape(n_el, 6, 3)
+    Zt = Z.mT
+    rows, comp = Zt @ C_x, Zt @ (D_jl[..., None] * Z)
+    if r > 6:
+        # the middle point's sigma, with its rows of C and its compliance
+        rows = np.concatenate([rows, Cb[:, 3:-3, vert]], axis=1)
+        E, comp = comp, np.zeros((n_el, r - 3, r - 3))
+        comp[:, :3, :3] = E
+        i = np.arange(3, r - 3)
+        comp[:, i, i] = D[:, 3:-3]
+    a2 = a2j.sum(axis=1)
+    cols = dm.element_dofs()[:, vert]
+    mid = dm.fields["u"].node_dofs[1::2]
+    f_m = system.rhs[mid]
+    sigma_p, rhs_s, rhs = np.zeros(D_jl.shape), np.zeros(rows.shape[:2]), system.rhs.copy()
+    if f_m.any():
+        sigma_p = (C_m @ f_m[..., None])[..., 0] / a2[:, None]
+        rhs -= np.bincount(cols.ravel(), (sigma_p[:, None] @ C_x).ravel(), dm.ndof)
+        rhs_s[:, :3] = (Zt @ (D_jl * sigma_p)[..., None])[..., 0]
+    rhs[mid] = 0.0
+    return StiffBlocks(rows, cols, comp, rhs, rhs_s.ravel(), Z, sigma_p, D_jl, C_m, C_x, a2)
+
+
+def _band_layout(system: LinearSystem, k: int, stiff: StiffBlocks) -> tuple[np.ndarray, int]:
     """The band position of each saddle unknown, indexed in the order [x,
-    sigma, lambda, gauge], and the half-bandwidth. Node i's DOFs (each
-    field's vertex node) come first, then the sigma rows of element i (C's
-    rows are element-major) and its interior DOFs (the P2 midpoint nodes),
-    then node i + 1. The start multipliers and the k gauge rows, which touch
-    node 0 alone, come before node 0; the end multipliers after the last node.
-    The half-bandwidth follows from element 0's places: sigma couples to every
-    DOF of its element, x to x only through K_soft (on the angle field alone
-    under Timoshenko kinematics), and a multiplier to its end node."""
-    dm, form, n_el = system.dofmap, system.form, system.mesh.n_elements
-    n, p, m = dm.ndof, len(system.compliance), system.n_constraints
-    fields = dm.fields.values()
-    vert = [f.node_dofs[::2] if f.kind == "P2" else f.node_dofs for f in fields]
-    blocks = vert + [n + np.arange(p).reshape(n_el, -1)] + \
-        [f.node_dofs[1::2] for f in fields if f.kind == "P2"]
+    stiff, lambda, gauge] (`stiff`'s unknowns in element order), and the
+    half-bandwidth; a condensed DOF (a P2 midline's midpoint) gets
+    -1. Node i's DOFs (each field's vertex node) come first, then the stiff
+    unknowns of element i and its interior angle DOFs (the P2 midpoint
+    nodes of H3-P2's theta), then node i + 1. The start multipliers and the
+    k gauge rows, which touch node 0 alone, come before node 0; the end
+    multipliers after the last node. The half-bandwidth follows from element
+    0's places: a stiff unknown couples to the element DOFs of its rows
+    (`stiff.cols`), x to x only through K_soft (on the angle field alone under
+    Timoshenko kinematics), and a multiplier to its end node."""
+    dm, form, (n_el, s) = system.dofmap, system.form, stiff.rows.shape[:2]
+    n, p, m = dm.ndof, n_el * s, system.n_constraints
+    vert = [f.node_dofs[::2] if f.kind == "P2" else f.node_dofs for f in dm.fields.values()]
+    inner = [f.node_dofs[1::2] for name, f in dm.fields.items() if f.kind == "P2" and name != "u"]
+    blocks = vert + [n + np.arange(p).reshape(n_el, s)] + inner
     nv, step = sum(b.shape[1] for b in vert), sum(b.shape[1] for b in blocks)
     at_start = np.array([info.end == "start" for info in system.rows_info], bool)
     ms = int(at_start.sum())
     first = ms + k
-    pos = np.empty(n + p + m + k, np.intp)
+    pos = np.full(n + p + m + k, -1, np.intp)
     offset = first
     for b in blocks:
         pos[b] = offset + step * np.arange(len(b))[:, None] + np.arange(b.shape[1])
@@ -240,7 +346,7 @@ def _band_layout(system: LinearSystem, k: int) -> tuple[np.ndarray, int]:
     pos[lam[at_start]] = np.arange(ms)
     pos[n + p + m:] = ms + np.arange(k)
     pos[lam[~at_start]] = first + step * n_el + nv + np.arange(m - ms)
-    ex, es = pos[dm.element_dofs()[0]], pos[n:n + p // n_el]
+    ex, es = pos[stiff.cols[0]], pos[n:n + s]
     soft = ex if form.euler_bernoulli else pos[dm.fields[form.angle_field].elem_dofs[0]]
     kl = max(np.ptp(soft), es.max() - ex.min(), ex.max() - es.min(), first + nv - 1,
              m - ms + nv - 1)
@@ -257,38 +363,46 @@ def _block_entries(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray
     return rows.ravel()[i], cols.ravel()[i // r * c + f % c], blocks.ravel()[f]
 
 
-def _saddle_entries(system: LinearSystem, V: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The saddle matrix A = [[K_soft, X^T], [X, E]], X = [C; B; gauge], E =
-    diag(-D, 0), and its right-hand side [f, 0, g, 0], equilibrated: S A S
-    and S rhs with S = diag(d), d_i = 1/sqrt(max_j |A_ij|) (A is symmetric),
-    each entry v becoming v (d_i d_j). The gauge row of mode j reads the
-    slope DOFs of node 0 in the direction V[j]. Returns the entries (rows,
-    columns, values) and rhs in the order of `_band_layout`, then d and that
-    layout (pos, kl), d and pos in the order [x, sigma, lambda, gauge]."""
-    dm, Cb = system.dofmap, system.C_blocks
-    n, p, m, k = dm.ndof, len(system.compliance), system.n_constraints, len(V)
-    pos, kl = _band_layout(system, k)
+def _saddle_entries(system: LinearSystem, V: np.ndarray, stiff: StiffBlocks
+                    ) -> tuple[np.ndarray, ...]:
+    """The saddle matrix A = [[K_soft, X^T], [X, E]], X = [stiff rows; B;
+    gauge], E = diag(-comp, 0), and its right-hand side [stiff.rhs,
+    stiff.rhs_s, g, 0], equilibrated: S A S and S rhs with S = diag(d), d_i
+    = 1/sqrt(max_j |A_ij|) (A is symmetric), each entry v becoming v (d_i
+    d_j). The gauge row of mode j reads the slope DOFs of node 0 in the
+    direction V[j]. Returns the entries (rows, columns, values) and rhs in
+    the order of `_band_layout`, then d and that layout (pos, kl), d and
+    pos in the order [x, stiff, lambda, gauge]. A condensed DOF has no
+    entry, no place (pos -1) and d = 0, so its entry of d y[pos] is 0."""
+    dm = system.dofmap
+    n, m, k = dm.ndof, system.n_constraints, len(V)
+    n_el, s = stiff.rows.shape[:2]
+    p = n_el * s
+    pos, kl = _band_layout(system, k, stiff)
     K_rows, K_cols, K_vals = system.soft_entries
+    srows = n + np.arange(p).reshape(n_el, s)
     # X's (rows, columns, values) block by block, exact zeros left out (half
-    # of C's in plane geometry), in the order [x, sigma, lambda, gauge]
+    # of C's in plane geometry), in the order [x, stiff, lambda, gauge]
     X_rows, X_cols, X_vals = (np.concatenate(z) for z in zip(
-        _block_entries(Cb, n + np.arange(p).reshape(Cb.shape[:2]), dm.element_dofs()),
+        _block_entries(stiff.rows, srows, stiff.cols),
         _block_entries(system.B_end, n + p + np.arange(m), dm.boundary_dofs()),
         _block_entries(V, n + p + m + np.arange(k), dm.fields["u"].node_dofs[0, 3:])))
+    E_rows, E_cols, E_vals = (srows.ravel(), srows.ravel(), stiff.comp) \
+        if stiff.comp.ndim == 1 else _block_entries(stiff.comp, srows, srows)
     amax = np.zeros(len(pos))
-    amax[n:n + p] = system.compliance
-    # K_soft is symmetric, so its rows give its column maxima too
-    np.maximum.at(amax, np.concatenate([K_rows, X_rows, X_cols]),
-                  np.abs(np.concatenate([K_vals, X_vals, X_vals])))
+    # K_soft and E are symmetric, so their rows give their column maxima too
+    np.maximum.at(amax, np.concatenate([K_rows, X_rows, X_cols, E_rows]),
+                  np.abs(np.concatenate([K_vals, X_vals, X_vals, E_vals])))
     d = 1.0 / np.sqrt(np.maximum(amax, 1e-300))
+    placed = pos >= 0
+    d[~placed] = 0.0
     X_vals = X_vals * (d[X_rows] * d[X_cols])
-    sigma = n + np.arange(p)
-    i = pos[np.concatenate([K_rows, X_rows, X_cols, sigma])]
-    j = pos[np.concatenate([K_cols, X_cols, X_rows, sigma])]
+    i = pos[np.concatenate([K_rows, X_rows, X_cols, E_rows])]
+    j = pos[np.concatenate([K_cols, X_cols, X_rows, E_cols])]
     v = np.concatenate([K_vals * (d[K_rows] * d[K_cols]), X_vals, X_vals,
-                        -system.compliance * d[sigma]**2])
-    rhs = np.zeros(len(pos))
-    rhs[pos] = d * np.concatenate([system.rhs, np.zeros(p), system.g, np.zeros(k)])
+                        -E_vals * (d[E_rows] * d[E_cols])])
+    rhs = np.zeros(np.count_nonzero(placed))
+    rhs[pos[placed]] = (d * np.concatenate([stiff.rhs, stiff.rhs_s, system.g, np.zeros(k)]))[placed]
     return i, j, v, rhs, d, pos, kl
 
 
@@ -337,8 +451,9 @@ def solve(system: LinearSystem) -> SolutionFields:
     # each mode's slope direction at node 0: the local gauge row, and the
     # direction of its least-hourglass row
     V = H[system.dofmap.fields["u"].node_dofs[0, 3:]].T
-    i, j, v, rhs, d, pos, kl = _saddle_entries(system, V)
-    p, N = len(system.compliance), len(rhs)
+    stiff = _stiff_blocks(system)
+    i, j, v, rhs, d, pos, kl = _saddle_entries(system, V, stiff)
+    p, N = len(stiff.rhs_s), len(rhs)
     anorm = float(np.bincount(i, np.abs(v), N).max())
     ab = _band_storage(i, j, v, kl, N)
     lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
@@ -354,6 +469,8 @@ def solve(system: LinearSystem) -> SolutionFields:
             break
         y = y + dgbtrs(lu, kl, kl, r, piv)[0]
     sol = d * y[pos]
+    if stiff.Z is not None:
+        sol[system.dofmap.fields["u"].node_dofs[1::2]] = stiff.midpoint_dofs(sol, sol[n:n + p])
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("factorization produced non-finite values", n_rigid_modes=0)
 

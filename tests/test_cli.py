@@ -285,6 +285,14 @@ class TestSolveCommand:
         assert os.path.exists(os.path.join(out, "centerline.csv"))
         assert os.path.exists(os.path.join(out, "resultants.csv"))
 
+    @pytest.mark.parametrize("material", [{"E": 1e6, "nu": -1.0},
+                                          {"E": 1e6, "G": 1.0, "nu": 0.3}])
+    def test_invalid_material_exits_1(self, tmp_path, capsys, material):
+        path = write_json(tmp_path / "model.json", straight_doc(material=material))
+        assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: material") and "Traceback" not in err
+
     def test_missing_bcs_exits_1(self, tmp_path, capsys):
         doc = straight_doc()
         del doc["bcs"]

@@ -36,10 +36,20 @@ class TestMaterial:
         assert Material(E=1e6, G=4e5).nu == 0.25
 
     @pytest.mark.parametrize("kwargs", [{"E": -1, "nu": 0.3}, {"E": 1.0, "G": -2.0},
-                                        {"E": 1.0}])
+                                        {"E": 1.0}, {"E": 1e6, "nu": -1.0},
+                                        {"E": 1e6, "nu": -1.5},
+                                        {"E": 1e6, "G": 1.0, "nu": 0.3}])
     def test_invalid_inputs(self, kwargs):
+        # nu = -1 would divide by zero in G = E / (2 (1 + nu)); a G that
+        # disagrees with nu would split the beam, which reads G, from the
+        # straight-cantilever reference, which reads nu
         with pytest.raises(ValueError):
             Material(**kwargs)
+
+    def test_shear_modulus_and_poisson_ratio_that_agree(self):
+        G = 1e6 / 2.6
+        assert Material(E=1e6, G=G, nu=0.3).G == G
+        assert Material(E=1e6, G=G * (1 + 5e-10), nu=0.3).nu == 0.3
 
     @pytest.mark.parametrize("kwargs", [{"E": np.nan, "nu": 0.3}, {"E": np.inf, "nu": 0.3},
                                         {"E": 1.0, "G": np.inf}, {"E": 1.0, "nu": np.nan},

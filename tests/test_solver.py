@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,7 @@ from cartbeam.solver import (
     _apply_stiffness,
     _band_storage,
     _saddle_entries,
+    _stiff_blocks,
     _stiffness_scale,
     hourglass_modes,
     rigid_modes,
@@ -532,13 +534,14 @@ class TestStiffnessFromSplit:
 
 NO_GAUGE = np.zeros((0, 3))
 # the half-bandwidth of the structural order, per formulation and policy, on
-# every curve and mesh: an element's block of node DOFs, sigma rows and
-# interior DOFs, plus the K_soft coupling to the next node (on the angle
-# field alone under Timoshenko kinematics, on every DOF under Euler-Bernoulli)
+# every curve and mesh: an element's block of node DOFs, stiff unknowns
+# (sigma, or the P2 midline's condensed resultants) and interior angle DOFs,
+# plus the K_soft coupling to the next node (on the angle field alone under
+# Timoshenko kinematics, on every DOF under Euler-Bernoulli)
 HALF_BANDWIDTH = {
     ("euler_bernoulli_h3", "full"): 18, ("euler_bernoulli_h3", "reduced"): 16,
     ("timoshenko_h3p2", "full"): 26, ("timoshenko_h3p2", "reduced"): 20,
-    ("timoshenko_p2p1", "full"): 20, ("timoshenko_p2p1", "reduced"): 17,
+    ("timoshenko_p2p1", "full"): 14, ("timoshenko_p2p1", "reduced"): 11,
 }
 
 
@@ -564,6 +567,15 @@ def _gauge_directions(system):
     return H[system.dofmap.fields["u"].node_dofs[0, 3:]].T
 
 
+def _schur(A, b, I, K, X):
+    """(S X, b_K - A_KI A_II^-1 b_I) for the Schur complement S = A_KK -
+    A_KI A_II^-1 A_IK of the sparse matrix A, by scipy's sparse LU of A_II."""
+    A = A.tocsr()
+    lu = scipy.sparse.linalg.splu(A[I][:, I].tocsc())
+    A_KI, A_IK = A[K][:, I], A[I][:, K]
+    return A[K][:, K] @ X - A_KI @ lu.solve(A_IK @ X), b[K] - A_KI @ lu.solve(b[I])
+
+
 class TestSaddleMatrix:
     @staticmethod
     def check(system, V):
@@ -571,7 +583,7 @@ class TestSaddleMatrix:
         # reference's entry v d_i d_j at the permuted place, with d_i =
         # 1/sqrt(max_j |A_ij|), or 0 where the reference has none; the right
         # side is the reference's, scaled and permuted the same way
-        i, j, v, rhs, d, pos, kl = _saddle_entries(system, V)
+        i, j, v, rhs, d, pos, kl = _saddle_entries(system, V, _stiff_blocks(system))
         ref, ref_rhs = _saddle_reference(system, V)
         N = ref.shape[0]
         ab = _band_storage(i, j, v, kl, N)
@@ -594,14 +606,52 @@ class TestSaddleMatrix:
             assert np.array_equal(getattr(K, attr), getattr(KT, attr))
         return kl
 
+    @staticmethod
+    def check_condensed(system):
+        # under a P2 midline the band holds the vertex DOFs, each element's
+        # condensed resultants and the multipliers, each once; what it says
+        # on the vertex DOFs and multipliers, once the resultants are
+        # eliminated, is what the bmat reference says once sigma and the
+        # midpoint DOFs are: the same Schur complement and right-hand side
+        n, mid = system.dofmap.ndof, np.sort(system.dofmap.fields["u"].node_dofs[1::2].ravel())
+        i, j, v, rhs, d, pos, kl = _saddle_entries(system, NO_GAUGE, _stiff_blocks(system))
+        N, placed = len(rhs), np.flatnonzero(pos >= 0)
+        assert np.array_equal(np.sort(pos[placed]), np.arange(N))
+        assert np.array_equal(np.flatnonzero(pos < 0), mid)
+        assert np.abs(i - j).max() <= kl
+        assert len(np.unique(i * N + j)) == len(v)
+        assert _band_storage(i, j, v, kl, N).shape == (3 * kl + 1, N)
+        # the band's matrix and right-hand side, unscaled, in the order [x,
+        # resultants, lambda]
+        unknown = np.empty(N, np.intp)
+        unknown[pos[placed]] = placed
+        r, c = unknown[i], unknown[j]
+        A = scipy.sparse.coo_matrix((v / (d[r] * d[c]), (r, c)), shape=(len(pos),) * 2)
+        b = np.zeros(len(pos))
+        b[placed] = rhs[pos[placed]] / d[placed]
+        p, m = len(pos) - n - system.n_constraints, system.n_constraints
+        K = np.setdiff1d(placed, n + np.arange(p))
+        X = np.random.default_rng(3).standard_normal((len(K), 4))
+        SX, bK = _schur(A, b, n + np.arange(p), K, X)
+        ref, ref_rhs = _saddle_reference(system, NO_GAUGE)
+        q = system.C.shape[0]
+        ref_K = np.concatenate([np.setdiff1d(np.arange(n), mid), n + q + np.arange(m)])
+        ref_SX, ref_bK = _schur(ref, ref_rhs, np.concatenate([mid, n + np.arange(q)]), ref_K, X)
+        assert np.abs(SX - ref_SX).max() <= 1e-10 * np.abs(ref_SX).max()
+        assert np.abs(bK - ref_bK).max() <= 1e-10 * np.abs(ref_bK).max()
+        return kl
+
     @pytest.mark.parametrize("n", [1, 3, 64, 512])
     @pytest.mark.parametrize("kind", sorted(KERNEL_CURVES))
     @pytest.mark.parametrize("policy", ["full", "reduced"])
     @pytest.mark.parametrize("name", sorted(FORMULATIONS))
     def test_blocks(self, name, policy, kind, n):
-        model = bar_model(curve=KERNEL_CURVES[kind], loads=LoadCase(force_end=[0.0, 0.0, 1.0]))
+        model = bar_model(curve=KERNEL_CURVES[kind], loads=LoadCase(
+            body=[0.0, -0.01, 0.02], force_end=[0.0, 0.0, 1.0]))
         system = discretize(model, formulation(name), n, policy)
-        assert self.check(system, _gauge_directions(system)) == HALF_BANDWIDTH[name, policy]
+        check = self.check_condensed(system) if name == "timoshenko_p2p1" else \
+            self.check(system, _gauge_directions(system))
+        assert check == HALF_BANDWIDTH[name, policy]
 
     def test_blocks_with_point_rows_and_gauge_rows(self):
         # H3-P2 reduced on a helix guided at its free end: B holds the point
@@ -616,13 +666,13 @@ class TestSaddleMatrix:
         assert self.check(system, V) == HALF_BANDWIDTH["timoshenko_h3p2", "reduced"]
 
     def test_size_of_the_arc_ladder_system(self):
-        # P2-P1 reduced at n=512: 4614 DOFs, 512 x 2 points x 3 resultant
-        # unknowns (stretch 1, shear 2) and 6 multipliers
+        # P2-P1 reduced at n=512: 4614 DOFs less the 1536 midpoint DOFs, 512 x
+        # 3 condensed resultant unknowns and 6 multipliers
         system = discretize(make_quarter_arc_model(0.15), formulation("timoshenko_p2p1"),
                             512, "reduced")
-        i, j, v, rhs, d, pos, kl = _saddle_entries(system, NO_GAUGE)
+        i, j, v, rhs, d, pos, kl = _saddle_entries(system, NO_GAUGE, _stiff_blocks(system))
         assert kl == HALF_BANDWIDTH["timoshenko_p2p1", "reduced"]
-        assert _band_storage(i, j, v, kl, len(rhs)).shape == (3 * kl + 1, 7692)
+        assert _band_storage(i, j, v, kl, len(rhs)).shape == (3 * kl + 1, 4620)
 
 
 def _least_hourglass_rows(system, modes):
@@ -697,6 +747,55 @@ class TestLocalGauge:
             model, name, n, policy = load_model(json.load(fh))
         assert (name, policy) == ("timoshenko_h3p2", "reduced")
         self.check(solve_model(model, formulation(name), n, policy), np.eye(3))
+
+
+def _dense_saddle_solve(system):
+    """x and the multipliers of [[K_soft, C^T, B^T], [C, -D, 0], [B, 0, 0]]
+    by a dense LU of the symmetrically equilibrated matrix (d_i =
+    1/sqrt(max_j |A_ij|)), with every unknown, midpoint DOFs and sigma
+    included."""
+    C, B, p = system.C.toarray(), system.B.toarray(), system.C.shape[0]
+    m = len(B)
+    A = np.block([[system.K_soft.toarray(), C.T, B.T],
+                  [C, -np.diag(system.compliance), np.zeros((p, m))],
+                  [B, np.zeros((m, p + m))]])
+    d = 1.0 / np.sqrt(np.abs(A).max(axis=1))
+    y = d * scipy.linalg.solve(d[:, None] * A * d, d * np.concatenate(
+        [system.rhs, np.zeros(p), system.g]))
+    n = system.dofmap.ndof
+    return y[:n], y[n + p:]
+
+
+BODY_LOADS = {
+    "constant": lambda L: [0.0, -0.01, 0.02],
+    "tabulated": lambda L: body_table([0.0, 0.4 * L, L], [[0.0, -0.01, 0.0], [0.02, 0.0, 0.01],
+                                                          [0.0, 0.03, -0.02]]),
+}
+
+
+class TestMidpointCondensation:
+    """Under a P2 midline solve eliminates each element's midpoint DOFs with
+    the resultants they fix and recovers them after: x, midpoint DOFs
+    included, and the multipliers are those of a dense solve of the whole
+    saddle system."""
+
+    @pytest.mark.parametrize("body", sorted(BODY_LOADS))
+    @pytest.mark.parametrize("t", [0.1, 1e-3])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CURVES))
+    @pytest.mark.parametrize("policy", ["full", "reduced"])
+    def test_x_and_multipliers_are_the_dense_answer(self, policy, kind, t, body):
+        curve = KERNEL_CURVES[kind]
+        model = BeamModel(curve=curve, material=MAT, section=unit_depth_rect_section(t),
+                          bc_start=BoundaryCondition.clamped(), bc_end=BoundaryCondition.free(),
+                          loads=LoadCase(body=BODY_LOADS[body](curve.length),
+                                         force_end=[0.3, -0.2, 1.0], moment_end=[0.1, 0.0, -0.2]),
+                          constraints=[PointConstraint("end", "u", [0.0, 0.6, 0.8])])
+        sol = solve_model(model, formulation("timoshenko_p2p1"), 6, policy)
+        x, lam = _dense_saddle_solve(sol.system)
+        mid = sol.system.dofmap.fields["u"].node_dofs[1::2]
+        assert np.any(sol.system.rhs[mid])
+        assert np.abs(sol.x - x).max() <= 1e-10 * np.abs(x).max()
+        assert np.abs(sol.multipliers - lam).max() <= 1e-10 * np.abs(lam).max()
 
 
 class TestRefinement:
