@@ -190,20 +190,16 @@ def resultant_form_equivalence(slack: float = 1.0) -> CriterionResult:
 
 
 def _fd_zeta_identities(curve, s_values, eps=1e-5):
-    worst_t, worst_n = 0.0, 0.0
+    worst = [0.0, 0.0]
     for s in s_values:
         fr = curve.frenet(s)
         x0 = curve.frame(s).x
-        for d, target, is_t in ((fr.t, np.zeros(3), True), (fr.n, fr.n, False)):
+        for k, (d, target) in enumerate(((fr.t, np.zeros(3)), (fr.n, fr.n))):
             zp = curve.closest_point(x0 + eps * d).zeta
             zm = curve.closest_point(x0 - eps * d).zeta
             fd = (zp - zm) / (2 * eps)
-            err = float(np.linalg.norm(fd - target))
-            if is_t:
-                worst_t = max(worst_t, err)
-            else:
-                worst_n = max(worst_n, err)
-    return worst_t, worst_n
+            worst[k] = max(worst[k], float(np.linalg.norm(fd - target)))
+    return worst
 
 
 def geometry_identity_suite(slack: float = 1.0) -> CriterionResult:
@@ -451,9 +447,7 @@ CRITERION_NAMES = [fn.__name__ for fn in CRITERIA]
 
 
 def run_acceptance(names: list[str] | None = None, slack: float = 1.0) -> list[CriterionResult]:
-    selected = CRITERIA if not names else [fn for fn in CRITERIA if fn.__name__ in names]
-    if names:
-        unknown = set(names) - {fn.__name__ for fn in CRITERIA}
-        if unknown:
-            raise ValueError(f"unknown criteria: {sorted(unknown)}")
-    return [fn(slack=slack) for fn in selected]
+    unknown = set(names or ()) - set(CRITERION_NAMES)
+    if unknown:
+        raise ValueError(f"unknown criteria: {sorted(unknown)}")
+    return [fn(slack=slack) for fn in CRITERIA if not names or fn.__name__ in names]

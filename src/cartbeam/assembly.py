@@ -20,17 +20,18 @@ Only the tangent (plus kappa for Euler-Bernoulli) is ever queried from the
 geometry; no normal directions along the curve are needed, so straight
 segments and inflection points require no special handling.
 
-Assembly builds the mixed split K = K_soft + C^T diag(1/compliance) C, and
-K itself only on request (`LinearSystem.K`). K_soft holds bend and twist as
-entries (`LinearSystem.soft_entries`), formed on the DOFs they act on (the
-rotation DOFs alone for Timoshenko, every DOF for Euler-Bernoulli), and
-each row of C is sqrt(w_q) times one independent strain component at a
+Assembly builds the mixed split K = K_soft + C^T diag(1/compliance) C, and K
+itself only on request (`LinearSystem.K`). Every term reads the tangent
+alone, so each part is one block per element: K_soft's bend and twist on the
+DOFs they act on (the rotation DOFs alone for Timoshenko, every DOF for
+Euler-Bernoulli), two blocks adding on a shared node wherever they are read,
+and C's rows, each sqrt(w_q) times one independent strain component at a
 point q of a stiff term's rule: stretch t . u' (compliance 1/(E|A|)) and,
-unless Euler-Bernoulli, shear N (u' - theta x t) (1/(G|A|)), two rows on
-the orthonormal pair N of the normal plane, where that strain lies. So a
-point gives 3 rows of C (Euler-Bernoulli 1). The solver carries one
-resultant unknown per row of C, so the stiff terms, which exceed the
-bending response by ~(L/t)^2, are never rounded into a factored matrix.
+unless Euler-Bernoulli, shear N (u' - theta x t) (1/(G|A|)), two rows on the
+orthonormal pair N of the normal plane, where that strain lies. So a point
+gives 3 rows of C (Euler-Bernoulli 1). The solver carries one resultant
+unknown per row of C, so the stiff terms, which exceed the bending response
+by ~(L/t)^2, are never rounded into a factored matrix.
 
 Essential boundary conditions are enforced with Lagrange multipliers since
 they are directional (along t or in the normal plane) while the DOFs are
@@ -84,6 +85,13 @@ class BoundaryCondition:
     bending: BCRow
     twisting: BCRow
 
+    def __post_init__(self):
+        for row, c in self.rows():
+            shape, scalar = np.shape(c.value), row in _SCALAR_ROWS
+            if shape != (() if scalar else (3,)):
+                raise ValueError(f"{row} value must be {'a scalar' if scalar else 'a 3-vector'}, "
+                                 f"got shape {shape}")
+
     @classmethod
     def clamped(cls) -> "BoundaryCondition":
         z = np.zeros(3)
@@ -118,20 +126,28 @@ class PointConstraint:
     direction: Vec3
     value: float = 0.0
 
+    def __post_init__(self):
+        for name, allowed in (("end", _ENDS), ("field", tuple(_POINT_ROWS))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"point constraint {name} must be one of {', '.join(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
+
 
 class LoadCase:
     """Body force density (force/length^3, constant over each cross-section)
     plus optional concentrated end forces/moments (applied external loads,
     entering the load functional with + sign at both ends). body is a 3-vector
-    or a callable from a 1-d array of n arc lengths to an (n, 3) array."""
+    or a callable from a 1-d array of n arc lengths to an (n, 3) array; each
+    end force and moment a 3-vector or None."""
 
     def __init__(self, body=None, force_start=None, force_end=None,
                  moment_start=None, moment_end=None):
         self.body = _as_body_function(body)
-        self.force_start = None if force_start is None else np.asarray(force_start, float)
-        self.force_end = None if force_end is None else np.asarray(force_end, float)
-        self.moment_start = None if moment_start is None else np.asarray(moment_start, float)
-        self.moment_end = None if moment_end is None else np.asarray(moment_end, float)
+        for name, value in (("force_start", force_start), ("force_end", force_end),
+                            ("moment_start", moment_start), ("moment_end", moment_end)):
+            if value is not None and np.shape(value) != (3,):
+                raise ValueError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
+            setattr(self, name, None if value is None else np.asarray(value, float))
 
 
 def _as_body_function(body):
@@ -194,16 +210,15 @@ class LinearSystem:
 
     K_soft, C and compliance are the mixed split of the stiffness
     K = K_soft + C^T diag(1/compliance) C (see the module docstring), which
-    is what the solver factors, each held on the DOFs it acts on: K_soft as
-    `soft_entries` (rows, columns and values in element order, each (row,
-    column) once; for Timoshenko on the theta DOFs only), C as `C_blocks`
-    (n_el, rows, nloc) on `DofMap.element_dofs`. The essential rows B x = g,
-    m >= 0, set by `apply_essential_bcs`, are `B_end` (m, k) on
-    `DofMap.boundary_dofs` and g (m,), both read-only, with the count of
-    rigid-body modes they leave free (`_free_rigid_mode_count`). The scipy
-    matrices K_soft, K, C and B are formed only when read, and import
-    scipy.sparse, which the solve path never loads (the split is never
-    reassigned).
+    is what the solver factors, held as element blocks on the columns of
+    `DofMap.element_dofs`: K_soft as `K_blocks` (n_el, c, c) on the last c
+    (the angle DOFs for Timoshenko, all nloc for Euler-Bernoulli), C as
+    `C_blocks` (n_el, rows, nloc). The essential rows B x = g, m >= 0, set
+    by `apply_essential_bcs`, are `B_end` (m, k) on `DofMap.boundary_dofs`
+    and g (m,), both read-only, with the count of rigid-body modes they
+    leave free (`_free_rigid_mode_count`). The scipy matrices K_soft, K, C
+    and B are formed only when read, and import scipy.sparse, which the
+    solve path never loads (the split is never reassigned).
     """
 
     rhs: np.ndarray
@@ -211,7 +226,7 @@ class LinearSystem:
     mesh: Mesh1D
     form: Formulation
     model: BeamModel
-    soft_entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+    K_blocks: np.ndarray
     C_blocks: np.ndarray
     compliance: np.ndarray
     policy: str
@@ -226,35 +241,47 @@ class LinearSystem:
 
     @functools.cached_property
     def K_soft(self) -> scipy.sparse.csr_matrix:
-        """The bend and twist stiffness from `soft_entries`, with sorted indices."""
-        import scipy.sparse
-        rows, cols, values = self.soft_entries
-        return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(self.dofmap.ndof,) * 2)
+        """The bend and twist stiffness from `K_blocks`, formed on first read and kept."""
+        ek = self.dofmap.element_dofs()[:, -self.K_blocks.shape[-1]:]
+        return self._csr(self.K_blocks, ek, ek, self.dofmap.ndof)
 
     @functools.cached_property
     def C(self) -> scipy.sparse.csr_matrix:
         """C (p, ndof), formed from `C_blocks` on first read and kept."""
-        return self._csr(self.C_blocks, self.dofmap.element_dofs()[:, None])
+        p = len(self.compliance)
+        return self._csr(self.C_blocks, np.arange(p).reshape(self.C_blocks.shape[:2]),
+                         self.dofmap.element_dofs(), p)
 
     @functools.cached_property
     def B(self) -> scipy.sparse.csr_matrix:
         """B (m, ndof), formed from `B_end` on first read and kept."""
-        return self._csr(self.B_end, self.dofmap.boundary_dofs())
+        m = self.n_constraints
+        return self._csr(self.B_end, np.arange(m), self.dofmap.boundary_dofs(), m)
 
-    def _csr(self, blocks: np.ndarray, cols: np.ndarray) -> scipy.sparse.csr_matrix:
-        """The rows of blocks (..., k) on the columns cols (broadcast), as a
-        CSR matrix with ndof columns and no explicit zeros."""
+    def _csr(self, blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+             n_rows: int) -> scipy.sparse.csr_matrix:
+        """The entries of blocks (`_block_entries`) as a CSR matrix with
+        n_rows rows and ndof columns: entries on one slot added, sorted
+        indices, no entry that a block gives as an exact zero."""
         import scipy.sparse
-        nz = blocks != 0.0
-        indptr = np.r_[0, np.cumsum(nz.sum(axis=-1))]
-        return scipy.sparse.csr_matrix((blocks[nz], np.broadcast_to(cols, blocks.shape)[nz],
-                                        indptr), shape=(len(indptr) - 1, self.dofmap.ndof))
+        r, c, v = _block_entries(blocks, rows, cols)
+        return scipy.sparse.csr_matrix((v, (r, c)), shape=(n_rows, self.dofmap.ndof))
 
     @functools.cached_property
     def K(self) -> scipy.sparse.csr_matrix:
         """The full stiffness, formed from the split on first read and kept."""
         import scipy.sparse
         return (self.K_soft + self.C.T @ scipy.sparse.diags(1 / self.compliance) @ self.C).tocsr()
+
+
+def _block_entries(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray
+                   ) -> tuple[np.ndarray, ...]:
+    """(rows, columns, values) of the nonzero entries of blocks (..., r, c), in
+    C order: entry [..., a, b] lies in row rows[..., a], column cols[..., b]."""
+    r, c = blocks.shape[-2:]
+    f = np.flatnonzero(blocks != 0.0)
+    i = f // c
+    return rows.ravel()[i], cols.ravel()[i // r * c + f % c], blocks.ravel()[f]
 
 
 # terms whose modulus scales like |A| and whose resultants are carried as
@@ -344,8 +371,8 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     lengths = np.diff(mesh.nodes)
 
     # bend and twist: w k G^T G summed over each element's points and rows,
-    # on the local columns c0: that they act on
-    ke_soft = c0 = 0
+    # on the last local columns, the ones they act on
+    K_blocks = 0
     # per element, the sqrt(w) G rows of the stiff terms point by point and
     # term by term (the blocks of C on the element's DOFs), and the modulus
     # of each of these rows (the same for every element)
@@ -369,29 +396,13 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
                 stiff.append(G)
                 stiff_k += [k] * G.shape[-2]
             else:
-                ke_soft, c0 = ke_soft + k * _gram(G.reshape(n_el, -1, nloc - c)), c
+                K_blocks = K_blocks + k * _gram(G.reshape(n_el, -1, nloc - c))
         if stiff:
             c_blocks.append(np.concatenate(stiff, axis=-2).reshape(n_el, -1, nloc))
             moduli += stiff_k * len(rule.points)
 
-    # K_soft as entries on the DOFs of its columns. Neighbours share one node,
-    # so the block of each element on its left node's DOFs (L, the first nd
-    # of each field's m) is folded into the previous element's on the same
-    # DOFs (R, its right node's, the last nd); all else has one element.
-    # Slots that every element gives as exact zeros are left out.
-    fk = [f for name, f in dm.fields.items() if c0 == 0 or name != "u"]
-    nd, m = [f.node_dofs.shape[1] for f in fk], [f.elem_dofs.shape[1] for f in fk]
-    L = np.concatenate([a + np.arange(k) for a, k in zip(np.cumsum([0] + m), nd)])
-    R = L + np.repeat(np.subtract(m, nd), nd)
-    hit = ke_soft != 0.0
-    ke_soft[:-1, R[:, None], R] = ke_soft[1:, L[:, None], L] + ke_soft[:-1, R[:, None], R]
-    hit[:-1, R[:, None], R] |= hit[1:, L[:, None], L]
-    hit[1:, L[:, None], L] = False
-    ek = dm.element_dofs()[:, c0:]
-    soft_entries = (np.broadcast_to(ek[:, :, None], hit.shape)[hit],
-                    np.broadcast_to(ek[:, None, :], hit.shape)[hit], ke_soft[hit])
     return LinearSystem(rhs=np.zeros(dm.ndof), dofmap=dm, mesh=mesh, form=form,
-                        model=model, soft_entries=soft_entries,
+                        model=model, K_blocks=K_blocks,
                         C_blocks=np.concatenate(c_blocks, axis=1),
                         compliance=1.0 / np.tile(moduli, n_el), policy=policy)
 

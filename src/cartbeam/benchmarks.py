@@ -103,8 +103,9 @@ class StudySpec:
     def __post_init__(self):
         if self.benchmark not in _BENCHMARKS:
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
-        if len(self.elements) == 0:
-            raise ValueError("element list must not be empty")
+        for key in ("formulations", "quadrature", "elements", "thickness"):
+            if len(getattr(self, key)) == 0:
+                raise ValueError(f"{key} list must not be empty")
         self.elements = [element_count(n) for n in self.elements]
         if len(self.elements) > 1 and not all(np.diff(self.elements) > 0):
             raise ValueError("element counts must be strictly increasing")
@@ -117,9 +118,9 @@ class StudySpec:
             raise ValueError("load, thickness, length and radius must be finite")
         if self.load == 0:
             raise ValueError("load must be nonzero")
-        if min(self.thickness, default=1.0) <= 0 or min(self.length, self.radius) <= 0:
+        if min(self.thickness) <= 0 or min(self.length, self.radius) <= 0:
             raise ValueError("thickness, length and radius must be positive")
-        if self.benchmark == "quarter_arc" and self.radius <= max(self.thickness, default=0) / 2:
+        if self.benchmark == "quarter_arc" and self.radius <= max(self.thickness) / 2:
             raise ValueError("radius must exceed half the largest thickness")
 
     @property
@@ -238,8 +239,7 @@ def run_convergence(study: StudySpec) -> ConvergenceReport:
             for t in study.thickness:
                 model = study.model(t)
                 ref = study.reference(t)
-                qois, errs, rels, failures = [], [], [], {}
-                used_elements = []
+                used_elements, qois, failures = [], [], {}
                 for n in study.elements:
                     try:
                         sol = solve_model(model, form, n, policy)
@@ -249,8 +249,8 @@ def run_convergence(study: StudySpec) -> ConvergenceReport:
                         continue
                     used_elements.append(n)
                     qois.append(q)
-                    errs.append(abs(q - ref))
-                    rels.append(abs(q - ref) / abs(ref))
+                errs = [abs(q - ref) for q in qois]
+                rels = [e / abs(ref) for e in errs]
                 orders = observed_orders(used_elements, errs)
                 key = (study.benchmark, name, policy, t)
                 report.cells[key] = CellResult(
@@ -270,10 +270,7 @@ def write_convergence_csv(report: ConvergenceReport, path: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("benchmark,formulation,quadrature,t,n_elem,qoi,error,rel_error,order\n")
         for row in report.rows():
-            cells = [str(v) if not isinstance(v, float) else f"{v:.17g}" for v in row[:5]]
-            cells += [f"{v:.17g}" for v in row[5:8]]
-            cells.append("" if row[8] == "" else f"{row[8]:.17g}")
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def print_order_table(report: ConvergenceReport) -> None:

@@ -268,16 +268,18 @@ def load_study(doc: dict) -> StudySpec:
                           "thickness", "material", "load", "length", "radius"})
 
     def items(key, default, check):
-        return [check(value, f"{key}[{i}]")
-                for i, value in enumerate(_list(doc.get(key, default), key))]
+        values = _list(doc.get(key, default), key)
+        if not values:
+            raise SchemaError(key, "expected a nonempty list")
+        return [check(value, f"{key}[{i}]") for i, value in enumerate(values)]
 
     benchmark = _choice(_require(doc, "", "benchmark"), "benchmark", _BENCHMARKS)
     formulations = items("formulations", ["timoshenko_p2p1"],
                          lambda v, p: _choice(v, p, FORMULATIONS))
     quadrature = items("quadrature", ["full"], lambda v, p: _choice(v, p, QUADRATURE_POLICIES))
     elements = items("elements", _require(doc, "", "elements"), _count)
-    if not elements or any(np.diff(elements) <= 0):
-        raise SchemaError("elements", "expected a nonempty, strictly increasing list")
+    if any(np.diff(elements) <= 0):
+        raise SchemaError("elements", "expected a strictly increasing list")
     thickness = items("thickness", [0.1], _positive)
     material = _material(doc.get("material", {}), {"E": 1e6, "nu": 0.3})
     load = _number(doc.get("load", 1.0), "load")
@@ -285,7 +287,7 @@ def load_study(doc: dict) -> StudySpec:
         raise SchemaError("load", "expected a nonzero number")
     length = _positive(doc.get("length", 10.0), "length")
     radius = _positive(doc.get("radius", 1.0), "radius")
-    if benchmark == "quarter_arc" and radius <= max(thickness, default=0.0) / 2:
+    if benchmark == "quarter_arc" and radius <= max(thickness) / 2:
         raise SchemaError("radius", "expected more than half the largest thickness")
     return StudySpec(benchmark, formulations, quadrature, elements, thickness,
                      material, load, length, radius)

@@ -43,8 +43,8 @@ class Mesh1D:
         self.nodes = np.asarray(self.nodes, dtype=float)
         if self.nodes.ndim != 1 or len(self.nodes) < 2:
             raise ValueError("mesh needs at least two nodes")
-        if not np.all(np.diff(self.nodes) > 0):
-            raise ValueError("mesh nodes must be strictly increasing")
+        if not (np.isfinite(self.nodes).all() and np.all(np.diff(self.nodes) > 0)):
+            raise ValueError("mesh nodes must be finite and strictly increasing")
         if abs(self.nodes[0]) > 1e-12 * max(self.nodes[-1], 1.0):
             raise ValueError("mesh must start at s = 0")
 

@@ -289,8 +289,7 @@ class LineSegment(ParamCurve):
     def d2(self, xi):
         return np.zeros(np.shape(xi) + (3,))
 
-    def d3(self, xi):
-        return np.zeros(np.shape(xi) + (3,))
+    d3 = d2
 
     @property
     def constant_speed(self):

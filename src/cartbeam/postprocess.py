@@ -345,10 +345,7 @@ def export(solution: SolutionFields, out_dir: str, n_samples: int = 101) -> dict
     res = _resultants(solution, s, fr, st)
     res_rows = np.column_stack([s, res.N, res.S, res.M, res.T])
 
-    paths = {
-        "centerline": os.path.join(out_dir, "centerline.csv"),
-        "resultants": os.path.join(out_dir, "resultants.csv"),
-    }
+    paths = {name: os.path.join(out_dir, f"{name}.csv") for name in ("centerline", "resultants")}
     _write_csv(paths["centerline"], "s,x,y,z,ux,uy,uz,thx,thy,thz", center)
     _write_csv(paths["resultants"], "s,Nx,Ny,Nz,Sx,Sy,Sz,Mx,My,Mz,Tx,Ty,Tz", res_rows)
     return paths

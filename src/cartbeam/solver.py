@@ -32,22 +32,24 @@ under `reduced` (12 under `full`) in place of 15 (18). Under an H3 midline
 the stiff unknowns are sigma as they stand.
 
 Every unknown couples only within one element: the geometry enters through
-the tangent alone, each row of C and each resultant belong to one element,
-and B acts on the end nodes; the solve reads them as the blocks that
-assembly holds, with no scipy sparse matrix. So it numbers [x, stiff,
-lambda] in a structural order, by index arithmetic on the `DofMap` with no
-sort: each node's DOFs, then the stiff unknowns and interior angle DOFs of
-the element to its right; each end's multipliers sit next to their end
-node. The saddle matrix is then a band whose half-width is a constant of
-the formulation and quadrature policy (11 to 26), whatever the curve or
-mesh. Its entries are equilibrated symmetrically and written straight into
-LAPACK band storage, which `dgbtrf` factors by LU with partial pivoting (the
-multipliers and, under Timoshenko kinematics, the midline DOFs have zero
-diagonals) and `dgbtrs` solves. The first solve is refined, at most twice,
-only while the residual |rhs - A y| > 16 eps (|rhs| + |A| |y|) in the max
-norm: below that it is its own rounding (Arioli, Demmel & Duff, SIAM J.
-Matrix Anal. Appl. 10, 1989). The equilibrium and constraint checks read
-x, midpoint DOFs included, with K from the full split.
+the tangent alone, each block of K_soft, each row of C and each resultant
+belong to one element, and B acts on the end nodes; the solve reads them
+as the blocks that assembly holds, with no scipy sparse matrix. So it
+numbers [x, stiff, lambda] in a structural order, by index arithmetic on
+the `DofMap` with no sort: each node's DOFs, then the stiff unknowns and
+interior angle DOFs of the element to its right; each end's multipliers
+sit next to their end node. The saddle matrix is then a band whose
+half-width is a constant of the formulation and quadrature policy (11 to
+26), whatever the curve or mesh. Its entries are written straight into
+LAPACK band storage, the two of neighbouring elements on one slot added,
+and equilibrated there symmetrically; `dgbtrf` factors it by LU with
+partial pivoting (the multipliers and, under Timoshenko kinematics, the
+midline DOFs have zero diagonals) and `dgbtrs` solves. The first solve is
+refined, at most twice, only while the residual |rhs - A y| > 16 eps
+(|rhs| + |A| |y|) in the max norm: below that it is its own rounding
+(Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989). The
+equilibrium and constraint checks read x, midpoint DOFs included, with K
+from the full split.
 
 Under `reduced` quadrature the H3 midline has zero-energy modes: three for
 `timoshenko_h3p2` on every curve and mesh, one for `euler_bernoulli_h3` on a
@@ -66,7 +68,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .assembly import LinearSystem, _rigid_node_rows, discretize
+from .assembly import LinearSystem, _block_entries, _rigid_node_rows, discretize
 from .discretization import shape_eval
 
 
@@ -87,11 +89,11 @@ class FieldState:
     s: float
     u: np.ndarray
     du: np.ndarray
-    d2u: np.ndarray | None
-    theta: np.ndarray | None        # Timoshenko rotation vector
-    dtheta: np.ndarray | None
-    theta_t: float | None           # Euler-Bernoulli twist
-    dtheta_t: float | None
+    d2u: np.ndarray | None = None
+    theta: np.ndarray | None = None         # Timoshenko rotation vector
+    dtheta: np.ndarray | None = None
+    theta_t: float | None = None            # Euler-Bernoulli twist
+    dtheta_t: float | None = None
 
     def row(self, i: int) -> "FieldState":
         """The state at sample i of a batch state."""
@@ -137,13 +139,11 @@ class SolutionFields:
         if form.euler_bernoulli:
             u, du, d2u = self._field_at("u", e, xi, 2)
             tt, dtt = self._field_at("theta_t", e, xi, 1)[..., 0]
-            st = FieldState(s=s_arr, u=u, du=du, d2u=d2u, theta=None, dtheta=None,
-                            theta_t=tt, dtheta_t=dtt)
+            st = FieldState(s=s_arr, u=u, du=du, d2u=d2u, theta_t=tt, dtheta_t=dtt)
         else:
             u, du = self._field_at("u", e, xi, 1)
             th, dth = self._field_at(form.angle_field, e, xi, 1)
-            st = FieldState(s=s_arr, u=u, du=du, d2u=None, theta=th, dtheta=dth,
-                            theta_t=None, dtheta_t=None)
+            st = FieldState(s=s_arr, u=u, du=du, theta=th, dtheta=dth)
         return st.row(0) if np.ndim(s) == 0 else st
 
 
@@ -192,24 +192,26 @@ def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
 
 def _apply_stiffness(system: LinearSystem, X: np.ndarray) -> np.ndarray:
     """K X = K_soft X + C^T ((C X) / compliance), column by column, without
-    forming K_soft, K or C: K_soft by bincount over `soft_entries`, C and C^T
-    by batched products with `C_blocks`, whose element sums a bincount adds."""
-    (rows, cols, vals), Cb, e = system.soft_entries, system.C_blocks, system.dofmap.element_dofs()
-    comp = system.compliance.reshape(Cb.shape[:2])
-    KX = [np.bincount(rows, vals * x[cols], len(x)) + np.bincount(
-        e.ravel(), (((Cb @ x[e][..., None])[..., 0] / comp)[:, None] @ Cb).ravel(), len(x))
-        for x in np.reshape(X.T, (-1, len(X)))]
+    forming K_soft, K or C: per element K_e x_e + C_e^T (C_e x_e / comp), by
+    batched products with `K_blocks` (on the element's last DOFs) and
+    `C_blocks`, whose element sums one bincount over the element DOFs adds."""
+    Kb, Cb, e = system.K_blocks, system.C_blocks, system.dofmap.element_dofs()
+    comp, c = system.compliance.reshape(Cb.shape[:2]), Kb.shape[-1]
+    KX = []
+    for x in np.reshape(X.T, (-1, len(X))):
+        xe = x[e][..., None]
+        ye = Cb.mT @ ((Cb @ xe) / comp[..., None])
+        ye[:, -c:] += Kb @ xe[:, -c:]
+        KX.append(np.bincount(e.ravel(), ye.ravel(), len(x)))
     return np.transpose(KX).reshape(X.shape)
 
 
 def _stiffness_scale(system: LinearSystem) -> float:
     """kappa = max_i K_ii = max_i (K_soft)_ii + sum_k C_ki^2 / compliance_k."""
-    Cb, e, n = system.C_blocks, system.dofmap.element_dofs(), system.dofmap.ndof
+    Kb, Cb, e = system.K_blocks, system.C_blocks, system.dofmap.element_dofs()
     w = (Cb**2 / system.compliance.reshape(Cb.shape[:2])[..., None]).sum(axis=1)
-    rows, cols, vals = system.soft_entries
-    diag = np.flatnonzero(rows == cols)
-    return float((np.bincount(rows[diag], vals[diag], n)
-                  + np.bincount(e.ravel(), w.ravel(), n)).max())
+    w[:, -Kb.shape[-1]:] += np.diagonal(Kb, axis1=1, axis2=2)
+    return float(np.bincount(e.ravel(), w.ravel(), system.dofmap.ndof).max())
 
 
 def _least_hourglass(system: LinearSystem, V: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -326,9 +328,9 @@ def _band_layout(system: LinearSystem, k: int, stiff: StiffBlocks) -> tuple[np.n
     k gauge rows, which touch node 0 alone, come before node 0; the end
     multipliers after the last node. The half-bandwidth follows from element
     0's places: a stiff unknown couples to the element DOFs of its rows
-    (`stiff.cols`), x to x only through K_soft (on the angle field alone under
-    Timoshenko kinematics), and a multiplier to its end node."""
-    dm, form, (n_el, s) = system.dofmap, system.form, stiff.rows.shape[:2]
+    (`stiff.cols`), x to x only through K_soft (on the last DOFs of each
+    element, `K_blocks`), and a multiplier to its end node."""
+    dm, (n_el, s) = system.dofmap, stiff.rows.shape[:2]
     n, p, m = dm.ndof, n_el * s, system.n_constraints
     vert = [f.node_dofs[::2] if f.kind == "P2" else f.node_dofs for f in dm.fields.values()]
     inner = [f.node_dofs[1::2] for name, f in dm.fields.items() if f.kind == "P2" and name != "u"]
@@ -347,74 +349,68 @@ def _band_layout(system: LinearSystem, k: int, stiff: StiffBlocks) -> tuple[np.n
     pos[n + p + m:] = ms + np.arange(k)
     pos[lam[~at_start]] = first + step * n_el + nv + np.arange(m - ms)
     ex, es = pos[stiff.cols[0]], pos[n:n + s]
-    soft = ex if form.euler_bernoulli else pos[dm.fields[form.angle_field].elem_dofs[0]]
+    soft = pos[dm.element_dofs()[0, -system.K_blocks.shape[-1]:]]
     kl = max(np.ptp(soft), es.max() - ex.min(), ex.max() - es.min(), first + nv - 1,
              m - ms + nv - 1)
     return pos, int(kl)
-
-
-def _block_entries(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray
-                   ) -> tuple[np.ndarray, ...]:
-    """(rows, columns, values) of the nonzero entries of blocks (..., r, c), in
-    C order: entry [..., a, b] lies in row rows[..., a], column cols[..., b]."""
-    r, c = blocks.shape[-2:]
-    f = np.flatnonzero(blocks != 0.0)
-    i = f // c
-    return rows.ravel()[i], cols.ravel()[i // r * c + f % c], blocks.ravel()[f]
 
 
 def _saddle_entries(system: LinearSystem, V: np.ndarray, stiff: StiffBlocks
                     ) -> tuple[np.ndarray, ...]:
     """The saddle matrix A = [[K_soft, X^T], [X, E]], X = [stiff rows; B;
     gauge], E = diag(-comp, 0), and its right-hand side [stiff.rhs,
-    stiff.rhs_s, g, 0], equilibrated: S A S and S rhs with S = diag(d), d_i
-    = 1/sqrt(max_j |A_ij|) (A is symmetric), each entry v becoming v (d_i
-    d_j). The gauge row of mode j reads the slope DOFs of node 0 in the
-    direction V[j]. Returns the entries (rows, columns, values) and rhs in
-    the order of `_band_layout`, then d and that layout (pos, kl), d and
-    pos in the order [x, stiff, lambda, gauge]. A condensed DOF has no
-    entry, no place (pos -1) and d = 0, so its entry of d y[pos] is 0."""
+    stiff.rhs_s, g, 0]. The gauge row of mode j reads the slope DOFs of node
+    0 in the direction V[j]. Returns the entries (rows, columns, values) and
+    rhs in the order of `_band_layout`, then that layout (pos, kl), pos in
+    the order [x, stiff, lambda, gauge]. K_soft is given as its element
+    blocks' entries, so a slot on a node that two elements share has two,
+    which add. A condensed DOF has no entry and no place (pos -1)."""
     dm = system.dofmap
     n, m, k = dm.ndof, system.n_constraints, len(V)
     n_el, s = stiff.rows.shape[:2]
     p = n_el * s
     pos, kl = _band_layout(system, k, stiff)
-    K_rows, K_cols, K_vals = system.soft_entries
-    srows = n + np.arange(p).reshape(n_el, s)
+    ek = pos[dm.element_dofs()[:, -system.K_blocks.shape[-1]:]]
+    K_rows, K_cols, K_vals = _block_entries(system.K_blocks, ek, ek)
+    srows = pos[n + np.arange(p).reshape(n_el, s)]
     # X's (rows, columns, values) block by block, exact zeros left out (half
-    # of C's in plane geometry), in the order [x, stiff, lambda, gauge]
+    # of C's in plane geometry), each block's rows and columns at their
+    # places in the band
     X_rows, X_cols, X_vals = (np.concatenate(z) for z in zip(
-        _block_entries(stiff.rows, srows, stiff.cols),
-        _block_entries(system.B_end, n + p + np.arange(m), dm.boundary_dofs()),
-        _block_entries(V, n + p + m + np.arange(k), dm.fields["u"].node_dofs[0, 3:])))
+        _block_entries(stiff.rows, srows, pos[stiff.cols]),
+        _block_entries(system.B_end, pos[n + p + np.arange(m)], pos[dm.boundary_dofs()]),
+        _block_entries(V, pos[n + p + m + np.arange(k)], pos[dm.fields["u"].node_dofs[0, 3:]])))
     E_rows, E_cols, E_vals = (srows.ravel(), srows.ravel(), stiff.comp) \
         if stiff.comp.ndim == 1 else _block_entries(stiff.comp, srows, srows)
-    amax = np.zeros(len(pos))
-    # K_soft and E are symmetric, so their rows give their column maxima too
-    np.maximum.at(amax, np.concatenate([K_rows, X_rows, X_cols, E_rows]),
-                  np.abs(np.concatenate([K_vals, X_vals, X_vals, E_vals])))
-    d = 1.0 / np.sqrt(np.maximum(amax, 1e-300))
+    i = np.concatenate([K_rows, X_rows, X_cols, E_rows])
+    j = np.concatenate([K_cols, X_cols, X_rows, E_cols])
+    v = np.concatenate([K_vals, X_vals, X_vals, -E_vals])
     placed = pos >= 0
-    d[~placed] = 0.0
-    X_vals = X_vals * (d[X_rows] * d[X_cols])
-    i = pos[np.concatenate([K_rows, X_rows, X_cols, E_rows])]
-    j = pos[np.concatenate([K_cols, X_cols, X_rows, E_cols])]
-    v = np.concatenate([K_vals * (d[K_rows] * d[K_cols]), X_vals, X_vals,
-                        -E_vals * (d[E_rows] * d[E_cols])])
     rhs = np.zeros(np.count_nonzero(placed))
-    rhs[pos[placed]] = (d * np.concatenate([stiff.rhs, stiff.rhs_s, system.g, np.zeros(k)]))[placed]
-    return i, j, v, rhs, d, pos, kl
+    rhs[pos[placed]] = np.concatenate([stiff.rhs, stiff.rhs_s, system.g, np.zeros(k)])[placed]
+    return i, j, v, rhs, pos, kl
 
 
-def _band_storage(i: np.ndarray, j: np.ndarray, v: np.ndarray, kl: int, N: int) -> np.ndarray:
-    """The N x N matrix with entries v at (i, j), |i - j| <= kl, in LAPACK band
-    storage for `dgbtrf` with kl = ku: Fortran order, kl rows on top for the
-    fill of the row swaps, A[i, j] at ab[2 kl + i - j, j]. One scatter, with
-    no sparse intermediate."""
+def _band_storage(i: np.ndarray, j: np.ndarray, v: np.ndarray, kl: int, N: int
+                  ) -> tuple[np.ndarray, ...]:
+    """The N x N symmetric matrix A whose (i, j) entry, |i - j| <= kl, is the
+    sum of the values v given there, equilibrated: S A S with S = diag(d),
+    d_i = 1/sqrt(max_j |A_ij|), each A_ij becoming A_ij (d_i d_j). Returns
+    it in LAPACK band storage for `dgbtrf` with kl = ku (Fortran order, kl
+    rows on top for the fill of the row swaps, A[i, j] at ab[2 kl + i - j,
+    j]), then d and the values scaled, v (d_i d_j). One bincount and one
+    scatter, with no sparse intermediate."""
     ldab = 3 * kl + 1
-    ab = np.zeros(ldab * N)
-    ab[2 * kl + i - j + ldab * j] = v
-    return ab.reshape((ldab, N), order="F")
+    at = 2 * kl + i + (ldab - 1) * j
+    ab = np.bincount(at, v, ldab * N)
+    # each value's A_ij: the values given on its slot added
+    a = ab[at]
+    amax = np.zeros(N)
+    np.maximum.at(amax, i, np.abs(a))
+    d = 1.0 / np.sqrt(np.maximum(amax, 1e-300))
+    scale = d[i] * d[j]
+    ab[at] = a * scale
+    return ab.reshape((ldab, N), order="F"), d, v * scale
 
 
 def solve(system: LinearSystem) -> SolutionFields:
@@ -452,10 +448,11 @@ def solve(system: LinearSystem) -> SolutionFields:
     # direction of its least-hourglass row
     V = H[system.dofmap.fields["u"].node_dofs[0, 3:]].T
     stiff = _stiff_blocks(system)
-    i, j, v, rhs, d, pos, kl = _saddle_entries(system, V, stiff)
+    i, j, v, rhs, pos, kl = _saddle_entries(system, V, stiff)
     p, N = len(stiff.rhs_s), len(rhs)
+    ab, d, v = _band_storage(i, j, v, kl, N)
+    rhs = d * rhs
     anorm = float(np.bincount(i, np.abs(v), N).max())
-    ab = _band_storage(i, j, v, kl, N)
     lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
     if info > 0:
         raise SingularSystemError(f"factorization failed: pivot {info} is exactly zero",
@@ -468,7 +465,8 @@ def solve(system: LinearSystem) -> SolutionFields:
         if np.abs(r).max() <= tol:
             break
         y = y + dgbtrs(lu, kl, kl, r, piv)[0]
-    sol = d * y[pos]
+    # a condensed DOF (pos -1) reads the 0 appended
+    sol = np.append(d * y, 0.0)[pos]
     if stiff.Z is not None:
         sol[system.dofmap.fields["u"].node_dofs[1::2]] = stiff.midpoint_dofs(sol, sol[n:n + p])
     if not np.all(np.isfinite(sol)):

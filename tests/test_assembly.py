@@ -387,19 +387,16 @@ class TestSoftColumns:
         assert (system.K_soft[u].nnz > 0) == (system.K_soft[:, u].nnz > 0) == eb
 
 
-class TestSoftEntries:
-    """K_soft is held as (rows, columns, values): each element's block, with
-    its block on the node it shares with the previous element folded into
-    that element's, and the slots that every element gives as exact zeros
-    left out."""
+class TestSoftBlocks:
+    """K_soft is held as one block per element on the element's last local
+    columns (`K_blocks`): bend plus twist, as assembly forms them."""
 
     @SPLIT_CASES
-    def test_each_slot_once_and_no_exact_zeros(self, name, policy, kind, section,
-                                               monkeypatch):
+    def test_blocks_are_the_bend_and_twist_gram_sums(self, name, policy, kind, section,
+                                                     monkeypatch):
         # the element blocks w k G^T G as assembly forms them, captured from
-        # its factors and Gram products: the entries are their sums (at most
-        # two per slot, so bitwise in any order) on exactly the slots where
-        # some element's block is nonzero
+        # its factors and Gram products: K_blocks is their sum, bitwise, on
+        # the last columns of `DofMap.element_dofs`, the ones they act on
         import cartbeam.assembly
         ks, grams = [], []
         factors, gram = cartbeam.assembly._element_factors, cartbeam.assembly._gram
@@ -411,16 +408,11 @@ class TestSoftEntries:
         mat, sec = system.model.material, system.model.section
         moduli = {"bend": mat.E, "twist": mat.G * sec.polar}
         ke = sum(moduli[term] * g for term, g in zip([k for k in ks if k in moduli], grams))
+        assert system.K_blocks.dtype == ke.dtype and np.array_equal(system.K_blocks, ke)
         dm = system.dofmap
-        ek = np.hstack([dm.fields["u"].elem_dofs,
-                        dm.fields[system.form.angle_field].elem_dofs])[:, -ke.shape[-1]:]
-        rows, cols, vals = system.soft_entries
-        e, i, j = np.nonzero(ke)
-        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(set(zip(
-            ek[e, i].tolist(), ek[e, j].tolist())))
-        dense = np.zeros((dm.ndof, dm.ndof))
-        np.add.at(dense, (ek[:, :, None], ek[:, None, :]), ke)
-        assert np.array_equal(vals, dense[rows, cols])
+        n_angle = dm.fields[system.form.angle_field].elem_dofs.shape[1]
+        assert ke.shape[-1] == (dm.element_dofs().shape[1] if system.form.euler_bernoulli
+                                else n_angle)
 
 
 class TestMixedSplit:
@@ -619,6 +611,50 @@ class TestLoads:
             warnings.simplefilter("always")
             discretize(model, formulation(name), 2)
         assert sum("tangential" in str(w.message) for w in caught) == 1
+
+
+class TestMalformedEndData:
+    """The end-data constructors refuse a malformed shape or name at once,
+    with a ValueError that names the field, instead of solving or failing
+    inside assembly."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("force_end", [[0.0, -1.0, 0.0]]),
+        ("force_end", [1.0, 2.0]),
+        ("force_start", 1.0),
+        ("moment_end", [1.0, 0.0, 0.0, 0.0]),
+        ("moment_start", np.zeros((3, 1))),
+    ])
+    def test_end_forces_and_moments_are_3_vectors(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a 3-vector"):
+            LoadCase(**{key: value})
+
+    def test_well_formed_end_loads_are_kept_as_float_vectors(self):
+        loads = LoadCase(force_end=[0, -1, 0], moment_start=(1, 2, 3))
+        assert loads.force_end.dtype == float and loads.force_end.shape == (3,)
+        assert loads.moment_start.tolist() == [1.0, 2.0, 3.0]
+        assert loads.force_start is None and loads.moment_end is None
+
+    @pytest.mark.parametrize("end, field, match", [
+        ("middle", "u", "point constraint end must be one of start, end, got 'middle'"),
+        ("end", "w", "point constraint field must be one of u, theta, theta_t, got 'w'"),
+    ])
+    def test_point_constraint_end_and_field(self, end, field, match):
+        with pytest.raises(ValueError, match=match):
+            PointConstraint(end, field, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("row, value, match", [
+        ("shearing", np.zeros(2), "shearing value must be a 3-vector, got shape \\(2,\\)"),
+        ("bending", 0.0, "bending value must be a 3-vector"),
+        ("stretching", np.zeros(3), "stretching value must be a scalar"),
+        ("twisting", [0.0], "twisting value must be a scalar"),
+    ])
+    @pytest.mark.parametrize("kind", ["natural", "essential"])
+    def test_row_values_have_the_row_shape(self, kind, row, value, match):
+        rows = dict(BoundaryCondition.free().rows())
+        rows[row] = BCRow(kind, value)
+        with pytest.raises(ValueError, match=match):
+            BoundaryCondition(**rows)
 
 
 class TestEssentialBCs:

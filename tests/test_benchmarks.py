@@ -134,6 +134,13 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             StudySpec("straight", ["p9"], ["full"], [2], [0.1])
 
+    @pytest.mark.parametrize("key", ["formulations", "quadrature", "elements", "thickness"])
+    def test_empty_lists_are_refused(self, key):
+        spec = dict(benchmark="straight", formulations=["timoshenko_p2p1"],
+                    quadrature=["full"], elements=[2, 4], thickness=[0.1])
+        with pytest.raises(ValueError, match=f"{key} list must not be empty"):
+            StudySpec(**{**spec, key: []})
+
     @pytest.mark.parametrize("elements", [[1.5, 3], [2.0, 4.0], [True, 2], [np.True_, 2],
                                           [0, 2], [np.int64(2), np.int32(4)]])
     def test_element_counts_are_positive_integers(self, elements):

@@ -264,8 +264,9 @@ def test_malformed_value_exits_1_and_names_its_path(tmp_path, capsys, command, d
 
 class TestSolveCommand:
     def test_solve_never_imports_scipy_sparse(self, tmp_path):
-        # K_soft, C and B stay as entries and blocks on the solve path; only
-        # reading LinearSystem's scipy matrices would load scipy.sparse
+        # K_soft, C and B stay as element and end-node blocks on the solve
+        # path; only reading LinearSystem's scipy matrices would load
+        # scipy.sparse
         code = ("import sys\nfrom cartbeam.cli import main\n"
                 "assert main(sys.argv[1:]) == 0\n"
                 "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'")
@@ -438,6 +439,18 @@ class TestConvergeCommand:
         path = write_json(tmp_path / "study.json",
                           {"benchmark": "straight", "elements": []})
         assert main(["converge", path, "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("empty", [["thickness", "formulations"], ["formulations"],
+                                       ["quadrature"], ["thickness"]])
+    def test_empty_study_lists_exit_1_and_write_nothing(self, tmp_path, capsys, empty):
+        # an empty list used to run no cell, write a header-only CSV and exit 0
+        doc = {"benchmark": "straight", "elements": [1, 2, 4], **{key: [] for key in empty}}
+        out = tmp_path / "out"
+        assert main(["converge", write_json(tmp_path / "study.json", doc), "--out",
+                     str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {empty[-1]}: expected a nonempty list")
+        assert not out.exists()
 
     def test_single_cell_study_order_empty(self, tmp_path):
         path = write_json(tmp_path / "study.json",

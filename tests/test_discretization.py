@@ -140,6 +140,11 @@ class TestMesh:
         with pytest.raises(ValueError):
             Mesh1D(np.array([0.0, 1.0, 0.5]))
 
+    @pytest.mark.parametrize("nodes", [[0.0, np.inf], [0.0, 1.0, np.inf], [0.0, np.nan, 2.0]])
+    def test_rejects_non_finite_nodes(self, nodes):
+        with pytest.raises(ValueError, match="mesh nodes must be finite"):
+            Mesh1D(nodes)
+
     def test_locate(self):
         mesh = Mesh1D.uniform(4.0, 4)
         e, xi = mesh.locate(np.array([0.0, 0.3, 1.0, 2.5, 4.0]))

@@ -164,7 +164,7 @@ class TestSingularityDetection:
         # matrix are zero, so the band LU meets an exactly zero pivot
         system = discretize(bar_model(loads=LoadCase(force_end=[0.0, -1.0, 0.0])),
                             formulation("timoshenko_p2p1"), 3)
-        system.soft_entries[2][:] = 0.0
+        system.K_blocks[:] = 0.0
         system.C_blocks[:] = 0.0
         with pytest.raises(SingularSystemError, match="pivot .* is exactly zero") as err:
             solve(system)
@@ -581,13 +581,17 @@ class TestSaddleMatrix:
     def check(system, V):
         # every entry of the LAPACK band storage is the equilibrated bmat
         # reference's entry v d_i d_j at the permuted place, with d_i =
-        # 1/sqrt(max_j |A_ij|), or 0 where the reference has none; the right
-        # side is the reference's, scaled and permuted the same way
-        i, j, v, rhs, d, pos, kl = _saddle_entries(system, V, _stiff_blocks(system))
+        # 1/sqrt(max_j |A_ij|), or 0 where the reference has none, although
+        # K_soft comes as its element blocks' entries, two on a slot of a
+        # shared node; the right side is the reference's, permuted the same
+        # way, and the values come back scaled as the band's
+        i, j, v, rhs, pos, kl = _saddle_entries(system, V, _stiff_blocks(system))
         ref, ref_rhs = _saddle_reference(system, V)
         N = ref.shape[0]
-        ab = _band_storage(i, j, v, kl, N)
+        ab, d, scaled = _band_storage(i, j, v, kl, N)
+        assert np.array_equal(scaled, v * (d[i] * d[j]))
         assert np.array_equal(np.sort(pos), np.arange(N))
+        d = d[pos]
         assert np.array_equal(d, 1.0 / np.sqrt(np.maximum(
             abs(ref).max(axis=0).toarray().ravel(), 1e-300)))
         assert ab.shape == (3 * kl + 1, N) and ab.flags.f_contiguous
@@ -596,8 +600,8 @@ class TestSaddleMatrix:
         expect = np.zeros_like(ab)
         expect[2 * kl + i - j, j] = ref.data * (d[ref.row] * d[ref.col])
         assert np.array_equal(ab, expect)
-        assert np.array_equal(rhs[pos], ref_rhs * d)
-        # K_soft, built from its entries, has sorted indices and is bitwise
+        assert np.array_equal(rhs[pos], ref_rhs)
+        # K_soft, built from its blocks, has sorted indices and is bitwise
         # symmetric, pattern and values, so the band is too
         K, KT = system.K_soft, system.K_soft.T.tocsr()
         KT.sort_indices()
@@ -614,21 +618,25 @@ class TestSaddleMatrix:
         # eliminated, is what the bmat reference says once sigma and the
         # midpoint DOFs are: the same Schur complement and right-hand side
         n, mid = system.dofmap.ndof, np.sort(system.dofmap.fields["u"].node_dofs[1::2].ravel())
-        i, j, v, rhs, d, pos, kl = _saddle_entries(system, NO_GAUGE, _stiff_blocks(system))
+        i, j, v, rhs, pos, kl = _saddle_entries(system, NO_GAUGE, _stiff_blocks(system))
         N, placed = len(rhs), np.flatnonzero(pos >= 0)
         assert np.array_equal(np.sort(pos[placed]), np.arange(N))
         assert np.array_equal(np.flatnonzero(pos < 0), mid)
         assert np.abs(i - j).max() <= kl
-        assert len(np.unique(i * N + j)) == len(v)
-        assert _band_storage(i, j, v, kl, N).shape == (3 * kl + 1, N)
+        # each slot once, but K_soft's on the angle DOFs of a node that two
+        # elements share, which both give
+        slots, count = np.unique(i * N + j, return_counts=True)
+        shared, twice = pos[system.dofmap.fields["theta"].node_dofs[1:-1]], slots[count > 1]
+        assert count.max() <= 2
+        assert np.isin(twice // N, shared).all() and np.isin(twice % N, shared).all()
+        assert _band_storage(i, j, v, kl, N)[0].shape == (3 * kl + 1, N)
         # the band's matrix and right-hand side, unscaled, in the order [x,
         # resultants, lambda]
         unknown = np.empty(N, np.intp)
         unknown[pos[placed]] = placed
-        r, c = unknown[i], unknown[j]
-        A = scipy.sparse.coo_matrix((v / (d[r] * d[c]), (r, c)), shape=(len(pos),) * 2)
+        A = scipy.sparse.coo_matrix((v, (unknown[i], unknown[j])), shape=(len(pos),) * 2)
         b = np.zeros(len(pos))
-        b[placed] = rhs[pos[placed]] / d[placed]
+        b[placed] = rhs[pos[placed]]
         p, m = len(pos) - n - system.n_constraints, system.n_constraints
         K = np.setdiff1d(placed, n + np.arange(p))
         X = np.random.default_rng(3).standard_normal((len(K), 4))
@@ -670,9 +678,9 @@ class TestSaddleMatrix:
         # 3 condensed resultant unknowns and 6 multipliers
         system = discretize(make_quarter_arc_model(0.15), formulation("timoshenko_p2p1"),
                             512, "reduced")
-        i, j, v, rhs, d, pos, kl = _saddle_entries(system, NO_GAUGE, _stiff_blocks(system))
+        i, j, v, rhs, pos, kl = _saddle_entries(system, NO_GAUGE, _stiff_blocks(system))
         assert kl == HALF_BANDWIDTH["timoshenko_p2p1", "reduced"]
-        assert _band_storage(i, j, v, kl, len(rhs)).shape == (3 * kl + 1, 4620)
+        assert _band_storage(i, j, v, kl, len(rhs))[0].shape == (3 * kl + 1, 4620)
 
 
 def _least_hourglass_rows(system, modes):
