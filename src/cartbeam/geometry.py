@@ -7,7 +7,9 @@ the batch query `frames(s)`: it takes an array of arc lengths, inverts the
 arc-length map for all of them at once, and returns x, t and kappa with a
 leading sample axis. `frame(s)` is its one-row case. Curve evaluation
 (`point`, `d1`, `d2`, `speed`) and the arc-length map accept scalars or
-arrays alike. The full moving frame (principal normal, binormal, torsion) is
+arrays alike. A spline's arc-length map is a polynomial on each of a set of
+parameter intervals, none of which straddles a knot, where the curvature
+jumps. The full moving frame (principal normal, binormal, torsion) is
 provided so tests can cross-check against classical differential geometry;
 it is undefined wherever kappa vanishes and nothing in the solver depends
 on it.
@@ -145,6 +147,11 @@ class ParamCurve:
         """|dr/dxi| when it is constant along the curve, else None."""
         return None
 
+    @property
+    def breaks(self) -> np.ndarray:
+        """The parameters where the curvature may jump, both ends included."""
+        return np.array([self.xi0, self.xi1])
+
     def speed(self, xi):
         return np.linalg.norm(self.d1(xi), axis=-1)
 
@@ -169,7 +176,7 @@ class ParamCurve:
         if s.ndim != 1:
             raise ValueError("frames needs a 1-d array of arc lengths")
         s = clip_arc_lengths(s, self.length)
-        xi = self.arclength().xi_of_s(s)
+        xi = self.arclength()._xi_of_clipped(s)
         r1 = self.d1(xi)
         r2 = self.d2(xi)
         sp2 = np.einsum("ij,ij->i", r1, r1)[:, None]
@@ -416,6 +423,11 @@ class HermiteSpline(ParamCurve):
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) < 2:
             raise ValueError("spline needs at least two 3d knot points")
+        for name in ("t_start", "t_end"):
+            t = np.asarray(getattr(self, name), dtype=float)
+            if t.shape != (3,):
+                raise ValueError(f"spline {name} must be a 3-vector, got shape {t.shape}")
+            setattr(self, name, t)
         if not (np.isfinite(self.points).all() and np.isfinite(self.t_start).all()
                 and np.isfinite(self.t_end).all()):
             raise ValueError("spline knots and end tangents must be finite")
@@ -431,6 +443,11 @@ class HermiteSpline(ParamCurve):
         speeds = np.linalg.norm(np.concatenate([self.d1(grid), self.tangents]), axis=-1)
         if speeds.min() < _SPEED_FLOOR:
             raise DegenerateCurveError("spline parametrization has vanishing speed")
+
+    @property
+    def breaks(self) -> np.ndarray:
+        """The knots xi = 0, 1, ..., n_pieces."""
+        return np.arange(len(self.points), dtype=float)
 
     def _piece(self, xi) -> tuple[np.ndarray, np.ndarray]:
         """Piece index and local coordinate u in [0, 1] of each xi."""
@@ -458,14 +475,17 @@ class HermiteSpline(ParamCurve):
 
 
 _GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
-
-
-def _gauss_speed_integral(curve: ParamCurve, a, b):
-    """Integral of |dr/dxi| over [a, b] by 10-point Gauss-Legendre, elementwise."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    speeds = curve.speed(mid[..., None] + half[..., None] * _GL10_X)
-    return half * (speeds * _GL10_W).sum(axis=-1)
+# f @ _GL10_S: the 11 power-basis coefficients, in x in [-1, 1], of the
+# integral from -1 to x of the degree-9 interpolant p of values f at the 10
+# Gauss-Legendre nodes. p's Legendre coefficients follow from the rule's
+# discrete orthogonality, which is better conditioned than a Vandermonde
+# solve; column k of _P2POW holds P_k in powers, by Bonnet's recurrence.
+_P2POW = np.eye(11)
+for _k in range(1, 10):
+    _P2POW[:, _k + 1] = ((2 * _k + 1) * np.roll(_P2POW[:, _k], 1) - _k * _P2POW[:, _k - 1]) / (_k + 1)
+_GL10_S = np.polynomial.legendre.legint(
+    _GL10_W[:, None] * np.polynomial.legendre.legvander(_GL10_X, 9) * (np.arange(10) + 0.5),
+    lbnd=-1, axis=1) @ _P2POW.T
 
 
 def _scalar_or_array(v: np.ndarray):
@@ -477,58 +497,95 @@ def _interval(table: np.ndarray, v) -> np.ndarray:
     return np.clip(np.searchsorted(table, v, side="right") - 1, 0, len(table) - 2)
 
 
-_TABLE_SAMPLES = 257      # grid points of the arc-length table
+_TABLE_SAMPLES = 257      # grid points of the arc-length table of a one-piece curve
 
 
 class ArcLengthMap:
     """Monotone bijection between the curve parameter xi and arc length s.
 
-    Constant-speed kinds (line, arc, helix) use the closed-form map; splines
-    accumulate per-interval Gauss-Legendre quadrature of |dr/dxi| over a fine
-    grid and invert with safeguarded Newton iteration from a cubic seed. Both
-    directions take a scalar or an array and return the same shape.
+    Constant-speed kinds (line, arc, helix) use the closed-form map. A
+    spline splits each piece between its `breaks` into ceil(256 / n_pieces)
+    equal intervals. On each, s(xi) is the integral of the degree-9
+    interpolant p of |dr/dxi| at 10 Gauss-Legendre nodes, a polynomial; an
+    interval whose p misses |dr/dxi| at an end by more than 1e-11 of the top
+    speed is bisected, for up to 40 rounds. Inversion takes safeguarded
+    Newton steps on these polynomials. Both directions take a scalar or an
+    array, return its shape, and clip entries by `clip_arc_lengths`'s rule.
     """
 
     def __init__(self, curve: ParamCurve):
-        self.curve = curve
-        xi0, xi1 = curve.xi0, curve.xi1
-        grid = np.linspace(xi0, xi1, _TABLE_SAMPLES)
-        speeds = curve.speed(grid)
-        if speeds.min() < _SPEED_FLOOR:
-            raise DegenerateCurveError(
-                f"curve speed {speeds.min():.3e} below {_SPEED_FLOOR} at a sample point"
-            )
+        # no reference back to the curve, which keeps this map: the cycle would
+        # hold both tables until a full garbage collection
+        self.xi0, self.xi1 = curve.xi0, curve.xi1
         self._const = curve.constant_speed
         if self._const is not None:
-            cum = (grid - xi0) * self._const
+            if self._const < _SPEED_FLOOR:
+                raise DegenerateCurveError(f"curve speed {self._const:.3e} below {_SPEED_FLOOR}")
+            self.length = float((self.xi1 - self.xi0) * self._const)
+            return
+        b = curve.breaks
+        per_piece = -(-(_TABLE_SAMPLES - 1) // (len(b) - 1))
+        grid = np.append(np.linspace(b[:-1], b[1:], per_piece, endpoint=False, axis=1).ravel(),
+                         b[-1])
+        for _ in range(40):
+            speeds = curve.speed(grid)
+            if speeds.min() < _SPEED_FLOOR:
+                raise DegenerateCurveError(
+                    f"curve speed {speeds.min():.3e} below {_SPEED_FLOOR} at a sample point"
+                )
+            half = 0.5 * np.diff(grid)
+            mid = grid[:-1] + half
+            S = half[:, None] * (curve.speed(mid[:, None] + half[:, None] * _GL10_X) @ _GL10_S)
+            dS = S[:, 1:] * (np.arange(1, 11) / half[:, None])        # p = ds/dxi
+            miss = np.maximum(np.abs(dS @ (-1.0) ** np.arange(10) - speeds[:-1]),
+                              np.abs(dS.sum(axis=1) - speeds[1:]))
+            bad = miss > 1e-11 * speeds.max()
+            if not bad.any():
+                cum = np.concatenate([[0.0], np.cumsum(S.sum(axis=1))])
+                self._mid, self._half, self._S, self._dS = mid, half, S, dS
+                break
+            grid = np.sort(np.append(grid, mid[bad]))
         else:
-            seg = _gauss_speed_integral(curve, grid[:-1], grid[1:])
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
+            raise DegenerateCurveError(
+                f"|dr/dxi| fit still off by {miss.max():.3e} after 40 bisection rounds"
+            )
         self._grid = grid
         self._cum = cum
         self._speeds = speeds
         self.length = float(cum[-1])
 
+    def _poly(self, i: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """s and ds/dxi at the 1-d xi from the polynomials of intervals i."""
+        pw = np.vander((xi - self._mid[i]) / self._half[i], 11, increasing=True)
+        return (self._cum[i] + np.einsum("ij,ij->i", self._S[i], pw),
+                np.einsum("ij,ij->i", self._dS[i], pw[:, :-1]))
+
     def s_of_xi(self, xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = _clip_onto(np.asarray(xi, dtype=float), self.xi0, self.xi1, "curve parameter")
         if self._const is not None:
-            return _scalar_or_array((xi - self.curve.xi0) * self._const)
-        i = _interval(self._grid, xi)
-        return _scalar_or_array(self._cum[i] + _gauss_speed_integral(self.curve, self._grid[i], xi))
+            return _scalar_or_array((xi - self.xi0) * self._const)
+        flat = xi.ravel()
+        return _scalar_or_array(self._poly(_interval(self._grid, flat), flat)[0]
+                                .reshape(xi.shape))
 
     def xi_of_s(self, s):
-        """Invert s(xi) for every entry of s at once.
+        """xi(s) for every entry of s at once, by `_xi_of_clipped`."""
+        s = clip_arc_lengths(np.asarray(s, dtype=float), self.length)
+        return _scalar_or_array(self._xi_of_clipped(s))
+
+    def _xi_of_clipped(self, s: np.ndarray) -> np.ndarray:
+        """Invert s(xi) for every entry of s, already clipped onto [0, L].
 
         Each entry starts from the cubic Hermite interpolant of xi(s) on its
         table interval (slopes 1 / speed at the grid), clipped into that
         interval, which also brackets the root. It then takes safeguarded
-        Newton steps (bisection when a step leaves the bracket) until
-        |s(xi) - s| is at most 1e-13 max(L, 1), or 60 steps. A converged
-        entry is frozen and drops out of the remaining steps.
+        Newton steps on that interval's polynomial (bisection when a step
+        leaves the bracket) until |s(xi) - s| is at most 1e-13 max(L, 1), or
+        60 steps. A converged entry is frozen and drops out of the remaining
+        steps.
         """
-        s = np.asarray(s, dtype=float)
         if self._const is not None:
-            return _scalar_or_array(self.curve.xi0 + s / self._const)
+            return self.xi0 + s / self._const
         grid, cum = self._grid, self._cum
         flat = s.ravel()
         i = _interval(cum, flat)
@@ -541,29 +598,35 @@ class ArcLengthMap:
         tol = 1e-13 * max(self.length, 1.0)
         live = np.arange(flat.size)
         for _ in range(60):
-            err = self.s_of_xi(xi[live]) - flat[live]
+            s_live, speed = self._poly(i[live], xi[live])
+            err = s_live - flat[live]
             pending = np.abs(err) > tol
-            live, err = live[pending], err[pending]
+            live, err, speed = live[pending], err[pending], speed[pending]
             if live.size == 0:
                 break
             x = xi[live]
             above = err > 0
             hi[live[above]] = x[above]
             lo[live[~above]] = x[~above]
-            step = x - err / self.curve.speed(x)
+            step = x - err / speed
             inside = (lo[live] < step) & (step < hi[live])
             xi[live] = np.where(inside, step, 0.5 * (lo[live] + hi[live]))
-        return _scalar_or_array(xi.reshape(s.shape))
+        return xi.reshape(s.shape)
+
+
+def _clip_onto(v: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
+    """v clipped onto [lo, hi]; ValueError, naming the first, where an entry
+    is not finite or lies off by more than 1e-9 max(hi - lo, 1)."""
+    tol = 1e-9 * max(hi - lo, 1.0)
+    bad = ~((v >= lo - tol) & (v <= hi + tol))     # NaN compares false
+    if bad.any():
+        raise ValueError(f"{what} {v[bad][0]} outside [{lo}, {hi}]")
+    return np.clip(v, lo, hi)
 
 
 def clip_arc_lengths(s: np.ndarray, length: float) -> np.ndarray:
-    """The arc lengths s clipped onto [0, length]; ValueError, naming the
-    first, where one is not finite or lies off by more than 1e-9 max(length, 1)."""
-    tol = 1e-9 * max(length, 1.0)
-    bad = ~((s >= -tol) & (s <= length + tol))     # NaN compares false
-    if bad.any():
-        raise ValueError(f"arc length {s[bad][0]} outside [0, {length}]")
-    return np.clip(s, 0.0, length)
+    """The arc lengths s clipped onto [0, length] by `_clip_onto`'s rule."""
+    return _clip_onto(s, 0, length, "arc length")
 
 
 def _polish_stationarity(curve: ParamCurve, x: Vec3, xi: float) -> float:

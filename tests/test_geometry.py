@@ -4,6 +4,9 @@ Closed-form expectations are cross-checked against independent numerical
 oracles (composite quadrature for lengths, central finite differences for
 derivatives of the tangent, binormal, and vector distance function).
 """
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,19 @@ def sample_spline():
     y = np.linspace(0.0, 4.0, 7)
     pts = np.column_stack([0.5 * np.sin(np.pi * y / 2.0), y, 0.1 * y**2])
     return HermiteSpline(pts, [0.7, 0.6, 0.0], [0.5, 0.7, 0.4])
+
+
+def pieces_spline(pieces, near_cusp=False):
+    """The sample spline's midline with `pieces` pieces and end tangents of
+    the midline's own derivative; `near_cusp` reverses the first end tangent
+    against its chord, so |r'| dips to ~3e-4 inside the first piece."""
+    y = np.linspace(0.0, 4.0, pieces + 1)
+    pts = np.column_stack([0.5 * np.sin(np.pi * y / 2.0), y, 0.1 * y**2])
+    dy = 4.0 / pieces
+    t_start = np.array([0.25 * np.pi, 1.0, 0.0]) * dy
+    if near_cusp:
+        t_start = -2.0 * (pts[1] - pts[0]) + [0.0, 0.0, 1e-3]
+    return HermiteSpline(pts, t_start, np.array([0.25 * np.pi, 1.0, 0.8]) * dy)
 
 
 @pytest.mark.parametrize("make", [
@@ -157,6 +173,46 @@ class TestArcLength:
         with pytest.raises(DegenerateCurveError):
             HermiteSpline(pts, [0, 0, 0], [0, 0, 0])
 
+    @pytest.mark.parametrize("pieces, near_cusp", [(6, False), (11, False), (300, True)])
+    def test_matches_adaptive_quadrature(self, pieces, near_cusp):
+        # independent oracle: scipy's adaptive Gauss-Kronrod of |r'| over each
+        # piece; 6 and 11 pieces do not divide the 256 table intervals, and
+        # 300 pieces outnumber them
+        from scipy.integrate import quad
+        spline = pieces_spline(pieces, near_cusp)
+        amap = spline.arclength()
+
+        def length(a, b):
+            return quad(lambda x: float(spline.speed(x)), a, b, epsabs=0.0, epsrel=2e-14,
+                        limit=200)[0]
+
+        knots = np.arange(pieces + 1.0)
+        ref = np.concatenate([[0.0], np.cumsum([length(k, k + 1) for k in knots[:-1]])])
+        xi = np.random.default_rng(5).uniform(0.0, pieces, 20)
+        ref_xi = ref[xi.astype(int)] + [length(np.floor(x), x) for x in xi]
+        L = ref[-1]
+        assert amap.length == pytest.approx(L, rel=1e-13)
+        assert np.abs(amap.s_of_xi(knots) - ref).max() <= 1e-13 * L
+        assert np.abs(amap.s_of_xi(xi) - ref_xi).max() <= 1e-13 * L
+        assert np.abs(amap.xi_of_s(ref_xi) - xi).max() <= 1e-12 * pieces
+
+    def test_map_and_curve_go_with_their_last_reference(self):
+        # the map refers to no curve, so no cycle waits for the collector
+        # with a spline's tables in it
+        spline = sample_spline()
+        gone = weakref.ref(spline.arclength())
+        gc.disable()
+        try:
+            del spline
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_breaks(self):
+        assert np.array_equal(sample_spline().breaks, np.arange(7.0))
+        arc = quarter_circle()
+        assert np.array_equal(arc.breaks, [arc.xi0, arc.xi1])
+
 
 class TestFrames:
     def test_arc_curvature_points_to_center(self):
@@ -210,6 +266,44 @@ class TestFrames:
 CURVE_FACTORIES = [lambda: LineSegment([0, 0, 0], [1, 2, 2]), quarter_circle, unit_helix,
                    sample_spline]
 CURVE_IDS = ["line", "arc", "helix", "hermite_spline"]
+
+
+@pytest.mark.parametrize("curve_factory", CURVE_FACTORIES, ids=CURVE_IDS)
+class TestArcLengthMapRange:
+    """Both directions of the map clip entries within 1e-9 of their range onto
+    it and refuse, naming the first, NaN and anything further off."""
+
+    @pytest.mark.parametrize("where", ["nan", "inf", "below", "above"])
+    def test_xi_of_s_refuses_arc_lengths_off_the_curve(self, curve_factory, where):
+        amap = curve_factory().arclength()
+        L = amap.length
+        bad = {"nan": np.nan, "inf": np.inf, "below": -1.0, "above": L + 1.0}[where]
+        with pytest.raises(ValueError, match=f"arc length {bad}"):
+            amap.xi_of_s(bad)
+        with pytest.raises(ValueError, match=f"arc length {bad}"):
+            amap.xi_of_s(np.array([0.0, bad, 2 * L]))
+
+    @pytest.mark.parametrize("where", ["nan", "-inf", "below", "above"])
+    def test_s_of_xi_refuses_parameters_off_the_curve(self, curve_factory, where):
+        curve = curve_factory()
+        amap = curve.arclength()
+        bad = {"nan": np.nan, "-inf": -np.inf, "below": curve.xi0 - 1.0,
+               "above": curve.xi1 + 1.0}[where]
+        with pytest.raises(ValueError, match=f"curve parameter {bad}"):
+            amap.s_of_xi(bad)
+        with pytest.raises(ValueError, match=f"curve parameter {bad}"):
+            amap.s_of_xi(np.array([curve.xi0, bad, curve.xi1 + 2.0]))
+
+    def test_entries_within_the_slack_are_clipped(self, curve_factory):
+        curve = curve_factory()
+        amap = curve.arclength()
+        L, span = amap.length, curve.xi1 - curve.xi0
+        assert amap.xi_of_s(-1e-12) == curve.xi0
+        assert amap.xi_of_s(L + 1e-12) == pytest.approx(curve.xi1, abs=1e-14 * span)
+        assert amap.s_of_xi(curve.xi0 - 1e-12) == amap.s_of_xi(curve.xi0)
+        assert abs(amap.s_of_xi(curve.xi0)) <= 1e-15 * L
+        s = amap.s_of_xi(np.array([curve.xi1 + 1e-12, curve.xi1]))
+        assert s[0] == s[1] == pytest.approx(L, rel=1e-15)
 
 
 class TestBatchFrames:
@@ -373,6 +467,14 @@ class TestSpline:
         spline = sample_spline()
         for k, p in enumerate(spline.points):
             assert np.allclose(spline.point(float(k)), p, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["t_start", "t_end"])
+    @pytest.mark.parametrize("bad", [[[0.7, 0.6, 0.0]], [0.7, 0.6], [0.7, 0.6, 0.0, 0.1]],
+                             ids=["1x3", "2-vector", "4-vector"])
+    def test_end_tangents_must_be_3_vectors(self, name, bad):
+        tangents = {"t_start": [0.7, 0.6, 0.0], "t_end": [0.5, 0.7, 0.4], name: bad}
+        with pytest.raises(ValueError, match=name):
+            HermiteSpline(sample_spline().points, tangents["t_start"], tangents["t_end"])
 
 
 class TestSplineKernels:
