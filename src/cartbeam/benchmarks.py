@@ -29,7 +29,7 @@ from .solver import SolutionFields, solve_model
 def analytic_straight_tip(P: float, E: float, nu: float, t: float, L: float) -> float:
     """Tip deflection u_y of a straight unit-depth cantilever under a tip load
     of magnitude P acting in -y:  u_y = -(P / 6EI) ((4 + 5 nu) t^2 L / 4 + 2 L^3),
-    I = t^3 / 12."""
+    I = t^3 / 12. Both terms have one sign, so it loses no digits as t -> 0."""
     if E <= 0 or t <= 0 or L <= 0:
         raise ValueError("E, t, L must be positive")
     I = t**3 / 12.0
@@ -39,9 +39,21 @@ def analytic_straight_tip(P: float, E: float, nu: float, t: float, L: float) -> 
 def analytic_quarter_arc_tip(P: float, E: float, a: float, b: float) -> float:
     """Tip deflection u_x of a plane quarter-circle unit-depth cantilever
     (inner radius a, outer radius b) under a radial tip load of magnitude P
-    acting in -x:  u_x = -P pi (a^2 + b^2) / (E [(a^2 - b^2) + (a^2 + b^2) ln(b/a)])."""
+    acting in -x:  u_x = -P pi (a^2 + b^2) / (E [(a^2 - b^2) + (a^2 + b^2) ln(b/a)]).
+
+    The bracket's two terms are O(t) and their sum O(t^3), so for a thin arc
+    it is summed instead: with tau = (b - a)/(b + a), whose b - a is exact
+    in floating point for b <= 2a, and R = (a + b)/2, ln(b/a) = 2 artanh(tau)
+    and the bracket is 4R^2 [(1 + tau^2) artanh(tau) - tau] = 4R^2
+    sum_k>=1 4k/(4k^2 - 1) tau^(2k+1), a sum of positive terms; u_x = -P pi
+    (1 + tau^2) / (2E sum). Below tau = 1/2, 30 terms reach a relative
+    4^-29 of the first."""
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
+    tau = (b - a) / (b + a)
+    if tau < 0.5:
+        bracket = math.fsum(4 * k / (4 * k * k - 1) * tau ** (2 * k + 1) for k in range(1, 31))
+        return -P * math.pi * (1 + tau**2) / (2 * E * bracket)
     num = P * math.pi * (a**2 + b**2)
     den = E * ((a**2 - b**2) + (a**2 + b**2) * math.log(b / a))
     return -num / den

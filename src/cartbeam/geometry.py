@@ -7,12 +7,12 @@ the batch query `frames(s)`: it takes an array of arc lengths, inverts the
 arc-length map for all of them at once, and returns x, t and kappa with a
 leading sample axis. `frame(s)` is its one-row case. Curve evaluation
 (`point`, `d1`, `d2`, `speed`) and the arc-length map accept scalars or
-arrays alike. A spline's arc-length map is a polynomial on each of a set of
-parameter intervals, none of which straddles a knot, where the curvature
-jumps. The full moving frame (principal normal, binormal, torsion) is
-provided so tests can cross-check against classical differential geometry;
-it is undefined wherever kappa vanishes and nothing in the solver depends
-on it.
+arrays alike, and refuse a parameter off the curve's range. A spline's
+arc-length map is a polynomial on each of a set of parameter intervals,
+none of which straddles a knot, where the curvature jumps. The full
+moving frame (principal normal, binormal, torsion) is provided so tests can
+cross-check against classical differential geometry; it is undefined
+wherever kappa vanishes and nothing in the solver depends on it.
 """
 from __future__ import annotations
 
@@ -123,23 +123,42 @@ class ParamCurve:
     """Base class for regular parametric midlines r(xi), xi in [xi0, xi1].
 
     `point`, `d1`, `d2` and `d3` take a scalar xi or an array of them and
-    return shape xi.shape + (3,).
+    return shape xi.shape + (3,). They follow `_clip_onto`'s rule: an xi
+    that is not finite or lies off [xi0, xi1] by more than its slack raises
+    ValueError, one within the slack is clipped onto it. A subclass gives
+    them as `_point`, `_d1`, `_d2` and `_d3`, which take xi on [xi0, xi1]
+    unchecked, as `frames` and the arc-length map pass it.
     """
 
     kind: str = "abstract"
     xi0: float
     xi1: float
 
-    def point(self, xi: float) -> Vec3:
+    def _on_range(self, xi) -> np.ndarray:
+        return _clip_onto(np.asarray(xi, dtype=float), self.xi0, self.xi1, "curve parameter")
+
+    def point(self, xi) -> Vec3:
+        return self._point(self._on_range(xi))
+
+    def d1(self, xi) -> Vec3:
+        return self._d1(self._on_range(xi))
+
+    def d2(self, xi) -> Vec3:
+        return self._d2(self._on_range(xi))
+
+    def d3(self, xi) -> Vec3:
+        return self._d3(self._on_range(xi))
+
+    def _point(self, xi) -> Vec3:
         raise NotImplementedError
 
-    def d1(self, xi: float) -> Vec3:
+    def _d1(self, xi) -> Vec3:
         raise NotImplementedError
 
-    def d2(self, xi: float) -> Vec3:
+    def _d2(self, xi) -> Vec3:
         raise NotImplementedError
 
-    def d3(self, xi: float) -> Vec3:
+    def _d3(self, xi) -> Vec3:
         raise NotImplementedError
 
     @property
@@ -153,7 +172,10 @@ class ParamCurve:
         return np.array([self.xi0, self.xi1])
 
     def speed(self, xi):
-        return np.linalg.norm(self.d1(xi), axis=-1)
+        return self._speed(self._on_range(xi))
+
+    def _speed(self, xi):
+        return np.linalg.norm(self._d1(xi), axis=-1)
 
     def arclength(self) -> "ArcLengthMap":
         """The curve's arc-length map, built once per curve."""
@@ -177,14 +199,14 @@ class ParamCurve:
             raise ValueError("frames needs a 1-d array of arc lengths")
         s = clip_arc_lengths(s, self.length)
         xi = self.arclength()._xi_of_clipped(s)
-        r1 = self.d1(xi)
-        r2 = self.d2(xi)
+        r1 = self._d1(xi)
+        r2 = self._d2(xi)
         sp2 = np.einsum("ij,ij->i", r1, r1)[:, None]
         if np.any(sp2 < _SPEED_FLOOR**2):
             raise DegenerateCurveError("vanishing speed at evaluation point")
         t = r1 / np.sqrt(sp2)
         kappa = (r2 * sp2 - r1 * np.einsum("ij,ij->i", r1, r2)[:, None]) / sp2**2
-        return FrameSample(s=s, x=self.point(xi), t=t, kappa=kappa)
+        return FrameSample(s=s, x=self._point(xi), t=t, kappa=kappa)
 
     def frame(self, s: float) -> FrameSample:
         """One-row case of `frames`, at the single arc length s."""
@@ -287,16 +309,16 @@ class LineSegment(ParamCurve):
         if np.linalg.norm(self.p1 - self.p0) < _SPEED_FLOOR:
             raise DegenerateCurveError("line segment endpoints coincide")
 
-    def point(self, xi):
+    def _point(self, xi):
         return self.p0 + np.multiply.outer(xi, self.p1 - self.p0)
 
-    def d1(self, xi):
+    def _d1(self, xi):
         return np.zeros(np.shape(xi) + (3,)) + (self.p1 - self.p0)
 
-    def d2(self, xi):
+    def _d2(self, xi):
         return np.zeros(np.shape(xi) + (3,))
 
-    d3 = d2
+    _d3 = _d2
 
     @property
     def constant_speed(self):
@@ -339,16 +361,16 @@ class CircularArc(ParamCurve):
     def _combine(self, c1, c2):
         return np.multiply.outer(c1, self.e1) + np.multiply.outer(c2, self.e2)
 
-    def point(self, xi):
+    def _point(self, xi):
         return self.center + self.radius * self._combine(np.cos(xi), np.sin(xi))
 
-    def d1(self, xi):
+    def _d1(self, xi):
         return self.radius * self._combine(-np.sin(xi), np.cos(xi))
 
-    def d2(self, xi):
+    def _d2(self, xi):
         return -self.radius * self._combine(np.cos(xi), np.sin(xi))
 
-    def d3(self, xi):
+    def _d3(self, xi):
         return self.radius * self._combine(np.sin(xi), -np.cos(xi))
 
     @property
@@ -384,19 +406,19 @@ class Helix(ParamCurve):
         out = np.multiply.outer(c1, self.e1) + np.multiply.outer(c2, self.e2)
         return out + np.multiply.outer(c3, self.e3)
 
-    def point(self, xi):
+    def _point(self, xi):
         a, b = self.radius, self.pitch
         return self.center + self._combine(a * np.cos(xi), a * np.sin(xi), b * np.asarray(xi))
 
-    def d1(self, xi):
+    def _d1(self, xi):
         a, b = self.radius, self.pitch
         return self._combine(-a * np.sin(xi), a * np.cos(xi), np.full(np.shape(xi), b))
 
-    def d2(self, xi):
+    def _d2(self, xi):
         a = self.radius
         return self._combine(-a * np.cos(xi), -a * np.sin(xi))
 
-    def d3(self, xi):
+    def _d3(self, xi):
         a = self.radius
         return self._combine(a * np.sin(xi), -a * np.cos(xi))
 
@@ -440,7 +462,7 @@ class HermiteSpline(ParamCurve):
                               axis=1)
         # |r'| on a fine grid, and exactly at the knots
         grid = np.linspace(self.xi0, self.xi1, 16 * len(self.points))
-        speeds = np.linalg.norm(np.concatenate([self.d1(grid), self.tangents]), axis=-1)
+        speeds = np.linalg.norm(np.concatenate([self._d1(grid), self.tangents]), axis=-1)
         if speeds.min() < _SPEED_FLOOR:
             raise DegenerateCurveError("spline parametrization has vanishing speed")
 
@@ -455,21 +477,21 @@ class HermiteSpline(ParamCurve):
         i = np.clip(np.floor(xi), 0, len(self.points) - 2).astype(int)
         return i, xi - i
 
-    def point(self, xi):
+    def _point(self, xi):
         i, u = self._piece(xi)
         c, u = self._coef[i], u[..., None]
         return ((c[..., 3, :] * u + c[..., 2, :]) * u + c[..., 1, :]) * u + c[..., 0, :]
 
-    def d1(self, xi):
+    def _d1(self, xi):
         i, u = self._piece(xi)
         c, u = self._coef[i], u[..., None]
         return (3 * c[..., 3, :] * u + 2 * c[..., 2, :]) * u + c[..., 1, :]
 
-    def d2(self, xi):
+    def _d2(self, xi):
         i, u = self._piece(xi)
         return 6 * self._coef[i, 3] * u[..., None] + 2 * self._coef[i, 2]
 
-    def d3(self, xi):
+    def _d3(self, xi):
         i, _ = self._piece(xi)
         return 6 * self._coef[i, 3]
 
@@ -528,14 +550,14 @@ class ArcLengthMap:
         grid = np.append(np.linspace(b[:-1], b[1:], per_piece, endpoint=False, axis=1).ravel(),
                          b[-1])
         for _ in range(40):
-            speeds = curve.speed(grid)
+            speeds = curve._speed(grid)
             if speeds.min() < _SPEED_FLOOR:
                 raise DegenerateCurveError(
                     f"curve speed {speeds.min():.3e} below {_SPEED_FLOOR} at a sample point"
                 )
             half = 0.5 * np.diff(grid)
             mid = grid[:-1] + half
-            S = half[:, None] * (curve.speed(mid[:, None] + half[:, None] * _GL10_X) @ _GL10_S)
+            S = half[:, None] * (curve._speed(mid[:, None] + half[:, None] * _GL10_X) @ _GL10_S)
             dS = S[:, 1:] * (np.arange(1, 11) / half[:, None])        # p = ds/dxi
             miss = np.maximum(np.abs(dS @ (-1.0) ** np.arange(10) - speeds[:-1]),
                               np.abs(dS.sum(axis=1) - speeds[1:]))

@@ -40,9 +40,12 @@ the `DofMap` with no sort: each node's DOFs, then the stiff unknowns and
 interior angle DOFs of the element to its right; each end's multipliers
 sit next to their end node. The saddle matrix is then a band whose
 half-width is a constant of the formulation and quadrature policy (11 to
-26), whatever the curve or mesh. Its entries are written straight into
-LAPACK band storage, the two of neighbouring elements on one slot added,
-and equilibrated there symmetrically; `dgbtrf` factors it by LU with
+26), whatever the curve or mesh, and element e's unknowns sit at element
+0's places plus e step, so its slots in LAPACK band storage are element
+0's plus e step (3 kl + 1). The element blocks are written straight there
+through element 0's slot tables, K_soft's parts of two elements on a
+shared node added first, and equilibrated symmetrically from the blocks'
+row maxima; B goes in from its nonzeros. `dgbtrf` factors it by LU with
 partial pivoting (the multipliers and, under Timoshenko kinematics, the
 midline DOFs have zero diagonals) and `dgbtrs` solves. The first solve is
 refined, at most twice, only while the residual |rhs - A y| > 16 eps
@@ -63,12 +66,13 @@ the model's multipliers and reactions.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .assembly import LinearSystem, _block_entries, _rigid_node_rows, discretize
+from .assembly import LinearSystem, _rigid_node_rows, discretize
 from .discretization import shape_eval
 
 
@@ -230,9 +234,10 @@ def _least_hourglass(system: LinearSystem, V: np.ndarray, X: np.ndarray) -> np.n
 class StiffBlocks:
     """The stiff unknowns of the saddle system, s per element, in element
     order: their rows `rows` (n_el, s, c) on the element DOFs `cols` (n_el,
-    c), their compliance `comp`, as the diagonal (n_el s,) or as one dense
-    block per element (n_el, s, s), and the right-hand side on x (`rhs`) and
-    on them (`rhs_s`). Under an H3 midline they are sigma, C's rows as
+    c), the columns `local` (c,) of `DofMap.element_dofs`, their compliance
+    `comp`, as the diagonal (n_el s,) or as one dense block per element
+    (n_el, s, s), and the right-hand side on x (`rhs`) and on them
+    (`rhs_s`). Under an H3 midline they are sigma, C's rows as
     assembled. Under a P2 midline they are each element's resultants once
     its midpoint DOFs are condensed (`_condense`), and the rest is what
     recovers those DOFs (`midpoint_dofs`), on the rows of C at the two
@@ -242,6 +247,7 @@ class StiffBlocks:
 
     rows: np.ndarray
     cols: np.ndarray
+    local: np.ndarray
     comp: np.ndarray
     rhs: np.ndarray
     rhs_s: np.ndarray
@@ -266,7 +272,8 @@ def _stiff_blocks(system: LinearSystem) -> StiffBlocks:
     """The stiff unknowns that `solve` factors: condensed for a P2 midline."""
     if system.form.midline == "P2":
         return _condense(system)
-    return StiffBlocks(system.C_blocks, system.dofmap.element_dofs(), system.compliance,
+    ed = system.dofmap.element_dofs()
+    return StiffBlocks(system.C_blocks, ed, np.arange(ed.shape[1]), system.compliance,
                        system.rhs, np.zeros(len(system.compliance)))
 
 
@@ -315,102 +322,155 @@ def _condense(system: LinearSystem) -> StiffBlocks:
         rhs -= np.bincount(cols.ravel(), (sigma_p[:, None] @ C_x).ravel(), dm.ndof)
         rhs_s[:, :3] = (Zt @ (D_jl * sigma_p)[..., None])[..., 0]
     rhs[mid] = 0.0
-    return StiffBlocks(rows, cols, comp, rhs, rhs_s.ravel(), Z, sigma_p, D_jl, C_m, C_x, a2)
+    return StiffBlocks(rows, cols, np.array(vert), comp, rhs, rhs_s.ravel(), Z, sigma_p, D_jl,
+                       C_m, C_x, a2)
 
 
-def _band_layout(system: LinearSystem, k: int, stiff: StiffBlocks) -> tuple[np.ndarray, int]:
-    """The band position of each saddle unknown, indexed in the order [x,
-    stiff, lambda, gauge] (`stiff`'s unknowns in element order), and the
-    half-bandwidth; a condensed DOF (a P2 midline's midpoint) gets
-    -1. Node i's DOFs (each field's vertex node) come first, then the stiff
-    unknowns of element i and its interior angle DOFs (the P2 midpoint
-    nodes of H3-P2's theta), then node i + 1. The start multipliers and the
-    k gauge rows, which touch node 0 alone, come before node 0; the end
-    multipliers after the last node. The half-bandwidth follows from element
-    0's places: a stiff unknown couples to the element DOFs of its rows
-    (`stiff.cols`), x to x only through K_soft (on the last DOFs of each
-    element, `K_blocks`), and a multiplier to its end node."""
-    dm, (n_el, s) = system.dofmap, stiff.rows.shape[:2]
-    n, p, m = dm.ndof, n_el * s, system.n_constraints
-    vert = [f.node_dofs[::2] if f.kind == "P2" else f.node_dofs for f in dm.fields.values()]
-    inner = [f.node_dofs[1::2] for name, f in dm.fields.items() if f.kind == "P2" and name != "u"]
-    blocks = vert + [n + np.arange(p).reshape(n_el, s)] + inner
-    nv, step = sum(b.shape[1] for b in vert), sum(b.shape[1] for b in blocks)
-    at_start = np.array([info.end == "start" for info in system.rows_info], bool)
-    ms = int(at_start.sum())
-    first = ms + k
-    pos = np.full(n + p + m + k, -1, np.intp)
-    offset = first
-    for b in blocks:
-        pos[b] = offset + step * np.arange(len(b))[:, None] + np.arange(b.shape[1])
-        offset += b.shape[1]
-    lam = n + p + np.arange(m)
-    pos[lam[at_start]] = np.arange(ms)
-    pos[n + p + m:] = ms + np.arange(k)
-    pos[lam[~at_start]] = first + step * n_el + nv + np.arange(m - ms)
-    ex, es = pos[stiff.cols[0]], pos[n:n + s]
-    soft = pos[dm.element_dofs()[0, -system.K_blocks.shape[-1]:]]
-    kl = max(np.ptp(soft), es.max() - ex.min(), ex.max() - es.min(), first + nv - 1,
-             m - ms + nv - 1)
-    return pos, int(kl)
+# building the tables costs as much as writing a small band, and every solve
+# with the same arguments, whatever its mesh, reads the same ones
+@functools.lru_cache(maxsize=64)
+def _band_layout(fields: tuple, s: int, c: int, local: tuple, ms: int, me: int, k: int,
+                 end_u: int) -> tuple:
+    """Element 0's band places and slot tables, by index arithmetic on what
+    they read, all of it in the arguments: each field's (is u, kind, ncomp,
+    DOFs per node), an element's s stiff unknowns and K_soft's c columns
+    (its last), the stiff rows' columns `local`, the counts of start and end
+    multipliers and of gauge rows, and u's DOFs in an end row. Node i's DOFs
+    (each field's vertex node) come first, then the stiff unknowns of
+    element i and its interior angle DOFs, then node i + 1; the start
+    multipliers and the gauge rows come before node 0, the end multipliers
+    after the last node. Returns node 0's place, the element step, a node's
+    DOF count, the half-bandwidth (the widest coupling: within K_soft, a
+    stiff unknown to its columns, a multiplier to its end node); element
+    0's places, relative to node 0, of K_soft's columns, the stiff unknowns
+    and their columns; the flat indices of K_soft's left-node and right-node
+    parts; the slot tables, relative to element 0's first slot, of K_soft,
+    its left-node part, the stiff rows and their transpose, and their span;
+    the places of an end node's `DofMap.end_dofs` relative to the node."""
+    per = [w for *_, w in fields]
+    nv = sum(per)
+    inner = [n if kind == "P2" and not u else 0 for u, kind, n, _ in fields]
+    step = nv + s + sum(inner)
+    # element 0's DOFs in element order: left node, P2 midpoint (-1 where
+    # condensed), right node
+    loc, at = [], nv + s
+    for (u, kind, _, w), off, wi in zip(fields, (0, per[0]), inner):
+        left = list(range(off, off + w))
+        mid = [] if kind != "P2" else list(range(at, at + wi)) if wi else [-1] * w
+        at += wi
+        loc += left + mid + [step + j for j in left]
+    q = np.array(loc[-c:] + list(range(nv, nv + s)) + [loc[j] for j in local])
+    qK, qs, qX = q[:c, None], q[c:c + s, None], q[c + s:]
+    kl = int(max(np.ptp(qK), nv + s - 1 - qX.min(), qX.max() - nv, ms + k + nv - 1, me + nv - 1))
+    TK = qK + 3 * kl * qK.T
+    L, R = (np.flatnonzero(np.logical_and.outer(a, a)) for a in (q[:c] < nv, q[:c] >= step))
+    tables = (TK, TK.ravel()[L], qs + 3 * kl * q[c:], qX + 3 * kl * qs)
+    for a in (q, L, R, *tables):
+        a.flags.writeable = False
+    return (ms + k, step, nv, kl, q, (L, R), tables, (3 * kl + 1) * q.max() + 1,
+            tuple(range(end_u)) + tuple(range(per[0], nv)))
 
 
-def _saddle_entries(system: LinearSystem, V: np.ndarray, stiff: StiffBlocks
-                    ) -> tuple[np.ndarray, ...]:
+class _SaddleBand:
     """The saddle matrix A = [[K_soft, X^T], [X, E]], X = [stiff rows; B;
-    gauge], E = diag(-comp, 0), and its right-hand side [stiff.rhs,
-    stiff.rhs_s, g, 0]. The gauge row of mode j reads the slope DOFs of node
-    0 in the direction V[j]. Returns the entries (rows, columns, values) and
-    rhs in the order of `_band_layout`, then that layout (pos, kl), pos in
-    the order [x, stiff, lambda, gauge]. K_soft is given as its element
-    blocks' entries, so a slot on a node that two elements share has two,
-    which add. A condensed DOF has no entry and no place (pos -1)."""
-    dm = system.dofmap
-    n, m, k = dm.ndof, system.n_constraints, len(V)
-    n_el, s = stiff.rows.shape[:2]
-    p = n_el * s
-    pos, kl = _band_layout(system, k, stiff)
-    ek = pos[dm.element_dofs()[:, -system.K_blocks.shape[-1]:]]
-    K_rows, K_cols, K_vals = _block_entries(system.K_blocks, ek, ek)
-    srows = pos[n + np.arange(p).reshape(n_el, s)]
-    # X's (rows, columns, values) block by block, exact zeros left out (half
-    # of C's in plane geometry), each block's rows and columns at their
-    # places in the band
-    X_rows, X_cols, X_vals = (np.concatenate(z) for z in zip(
-        _block_entries(stiff.rows, srows, pos[stiff.cols]),
-        _block_entries(system.B_end, pos[n + p + np.arange(m)], pos[dm.boundary_dofs()]),
-        _block_entries(V, pos[n + p + m + np.arange(k)], pos[dm.fields["u"].node_dofs[0, 3:]])))
-    E_rows, E_cols, E_vals = (srows.ravel(), srows.ravel(), stiff.comp) \
-        if stiff.comp.ndim == 1 else _block_entries(stiff.comp, srows, srows)
-    i = np.concatenate([K_rows, X_rows, X_cols, E_rows])
-    j = np.concatenate([K_cols, X_cols, X_rows, E_cols])
-    v = np.concatenate([K_vals, X_vals, X_vals, -E_vals])
-    placed = pos >= 0
-    rhs = np.zeros(np.count_nonzero(placed))
-    rhs[pos[placed]] = np.concatenate([stiff.rhs, stiff.rhs_s, system.g, np.zeros(k)])[placed]
-    return i, j, v, rhs, pos, kl
+    gauge], E = diag(-comp, 0), and b = [stiff.rhs, stiff.rhs_s, g, 0],
+    equilibrated: S A S in LAPACK band storage `ab` (A[i, j] at flat index
+    2 kl + i + 3 kl j) and S b, S = diag(d), d_i = 1/sqrt(max_j |A_ij|),
+    each A_ij becoming A_ij (d_i d_j); the gauge row of mode j reads node
+    0's slope DOFs in the direction V[j]. Two element blocks, K_soft's and
+    the stiff rows [-comp, rows] (n_el, s, s + cc), go in through element
+    0's slot tables (`_band_layout`) plus e step (3 kl + 1), each exact zero
+    as +0, as a sum from 0 gives it; their zeros lie inside the band, but
+    B's may not, so B and the gauge rows go in from their nonzeros. d, |A|
+    (`anorm`) and `product` read the blocks by `rows`, in one pass each."""
 
+    def __init__(self, system: LinearSystem, V: np.ndarray, stiff: StiffBlocks):
+        (n_el, s, cc), c, k = stiff.rows.shape, system.K_blocks.shape[-1], len(V)
+        at_start = [info.end == "start" for info in system.rows_info]
+        m, ms = len(at_start), sum(at_start)
+        first, step, nv, kl, q, (L, R), (TK, TL, TS, TX), span, ends = _band_layout(
+            tuple((name == "u", f.kind, f.ncomp, f.node_dofs.shape[1])
+                  for name, f in system.dofmap.fields.items()),
+            s, c, tuple(stiff.local.tolist()), ms, m - ms, k,
+            6 if system.form.euler_bernoulli else 3)
+        last = first + step * n_el
+        N = last + nv + m - ms
+        # the multipliers' places in row order, then the gauge rows'
+        order = iter(range(ms)), iter(range(last + nv, N))
+        lam = np.array([next(order[not st]) for st in at_start] + list(range(ms, first)), np.intp)
+        self.lam, self.places = lam[:m], np.add.outer(np.arange(first, last, step), q)
+        self.splaces, self.xplaces = self.places[:, c:c + s], self.places[:, c + s:]
+        # B, then the gauge rows on node 0's slopes
+        Bg = system.B_end
+        if k:
+            Bg = np.zeros((m + k, 2 * len(ends) + 3))
+            Bg[:m, :-3], Bg[m:, -3:] = system.B_end, V
+        i, j = np.nonzero(Bg)
+        br, bc = lam[i], np.array([first + e for e in ends] + [last + e for e in ends]
+                                  + [first + 3, first + 4, first + 5])[j]
+        self.rows = np.concatenate([self.places.ravel(), br, bc])
+        self.cols, bv = np.concatenate([bc, br]), np.concatenate([Bg[i, j]] * 2)
 
-def _band_storage(i: np.ndarray, j: np.ndarray, v: np.ndarray, kl: int, N: int
-                  ) -> tuple[np.ndarray, ...]:
-    """The N x N symmetric matrix A whose (i, j) entry, |i - j| <= kl, is the
-    sum of the values v given there, equilibrated: S A S with S = diag(d),
-    d_i = 1/sqrt(max_j |A_ij|), each A_ij becoming A_ij (d_i d_j). Returns
-    it in LAPACK band storage for `dgbtrf` with kl = ku (Fortran order, kl
-    rows on top for the fill of the row swaps, A[i, j] at ab[2 kl + i - j,
-    j]), then d and the values scaled, v (d_i d_j). One bincount and one
-    scatter, with no sparse intermediate."""
-    ldab = 3 * kl + 1
-    at = 2 * kl + i + (ldab - 1) * j
-    ab = np.bincount(at, v, ldab * N)
-    # each value's A_ij: the values given on its slot added
-    a = ab[at]
-    amax = np.zeros(N)
-    np.maximum.at(amax, i, np.abs(a))
-    d = 1.0 / np.sqrt(np.maximum(amax, 1e-300))
-    scale = d[i] * d[j]
-    ab[at] = a * scale
-    return ab.reshape((ldab, N), order="F"), d, v * scale
+        # K_soft with a shared node's part on the element to its right only
+        K = system.K_blocks.reshape(n_el, -1) + 0.0
+        K[1:, L] += K[:-1, R]
+        K[:-1, R] = 0.0
+        K = K.reshape(n_el, c, c)
+        Sb = np.zeros((n_el, s, s + cc))
+        np.add(stiff.rows, 0.0, out=Sb[..., s:])
+        if stiff.comp.ndim > 1:
+            np.subtract(0.0, stiff.comp, out=Sb[..., :s])
+        else:
+            Sb[:, np.arange(s), np.arange(s)] = 0.0 - stiff.comp.reshape(n_el, s)
+        self.buf, self.c, self.s = np.empty(len(self.rows)), c, s
+        self.P = self.buf[:self.places.size].reshape(self.places.shape)
+        amax = np.zeros(N)
+        np.maximum.at(amax, self.rows, self._row_values(np.max, K, Sb, bv))
+        self.d = d = 1.0 / np.sqrt(np.maximum(amax, 1e-300))
+        dq = d[self.places]
+        K *= dq[:, :c, None] * dq[:, None, :c]
+        Sb *= dq[:, c:c + s, None] * dq[:, None, c:]
+        bv *= d[self.rows[-len(bv):]] * d[self.cols]
+        self.K, self.Sb, self.bv, self.kl = K, Sb, bv, kl
+
+        ab = np.zeros((3 * kl + 1) * N)
+        # row e of this view starts at element e's first slot
+        slots = np.ndarray((n_el, span), buffer=ab, offset=8 * (2 * kl + (3 * kl + 1) * first),
+                           strides=(8 * step * (3 * kl + 1), 8))
+        slots[:, TK] = K
+        # the shared nodes again, over the zeros element e left there
+        slots[1:, TL] = K.reshape(n_el, -1)[1:, L]
+        slots[:, TS] = Sb
+        slots[:, TX] = Sb[..., s:]
+        ab[2 * kl + self.rows[-len(bv):] + 3 * kl * self.cols] = bv
+        self.ab = ab.reshape((3 * kl + 1, N), order="F")
+        b = np.zeros(N)
+        b[self.xplaces] = stiff.rhs[stiff.cols]
+        b[self.splaces] = stiff.rhs_s.reshape(n_el, s)
+        b[self.lam] = system.g
+        self.rhs = d * b
+        self.anorm = float(np.bincount(self.rows, self._row_values(np.sum, K, Sb, bv), N).max())
+
+    def _row_values(self, reduce, K: np.ndarray, Sb: np.ndarray, bv: np.ndarray) -> np.ndarray:
+        """`buf` holding reduce(|A_ij|) along each of `rows`: K_soft's rows,
+        the stiff rows and their columns, then B's entries twice."""
+        c, s, P = self.c, self.s, self.P
+        reduce(np.abs(K), axis=2, out=P[:, :c])
+        aS = np.abs(Sb)
+        reduce(aS, axis=2, out=P[:, c:c + s])
+        reduce(aS[..., s:], axis=1, out=P[:, c + s:])
+        np.abs(bv, out=self.buf[P.size:])
+        return self.buf
+
+    def product(self, y: np.ndarray) -> np.ndarray:
+        """(S A S) y, block by block."""
+        c, s, P = self.c, self.s, self.P
+        yq = y[self.places]
+        np.matmul(self.K, yq[:, :c, None], out=P[:, :c, None])
+        np.matmul(self.Sb, yq[:, c:, None], out=P[:, c:c + s, None])
+        np.matmul(yq[:, None, c:c + s], self.Sb[..., s:], out=P[:, None, c + s:])
+        np.multiply(self.bv, y[self.cols], out=self.buf[P.size:])
+        return np.bincount(self.rows, self.buf, len(y))
 
 
 def solve(system: LinearSystem) -> SolutionFields:
@@ -424,7 +484,7 @@ def solve(system: LinearSystem) -> SolutionFields:
     does work on the zero-energy modes of `hourglass_modes`, or when the
     factorization or residual checks fail.
     """
-    n, m = system.dofmap.ndof, system.n_constraints
+    n = system.dofmap.ndof
     free = system.free_rigid_modes
     if free > 0:
         raise SingularSystemError(
@@ -448,31 +508,27 @@ def solve(system: LinearSystem) -> SolutionFields:
     # direction of its least-hourglass row
     V = H[system.dofmap.fields["u"].node_dofs[0, 3:]].T
     stiff = _stiff_blocks(system)
-    i, j, v, rhs, pos, kl = _saddle_entries(system, V, stiff)
-    p, N = len(stiff.rhs_s), len(rhs)
-    ab, d, v = _band_storage(i, j, v, kl, N)
-    rhs = d * rhs
-    anorm = float(np.bincount(i, np.abs(v), N).max())
-    lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
+    band = _SaddleBand(system, V, stiff)
+    kl, rhs = band.kl, band.rhs
+    lu, piv, info = dgbtrf(band.ab, kl, kl, overwrite_ab=1)
     if info > 0:
         raise SingularSystemError(f"factorization failed: pivot {info} is exactly zero",
                                   n_rigid_modes=0)
 
     y = dgbtrs(lu, kl, kl, rhs, piv)[0]
     for _ in range(2):
-        r = rhs - np.bincount(i, v * y[j], N)
-        tol = 16 * np.finfo(float).eps * (np.abs(rhs).max() + anorm * np.abs(y).max())
+        r = rhs - band.product(y)
+        tol = 16 * np.finfo(float).eps * (np.abs(rhs).max() + band.anorm * np.abs(y).max())
         if np.abs(r).max() <= tol:
             break
         y = y + dgbtrs(lu, kl, kl, r, piv)[0]
-    # a condensed DOF (pos -1) reads the 0 appended
-    sol = np.append(d * y, 0.0)[pos]
+    z, x = band.d * y, np.zeros(n)
+    x[stiff.cols], lam = z[band.xplaces], z[band.lam]
     if stiff.Z is not None:
-        sol[system.dofmap.fields["u"].node_dofs[1::2]] = stiff.midpoint_dofs(sol, sol[n:n + p])
-    if not np.all(np.isfinite(sol)):
+        x[system.dofmap.fields["u"].node_dofs[1::2]] = stiff.midpoint_dofs(x, z[band.splaces])
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(x))):
         raise SingularSystemError("factorization produced non-finite values", n_rigid_modes=0)
 
-    x, lam = sol[:n], sol[n + p:n + p + m]
     if k:
         # the local gauge leaves x in the least-hourglass gauge up to a
         # combination of the modes, which C, B and K do not see

@@ -1,5 +1,7 @@
 """Benchmark tests: analytic reference formulas (frozen values), convergence
 and locking studies, and the curvature-coupling demo problems."""
+import decimal
+import math
 import os
 import shutil
 
@@ -44,10 +46,25 @@ class TestAnalyticFormulas:
 
     def test_quarter_arc_frozen_value(self):
         val = analytic_quarter_arc_tip(1.0, 1e6, 0.95, 1.05)
-        assert val == pytest.approx(-0.009438885822061826, rel=1e-13)
-        # 50-digit reference for the same expression (the float64 path loses a
-        # few digits to cancellation in the denominator)
+        # 80-digit evaluation of the same expression at the same double radii
+        assert val == pytest.approx(-0.0094388858220633829643560163, rel=1e-15, abs=0)
+        # 50-digit reference at the decimal radii 0.95 and 1.05
         assert val == pytest.approx(-0.0094388858220634084575, rel=1e-11)
+
+    @pytest.mark.parametrize("a, b", [(1 - t / 2, 1 + t / 2) for t in 10.0 ** -np.arange(1, 7)]
+                             + [(1.0, 2.99999), (1.0, 3.0), (0.3, 0.9)])
+    def test_quarter_arc_keeps_its_digits_as_the_arc_thins(self, a, b):
+        # against an 80-digit evaluation at the same double radii (b - a from
+        # rounded radii already carries a relative error of eps / t, so only
+        # equal inputs compare), down to t/R = 1e-6, where the two terms of
+        # the closed form cancel to their last digit, and on both sides of
+        # the switch to the closed form at (b - a)/(b + a) = 1/2
+        A, B = decimal.Decimal(a), decimal.Decimal(b)
+        with decimal.localcontext(decimal.Context(prec=80)):
+            exact = -decimal.Decimal(math.pi) * (A * A + B * B) / (
+                decimal.Decimal(1e6) * ((A * A - B * B) + (A * A + B * B) * (B / A).ln()))
+        assert analytic_quarter_arc_tip(1.0, 1e6, a, b) == pytest.approx(float(exact), rel=1e-13,
+                                                                         abs=0)
 
     def test_quarter_arc_linearity_in_load(self):
         one = analytic_quarter_arc_tip(1.0, 1e6, 0.95, 1.05)

@@ -306,6 +306,32 @@ class TestArcLengthMapRange:
         assert s[0] == s[1] == pytest.approx(L, rel=1e-15)
 
 
+@pytest.mark.parametrize("curve_factory", CURVE_FACTORIES, ids=CURVE_IDS)
+class TestEvaluationRange:
+    """`point`, `d1`, `d2` and `d3` follow the map's rule: NaN and any
+    parameter off [xi0, xi1] by more than 1e-9 raise, naming it, and one
+    within that slack is clipped onto the range."""
+
+    @pytest.mark.parametrize("where", ["nan", "below", "above"])
+    @pytest.mark.parametrize("method", ["point", "d1", "d2", "d3"])
+    def test_refuses_parameters_off_the_curve(self, curve_factory, method, where):
+        curve = curve_factory()
+        bad = {"nan": np.nan, "below": curve.xi0 - 1.0, "above": curve.xi1 + 1.5}[where]
+        evaluate = getattr(curve, method)
+        with pytest.raises(ValueError, match=f"curve parameter {bad}"):
+            evaluate(bad)
+        with pytest.raises(ValueError, match=f"curve parameter {bad}"):
+            evaluate(np.array([curve.xi0, bad, curve.xi1]))
+
+    @pytest.mark.parametrize("method", ["point", "d1", "d2", "d3"])
+    def test_entries_within_the_slack_are_clipped(self, curve_factory, method):
+        curve = curve_factory()
+        evaluate = getattr(curve, method)
+        assert np.array_equal(evaluate(curve.xi1 + 1e-12), evaluate(curve.xi1))
+        assert np.array_equal(evaluate(np.array([curve.xi0 - 1e-12, curve.xi1])),
+                              evaluate(np.array([curve.xi0, curve.xi1])))
+
+
 class TestBatchFrames:
     @pytest.mark.parametrize("curve_factory", CURVE_FACTORIES, ids=CURVE_IDS)
     def test_frames_match_scalar_frame(self, curve_factory):

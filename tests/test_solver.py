@@ -31,9 +31,8 @@ import cartbeam.solver
 from cartbeam.solver import (
     SingularSystemError,
     SolutionFields,
+    _SaddleBand,
     _apply_stiffness,
-    _band_storage,
-    _saddle_entries,
     _stiff_blocks,
     _stiffness_scale,
     hourglass_modes,
@@ -42,6 +41,7 @@ from cartbeam.solver import (
     solve_model,
 )
 from manufactured import interpolated_solution
+from saddle_reference import band_storage, saddle_entries
 
 MAT = Material(E=1e6, nu=0.3)
 
@@ -611,22 +611,40 @@ def _schur(A, b, I, K, X):
     return A[K][:, K] @ X - A_KI @ lu.solve(A_IK @ X), b[K] - A_KI @ lu.solve(b[I])
 
 
+def _band_places(band, stiff, n):
+    """Each unknown's band place, in the order [x, stiff, lambda, gauge], -1
+    for a condensed DOF; the gauge rows hold the places left, in order."""
+    x = np.full(n, -1)
+    x[stiff.cols] = band.xplaces
+    pos = np.concatenate([x, band.splaces.ravel(), band.lam])
+    return np.concatenate([pos, np.setdiff1d(np.arange(band.ab.shape[1]), pos)])
+
+
+def _band_matrix(band):
+    """The band's matrix, unscaled (A_ij = ab / (d_i d_j)), in band order, as COO."""
+    ab, kl, d = band.ab, band.kl, band.d
+    r, j = np.nonzero(ab)
+    i = r - 2 * kl + j
+    return scipy.sparse.coo_matrix((ab[r, j] / (d[i] * d[j]), (i, j)), shape=(len(d),) * 2)
+
+
 class TestSaddleMatrix:
     @staticmethod
     def check(system, V):
         # every entry of the LAPACK band storage is the equilibrated bmat
         # reference's entry v d_i d_j at the permuted place, with d_i =
         # 1/sqrt(max_j |A_ij|), or 0 where the reference has none, although
-        # K_soft comes as its element blocks' entries, two on a slot of a
-        # shared node; the right side is the reference's, permuted the same
-        # way, and the values come back scaled as the band's
-        i, j, v, rhs, pos, kl = _saddle_entries(system, V, _stiff_blocks(system))
+        # K_soft comes as element blocks, two on a node that two elements
+        # share; the right side is the reference's, permuted and scaled the
+        # same way, and the residual and |A| read the scaled matrix
+        stiff = _stiff_blocks(system)
+        band = _SaddleBand(system, V, stiff)
+        ab, kl = band.ab, band.kl
         ref, ref_rhs = _saddle_reference(system, V)
         N = ref.shape[0]
-        ab, d, scaled = _band_storage(i, j, v, kl, N)
-        assert np.array_equal(scaled, v * (d[i] * d[j]))
+        pos = _band_places(band, stiff, system.dofmap.ndof)
         assert np.array_equal(np.sort(pos), np.arange(N))
-        d = d[pos]
+        d = band.d[pos]
         assert np.array_equal(d, 1.0 / np.sqrt(np.maximum(
             abs(ref).max(axis=0).toarray().ravel(), 1e-300)))
         assert ab.shape == (3 * kl + 1, N) and ab.flags.f_contiguous
@@ -635,7 +653,13 @@ class TestSaddleMatrix:
         expect = np.zeros_like(ab)
         expect[2 * kl + i - j, j] = ref.data * (d[ref.row] * d[ref.col])
         assert np.array_equal(ab, expect)
-        assert np.array_equal(rhs[pos], ref_rhs)
+        assert np.array_equal(band.rhs[pos], d * ref_rhs)
+        scaled = scipy.sparse.diags(d) @ ref @ scipy.sparse.diags(d)
+        y = np.random.default_rng(7).standard_normal(N)
+        Ay = scaled @ y[pos]
+        assert np.abs(band.product(y)[pos] - Ay).max() <= 1e-14 * np.abs(Ay).max()
+        anorm = abs(scaled).sum(axis=1).max()
+        assert abs(band.anorm - anorm) <= 1e-14 * anorm
         # K_soft, built from its blocks, has sorted indices and is bitwise
         # symmetric, pattern and values, so the band is too
         K, KT = system.K_soft, system.K_soft.T.tocsr()
@@ -653,25 +677,23 @@ class TestSaddleMatrix:
         # eliminated, is what the bmat reference says once sigma and the
         # midpoint DOFs are: the same Schur complement and right-hand side
         n, mid = system.dofmap.ndof, np.sort(system.dofmap.fields["u"].node_dofs[1::2].ravel())
-        i, j, v, rhs, pos, kl = _saddle_entries(system, NO_GAUGE, _stiff_blocks(system))
-        N, placed = len(rhs), np.flatnonzero(pos >= 0)
+        stiff = _stiff_blocks(system)
+        band = _SaddleBand(system, NO_GAUGE, stiff)
+        kl, N = band.kl, band.ab.shape[1]
+        pos = _band_places(band, stiff, n)
+        placed = np.flatnonzero(pos >= 0)
         assert np.array_equal(np.sort(pos[placed]), np.arange(N))
         assert np.array_equal(np.flatnonzero(pos < 0), mid)
-        assert np.abs(i - j).max() <= kl
-        # each slot once, but K_soft's on the angle DOFs of a node that two
-        # elements share, which both give
-        slots, count = np.unique(i * N + j, return_counts=True)
-        shared, twice = pos[system.dofmap.fields["theta"].node_dofs[1:-1]], slots[count > 1]
-        assert count.max() <= 2
-        assert np.isin(twice // N, shared).all() and np.isin(twice % N, shared).all()
-        assert _band_storage(i, j, v, kl, N)[0].shape == (3 * kl + 1, N)
+        A = _band_matrix(band)
+        assert np.abs(A.row - A.col).max() <= kl
         # the band's matrix and right-hand side, unscaled, in the order [x,
         # resultants, lambda]
         unknown = np.empty(N, np.intp)
         unknown[pos[placed]] = placed
-        A = scipy.sparse.coo_matrix((v, (unknown[i], unknown[j])), shape=(len(pos),) * 2)
+        A = scipy.sparse.coo_matrix((A.data, (unknown[A.row], unknown[A.col])),
+                                    shape=(len(pos),) * 2)
         b = np.zeros(len(pos))
-        b[placed] = rhs[pos[placed]]
+        b[placed] = (band.rhs / band.d)[pos[placed]]
         p, m = len(pos) - n - system.n_constraints, system.n_constraints
         K = np.setdiff1d(placed, n + np.arange(p))
         X = np.random.default_rng(3).standard_normal((len(K), 4))
@@ -713,9 +735,36 @@ class TestSaddleMatrix:
         # 3 condensed resultant unknowns and 6 multipliers
         system = discretize(make_quarter_arc_model(0.15), formulation("timoshenko_p2p1"),
                             512, "reduced")
-        i, j, v, rhs, pos, kl = _saddle_entries(system, NO_GAUGE, _stiff_blocks(system))
-        assert kl == HALF_BANDWIDTH["timoshenko_p2p1", "reduced"]
-        assert _band_storage(i, j, v, kl, len(rhs))[0].shape == (3 * kl + 1, 4620)
+        band = _SaddleBand(system, NO_GAUGE, _stiff_blocks(system))
+        assert band.kl == HALF_BANDWIDTH["timoshenko_p2p1", "reduced"]
+        assert band.ab.shape == (3 * band.kl + 1, 4620)
+
+    @pytest.mark.parametrize("rows", ["start", "both_ends", "end_point"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CURVES))
+    @pytest.mark.parametrize("policy", ["full", "reduced"])
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_band_is_bitwise_the_triplet_routes(self, name, policy, kind, n, rows):
+        # the band, d and the scaled right-hand side are those of one
+        # (row, column, value) triplet per nonzero summed by a bincount
+        # (`saddle_reference`), bit for bit: with essential rows at the start
+        # only, at both ends, or a point row at the end, and the gauge rows
+        # of H3 reduced; one and two elements are where a start row's zeros
+        # on the end node lie inside the storage but outside the band
+        model = bar_model(curve=KERNEL_CURVES[kind], loads=LoadCase(
+            body=[0.0, -0.01, 0.02], force_end=[0.0, 0.0, 1.0]),
+            bc_end=BoundaryCondition.pinned() if rows == "both_ends" else None)
+        if rows == "end_point":
+            model.constraints = [PointConstraint("end", "u", [0.0, 0.6, 0.8], 0.01)]
+        system = discretize(model, formulation(name), n, policy)
+        V, stiff = _gauge_directions(system), _stiff_blocks(system)
+        band = _SaddleBand(system, V, stiff)
+        i, j, v, rhs, pos, kl = saddle_entries(system, V, stiff)
+        ab, d, _ = band_storage(i, j, v, kl, len(rhs))
+        assert band.kl == kl
+        assert band.ab.shape == ab.shape and band.ab.flags.f_contiguous
+        for new, old in ((band.ab, ab), (band.d, d), (band.rhs, d * rhs)):
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
 def _least_hourglass_rows(system, modes):
