@@ -28,18 +28,14 @@ from .discretization import (
     shape_eval,
 )
 from .geometry import (
-    AmbiguousProjectionError,
     ArcLengthMap,
     CircularArc,
-    ClosestPointResult,
     DegenerateCurveError,
     FrameSample,
-    FrenetFrame,
     Helix,
     HermiteSpline,
     LineSegment,
     ParamCurve,
-    ZeroCurvatureError,
 )
 from .postprocess import (
     Resultants,

@@ -9,10 +9,9 @@ leading sample axis. `frame(s)` is its one-row case. Curve evaluation
 (`point`, `d1`, `d2`, `speed`) and the arc-length map accept scalars or
 arrays alike, and refuse a parameter off the curve's range. A spline's
 arc-length map is a polynomial on each of a set of parameter intervals,
-none of which straddles a knot, where the curvature jumps. The full
-moving frame (principal normal, binormal, torsion) is provided so tests can
-cross-check against classical differential geometry; it is undefined
-wherever kappa vanishes and nothing in the solver depends on it.
+none of which straddles a knot, where the curvature jumps. No normal
+direction is defined: the formulation reads only t, and a principal normal
+would be undefined wherever kappa vanishes.
 """
 from __future__ import annotations
 
@@ -25,14 +24,6 @@ Vec3 = np.ndarray
 
 class DegenerateCurveError(ValueError):
     """The parametrization has (numerically) vanishing speed somewhere."""
-
-
-class ZeroCurvatureError(ValueError):
-    """Frenet data requested where |kappa| is below the straightness threshold."""
-
-
-class AmbiguousProjectionError(ValueError):
-    """Closest-point projection has several minimizers (outside the injectivity tube)."""
 
 
 _SPEED_FLOOR = 1e-14
@@ -103,30 +94,14 @@ class FrameSample:
     kappa: Vec3
 
 
-@dataclass(eq=False)
-class FrenetFrame:
-    t: Vec3
-    n: Vec3
-    b: Vec3
-    kappa: float
-    tau: float
-
-
-@dataclass(eq=False)
-class ClosestPointResult:
-    p: Vec3
-    zeta: Vec3
-    s: float
-
-
 class ParamCurve:
     """Base class for regular parametric midlines r(xi), xi in [xi0, xi1].
 
-    `point`, `d1`, `d2` and `d3` take a scalar xi or an array of them and
-    return shape xi.shape + (3,). They follow `_clip_onto`'s rule: an xi
-    that is not finite or lies off [xi0, xi1] by more than its slack raises
+    `point`, `d1` and `d2` take a scalar xi or an array of them and return
+    shape xi.shape + (3,). They follow `_clip_onto`'s rule: an xi that is
+    not finite or lies off [xi0, xi1] by more than its slack raises
     ValueError, one within the slack is clipped onto it. A subclass gives
-    them as `_point`, `_d1`, `_d2` and `_d3`, which take xi on [xi0, xi1]
+    them as `_point`, `_d1` and `_d2`, which take xi on [xi0, xi1]
     unchecked, as `frames` and the arc-length map pass it.
     """
 
@@ -146,9 +121,6 @@ class ParamCurve:
     def d2(self, xi) -> Vec3:
         return self._d2(self._on_range(xi))
 
-    def d3(self, xi) -> Vec3:
-        return self._d3(self._on_range(xi))
-
     def _point(self, xi) -> Vec3:
         raise NotImplementedError
 
@@ -156,9 +128,6 @@ class ParamCurve:
         raise NotImplementedError
 
     def _d2(self, xi) -> Vec3:
-        raise NotImplementedError
-
-    def _d3(self, xi) -> Vec3:
         raise NotImplementedError
 
     @property
@@ -221,78 +190,6 @@ class ParamCurve:
                 a.flags.writeable = False
         return self._end_frames
 
-    def frenet(self, s: float) -> FrenetFrame:
-        """Full Frenet frame with torsion; raises where the curve is straight
-        (|kappa| <= 1e-10 / L)."""
-        fr = self.frame(s)
-        kappa_min = 1e-10 / max(self.length, _SPEED_FLOOR)
-        k = float(np.linalg.norm(fr.kappa))
-        if k <= kappa_min:
-            raise ZeroCurvatureError(
-                f"|kappa| = {k:.3e} <= {kappa_min:.3e}; normal direction undefined"
-            )
-        n = fr.kappa / k
-        b = np.cross(fr.t, n)
-        xi = self.arclength().xi_of_s(s)
-        r1, r2, r3 = self.d1(xi), self.d2(xi), self.d3(xi)
-        c = np.cross(r1, r2)
-        tau = float(c @ r3) / float(c @ c)
-        return FrenetFrame(t=fr.t, n=n, b=b, kappa=k, tau=tau)
-
-    def closest_point(self, x: Vec3) -> ClosestPointResult:
-        """Project x onto the curve; valid inside the injectivity tube of the midline.
-
-        Dense parameter scan (512 points), bounded local minimization of the
-        squared distance, then Newton polish of the stationarity condition
-        (x - p) . r' = 0.
-        """
-        # imported here: scipy.optimize is a third of the package's import time
-        # and only this test-oracle projection needs it
-        from scipy.optimize import minimize_scalar
-
-        x = np.asarray(x, dtype=float)
-        a, b = self.xi0, self.xi1
-        n_scan = 512
-        grid = np.linspace(a, b, n_scan)
-        diff = x - self.point(grid)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        cand = [i for i in range(n_scan)
-                if (i == 0 or d2[i] <= d2[i - 1]) and (i == n_scan - 1 or d2[i] <= d2[i + 1])]
-
-        minima: list[tuple[float, float]] = []
-        for i in cand:
-            lo = grid[max(i - 1, 0)]
-            hi = grid[min(i + 1, n_scan - 1)]
-            if hi > lo:
-                res = minimize_scalar(
-                    lambda xi: float((x - self.point(xi)) @ (x - self.point(xi))),
-                    bounds=(lo, hi), method="bounded",
-                    options={"xatol": 1e-13 * max(b - a, 1.0)},
-                )
-                xi_star = float(res.x)
-            else:
-                xi_star = grid[i]
-            if a + 1e-12 * (b - a) < xi_star < b - 1e-12 * (b - a):
-                xi_star = _polish_stationarity(self, x, xi_star)
-            dist = float(np.linalg.norm(x - self.point(xi_star)))
-            for xi_prev, _ in minima:
-                if abs(xi_prev - xi_star) <= 1e-7 * (b - a):
-                    break
-            else:
-                minima.append((xi_star, dist))
-
-        minima.sort(key=lambda m: m[1])
-        xi_best, d_best = minima[0]
-        scale = max(d_best, 1e-12 * max(np.linalg.norm(x), 1.0))
-        rivals = [m for m in minima[1:] if m[1] - d_best <= 1e-8 * scale]
-        if rivals:
-            raise AmbiguousProjectionError(
-                f"{1 + len(rivals)} closest-point candidates within tolerance; "
-                "point lies outside the injectivity tube"
-            )
-        p = self.point(xi_best)
-        return ClosestPointResult(p=p, zeta=x - p, s=self.arclength().s_of_xi(xi_best))
-
 
 @dataclass(eq=False)
 class LineSegment(ParamCurve):
@@ -317,8 +214,6 @@ class LineSegment(ParamCurve):
 
     def _d2(self, xi):
         return np.zeros(np.shape(xi) + (3,))
-
-    _d3 = _d2
 
     @property
     def constant_speed(self):
@@ -370,9 +265,6 @@ class CircularArc(ParamCurve):
     def _d2(self, xi):
         return -self.radius * self._combine(np.cos(xi), np.sin(xi))
 
-    def _d3(self, xi):
-        return self.radius * self._combine(np.sin(xi), -np.cos(xi))
-
     @property
     def constant_speed(self):
         return float(self.radius)
@@ -417,10 +309,6 @@ class Helix(ParamCurve):
     def _d2(self, xi):
         a = self.radius
         return self._combine(-a * np.cos(xi), -a * np.sin(xi))
-
-    def _d3(self, xi):
-        a = self.radius
-        return self._combine(a * np.sin(xi), -a * np.cos(xi))
 
     @property
     def constant_speed(self):
@@ -490,10 +378,6 @@ class HermiteSpline(ParamCurve):
     def _d2(self, xi):
         i, u = self._piece(xi)
         return 6 * self._coef[i, 3] * u[..., None] + 2 * self._coef[i, 2]
-
-    def _d3(self, xi):
-        i, _ = self._piece(xi)
-        return 6 * self._coef[i, 3]
 
 
 _GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
@@ -649,25 +533,3 @@ def _clip_onto(v: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
 def clip_arc_lengths(s: np.ndarray, length: float) -> np.ndarray:
     """The arc lengths s clipped onto [0, length] by `_clip_onto`'s rule."""
     return _clip_onto(s, 0, length, "arc length")
-
-
-def _polish_stationarity(curve: ParamCurve, x: Vec3, xi: float) -> float:
-    a, b = curve.xi0, curve.xi1
-    for _ in range(40):
-        r = curve.point(xi)
-        r1 = curve.d1(xi)
-        g = float((x - r) @ r1)
-        dist = float(np.linalg.norm(x - r))
-        if abs(g) <= 1e-14 * max(dist * np.linalg.norm(r1), 1e-30):
-            break
-        gp = -float(r1 @ r1) + float((x - r) @ curve.d2(xi))
-        if gp == 0.0:
-            break
-        step = xi - g / gp
-        if not a <= step <= b:
-            break
-        if abs(step - xi) < 1e-16 * max(abs(xi), 1.0):
-            xi = step
-            break
-        xi = step
-    return xi

@@ -69,14 +69,14 @@ class TestAnalyticFormulas:
     def test_quarter_arc_linearity_in_load(self):
         one = analytic_quarter_arc_tip(1.0, 1e6, 0.95, 1.05)
         two = analytic_quarter_arc_tip(2.0, 1e6, 0.95, 1.05)
-        assert two == pytest.approx(2.0 * one, rel=1e-15)
+        assert two == pytest.approx(2.0 * one, rel=1e-15, abs=0)
 
     def test_quarter_arc_geometric_similarity(self):
         # scaling (a, b, P) by (lam, lam, lam) scales the deflection by lam
         lam = 2.5
         base = analytic_quarter_arc_tip(1.0, 1e6, 0.95, 1.05)
         scaled = analytic_quarter_arc_tip(lam, 1e6, lam * 0.95, lam * 1.05)
-        assert scaled == pytest.approx(lam * base, rel=1e-12)
+        assert scaled == pytest.approx(lam * base, rel=1e-12, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -263,19 +263,30 @@ def test_malformed_value_exits_1_and_names_its_path(tmp_path, capsys, command, d
 
 
 class TestSolveCommand:
+    @staticmethod
+    def assert_runs_without(module, argv):
+        """`cartbeam` with argv exits 0 in a fresh process that never imports module."""
+        code = ("import sys\nfrom cartbeam.cli import main\n"
+                "assert main(sys.argv[2:]) == 0\n"
+                "assert sys.argv[1] not in sys.modules, sys.argv[1] + ' was imported'")
+        path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code, module, *argv],
+                             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
     def test_solve_never_imports_scipy_sparse(self, tmp_path):
         # K_soft, C and B stay as element and end-node blocks on the solve
         # path; only reading LinearSystem's scipy matrices would load
         # scipy.sparse
-        code = ("import sys\nfrom cartbeam.cli import main\n"
-                "assert main(sys.argv[1:]) == 0\n"
-                "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'")
-        path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
-                                             os.environ.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", code, "solve", demo("helix_spring.json"),
-                              "--out", str(tmp_path / "out")],
-                             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
+        self.assert_runs_without("scipy.sparse", ["solve", demo("helix_spring.json"),
+                                                  "--out", str(tmp_path / "out")])
+
+    def test_geometry_criterion_never_imports_scipy_optimize(self):
+        # criterion 7 builds its Frenet frame and its projection onto the
+        # midline from `frames` and Newton steps, so no optimizer is loaded
+        self.assert_runs_without("scipy.optimize",
+                                 ["validate", "--criteria", "geometry_identity_suite"])
 
     def test_shipped_straight_model(self, tmp_path):
         out = str(tmp_path / "out")

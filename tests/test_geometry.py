@@ -1,8 +1,9 @@
-"""Geometry tests: arc-length maps, frames, Frenet data, closest points.
+"""Geometry tests: arc-length maps, frames, curve evaluation and its range,
+splines.
 
 Closed-form expectations are cross-checked against independent numerical
 oracles (composite quadrature for lengths, central finite differences for
-derivatives of the tangent, binormal, and vector distance function).
+derivatives of the parametrization and of the unit tangent).
 """
 import gc
 import weakref
@@ -13,14 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartbeam.geometry import (
-    AmbiguousProjectionError,
     ArcLengthMap,
     CircularArc,
     DegenerateCurveError,
     Helix,
     HermiteSpline,
     LineSegment,
-    ZeroCurvatureError,
     cross3,
     normal_projector,
     orthonormal_completion,
@@ -229,14 +228,17 @@ class TestFrames:
         assert np.allclose(fr.kappa, 0.0, atol=1e-14)
         assert np.allclose(fr.t, np.array([1, 2, 2]) / 3.0, atol=1e-14)
 
-    def test_helix_curvature_magnitude_vs_finite_differences(self):
-        helix = unit_helix()
-        assert np.linalg.norm(helix.frame(1.0).kappa) == pytest.approx(0.5, abs=1e-12)
-        # oracle: central differences of the unit tangent along arc length
+    @pytest.mark.parametrize("curve_factory", [unit_helix, quarter_circle, sample_spline])
+    def test_helix_curvature_magnitude_vs_finite_differences(self, curve_factory):
+        curve = curve_factory()
+        if curve.kind == "helix":
+            assert np.linalg.norm(curve.frame(1.0).kappa) == pytest.approx(0.5, abs=1e-12)
+        # oracle: central differences of the unit tangent along arc length, at
+        # points clear of the spline's knots, where kappa jumps
         eps = 1e-5
-        for s in (1.0, 3.0, 6.0):
-            fd = (helix.frame(s + eps).t - helix.frame(s - eps).t) / (2 * eps)
-            assert np.allclose(fd, helix.frame(s).kappa, atol=1e-6)
+        for s in np.array([0.1, 0.4, 0.7]) * curve.length:
+            fd = (curve.frame(s + eps).t - curve.frame(s - eps).t) / (2 * eps)
+            assert np.allclose(fd, curve.frame(s).kappa, atol=1e-6)
 
     @pytest.mark.parametrize("curve_factory", [quarter_circle, unit_helix, sample_spline])
     def test_frame_invariants(self, curve_factory):
@@ -308,12 +310,12 @@ class TestArcLengthMapRange:
 
 @pytest.mark.parametrize("curve_factory", CURVE_FACTORIES, ids=CURVE_IDS)
 class TestEvaluationRange:
-    """`point`, `d1`, `d2` and `d3` follow the map's rule: NaN and any
+    """`point`, `d1` and `d2` follow the map's rule: NaN and any
     parameter off [xi0, xi1] by more than 1e-9 raise, naming it, and one
     within that slack is clipped onto the range."""
 
     @pytest.mark.parametrize("where", ["nan", "below", "above"])
-    @pytest.mark.parametrize("method", ["point", "d1", "d2", "d3"])
+    @pytest.mark.parametrize("method", ["point", "d1", "d2"])
     def test_refuses_parameters_off_the_curve(self, curve_factory, method, where):
         curve = curve_factory()
         bad = {"nan": np.nan, "below": curve.xi0 - 1.0, "above": curve.xi1 + 1.5}[where]
@@ -323,7 +325,7 @@ class TestEvaluationRange:
         with pytest.raises(ValueError, match=f"curve parameter {bad}"):
             evaluate(np.array([curve.xi0, bad, curve.xi1]))
 
-    @pytest.mark.parametrize("method", ["point", "d1", "d2", "d3"])
+    @pytest.mark.parametrize("method", ["point", "d1", "d2"])
     def test_entries_within_the_slack_are_clipped(self, curve_factory, method):
         curve = curve_factory()
         evaluate = getattr(curve, method)
@@ -381,106 +383,6 @@ class TestBatchFrames:
             assert np.all(np.abs(batch - want) <= 1e-14 * np.abs(want).max()), name
 
 
-class TestFrenet:
-    def test_planar_arc_zero_torsion(self):
-        arc = quarter_circle(2.0)
-        for s in np.linspace(0.1, arc.length - 0.1, 5):
-            assert abs(arc.frenet(s).tau) <= 1e-8
-
-    def test_helix_curvature_and_torsion(self):
-        fr = unit_helix().frenet(2.0)
-        assert fr.kappa == pytest.approx(0.5, abs=1e-10)
-        assert fr.tau == pytest.approx(0.5, abs=1e-10)
-
-    def test_helix_torsion_vs_binormal_finite_difference(self):
-        # db/ds = -tau n
-        helix = unit_helix()
-        s, eps = 3.3, 1e-5
-        f0 = helix.frenet(s)
-        fd = (helix.frenet(s + eps).b - helix.frenet(s - eps).b) / (2 * eps)
-        assert np.allclose(fd, -f0.tau * f0.n, atol=1e-6)
-
-    def test_straight_segment_raises(self):
-        with pytest.raises(ZeroCurvatureError):
-            LineSegment([0, 0, 0], [1, 0, 0]).frenet(0.5)
-
-    def test_frame_is_right_handed_orthonormal(self):
-        for curve in (quarter_circle(), unit_helix(), sample_spline()):
-            fr = curve.frenet(0.4 * curve.length)
-            M = np.array([fr.t, fr.n, fr.b])
-            assert np.allclose(M @ M.T, np.eye(3), atol=1e-10)
-            assert np.allclose(np.cross(fr.t, fr.n), fr.b, atol=1e-10)
-
-    def test_frenet_serret_matrix_identity(self):
-        # d/ds [t, n, b] = [[0, k, 0], [-k, 0, tau], [0, -tau, 0]] [t, n, b]
-        eps = 1e-4
-        for curve in (unit_helix(), sample_spline()):
-            for frac in (0.3, 0.6):
-                s = frac * curve.length
-                f0 = curve.frenet(s)
-                fp, fm = curve.frenet(s + eps), curve.frenet(s - eps)
-                assert np.allclose((fp.t - fm.t) / (2 * eps), f0.kappa * f0.n, atol=1e-6)
-                assert np.allclose((fp.n - fm.n) / (2 * eps),
-                                   -f0.kappa * f0.t + f0.tau * f0.b, atol=1e-6)
-                assert np.allclose((fp.b - fm.b) / (2 * eps), -f0.tau * f0.n, atol=1e-6)
-
-
-class TestClosestPoint:
-    def test_point_on_curve_has_zero_zeta(self):
-        helix = unit_helix()
-        x = helix.frame(2.0).x
-        res = helix.closest_point(x)
-        assert np.linalg.norm(res.zeta) <= 1e-10
-        assert res.s == pytest.approx(2.0, abs=1e-8)
-
-    def test_circle_radial_projection(self):
-        circle = CircularArc([0, 0, 0], 1.0, [1, 0, 0], [0, 1, 0], -np.pi / 2, np.pi / 2)
-        res = circle.closest_point(np.array([1.5, 0.0, 0.0]))
-        assert np.allclose(res.p, [1, 0, 0], atol=1e-10)
-        assert np.allclose(res.zeta, [0.5, 0, 0], atol=1e-10)
-
-    def test_zeta_orthogonal_to_tangent(self):
-        helix = unit_helix()
-        res = helix.closest_point(np.array([1.2, 0.3, 1.1]))
-        t = helix.frame(res.s).t
-        assert abs(res.zeta @ t) <= 1e-8 * np.linalg.norm(res.zeta)
-
-    def test_stationarity_inside_injectivity_tube(self):
-        # random points offset into the normal plane project back with
-        # |zeta . t| <= 1e-12 |zeta| and recover the source arc length
-        rng = np.random.default_rng(4)
-        for curve in (unit_helix(), quarter_circle(2.0)):
-            L = curve.length
-            for _ in range(10):
-                s = rng.uniform(0.1 * L, 0.9 * L)
-                fr = curve.frenet(s)
-                a, b = rng.normal(size=2)
-                d = a * fr.n + b * fr.b
-                d *= rng.uniform(0.01, 0.4) / (np.linalg.norm(d) * fr.kappa)
-                res = curve.closest_point(curve.frame(s).x + d)
-                assert abs(res.zeta @ fr.t) <= 1e-12 * np.linalg.norm(res.zeta)
-                assert res.s == pytest.approx(s, abs=1e-8 * L)
-
-    def test_center_of_circle_is_ambiguous(self):
-        circle = CircularArc([0, 0, 0], 1.0, [1, 0, 0], [0, 1, 0], 0.0, 2 * np.pi)
-        with pytest.raises(AmbiguousProjectionError):
-            circle.closest_point(np.array([0.0, 0.0, 0.0]))
-
-    @pytest.mark.parametrize("curve_factory", [quarter_circle, unit_helix])
-    def test_vector_distance_directional_derivatives(self, curve_factory):
-        # on the curve: (t.grad) zeta = 0 and (n.grad) zeta = n
-        curve = curve_factory()
-        eps = 1e-5
-        for frac in (0.3, 0.5, 0.7):
-            s = frac * curve.length
-            fr = curve.frenet(s)
-            x0 = curve.frame(s).x
-            for d, target in ((fr.t, np.zeros(3)), (fr.n, fr.n)):
-                zp = curve.closest_point(x0 + eps * d).zeta
-                zm = curve.closest_point(x0 - eps * d).zeta
-                assert np.allclose((zp - zm) / (2 * eps), target, atol=1e-6)
-
-
 class TestSpline:
     def test_c1_continuity_at_knots(self):
         spline = sample_spline()
@@ -509,9 +411,9 @@ class TestSplineKernels:
 
     def test_derivatives_match_central_differences(self):
         spline, h = sample_spline(), 1e-5
-        # inside the pieces: d2 and d3 jump at the knots
+        # inside the pieces: d2 jumps at the knots
         xi = (np.arange(6)[:, None] + np.array([0.13, 0.5, 0.87])).ravel()
-        for f, df in ((spline.point, spline.d1), (spline.d1, spline.d2), (spline.d2, spline.d3)):
+        for f, df in ((spline.point, spline.d1), (spline.d1, spline.d2)):
             fd = (f(xi + h) - f(xi - h)) / (2 * h)
             assert np.abs(df(xi) - fd).max() <= 1e-8 * np.abs(df(xi)).max()
 
