@@ -1,11 +1,16 @@
 """Acceptance gate: every shipped guarantee, one test per criterion.
 
 Each test runs its criterion at the pinned tolerances and prints a pass/fail
-line; `cartbeam validate` exercises the same functions from the CLI.
+line; `cartbeam validate` exercises the same functions from the CLI. The
+Frenet frame and vector distance that criterion 7 builds as its oracle are
+tested at the end.
 """
+import numpy as np
 import pytest
 
 from cartbeam import acceptance
+from cartbeam.acceptance import _frenet, _zeta
+from cartbeam.geometry import CircularArc, Helix, HermiteSpline
 
 
 def _run(fn):
@@ -124,3 +129,90 @@ def test_sabotage_hook_fails_criteria():
 def test_unknown_criterion_name_rejected():
     with pytest.raises(ValueError):
         acceptance.run_acceptance(names=["not_a_criterion"])
+
+
+def quarter_circle(radius=1.0):
+    return CircularArc([0, 0, 0], radius, [1, 0, 0], [0, 1, 0], 0.0, np.pi / 2)
+
+
+def unit_helix():
+    return Helix([0, 0, 0], 1.0, 1.0, [1, 0, 0], [0, 1, 0], 0.0, 2 * np.pi)
+
+
+def sample_spline():
+    y = np.linspace(0.0, 4.0, 7)
+    pts = np.column_stack([0.5 * np.sin(np.pi * y / 2.0), y, 0.1 * y**2])
+    return HermiteSpline(pts, [0.7, 0.6, 0.0], [0.5, 0.7, 0.4])
+
+
+class TestFrenetOracle:
+    """Criterion 7's Frenet frame, built from `frames` alone."""
+
+    def test_planar_arc_zero_torsion(self):
+        arc = quarter_circle(2.0)
+        for s in np.linspace(0.1, arc.length - 0.1, 5):
+            assert abs(_frenet(arc, s)[4]) <= 1e-8
+
+    @pytest.mark.parametrize("curve_factory", [quarter_circle, unit_helix, sample_spline])
+    def test_frame_is_right_handed_orthonormal(self, curve_factory):
+        curve = curve_factory()
+        t, n, b, *_ = _frenet(curve, 0.4 * curve.length)
+        M = np.array([t, n, b])
+        assert np.allclose(M @ M.T, np.eye(3), atol=1e-10)
+        assert np.allclose(np.cross(t, n), b, atol=1e-10)
+
+    @pytest.mark.parametrize("curve_factory", [unit_helix, sample_spline])
+    def test_frenet_serret_matrix_identity(self, curve_factory):
+        # d/ds [t, n, b] = [[0, k, 0], [-k, 0, tau], [0, -tau, 0]] [t, n, b];
+        # criterion 7 checks it on a helix only
+        curve, eps = curve_factory(), 1e-4
+        for frac in (0.3, 0.6):
+            s = frac * curve.length
+            t, n, b, k, tau = _frenet(curve, s)
+            fp, fm = _frenet(curve, s + eps), _frenet(curve, s - eps)
+            assert np.allclose((fp[0] - fm[0]) / (2 * eps), k * n, atol=1e-6)
+            assert np.allclose((fp[1] - fm[1]) / (2 * eps), -k * t + tau * b, atol=1e-6)
+            assert np.allclose((fp[2] - fm[2]) / (2 * eps), -tau * n, atol=1e-6)
+
+
+class TestZetaOracle:
+    """Criterion 7's vector distance, by Newton steps from a nearby arc length."""
+
+    def test_point_on_curve_has_zero_zeta(self):
+        helix = unit_helix()
+        assert np.linalg.norm(_zeta(helix, helix.frame(2.0).x, 2.0)) <= 1e-10
+
+    def test_circle_radial_projection(self):
+        # started 0.3 of arc length away from the foot at (1, 0, 0)
+        circle = CircularArc([0, 0, 0], 1.0, [1, 0, 0], [0, 1, 0], -np.pi / 2, np.pi / 2)
+        zeta = _zeta(circle, np.array([1.5, 0.0, 0.0]), 0.5 * circle.length + 0.3)
+        assert np.allclose(zeta, [0.5, 0, 0], atol=1e-10)
+
+    def test_stationarity_inside_injectivity_tube(self):
+        # random points offset into the normal plane, started 5 % of the
+        # length off their source, project back onto it with
+        # |zeta . t| <= 1e-12 |zeta|
+        rng = np.random.default_rng(4)
+        for curve in (unit_helix(), quarter_circle(2.0)):
+            L = curve.length
+            for _ in range(10):
+                s = rng.uniform(0.1 * L, 0.9 * L)
+                t, n, b, k, _tau = _frenet(curve, s)
+                a, c = rng.normal(size=2)
+                d = a * n + c * b
+                d *= rng.uniform(0.01, 0.4) / (np.linalg.norm(d) * k)
+                zeta = _zeta(curve, curve.frame(s).x + d, s + 0.05 * L * rng.choice([-1, 1]))
+                assert abs(zeta @ t) <= 1e-12 * np.linalg.norm(zeta)
+                assert np.allclose(zeta, d, atol=1e-12 * L)
+
+    @pytest.mark.parametrize("curve_factory", [quarter_circle, unit_helix, sample_spline])
+    def test_vector_distance_directional_derivatives(self, curve_factory):
+        # on the curve: (t.grad) zeta = 0 and (n.grad) zeta = n
+        curve, eps = curve_factory(), 1e-5
+        for frac in (0.3, 0.5, 0.7):
+            s = frac * curve.length
+            t, n, *_ = _frenet(curve, s)
+            x0 = curve.frame(s).x
+            for d, target in ((t, np.zeros(3)), (n, n)):
+                fd = (_zeta(curve, x0 + eps * d, s) - _zeta(curve, x0 - eps * d, s)) / (2 * eps)
+                assert np.allclose(fd, target, atol=1e-6)

@@ -310,12 +310,12 @@ class TestArcLengthMapRange:
 
 @pytest.mark.parametrize("curve_factory", CURVE_FACTORIES, ids=CURVE_IDS)
 class TestEvaluationRange:
-    """`point`, `d1` and `d2` follow the map's rule: NaN and any
+    """`point`, `d1`, `d2` and `speed` follow the map's rule: NaN and any
     parameter off [xi0, xi1] by more than 1e-9 raise, naming it, and one
     within that slack is clipped onto the range."""
 
     @pytest.mark.parametrize("where", ["nan", "below", "above"])
-    @pytest.mark.parametrize("method", ["point", "d1", "d2"])
+    @pytest.mark.parametrize("method", ["point", "d1", "d2", "speed"])
     def test_refuses_parameters_off_the_curve(self, curve_factory, method, where):
         curve = curve_factory()
         bad = {"nan": np.nan, "below": curve.xi0 - 1.0, "above": curve.xi1 + 1.5}[where]
@@ -325,7 +325,7 @@ class TestEvaluationRange:
         with pytest.raises(ValueError, match=f"curve parameter {bad}"):
             evaluate(np.array([curve.xi0, bad, curve.xi1]))
 
-    @pytest.mark.parametrize("method", ["point", "d1", "d2"])
+    @pytest.mark.parametrize("method", ["point", "d1", "d2", "speed"])
     def test_entries_within_the_slack_are_clipped(self, curve_factory, method):
         curve = curve_factory()
         evaluate = getattr(curve, method)
