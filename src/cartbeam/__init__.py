@@ -4,6 +4,8 @@ the solver consumes is the unit tangent along the midline (plus the
 curvature vector for the Euler-Bernoulli variant), so straight segments,
 inflection points, and general 3d curves are all handled uniformly."""
 
+from types import ModuleType as _ModuleType
+
 from .assembly import (
     BCRow,
     BeamModel,
@@ -66,5 +68,7 @@ from .benchmarks import (
     run_convergence,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that importing them binds here
+__all__ = [name for name in dir()
+           if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]
 __version__ = "0.1.0"

@@ -377,12 +377,17 @@ def assemble_stiffness(model: BeamModel, mesh: Mesh1D, form: Formulation,
     # term by term (the blocks of C on the element's DOFs), and the modulus
     # of each of these rows (the same for every element)
     c_blocks, moduli = [], []
-    for rule, tms in batches:
-        # one batch geometry query, normal-plane basis and shape evaluation
-        # per rule: every element x point of the rule
-        spts, w = rule.on_element(mesh.nodes[:-1, None], lengths[:, None])
-        fr = model.curve.frames(spts.ravel())
-        t, kappa = fr.t.reshape(spts.shape + (3,)), fr.kappa.reshape(spts.shape + (3,))
+    # one batch geometry query over every element x point of every rule,
+    # sliced per rule; geometry is pointwise, so each slice holds the bits a
+    # query of that rule alone gives
+    placed = [rule.on_element(mesh.nodes[:-1, None], lengths[:, None]) for rule, _ in batches]
+    fr = model.curve.frames(np.concatenate([spts.ravel() for spts, _ in placed]))
+    start = 0
+    for (rule, tms), (spts, w) in zip(batches, placed):
+        # one normal-plane basis and shape evaluation per rule, on its rows
+        rows = slice(start, start + spts.size)
+        start += spts.size
+        t, kappa = fr.t[rows].reshape(spts.shape + (3,)), fr.kappa[rows].reshape(spts.shape + (3,))
         N = orthonormal_completion(t) if "shear" in tms or (
             "bend" in tms and model.section.is_isotropic) else None
         shu = rule.shapes(form.midline, lengths[:, None], nderiv_u)

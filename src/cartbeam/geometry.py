@@ -101,8 +101,9 @@ class ParamCurve:
     shape xi.shape + (3,). They follow `_clip_onto`'s rule: an xi that is
     not finite or lies off [xi0, xi1] by more than its slack raises
     ValueError, one within the slack is clipped onto it. A subclass gives
-    them as `_point`, `_d1` and `_d2`, which take xi on [xi0, xi1]
-    unchecked, as `frames` and the arc-length map pass it.
+    all three at once as `_jet(xi) -> (r, r', r'')`, which takes xi on
+    [xi0, xi1] unchecked, as `frames` and the arc-length map pass it, and
+    does its trig or spline piece look-up once per point.
     """
 
     kind: str = "abstract"
@@ -113,21 +114,15 @@ class ParamCurve:
         return _clip_onto(np.asarray(xi, dtype=float), self.xi0, self.xi1, "curve parameter")
 
     def point(self, xi) -> Vec3:
-        return self._point(self._on_range(xi))
+        return self._jet(self._on_range(xi))[0]
 
     def d1(self, xi) -> Vec3:
-        return self._d1(self._on_range(xi))
+        return self._jet(self._on_range(xi))[1]
 
     def d2(self, xi) -> Vec3:
-        return self._d2(self._on_range(xi))
+        return self._jet(self._on_range(xi))[2]
 
-    def _point(self, xi) -> Vec3:
-        raise NotImplementedError
-
-    def _d1(self, xi) -> Vec3:
-        raise NotImplementedError
-
-    def _d2(self, xi) -> Vec3:
+    def _jet(self, xi) -> tuple[Vec3, Vec3, Vec3]:
         raise NotImplementedError
 
     @property
@@ -144,7 +139,7 @@ class ParamCurve:
         return self._speed(self._on_range(xi))
 
     def _speed(self, xi):
-        return np.linalg.norm(self._d1(xi), axis=-1)
+        return np.linalg.norm(self._jet(xi)[1], axis=-1)
 
     def arclength(self) -> "ArcLengthMap":
         """The curve's arc-length map, built once per curve."""
@@ -168,14 +163,13 @@ class ParamCurve:
             raise ValueError("frames needs a 1-d array of arc lengths")
         s = clip_arc_lengths(s, self.length)
         xi = self.arclength()._xi_of_clipped(s)
-        r1 = self._d1(xi)
-        r2 = self._d2(xi)
+        x, r1, r2 = self._jet(xi)
         sp2 = np.einsum("ij,ij->i", r1, r1)[:, None]
         if np.any(sp2 < _SPEED_FLOOR**2):
             raise DegenerateCurveError("vanishing speed at evaluation point")
         t = r1 / np.sqrt(sp2)
         kappa = (r2 * sp2 - r1 * np.einsum("ij,ij->i", r1, r2)[:, None]) / sp2**2
-        return FrameSample(s=s, x=self._point(xi), t=t, kappa=kappa)
+        return FrameSample(s=s, x=x, t=t, kappa=kappa)
 
     def frame(self, s: float) -> FrameSample:
         """One-row case of `frames`, at the single arc length s."""
@@ -206,14 +200,9 @@ class LineSegment(ParamCurve):
         if np.linalg.norm(self.p1 - self.p0) < _SPEED_FLOOR:
             raise DegenerateCurveError("line segment endpoints coincide")
 
-    def _point(self, xi):
-        return self.p0 + np.multiply.outer(xi, self.p1 - self.p0)
-
-    def _d1(self, xi):
-        return np.zeros(np.shape(xi) + (3,)) + (self.p1 - self.p0)
-
-    def _d2(self, xi):
-        return np.zeros(np.shape(xi) + (3,))
+    def _jet(self, xi):
+        d, zero = self.p1 - self.p0, np.zeros(np.shape(xi) + (3,))
+        return self.p0 + np.multiply.outer(xi, d), zero + d, zero
 
     @property
     def constant_speed(self):
@@ -256,14 +245,11 @@ class CircularArc(ParamCurve):
     def _combine(self, c1, c2):
         return np.multiply.outer(c1, self.e1) + np.multiply.outer(c2, self.e2)
 
-    def _point(self, xi):
-        return self.center + self.radius * self._combine(np.cos(xi), np.sin(xi))
-
-    def _d1(self, xi):
-        return self.radius * self._combine(-np.sin(xi), np.cos(xi))
-
-    def _d2(self, xi):
-        return -self.radius * self._combine(np.cos(xi), np.sin(xi))
+    def _jet(self, xi):
+        c, s = np.cos(xi), np.sin(xi)
+        radial = self._combine(c, s)
+        return (self.center + self.radius * radial, self.radius * self._combine(-s, c),
+                -self.radius * radial)
 
     @property
     def constant_speed(self):
@@ -298,17 +284,11 @@ class Helix(ParamCurve):
         out = np.multiply.outer(c1, self.e1) + np.multiply.outer(c2, self.e2)
         return out + np.multiply.outer(c3, self.e3)
 
-    def _point(self, xi):
+    def _jet(self, xi):
         a, b = self.radius, self.pitch
-        return self.center + self._combine(a * np.cos(xi), a * np.sin(xi), b * np.asarray(xi))
-
-    def _d1(self, xi):
-        a, b = self.radius, self.pitch
-        return self._combine(-a * np.sin(xi), a * np.cos(xi), np.full(np.shape(xi), b))
-
-    def _d2(self, xi):
-        a = self.radius
-        return self._combine(-a * np.cos(xi), -a * np.sin(xi))
+        ac, as_ = a * np.cos(xi), a * np.sin(xi)
+        return (self.center + self._combine(ac, as_, b * np.asarray(xi)),
+                self._combine(-as_, ac, np.full(np.shape(xi), b)), self._combine(-ac, -as_))
 
     @property
     def constant_speed(self):
@@ -350,7 +330,7 @@ class HermiteSpline(ParamCurve):
                               axis=1)
         # |r'| on a fine grid, and exactly at the knots
         grid = np.linspace(self.xi0, self.xi1, 16 * len(self.points))
-        speeds = np.linalg.norm(np.concatenate([self._d1(grid), self.tangents]), axis=-1)
+        speeds = np.concatenate([self._speed(grid), np.linalg.norm(self.tangents, axis=-1)])
         if speeds.min() < _SPEED_FLOOR:
             raise DegenerateCurveError("spline parametrization has vanishing speed")
 
@@ -365,19 +345,19 @@ class HermiteSpline(ParamCurve):
         i = np.clip(np.floor(xi), 0, len(self.points) - 2).astype(int)
         return i, xi - i
 
-    def _point(self, xi):
+    def _jet(self, xi):
         i, u = self._piece(xi)
         c, u = self._coef[i], u[..., None]
-        return ((c[..., 3, :] * u + c[..., 2, :]) * u + c[..., 1, :]) * u + c[..., 0, :]
+        return (((c[..., 3, :] * u + c[..., 2, :]) * u + c[..., 1, :]) * u + c[..., 0, :],
+                (3 * c[..., 3, :] * u + 2 * c[..., 2, :]) * u + c[..., 1, :],
+                6 * c[..., 3, :] * u + 2 * c[..., 2, :])
 
-    def _d1(self, xi):
+    def _speed(self, xi):
+        # |r'| alone: the arc-length map reads it at thousands of points
         i, u = self._piece(xi)
         c, u = self._coef[i], u[..., None]
-        return (3 * c[..., 3, :] * u + 2 * c[..., 2, :]) * u + c[..., 1, :]
-
-    def _d2(self, xi):
-        i, u = self._piece(xi)
-        return 6 * self._coef[i, 3] * u[..., None] + 2 * self._coef[i, 2]
+        return np.linalg.norm((3 * c[..., 3, :] * u + 2 * c[..., 2, :]) * u + c[..., 1, :],
+                              axis=-1)
 
 
 _GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)

@@ -383,6 +383,40 @@ class TestBatchFrames:
             assert np.all(np.abs(batch - want) <= 1e-14 * np.abs(want).max()), name
 
 
+@pytest.mark.parametrize("curve_factory", CURVE_FACTORIES, ids=CURVE_IDS)
+class TestPointwiseGeometry:
+    """Geometry is pointwise: a sample's bits do not depend on the other
+    samples of its query, so one query over the points of several
+    quadrature rules, sliced per rule, equals one query per rule."""
+
+    @staticmethod
+    def arc_lengths(curve):
+        s = np.concatenate([[0.0, curve.length],
+                            np.random.default_rng(5).uniform(0.0, curve.length, 37)])
+        if curve.kind == "hermite_spline":
+            s = np.concatenate([s, curve.arclength().s_of_xi(curve.breaks)])
+        return s
+
+    def test_frames_of_a_concatenation_equal_frames_of_its_pieces(self, curve_factory):
+        curve = curve_factory()
+        s = self.arc_lengths(curve)
+        whole = curve.frames(s)
+        pieces = [curve.frames(p) for p in np.split(s, [1, 4, 11, 24])]   # sizes 1, 3, 7, 13, ...
+        for name in ("s", "x", "t", "kappa"):
+            assert np.array_equal(getattr(whole, name),
+                                  np.concatenate([getattr(p, name) for p in pieces])), name
+
+    def test_evaluations_read_the_jet(self, curve_factory):
+        curve = curve_factory()
+        s = self.arc_lengths(curve)
+        xi = curve.arclength().xi_of_s(s)
+        jet = curve._jet(xi)
+        for name, row in zip(("point", "d1", "d2"), jet):
+            assert np.array_equal(getattr(curve, name)(xi), row), name
+        assert np.array_equal(curve.speed(xi), np.linalg.norm(jet[1], axis=-1))
+        assert np.array_equal(curve.point(xi), curve.frames(s).x)
+
+
 class TestSpline:
     def test_c1_continuity_at_knots(self):
         spline = sample_spline()

@@ -275,7 +275,7 @@ class TestExport:
         ref = np.column_stack([res.s, res.N, res.S, res.M, res.T])
         assert np.abs(data - ref).max() <= 1e-15 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("n", [1, 255, 256, 257])
+    @pytest.mark.parametrize("n", [1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
     def test_block_writer_matches_row_format(self, tmp_path, n):
         # the blocked writer gives the bytes of one %.17g format per row, on
         # special values and across a block boundary

@@ -1,5 +1,5 @@
 """The experiment scripts and the benchmark's tracer use only names that
-cartbeam still provides."""
+cartbeam still provides, and the package exports only its public names."""
 import importlib.util
 import os
 import sys
@@ -86,3 +86,14 @@ def test_every_bench_tracer_target_resolves():
     for owner_path, attr, _ in tracer.TARGETS:
         owner = tracer._owner(owner_path)
         assert callable(getattr(owner, attr, None)), f"{owner_path}.{attr}"
+
+
+def test_star_import_binds_no_module():
+    # __all__ holds the public names only, not the submodules the package
+    # imports them from
+    import types
+    namespace = {}
+    exec("from cartbeam import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]

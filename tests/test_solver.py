@@ -945,7 +945,7 @@ class TestRefinement:
 
 class TestCallBudget:
     """Per-solve geometry and quadrature queries, counted on two consecutive
-    P2-P1 arc solves of one model: one frames query per stiffness rule,
+    P2-P1 arc solves of one model: one frames query per stiffness assembly,
     the end frames once for the loads, the essential rows and the rigid
     check of both solves; the Gauss rule once; one normal-plane basis per
     solve for the shear and the isotropic bend factors of the full rule,
@@ -970,6 +970,24 @@ class TestCallBudget:
         for n, kept in tables.items():
             assert gauss_rule(n)._tables.keys() == kept.keys()
             assert all(gauss_rule(n)._tables[key] is table for key, table in kept.items())
+
+    @pytest.mark.parametrize("policy", ["full", "reduced"])
+    @pytest.mark.parametrize("form_name", list(FORMULATIONS))
+    def test_one_frames_query_per_assembly(self, monkeypatch, form_name, policy):
+        # under `reduced` the stiff terms take the 2-point rule and the soft
+        # terms the full rule: one query still covers the points of both
+        from cartbeam.assembly import assemble_stiffness
+        from cartbeam.discretization import Mesh1D
+        from cartbeam.geometry import ParamCurve
+        arc = CircularArc([0, 0, 0], 1.5, [1, 0, 0], [0, 1, 0], 0.0, 2.0)
+        calls = []
+        frames = ParamCurve.frames
+        monkeypatch.setattr(ParamCurve, "frames", lambda c, s: calls.append(len(s)) or frames(c, s))
+        form = formulation(form_name)
+        assemble_stiffness(bar_model(curve=arc), Mesh1D(np.linspace(0.0, arc.length, 5)), form,
+                           policy)
+        rules = [2, form.full_points] if policy == "reduced" else [form.full_points]
+        assert calls == [4 * sum(rules)]
 
     def test_two_arc_solves(self, monkeypatch):
         import cartbeam.assembly
