@@ -20,8 +20,9 @@ Only the tangent (plus kappa for Euler-Bernoulli) is ever queried from the
 geometry; no normal directions along the curve are needed, so straight
 segments and inflection points require no special handling.
 
-Assembly builds the mixed split K = K_soft + C^T diag(1/compliance) C, and K
-itself only on request (`LinearSystem.K`). Every term reads the tangent
+Assembly builds the mixed split K = K_soft + C^T diag(1/compliance) C, and
+K's element matrices only on request (`LinearSystem.element_stiffness`),
+for the checks that read K. Every term reads the tangent
 alone, so each part is one block per element: K_soft's bend and twist on the
 DOFs they act on (the rotation DOFs alone for Timoshenko, every DOF for
 Euler-Bernoulli), two blocks adding on a shared node wherever they are read,
@@ -208,17 +209,17 @@ class RowInfo:
 class LinearSystem:
     """Assembled stiffness, loads and essential rows of one discretization.
 
-    K_soft, C and compliance are the mixed split of the stiffness
+    K_blocks, C_blocks and compliance are the mixed split of the stiffness
     K = K_soft + C^T diag(1/compliance) C (see the module docstring), which
     is what the solver factors, held as element blocks on the columns of
     `DofMap.element_dofs`: K_soft as `K_blocks` (n_el, c, c) on the last c
     (the angle DOFs for Timoshenko, all nloc for Euler-Bernoulli), C as
-    `C_blocks` (n_el, rows, nloc). The essential rows B x = g, m >= 0, set
-    by `apply_essential_bcs`, are `B_end` (m, k) on `DofMap.boundary_dofs`
-    and g (m,), both read-only, with the count of rigid-body modes they
-    leave free (`_free_rigid_mode_count`). The scipy matrices K_soft, K, C
-    and B are formed only when read, and import scipy.sparse, which the
-    solve path never loads (the split is never reassigned).
+    `C_blocks` (n_el, rows, nloc). `element_stiffness` multiplies the split
+    out into K's element matrices, which every reader of K takes. The
+    essential rows B x = g, m >= 0, set by `apply_essential_bcs`, are
+    `B_end` (m, k) on `DofMap.boundary_dofs` and g (m,), both read-only,
+    with the count of rigid-body modes they leave free
+    (`_free_rigid_mode_count`).
     """
 
     rhs: np.ndarray
@@ -239,18 +240,22 @@ class LinearSystem:
     def n_constraints(self) -> int:
         return self.B_end.shape[0]
 
-    @functools.cached_property
-    def K_soft(self) -> scipy.sparse.csr_matrix:
-        """The bend and twist stiffness from `K_blocks`, formed on first read and kept."""
-        ek = self.dofmap.element_dofs()[:, -self.K_blocks.shape[-1]:]
-        return self._csr(self.K_blocks, ek, ek, self.dofmap.ndof)
+    def element_stiffness(self) -> np.ndarray:
+        """K's element matrices ke = C_e^T diag(1/compliance) C_e, `K_blocks`
+        added on the last c columns, (n_el, nloc, nloc) on
+        `DofMap.element_dofs`: K = sum_e ke scattered there. The one place
+        the split is multiplied out; the factored system never holds it."""
+        Cb, Kb = self.C_blocks, self.K_blocks
+        ke = Cb.mT @ (Cb / self.compliance.reshape(Cb.shape[:2])[..., None])
+        c = Kb.shape[-1]
+        ke[:, -c:, -c:] += Kb
+        return ke
 
     @functools.cached_property
-    def C(self) -> scipy.sparse.csr_matrix:
-        """C (p, ndof), formed from `C_blocks` on first read and kept."""
-        p = len(self.compliance)
-        return self._csr(self.C_blocks, np.arange(p).reshape(self.C_blocks.shape[:2]),
-                         self.dofmap.element_dofs(), p)
+    def K(self) -> scipy.sparse.csr_matrix:
+        """K (ndof, ndof), formed from `element_stiffness` on first read and kept."""
+        e = self.dofmap.element_dofs()
+        return self._csr(self.element_stiffness(), e, e, self.dofmap.ndof)
 
     @functools.cached_property
     def B(self) -> scipy.sparse.csr_matrix:
@@ -262,16 +267,13 @@ class LinearSystem:
              n_rows: int) -> scipy.sparse.csr_matrix:
         """The entries of blocks (`_block_entries`) as a CSR matrix with
         n_rows rows and ndof columns: entries on one slot added, sorted
-        indices, no entry that a block gives as an exact zero."""
+        indices, no entry that a block gives as an exact zero. The only
+        scipy.sparse import in the package, kept for the benchmark's
+        residual check, which reads `K` and `B`; it goes once the benchmark
+        reads the blocks (ROADMAP item 6)."""
         import scipy.sparse
         r, c, v = _block_entries(blocks, rows, cols)
         return scipy.sparse.csr_matrix((v, (r, c)), shape=(n_rows, self.dofmap.ndof))
-
-    @functools.cached_property
-    def K(self) -> scipy.sparse.csr_matrix:
-        """The full stiffness, formed from the split on first read and kept."""
-        import scipy.sparse
-        return (self.K_soft + self.C.T @ scipy.sparse.diags(1 / self.compliance) @ self.C).tocsr()
 
 
 def _block_entries(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray

@@ -16,8 +16,9 @@ Timoshenko point, 1 per Euler-Bernoulli point; see `assembly`). Eliminating
 sigma gives back K x + B^T lambda = f with K = K_soft + C^T D^-1 C, so the
 discrete solution is the same; only the rounding of the stiff terms no
 longer swamps the bending response as t -> 0 (Malkus & Hughes, CMAME 15,
-1978; Arnold, Numer. Math. 37, 1981). K is applied from this split, never
-formed.
+1978; Arnold, Numer. Math. 37, 1981). The factored system never holds
+C^T D^-1 C; only the checks read K, through its element matrices
+(`LinearSystem.element_stiffness`), formed once per solve.
 
 Under a P2 midline the solve factors fewer unknowns. K_soft does not read
 an element's midpoint DOFs, and C's columns on them are a_q [t_q; N_q] at
@@ -52,7 +53,7 @@ refined, at most twice, only while the residual |rhs - A y| > 16 eps
 (|rhs| + |A| |y|) in the max norm: below that it is its own rounding
 (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989). The
 equilibrium and constraint checks read x, midpoint DOFs included, with K
-from the full split.
+from its element matrices.
 
 Under `reduced` quadrature the H3 midline has zero-energy modes: three for
 `timoshenko_h3p2` on every curve and mesh, one for `euler_bernoulli_h3` on a
@@ -162,8 +163,9 @@ def rigid_modes(system: LinearSystem) -> np.ndarray:
     return Z
 
 
-def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
-    """Zero-energy modes that survive the essential rows, columns of (ndof, k).
+def hourglass_modes(system: LinearSystem, ke: np.ndarray) -> np.ndarray:
+    """Zero-energy modes that survive the essential rows, columns of (ndof, k),
+    given K's element matrices ke (`LinearSystem.element_stiffness`).
 
     The candidates are the three hourglass vectors of the H3 midline: in H_a
     every midline value DOF is 0, every angle DOF is 0, and every midline
@@ -176,8 +178,8 @@ def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
     `euler_bernoulli_h3` the bend and twist measures see u' through t x u''
     and kappa x u', which leaves only the combination along t on a straight
     beam: the columns returned are the combinations that K does not see, by
-    an SVD of K H (k = 0 under `full`), with kappa max_i K_ii, at most
-    ||K||_inf (see `solve`).
+    an SVD of K H (k = 0 under `full`), with kappa = max_i K_ii
+    (`_stiffness_scale`), at most ||K||_inf.
     """
     dm = system.dofmap
     if system.form.midline != "H3" or system.policy != "reduced":
@@ -187,35 +189,27 @@ def hourglass_modes(system: LinearSystem, kappa: float) -> np.ndarray:
     H[slopes, np.arange(3)] = 1.0
     if not system.form.euler_bernoulli:
         return H
-    _, sv, Vt = np.linalg.svd(_apply_stiffness(system, H), full_matrices=False)
-    null = sv <= 1e-12 * kappa * np.sqrt(len(slopes))
+    _, sv, Vt = np.linalg.svd(_apply_stiffness(system, ke, H), full_matrices=False)
+    null = sv <= 1e-12 * _stiffness_scale(system, ke) * np.sqrt(len(slopes))
     if null.all():
         return H
     return H @ Vt[null].T
 
 
-def _apply_stiffness(system: LinearSystem, X: np.ndarray) -> np.ndarray:
-    """K X = K_soft X + C^T ((C X) / compliance), column by column, without
-    forming K_soft, K or C: per element K_e x_e + C_e^T (C_e x_e / comp), by
-    batched products with `K_blocks` (on the element's last DOFs) and
-    `C_blocks`, whose element sums one bincount over the element DOFs adds."""
-    Kb, Cb, e = system.K_blocks, system.C_blocks, system.dofmap.element_dofs()
-    comp, c = system.compliance.reshape(Cb.shape[:2]), Kb.shape[-1]
-    KX = []
-    for x in np.reshape(X.T, (-1, len(X))):
-        xe = x[e][..., None]
-        ye = Cb.mT @ ((Cb @ xe) / comp[..., None])
-        ye[:, -c:] += Kb @ xe[:, -c:]
-        KX.append(np.bincount(e.ravel(), ye.ravel(), len(x)))
+def _apply_stiffness(system: LinearSystem, ke: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """K X from K's element matrices ke, column by column: per element
+    ke x_e, whose element sums one bincount over the element DOFs adds."""
+    e = system.dofmap.element_dofs()
+    KX = [np.bincount(e.ravel(), (ke @ x[e][..., None]).ravel(), len(x))
+          for x in np.reshape(X.T, (-1, len(X)))]
     return np.transpose(KX).reshape(X.shape)
 
 
-def _stiffness_scale(system: LinearSystem) -> float:
-    """kappa = max_i K_ii = max_i (K_soft)_ii + sum_k C_ki^2 / compliance_k."""
-    Kb, Cb, e = system.K_blocks, system.C_blocks, system.dofmap.element_dofs()
-    w = (Cb**2 / system.compliance.reshape(Cb.shape[:2])[..., None]).sum(axis=1)
-    w[:, -Kb.shape[-1]:] += np.diagonal(Kb, axis1=1, axis2=2)
-    return float(np.bincount(e.ravel(), w.ravel(), system.dofmap.ndof).max())
+def _stiffness_scale(system: LinearSystem, ke: np.ndarray) -> float:
+    """kappa = max_i K_ii, from the diagonals of K's element matrices ke."""
+    e = system.dofmap.element_dofs()
+    return float(np.bincount(e.ravel(), np.diagonal(ke, axis1=1, axis2=2).ravel(),
+                             system.dofmap.ndof).max())
 
 
 def _least_hourglass(system: LinearSystem, V: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -491,8 +485,9 @@ def solve(system: LinearSystem) -> SolutionFields:
             f"system is singular: {free} unconstrained rigid-body mode(s)",
             n_rigid_modes=free)
 
-    kappa = _stiffness_scale(system)
-    H = hourglass_modes(system, kappa)
+    ke = system.element_stiffness()
+    kappa = _stiffness_scale(system, ke)
+    H = hourglass_modes(system, ke)
     k = H.shape[1]
     if k:
         work = system.rhs @ H
@@ -535,7 +530,7 @@ def solve(system: LinearSystem) -> SolutionFields:
         x = x - H @ np.linalg.solve(_least_hourglass(system, V, H), _least_hourglass(system, V, x))
     # K x - f + B^T lam, B on the end nodes' DOFs
     B, ends = system.B_end, system.dofmap.boundary_dofs()
-    r1 = _apply_stiffness(system, x) - system.rhs
+    r1 = _apply_stiffness(system, ke, x) - system.rhs
     r1[ends] += lam @ B
     bound = 1e-10 * (np.linalg.norm(system.rhs) + kappa * np.linalg.norm(x) + 1e-300)
     if np.linalg.norm(r1) > max(bound, 1e-300):

@@ -4,8 +4,23 @@ and equilibrated entry by entry. The solver writes the band from element
 0's slot tables instead; its band, scaling and right-hand side must equal
 these bit for bit."""
 import numpy as np
+import scipy.sparse
 
 from cartbeam.assembly import _block_entries
+
+
+def split_matrices(system):
+    """The mixed split's K_soft (ndof, ndof) and C (p, ndof) as scipy CSR
+    matrices, formed from `K_blocks` on the last columns of
+    `DofMap.element_dofs` and from `C_blocks` on all of them, apart from
+    `LinearSystem.element_stiffness`: entries on one slot added, sorted
+    indices, no entry that a block gives as an exact zero."""
+    dm, Cb = system.dofmap, system.C_blocks
+    ed, p = dm.element_dofs(), len(system.compliance)
+    ek = ed[:, -system.K_blocks.shape[-1]:]
+    return tuple(scipy.sparse.csr_matrix((v, (r, c)), shape=(n, dm.ndof)) for (r, c, v), n in (
+        (_block_entries(system.K_blocks, ek, ek), dm.ndof),
+        (_block_entries(Cb, np.arange(p).reshape(Cb.shape[:2]), ed), p)))
 
 
 def band_layout(system, k, stiff):

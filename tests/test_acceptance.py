@@ -10,7 +10,8 @@ import pytest
 
 from cartbeam import acceptance
 from cartbeam.acceptance import _frenet, _zeta
-from cartbeam.geometry import CircularArc, Helix, HermiteSpline
+from cartbeam.geometry import CircularArc
+from curves import quarter_circle, sample_spline, unit_helix
 
 
 def _run(fn):
@@ -44,7 +45,7 @@ def test_criterion_3_quarter_arc_orders_reduced():
 
 def test_criterion_4_curvature_locking():
     """Quarter arc, 8 elements, t=0.001: full-quadrature relative error at
-    least 10x the reduced-quadrature error for both formulations."""
+    least 10x the reduced-quadrature error for P2-P1, H3-P2 and EB-H3."""
     _run(acceptance.curvature_locking_reduced_integration)
 
 
@@ -129,20 +130,6 @@ def test_sabotage_hook_fails_criteria():
 def test_unknown_criterion_name_rejected():
     with pytest.raises(ValueError):
         acceptance.run_acceptance(names=["not_a_criterion"])
-
-
-def quarter_circle(radius=1.0):
-    return CircularArc([0, 0, 0], radius, [1, 0, 0], [0, 1, 0], 0.0, np.pi / 2)
-
-
-def unit_helix():
-    return Helix([0, 0, 0], 1.0, 1.0, [1, 0, 0], [0, 1, 0], 0.0, 2 * np.pi)
-
-
-def sample_spline():
-    y = np.linspace(0.0, 4.0, 7)
-    pts = np.column_stack([0.5 * np.sin(np.pi * y / 2.0), y, 0.1 * y**2])
-    return HermiteSpline(pts, [0.7, 0.6, 0.0], [0.5, 0.7, 0.4])
 
 
 class TestFrenetOracle:

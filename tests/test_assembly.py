@@ -49,6 +49,7 @@ from cartbeam.section import (
     rect_section,
     unit_depth_rect_section,
 )
+from saddle_reference import split_matrices
 
 
 MAT = Material(E=1e6, nu=0.3)
@@ -375,7 +376,7 @@ class TestSoftColumns:
     def test_matches_full_column_assembly(self, name, policy, kind, section):
         system = split_system(name, policy, kind, section)
         K_ref, K_soft_ref = full_column_reference(system)
-        for got, ref in ((system.K, K_ref), (system.K_soft, K_soft_ref)):
+        for got, ref in ((system.K, K_ref), (split_matrices(system)[0], K_soft_ref)):
             assert np.abs(got.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
 
     @SPLIT_CASES
@@ -383,8 +384,8 @@ class TestSoftColumns:
         # none under Timoshenko, where bend and twist read theta' alone
         system = split_system(name, policy, kind, section)
         u = system.dofmap.fields["u"].elem_dofs.ravel()
-        eb = system.form.euler_bernoulli
-        assert (system.K_soft[u].nnz > 0) == (system.K_soft[:, u].nnz > 0) == eb
+        eb, K_soft = system.form.euler_bernoulli, split_matrices(system)[0]
+        assert (K_soft[u].nnz > 0) == (K_soft[:, u].nnz > 0) == eb
 
 
 class TestSoftBlocks:
@@ -416,20 +417,22 @@ class TestSoftBlocks:
 
 
 class TestMixedSplit:
-    """K = K_soft + C^T diag(1/compliance) C, the split the solver factors."""
+    """K = K_soft + C^T diag(1/compliance) C, the split the solver factors:
+    K from its element matrices (`element_stiffness`) against the split's
+    matrices formed apart from them."""
 
     @SPLIT_CASES
     def test_full_stiffness_is_soft_part_plus_resultant_rows(self, name, policy, kind,
                                                              section):
         system = split_system(name, policy, kind, section)
-        form = system.form
+        form, (K_soft, C) = system.form, split_matrices(system)
         K = system.K.toarray()
-        stiff = (system.C.T @ scipy.sparse.diags(1.0 / system.compliance) @ system.C).toarray()
-        assert np.abs(K - system.K_soft.toarray() - stiff).max() <= 1e-14 * np.abs(K).max()
+        stiff = (C.T @ scipy.sparse.diags(1.0 / system.compliance) @ C).toarray()
+        assert np.abs(K - K_soft.toarray() - stiff).max() <= 1e-14 * np.abs(K).max()
         # one row per element, point of the stiff rule, and independent
         # strain component
         n_points = 2 if policy == "reduced" else form.full_points
-        assert system.C.shape[0] == 3 * n_points * stiff_rows_per_point(form) \
+        assert C.shape[0] == 3 * n_points * stiff_rows_per_point(form) \
             == len(system.compliance)
 
     @SPLIT_CASES
@@ -438,7 +441,8 @@ class TestMixedSplit:
         # resultant unknown per independent strain component
         system = split_system(name, policy, kind, section)
         rows = stiff_rows_per_point(system.form)
-        for block in system.C.toarray().reshape(-1, rows, system.C.shape[1]):
+        C = split_matrices(system)[1]
+        for block in C.toarray().reshape(-1, rows, C.shape[1]):
             assert np.linalg.matrix_rank(block) == rows
 
     @pytest.mark.parametrize("name", sorted(FORMULATIONS))
@@ -457,10 +461,11 @@ class TestMixedSplit:
                             lambda n: rules.append(gauss_rule(n)) or rules[-1])
         full = assemble_stiffness(model, mesh, form, "full")
         red = assemble_stiffness(model, mesh, form, "reduced")
+        (full_soft, full_C), (red_soft, red_C) = split_matrices(full), split_matrices(red)
         for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(full.K_soft, attr), getattr(red.K_soft, attr))
-        assert red.C.shape[0] == 3 * 2 * stiff_rows_per_point(form)
-        assert full.C.shape[0] == 3 * form.full_points * stiff_rows_per_point(form)
+            assert np.array_equal(getattr(full_soft, attr), getattr(red_soft, attr))
+        assert red_C.shape[0] == 3 * 2 * stiff_rows_per_point(form)
+        assert full_C.shape[0] == 3 * form.full_points * stiff_rows_per_point(form)
         # the reduced rule is the shared, memoized 2-point rule
         assert any(rule is gauss_rule(2) for rule in rules)
 

@@ -282,6 +282,12 @@ class TestSolveCommand:
         self.assert_runs_without("scipy.sparse", ["solve", demo("helix_spring.json"),
                                                   "--out", str(tmp_path / "out")])
 
+    def test_validate_never_imports_scipy_sparse(self):
+        # every criterion that reads K, the mechanics suite's rigid-mode
+        # energy, symmetry and energy identity among them, forms it from
+        # its element matrices
+        self.assert_runs_without("scipy.sparse", ["validate"])
+
     def test_geometry_criterion_never_imports_scipy_optimize(self):
         # criterion 7 builds its Frenet frame and its projection onto the
         # midline from `frames` and Newton steps, so no optimizer is loaded

@@ -25,20 +25,7 @@ from cartbeam.geometry import (
     orthonormal_completion,
     skew,
 )
-
-
-def quarter_circle(radius=1.0):
-    return CircularArc([0, 0, 0], radius, [1, 0, 0], [0, 1, 0], 0.0, np.pi / 2)
-
-
-def unit_helix():
-    return Helix([0, 0, 0], 1.0, 1.0, [1, 0, 0], [0, 1, 0], 0.0, 2 * np.pi)
-
-
-def sample_spline():
-    y = np.linspace(0.0, 4.0, 7)
-    pts = np.column_stack([0.5 * np.sin(np.pi * y / 2.0), y, 0.1 * y**2])
-    return HermiteSpline(pts, [0.7, 0.6, 0.0], [0.5, 0.7, 0.4])
+from curves import quarter_circle, sample_spline, unit_helix
 
 
 def pieces_spline(pieces, near_cusp=False):

@@ -41,7 +41,7 @@ from cartbeam.solver import (
     solve_model,
 )
 from manufactured import interpolated_solution
-from saddle_reference import band_storage, saddle_entries
+from saddle_reference import band_storage, saddle_entries, split_matrices
 
 MAT = Material(E=1e6, nu=0.3)
 
@@ -255,7 +255,7 @@ class TestKernel:
             expected = 3
         elif policy == "reduced" and name == "euler_bernoulli_h3" and kind == "line":
             expected = 1
-        H = hourglass_modes(system, _stiffness_scale(system))
+        H = hourglass_modes(system, system.element_stiffness())
         assert kernel_dim == expected, eig[:4]
         assert H.shape[1] == expected
         if expected:
@@ -541,8 +541,10 @@ class TestRigidCheck:
 
 
 class TestStiffnessFromSplit:
-    """solve applies K = K_soft + C^T diag(1/compliance) C from the split and
-    never forms it; its scale kappa = max_i K_ii is never above ||K||_inf."""
+    """solve applies K from its element matrices (`element_stiffness`) and
+    never forms the scipy matrix; the product and the scale kappa = max_i
+    K_ii read the same matrices as `LinearSystem.K`, and kappa is never
+    above ||K||_inf."""
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_CURVES))
     @pytest.mark.parametrize("policy", ["full", "reduced"])
@@ -555,16 +557,18 @@ class TestStiffnessFromSplit:
                           loads=LoadCase(force_end=[0.1, -0.2, 0.3]))
         system = discretize(model, formulation(name), 4, policy)
         solve(system)
-        assert "K" not in vars(system) and "K_soft" not in vars(system)
-        kappa, K = _stiffness_scale(system), system.K
+        assert "K" not in vars(system)
+        ke = system.element_stiffness()
+        kappa, K = _stiffness_scale(system, ke), system.K
         assert "K" in vars(system)
         diag = K.diagonal().max()
         assert abs(kappa - diag) <= 1e-15 * diag
         assert kappa <= abs(K).sum(axis=1).max()
         X = np.random.default_rng(5).standard_normal((K.shape[0], 3))
         KX = K @ X
-        assert np.abs(_apply_stiffness(system, X) - KX).max() <= 1e-14 * np.abs(KX).max()
-        assert np.array_equal(_apply_stiffness(system, X[:, 1]), _apply_stiffness(system, X)[:, 1])
+        assert np.abs(_apply_stiffness(system, ke, X) - KX).max() <= 1e-14 * np.abs(KX).max()
+        assert np.array_equal(_apply_stiffness(system, ke, X[:, 1]),
+                              _apply_stiffness(system, ke, X)[:, 1])
 
 
 NO_GAUGE = np.zeros((0, 3))
@@ -585,20 +589,21 @@ def _saddle_reference(system, V):
     one gauge row per row of V below B's rows, on node 0's slope DOFs, and
     the right-hand side [f, 0, g, 0], both in the order [x, sigma, lambda,
     gauge]."""
-    n, p, k = system.dofmap.ndof, system.C.shape[0], len(V)
+    (K_soft, C), k = split_matrices(system), len(V)
+    n, p = system.dofmap.ndof, C.shape[0]
     slopes = system.dofmap.fields["u"].node_dofs[0, 3:]
     gauge = scipy.sparse.csr_matrix((V.ravel(), np.tile(slopes, k), np.arange(0, 3 * k + 1, 3)),
                                     shape=(k, n))
     B = scipy.sparse.vstack([system.B, gauge], format="csr")
-    ref = scipy.sparse.bmat([[system.K_soft, system.C.T, B.T],
-                             [system.C, -scipy.sparse.diags(system.compliance), None],
+    ref = scipy.sparse.bmat([[K_soft, C.T, B.T],
+                             [C, -scipy.sparse.diags(system.compliance), None],
                              [B, None, None]], format="coo")
     return ref, np.concatenate([system.rhs, np.zeros(p), system.g, np.zeros(k)])
 
 
 def _gauge_directions(system):
     """What solve gauges: each zero-energy mode's slope direction at node 0."""
-    H = hourglass_modes(system, _stiffness_scale(system))
+    H = hourglass_modes(system, system.element_stiffness())
     return H[system.dofmap.fields["u"].node_dofs[0, 3:]].T
 
 
@@ -662,7 +667,8 @@ class TestSaddleMatrix:
         assert abs(band.anorm - anorm) <= 1e-14 * anorm
         # K_soft, built from its blocks, has sorted indices and is bitwise
         # symmetric, pattern and values, so the band is too
-        K, KT = system.K_soft, system.K_soft.T.tocsr()
+        K = split_matrices(system)[0]
+        KT = K.T.tocsr()
         KT.sort_indices()
         assert K.has_sorted_indices
         for attr in ("indptr", "indices", "data"):
@@ -699,7 +705,7 @@ class TestSaddleMatrix:
         X = np.random.default_rng(3).standard_normal((len(K), 4))
         SX, bK = _schur(A, b, n + np.arange(p), K, X)
         ref, ref_rhs = _saddle_reference(system, NO_GAUGE)
-        q = system.C.shape[0]
+        q = len(system.compliance)
         ref_K = np.concatenate([np.setdiff1d(np.arange(n), mid), n + q + np.arange(m)])
         ref_SX, ref_bK = _schur(ref, ref_rhs, np.concatenate([mid, n + np.arange(q)]), ref_K, X)
         assert np.abs(SX - ref_SX).max() <= 1e-10 * np.abs(ref_SX).max()
@@ -787,8 +793,9 @@ def _dense_least_hourglass_solve(system, modes):
     [B; G], by a dense LU, for the zero-energy modes whose slope directions
     are the rows of modes."""
     X = np.vstack([system.B.toarray(), _least_hourglass_rows(system, modes)])
-    C, p = system.C.toarray(), system.C.shape[0]
-    A = np.block([[system.K_soft.toarray(), C.T, X.T],
+    K_soft, C = (M.toarray() for M in split_matrices(system))
+    p = len(C)
+    A = np.block([[K_soft, C.T, X.T],
                   [C, -np.diag(system.compliance), np.zeros((p, len(X)))],
                   [X, np.zeros((len(X), p + len(X)))]])
     y = scipy.linalg.solve(A, np.concatenate([system.rhs, np.zeros(p), system.g,
@@ -846,9 +853,10 @@ def _dense_saddle_solve(system):
     by a dense LU of the symmetrically equilibrated matrix (d_i =
     1/sqrt(max_j |A_ij|)), with every unknown, midpoint DOFs and sigma
     included."""
-    C, B, p = system.C.toarray(), system.B.toarray(), system.C.shape[0]
+    K_soft, C = (M.toarray() for M in split_matrices(system))
+    B, p = system.B.toarray(), len(C)
     m = len(B)
-    A = np.block([[system.K_soft.toarray(), C.T, B.T],
+    A = np.block([[K_soft, C.T, B.T],
                   [C, -np.diag(system.compliance), np.zeros((p, m))],
                   [B, np.zeros((m, p + m))]])
     d = 1.0 / np.sqrt(np.abs(A).max(axis=1))
