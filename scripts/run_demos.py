@@ -18,8 +18,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out/demos")
     parser.add_argument("--samples", type=int, default=101, help="resultant sample count")
     args = parser.parse_args(argv)
-    # cartbeam solve lets BEAM_OUT override --out, which would put every demo in one directory
-    os.environ.pop("BEAM_OUT", None)
 
     for name, path in demo_files().items():
         code = cli.main(["solve", path, "--out", os.path.join(args.out, name),

@@ -51,7 +51,8 @@ import numpy as np
 import scipy.linalg
 
 from .discretization import DofMap, Formulation, Mesh1D, gauss_rule
-from .geometry import FrameSample, ParamCurve, Vec3, cross3, orthonormal_completion, skew
+from .geometry import (FrameSample, ParamCurve, Vec3, cross3, finite_vec3, orthonormal_completion,
+                       skew)
 from .section import CrossSection, Material, inertia_factor
 
 # quadrature policies for the stiff (stretch and shear) terms
@@ -132,6 +133,12 @@ class PointConstraint:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"point constraint {name} must be one of {', '.join(allowed)}, "
                                  f"got {getattr(self, name)!r}")
+        # a float array is kept, not copied, so an edit in place reaches the next solve
+        self.direction = finite_vec3(self.direction, "point constraint direction")
+        value = np.asarray(self.value, dtype=float)
+        if value.shape != () or not np.isfinite(value):
+            raise ValueError(f"point constraint value {self.value!r} is not finite or not a scalar")
+        self.value = float(value)
 
 
 class LoadCase:
@@ -427,7 +434,7 @@ def _point_row(pc: PointConstraint) -> tuple[str, float | Vec3]:
     """A point constraint's row and its w: the direction, or its first
     component for the scalar theta_t. A zero w, an empty row, raises."""
     row, d = _POINT_ROWS[pc.field], np.array(pc.direction, float)
-    w = float(np.ravel(d)[0]) if row in _SCALAR_ROWS else d
+    w = float(d[0]) if row in _SCALAR_ROWS else d
     if not np.any(w):
         hint = "theta_t reads direction[0]" if row in _SCALAR_ROWS else "zero direction"
         raise ValueError(f"point constraint on {pc.field} at {pc.end} has an empty row ({hint})")

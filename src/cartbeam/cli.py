@@ -301,16 +301,12 @@ def _read_json(path: str) -> dict:
             raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 
-def _out_dir(args) -> str:
-    return os.environ.get("BEAM_OUT") or args.out
-
-
 def cmd_solve(args) -> int:
     if args.samples < 2:
         raise SchemaError("--samples", "expected at least 2 samples")
     model, form_name, n_elements, policy = load_model(_read_json(args.model))
     solution = solve_model(model, formulation(form_name), n_elements, policy)
-    out = _out_dir(args)
+    out = args.out
     os.makedirs(out, exist_ok=True)
     export(solution, out, n_samples=args.samples)
 
@@ -338,7 +334,7 @@ def cmd_solve(args) -> int:
 def cmd_converge(args) -> int:
     study = load_study(_read_json(args.study))
     report = run_convergence(study)
-    out = _out_dir(args)
+    out = args.out
     os.makedirs(out, exist_ok=True)
     write_convergence_csv(report, os.path.join(out, "convergence.csv"))
     print_order_table(report)
@@ -375,13 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a model file, write CSV results")
     p.add_argument("model", help="model JSON file")
-    p.add_argument("--out", default="./out", help="output directory (env BEAM_OUT overrides)")
+    p.add_argument("--out", default="./out", help="output directory")
     p.add_argument("--samples", type=int, default=101, help="resultant sample count")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("converge", help="run a convergence/locking study file")
     p.add_argument("study", help="study JSON file")
-    p.add_argument("--out", default="./out", help="output directory (env BEAM_OUT overrides)")
+    p.add_argument("--out", default="./out", help="output directory")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("validate", help="run the built-in acceptance suite")

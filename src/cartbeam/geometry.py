@@ -9,7 +9,10 @@ leading sample axis. `frame(s)` is its one-row case. Curve evaluation
 (`point`, `d1`, `d2`, `speed`) and the arc-length map accept scalars or
 arrays alike, and refuse a parameter off the curve's range. A spline's
 arc-length map is a polynomial on each of a set of parameter intervals,
-none of which straddles a knot, where the curvature jumps. No normal
+none of which straddles a knot, where the curvature jumps. The closed-form
+kinds are the line and the helix; a circular arc is the helix of pitch 0
+(`CircularArc` subclasses `Helix`). Every 3-vector a curve is built from
+must be finite and of shape (3,) (`finite_vec3`). No normal
 direction is defined: the formulation reads only t, and a principal normal
 would be undefined wherever kappa vanishes.
 """
@@ -185,6 +188,16 @@ class ParamCurve:
         return self._end_frames
 
 
+def finite_vec3(value, what: str) -> Vec3:
+    """value as a finite float 3-vector (a float array is not copied), or
+    ValueError naming what."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        got = v.tolist() if v.shape == (3,) else f"shape {v.shape}"
+        raise ValueError(f"{what} must be finite and of shape (3,), got {got}")
+    return v
+
+
 @dataclass(eq=False)
 class LineSegment(ParamCurve):
     p0: Vec3
@@ -192,10 +205,8 @@ class LineSegment(ParamCurve):
     kind: str = field(default="line", init=False)
 
     def __post_init__(self):
-        self.p0 = np.asarray(self.p0, dtype=float)
-        self.p1 = np.asarray(self.p1, dtype=float)
-        if not np.isfinite([self.p0, self.p1]).all():
-            raise ValueError("line segment endpoints must be finite")
+        self.p0 = finite_vec3(self.p0, "line segment p0")
+        self.p1 = finite_vec3(self.p1, "line segment p1")
         self.xi0, self.xi1 = 0.0, 1.0
         if np.linalg.norm(self.p1 - self.p0) < _SPEED_FLOOR:
             raise DegenerateCurveError("line segment endpoints coincide")
@@ -209,56 +220,13 @@ class LineSegment(ParamCurve):
         return float(np.linalg.norm(self.p1 - self.p0))
 
 
-def _checked_plane_basis(e1, e2) -> tuple[Vec3, Vec3]:
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    if abs(np.linalg.norm(e1) - 1.0) > 1e-6 or abs(np.linalg.norm(e2) - 1.0) > 1e-6:
-        raise ValueError("plane basis vectors must be unit length")
-    if abs(float(e1 @ e2)) > 1e-6:
-        raise ValueError("plane basis vectors must be orthogonal")
-    e1 = unit(e1)
-    e2 = unit(e2 - (e2 @ e1) * e1)
-    return e1, e2
-
-
-@dataclass(eq=False)
-class CircularArc(ParamCurve):
-    """Arc r(phi) = center + R (cos(phi) e1 + sin(phi) e2), phi in [angle0, angle1]."""
-
-    center: Vec3
-    radius: float
-    e1: Vec3
-    e2: Vec3
-    angle0: float
-    angle1: float
-    kind: str = field(default="arc", init=False)
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if not (np.isfinite([self.radius, self.angle0, self.angle1]).all() and self.radius > 0):
-            raise ValueError("arc radius must be positive, and radius and angles finite")
-        if not self.angle1 > self.angle0:
-            raise ValueError("arc angle range must be increasing")
-        self.e1, self.e2 = _checked_plane_basis(self.e1, self.e2)
-        self.xi0, self.xi1 = float(self.angle0), float(self.angle1)
-
-    def _combine(self, c1, c2):
-        return np.multiply.outer(c1, self.e1) + np.multiply.outer(c2, self.e2)
-
-    def _jet(self, xi):
-        c, s = np.cos(xi), np.sin(xi)
-        radial = self._combine(c, s)
-        return (self.center + self.radius * radial, self.radius * self._combine(-s, c),
-                -self.radius * radial)
-
-    @property
-    def constant_speed(self):
-        return float(self.radius)
-
-
 @dataclass(eq=False)
 class Helix(ParamCurve):
-    """Helix r(xi) = center + a (cos(xi) e1 + sin(xi) e2) + b xi e3, e3 = e1 x e2."""
+    """Helix r(xi) = center + a (cos(xi) e1 + sin(xi) e2) + b xi e3, e3 = e1 x e2,
+    xi in [angle0, angle1], with radius a and pitch b. Its speed is the
+    constant hypot(a, b). A circular arc is the helix of pitch 0
+    (`CircularArc`), so one set of checks and one evaluation serve both;
+    each error names the curve's kind."""
 
     center: Vec3
     radius: float
@@ -270,14 +238,21 @@ class Helix(ParamCurve):
     kind: str = field(default="helix", init=False)
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
+        k = self.kind
+        self.center = finite_vec3(self.center, f"{k} center")
         if not (np.isfinite([self.radius, self.pitch, self.angle0, self.angle1]).all()
                 and self.radius > 0):
-            raise ValueError("helix radius must be positive, and radius, pitch and angles finite")
+            raise ValueError(f"{k} radius must be positive, and radius, pitch and angles finite")
         if not self.angle1 > self.angle0:
-            raise ValueError("helix angle range must be increasing")
-        self.e1, self.e2 = _checked_plane_basis(self.e1, self.e2)
-        self.e3 = np.cross(self.e1, self.e2)
+            raise ValueError(f"{k} angle range must be increasing")
+        e1, e2 = finite_vec3(self.e1, f"{k} e1"), finite_vec3(self.e2, f"{k} e2")
+        if abs(np.linalg.norm(e1) - 1.0) > 1e-6 or abs(np.linalg.norm(e2) - 1.0) > 1e-6:
+            raise ValueError(f"{k} plane basis vectors must be unit length")
+        if abs(float(e1 @ e2)) > 1e-6:
+            raise ValueError(f"{k} plane basis vectors must be orthogonal")
+        self.e1 = unit(e1)
+        self.e2 = unit(e2 - (e2 @ self.e1) * self.e1)
+        self.e3 = cross3(self.e1, self.e2)
         self.xi0, self.xi1 = float(self.angle0), float(self.angle1)
 
     def _combine(self, c1, c2, c3=0.0):
@@ -288,11 +263,21 @@ class Helix(ParamCurve):
         a, b = self.radius, self.pitch
         ac, as_ = a * np.cos(xi), a * np.sin(xi)
         return (self.center + self._combine(ac, as_, b * np.asarray(xi)),
-                self._combine(-as_, ac, np.full(np.shape(xi), b)), self._combine(-ac, -as_))
+                self._combine(-as_, ac, b), self._combine(-ac, -as_))
 
     @property
     def constant_speed(self):
         return float(np.hypot(self.radius, self.pitch))
+
+
+@dataclass(eq=False)
+class CircularArc(Helix):
+    """Arc r(phi) = center + R (cos(phi) e1 + sin(phi) e2), phi in [angle0,
+    angle1]: the `Helix` of pitch 0, built as `CircularArc(center, radius,
+    e1, e2, angle0, angle1)`."""
+
+    pitch: float = field(default=0.0, init=False)
+    kind: str = field(default="arc", init=False)
 
 
 @dataclass(eq=False)
@@ -313,14 +298,10 @@ class HermiteSpline(ParamCurve):
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) < 2:
             raise ValueError("spline needs at least two 3d knot points")
-        for name in ("t_start", "t_end"):
-            t = np.asarray(getattr(self, name), dtype=float)
-            if t.shape != (3,):
-                raise ValueError(f"spline {name} must be a 3-vector, got shape {t.shape}")
-            setattr(self, name, t)
-        if not (np.isfinite(self.points).all() and np.isfinite(self.t_start).all()
-                and np.isfinite(self.t_end).all()):
-            raise ValueError("spline knots and end tangents must be finite")
+        self.t_start = finite_vec3(self.t_start, "spline t_start")
+        self.t_end = finite_vec3(self.t_end, "spline t_end")
+        if not np.isfinite(self.points).all():
+            raise ValueError("spline knots must be finite")
         self.tangents = np.vstack([self.t_start, 0.5 * (self.points[2:] - self.points[:-2]),
                                    self.t_end])
         self.xi0, self.xi1 = 0.0, float(len(self.points) - 1)

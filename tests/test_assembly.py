@@ -648,6 +648,29 @@ class TestMalformedEndData:
         with pytest.raises(ValueError, match=match):
             PointConstraint(end, field, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("field", ["u", "theta", "theta_t"])
+    @pytest.mark.parametrize("direction, value, match", [
+        ([[0.0, 1.0, 0.0]], 0.0, "direction must be finite and of shape \\(3,\\), got shape"),
+        ([1.0, 0.0], 0.0, "direction must be finite and of shape \\(3,\\), got shape"),
+        ([1.0, 0.0, 0.0, 0.0], 0.0, "direction must be finite and of shape"),
+        ([np.nan, 1.0, 0.0], 0.0, "direction must be finite and of shape \\(3,\\), got \\[nan"),
+        ([0.0, np.inf, 0.0], 0.0, "direction must be finite"),
+        ([1.0, 0.0, 0.0], [1.0, 2.0], "value \\[1.0, 2.0\\] is not finite or not a scalar"),
+        ([1.0, 0.0, 0.0], np.inf, "value inf is not finite"),
+    ], ids=["1x3", "2-vector", "4-vector", "nan-direction", "inf-direction", "2-value",
+            "inf-value"])
+    def test_point_constraint_direction_and_value(self, field, direction, value, match):
+        # refused when built, as a model file's constraint is, not after a
+        # solve or inside the factorization
+        with pytest.raises(ValueError, match=f"^point constraint {match}"):
+            PointConstraint("end", field, direction, value)
+
+    def test_point_constraint_keeps_a_float_direction_and_a_float_value(self):
+        direction = np.array([0.0, 0.6, 0.8])
+        pc = PointConstraint("end", "u", direction, np.float32(0.5))
+        assert pc.direction is direction
+        assert type(pc.value) is float and pc.value == 0.5
+
     @pytest.mark.parametrize("row, value, match", [
         ("shearing", np.zeros(2), "shearing value must be a 3-vector, got shape \\(2,\\)"),
         ("bending", 0.0, "bending value must be a 3-vector"),

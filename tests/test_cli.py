@@ -391,12 +391,16 @@ class TestSolveCommand:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
 
-    def test_beam_out_env_overrides_flag(self, tmp_path, monkeypatch):
-        env_out = str(tmp_path / "env_out")
-        monkeypatch.setenv("BEAM_OUT", env_out)
-        assert main(["solve", config("straight_cantilever.json"),
-                     "--out", str(tmp_path / "flag_out")]) == 0
-        assert os.path.exists(os.path.join(env_out, "summary.json"))
+    def test_beam_out_env_is_ignored(self, tmp_path, monkeypatch):
+        # --out alone names the output directory of both commands that write
+        env_out = tmp_path / "env_out"
+        monkeypatch.setenv("BEAM_OUT", str(env_out))
+        for command, path, written in (("solve", "straight_cantilever.json", "summary.json"),
+                                       ("converge", "study_straight.json", "convergence.csv")):
+            flag_out = tmp_path / command
+            assert main([command, config(path), "--out", str(flag_out)]) == 0
+            assert (flag_out / written).exists()
+        assert not env_out.exists()
 
     def test_spline_config_twist_decouples(self):
         # end-to-end through the JSON spline path: the in-plane S-curve load

@@ -57,6 +57,68 @@ def test_non_finite_curve_numbers_are_refused(make):
         make()
 
 
+# curve kind -> (a constructor taking the kind's 3-vector arguments by
+# keyword, a valid value of each)
+VECTOR_ARGS = {
+    "line": (LineSegment, {"p0": [0.0, 0.0, 0.0], "p1": [10.0, 0.0, 0.0]}),
+    "arc": (lambda center, e1, e2: CircularArc(center, 1.0, e1, e2, 0.0, 1.0),
+            {"center": [0.0, 0.0, 0.0], "e1": [1.0, 0.0, 0.0], "e2": [0.0, 1.0, 0.0]}),
+    "helix": (lambda center, e1, e2: Helix(center, 1.0, 0.2, e1, e2, 0.0, 1.0),
+              {"center": [0.0, 0.0, 0.0], "e1": [1.0, 0.0, 0.0], "e2": [0.0, 1.0, 0.0]}),
+    "hermite_spline": (lambda t_start, t_end: HermiteSpline([[0.0, 0, 0], [1.0, 0, 0]],
+                                                            t_start, t_end),
+                       {"t_start": [1.0, 0.0, 0.0], "t_end": [1.0, 0.0, 0.0]}),
+}
+MALFORMED_VECTORS = {
+    "nan": [np.nan, 0.0, 0.0],
+    "inf": [np.inf, 0.0, 0.0],
+    "2-vector": [1.0, 0.0],
+    "4-vector": [1.0, 0.0, 0.0, 0.0],
+    "1x3": [[1.0, 0.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(MALFORMED_VECTORS))
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind, (_, args) in VECTOR_ARGS.items()
+                                        for name in args])
+def test_curve_vectors_must_be_finite_3_vectors(kind, name, bad):
+    # refused when built, with the argument named, instead of failing later
+    # in assembly or the solve
+    make, args = VECTOR_ARGS[kind]
+    with pytest.raises(ValueError, match=f"{name} must be finite and of shape \\(3,\\)"):
+        make(**{**args, name: MALFORMED_VECTORS[bad]})
+    assert make(**args).kind == kind
+
+
+class TestArcIsZeroPitchHelix:
+    """A circular arc is the helix of pitch 0: one class, with the arc's own
+    signature, kind and error messages."""
+
+    def test_arc_is_a_helix_of_pitch_zero(self):
+        arc = CircularArc([0.0, 0.0, 1.0], 2.0, [1, 0, 0], [0, 1, 0], 0.0, 1.5)
+        assert isinstance(arc, Helix)
+        assert arc.pitch == 0.0 and arc.kind == "arc"
+        assert (arc.radius, arc.angle0, arc.angle1) == (2.0, 0.0, 1.5)
+        assert arc.constant_speed == 2.0 and arc.length == 3.0
+
+    @pytest.mark.parametrize("make", [
+        lambda: CircularArc([0, 0, 0], -1.0, [1, 0, 0], [0, 1, 0], 0.0, 1.0),
+        lambda: CircularArc([0, 0, 0], 1.0, [1, 0, 0], [0, 1, 0], 1.0, 0.0),
+        lambda: CircularArc([0, 0, 0], 1.0, [2, 0, 0], [0, 1, 0], 0.0, 1.0),
+        lambda: CircularArc([0, 0, 0], 1.0, [1, 0, 0], [1, 0, 0], 0.0, 1.0),
+    ], ids=["radius", "angles", "unit", "orthogonal"])
+    def test_arc_errors_name_the_arc(self, make):
+        with pytest.raises(ValueError, match="^arc "):
+            make()
+
+    def test_arc_evaluates_as_the_helix_of_pitch_zero(self):
+        args = ([0.5, -1.0, 2.0], 1.3, [0, 1, 0], [0, 0, 1], -0.4, 2.2)
+        arc, helix = CircularArc(*args), Helix(*args[:2], 0.0, *args[2:])
+        s = np.linspace(0.0, arc.length, 17)
+        for a, b in zip(vars(arc.frames(s)).values(), vars(helix.frames(s)).values()):
+            assert a.tobytes() == b.tobytes()
+
+
 unit_vectors = st.builds(
     lambda a, b: np.array([np.cos(a) * np.sin(b), np.sin(a) * np.sin(b), np.cos(b)]),
     st.floats(0, 2 * np.pi), st.floats(0.01, np.pi - 0.01),

@@ -48,8 +48,8 @@ def test_run_convergence_writes_both_studies_and_the_locking_lines(tmp_path, mon
 
 
 def test_run_demos_writes_one_directory_per_demo_file(tmp_path, monkeypatch):
-    # --out alone names the base directory: a BEAM_OUT in the environment
-    # must not draw every demo into that one directory
+    # --out alone names the base directory: a stray BEAM_OUT in the
+    # environment draws no demo into its directory
     module = _load(os.path.join(SCRIPT_DIR, "run_demos.py"), "_script_run_demos")
     monkeypatch.setenv("BEAM_OUT", str(tmp_path / "stray"))
     out = tmp_path / "out"
