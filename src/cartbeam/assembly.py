@@ -687,13 +687,14 @@ def _essential_rows(model: BeamModel, form: Formulation, k: int, notes: list[str
 def _rigid_node_rows(form: Formulation, fr: FrameSample, slopes: bool
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the six rigid-body modes at nodes with frames fr: translations
-    u = e_a (column a), rotations about the origin u = e_a x x, theta = e_a
-    (column 3 + a). On u's values [I | e_a x x], then, if `slopes`, on its
-    slopes [0 | e_a x t], as (n, 3 or 6, 6); on the angle [0 | I], or [0 | t]
-    on the Euler-Bernoulli twist theta_t = t . theta, as (n, angle_ncomp, 6).
-    Column a of skew(v)^T = -skew(v) is e_a x v."""
+    u = e_a (column a), rotations about the first node u = e_a x (x - x0),
+    theta = e_a (column 3 + a). On u's values [I | e_a x (x - x0)], then, if
+    `slopes`, on its slopes [0 | e_a x t], as (n, 3 or 6, 6); on the angle
+    [0 | I], or [0 | t] on the Euler-Bernoulli twist theta_t = t . theta, as
+    (n, angle_ncomp, 6). Column a of skew(v)^T = -skew(v) is e_a x v. About
+    the origin, a model placed far away would count false free modes."""
     eye, zero = np.broadcast_to(np.eye(3), (len(fr.s), 3, 3)), np.zeros((len(fr.s), 3, 3))
-    mid = [np.concatenate([eye, skew(fr.x).mT], axis=2)]
+    mid = [np.concatenate([eye, skew(fr.x - fr.x[0]).mT], axis=2)]
     if slopes:
         mid.append(np.concatenate([zero, skew(fr.t).mT], axis=2))
     ang = np.concatenate([zero[:, :1], fr.t[:, None]] if form.euler_bernoulli

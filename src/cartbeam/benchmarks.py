@@ -1,14 +1,16 @@
 """Analytical references, convergence studies, and demo problems.
 
-Two classical cantilever solutions serve as references: a straight beam of
-unit depth under a transverse tip load, and a plane quarter-circle arc under
-a radial tip load. Both are elasticity solutions that assume a parabolic
-end-stress distribution the beam model cannot represent, so measured errors
-eventually plateau; order fitting therefore only uses pre-plateau
-refinements. The locking comparisons (quadrature policy on curved geometry,
-thickness on straight) read their relative errors from the same convergence
-report. The curvature-coupling demos are model files in the package's
-demos/ directory, read by cli.load_model like any `cartbeam solve` input.
+Two cantilevers serve as references: a straight beam of unit depth under a
+transverse tip load, and a plane quarter-circle arc under a radial tip load.
+Each has the 1D beam model's own tip deflection in closed form, and the
+convergence study measures errors and orders against it. Each also has a
+classical elasticity solution, which assumes a parabolic end-stress
+distribution the beam model cannot represent; the study reports the 1D
+value's relative gap to it, O(t^2), as the cell's model gap. The locking
+comparisons (quadrature policy on curved geometry, thickness on straight)
+read their relative errors from the same convergence report. The
+curvature-coupling demos are model files in the package's demos/ directory,
+read by cli.load_model like any `cartbeam solve` input.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import QUADRATURE_POLICIES, BeamModel, BoundaryCondition, LoadCase
-from .discretization import element_count, formulation
+from .discretization import Formulation, element_count, formulation
 from .geometry import CircularArc, LineSegment
 from .postprocess import tip_displacement
 from .section import Material, unit_depth_rect_section
@@ -135,14 +137,6 @@ class StudySpec:
         if self.benchmark == "quarter_arc" and self.radius <= max(self.thickness) / 2:
             raise ValueError("radius must exceed half the largest thickness")
 
-    @property
-    def supports_order_fit(self) -> bool:
-        return len(self.elements) >= 3
-
-    @property
-    def qoi_index(self) -> int:
-        return _BENCHMARKS[self.benchmark]
-
     def model(self, t: float) -> BeamModel:
         if self.benchmark == "straight":
             return make_straight_model(t, L=self.length, P=self.load, material=self.material)
@@ -154,6 +148,19 @@ class StudySpec:
                                          t, self.length)
         return analytic_quarter_arc_tip(self.load, self.material.E,
                                         self.radius - t / 2.0, self.radius + t / 2.0)
+
+    def beam_tip(self, t: float, form: Formulation) -> float:
+        """The 1D beam model's own tip deflection (the qoi) in closed form:
+        -(P L^3/(3 E I) + P L/(G|A|)) on the straight beam and
+        -(pi P R/4)(R^2/(E I) + 1/(E|A|) + 1/(G|A|)) on the quarter arc, with
+        no G|A| term under Euler-Bernoulli kinematics."""
+        sec, mat, P = unit_depth_rect_section(t), self.material, self.load
+        EI = mat.E * sec.inertia_iso
+        shear = 0.0 if form.euler_bernoulli else 1.0 / (mat.G * sec.area)
+        if self.benchmark == "straight":
+            return -P * self.length * (self.length**2 / (3.0 * EI) + shear)
+        R = self.radius
+        return -(math.pi * P * R / 4.0) * (R**2 / EI + 1.0 / (mat.E * sec.area) + shear)
 
 
 def observed_orders(elements, errors) -> list[float]:
@@ -168,31 +175,18 @@ def observed_orders(elements, errors) -> list[float]:
     return out
 
 
-def plateau_pair_index(errors) -> int | None:
-    """Index of the first refinement pair where the error fails to shrink by
-    at least 20 percent; None when every refinement keeps converging."""
-    for i in range(len(errors) - 1):
-        if errors[i] <= 0 or errors[i + 1] > 0.8 * errors[i]:
-            return i
-    return None
-
-
-def pre_plateau_orders(pair_orders, plateau_pair: int | None) -> list[float]:
-    """The finite pair orders before the plateau pair (all of them when None)."""
-    usable = pair_orders if plateau_pair is None else pair_orders[:plateau_pair]
-    return [p for p in usable if np.isfinite(p)]
-
-
-def fitted_order(elements, errors) -> float | None:
-    """Median of the observed pre-plateau pair orders (None if no usable pair)."""
-    usable = pre_plateau_orders(observed_orders(elements, errors), plateau_pair_index(errors))
-    if not usable:
-        return None
-    return float(np.median(usable))
+def fitted_order(pair_orders) -> float | None:
+    """Median of the finite pair orders (None if there is none)."""
+    finite = [p for p in pair_orders if np.isfinite(p)]
+    return float(np.median(finite)) if finite else None
 
 
 @dataclass(eq=False)
 class CellResult:
+    """A study cell: the tip qoi per solved mesh, its errors and orders against
+    `reference`, the 1D model's tip, and that value's relative gap to the
+    elasticity solution."""
+
     benchmark: str
     formulation: str
     policy: str
@@ -203,7 +197,7 @@ class CellResult:
     errors: list[float]
     rel_errors: list[float]
     pair_orders: list[float]
-    plateau_pair: int | None
+    model_gap: float
     order: float | None
     failures: dict[int, str] = field(default_factory=dict)
 
@@ -229,33 +223,31 @@ class ConvergenceReport:
 
     def rows(self):
         """Flat rows (benchmark, formulation, quadrature, t, n_elem, qoi, error,
-        rel_error, order) for CSV emission; order is blank for the coarsest mesh
-        and whenever fewer than three meshes were run."""
-        with_order = self.study.supports_order_fit
+        rel_error, model_gap, order) for CSV emission; order is blank for the
+        coarsest mesh and whenever fewer than three meshes were run."""
         for key, cell in sorted(self.cells.items(), key=lambda kv: repr(kv[0])):
             for i, n in enumerate(cell.elements):
-                order = ""
-                if with_order and i > 0 and np.isfinite(cell.pair_orders[i - 1]):
-                    order = cell.pair_orders[i - 1]
+                pair = cell.pair_orders[i - 1] if i else np.nan
+                order = pair if cell.order is not None and np.isfinite(pair) else ""
                 yield (cell.benchmark, cell.formulation, cell.policy, cell.t, n,
-                       cell.qoi[i], cell.errors[i], cell.rel_errors[i], order)
+                       cell.qoi[i], cell.errors[i], cell.rel_errors[i], cell.model_gap, order)
 
 
 def run_convergence(study: StudySpec) -> ConvergenceReport:
     """Solve every (formulation, policy, thickness, mesh) cell, compare the tip
-    deflection with the analytic reference, and fit pre-plateau orders."""
+    deflection with the 1D model's closed-form value, and fit orders."""
     report = ConvergenceReport(study=study)
     for name in study.formulations:
         form = formulation(name)
         for policy in study.quadrature:
             for t in study.thickness:
                 model = study.model(t)
-                ref = study.reference(t)
+                ref = study.beam_tip(t, form)
                 used_elements, qois, failures = [], [], {}
                 for n in study.elements:
                     try:
                         sol = solve_model(model, form, n, policy)
-                        q = float(tip_displacement(sol)[study.qoi_index])
+                        q = float(tip_displacement(sol)[_BENCHMARKS[study.benchmark]])
                     except Exception as exc:  # noqa: BLE001 - study keeps going per cell
                         failures[n] = f"{type(exc).__name__}: {exc}"
                         continue
@@ -269,8 +261,8 @@ def run_convergence(study: StudySpec) -> ConvergenceReport:
                     benchmark=study.benchmark, formulation=name, policy=policy, t=t,
                     elements=used_elements, qoi=qois, reference=ref, errors=errs,
                     rel_errors=rels, pair_orders=orders,
-                    plateau_pair=plateau_pair_index(errs),
-                    order=fitted_order(used_elements, errs) if study.supports_order_fit else None,
+                    model_gap=abs(ref / study.reference(t) - 1.0),
+                    order=fitted_order(orders) if len(study.elements) >= 3 else None,
                     failures=failures,
                 )
     return report
@@ -280,18 +272,18 @@ def write_convergence_csv(report: ConvergenceReport, path: str) -> None:
     """Write the report's rows (see ConvergenceReport.rows) as CSV, floats
     with 17 significant digits."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("benchmark,formulation,quadrature,t,n_elem,qoi,error,rel_error,order\n")
+        fh.write("benchmark,formulation,quadrature,t,n_elem,qoi,error,rel_error,model_gap,order\n")
         for row in report.rows():
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def print_order_table(report: ConvergenceReport) -> None:
-    """Print each cell's fitted pre-plateau order, then its qoi, relative
+    """Print each cell's model gap and fitted order, then its qoi, relative
     error and pair order per mesh, and the meshes that failed."""
     for _, cell in sorted(report.cells.items(), key=lambda kv: repr(kv[0])):
         order = "n/a" if cell.order is None else f"{cell.order:.2f}"
         print(f"{cell.benchmark} {cell.formulation} {cell.policy} t={cell.t:g}: "
-              f"fitted order {order}")
+              f"model gap {cell.model_gap:.3e}, fitted order {order}")
         print(f"  {'n':>4}  {'qoi':>22}  {'rel_error':>12}  {'pair order':>10}")
         for i, n in enumerate(cell.elements):
             pair = "" if i == 0 else f"{cell.pair_orders[i - 1]:10.2f}"

@@ -76,19 +76,15 @@ class CrossSection:
     director: Vec3 | None = None
 
     def __post_init__(self):
-        numbers = [self.area, self.polar, self.inertia_iso, self.inertia_principal, self.director]
-        if not all(np.isfinite(v).all() for v in numbers if v is not None):
-            raise ValueError("section properties must be finite")
-        if self.area <= 0 or self.polar <= 0:
-            raise ValueError("area and polar inertia must be positive")
         if (self.inertia_iso is None) == (self.inertia_principal is None):
             raise ValueError("set exactly one of inertia_iso / inertia_principal")
-        if self.inertia_iso is not None and self.inertia_iso <= 0:
-            raise ValueError("inertia must be positive")
+        for name in ("area", "polar", "inertia_iso", "inertia_principal"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) & (np.asarray(value) > 0)).all():
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.director is not None and not np.isfinite(self.director).all():
+            raise ValueError("section director must be finite")
         if self.inertia_principal is not None:
-            i1, i2 = self.inertia_principal
-            if i1 <= 0 or i2 <= 0:
-                raise ValueError("principal inertias must be positive")
             if self.director is None:
                 raise ValueError("oriented section requires a director")
             object.__setattr__(self, "director", unit(np.asarray(self.director, float)))
@@ -98,14 +94,22 @@ class CrossSection:
         return self.inertia_iso is not None
 
 
+def _pow(x: float, k: int) -> float:
+    """x**k, or inf where a float power raises OverflowError."""
+    try:
+        return x**k
+    except OverflowError:
+        return np.inf
+
+
 def rect_section(w: float, h: float, director) -> CrossSection:
     """Rectangle w x h: I1 = w h^3/12, I2 = w^3 h/12, J = (w h^3 + w^3 h)/12."""
     if w <= 0 or h <= 0:
         raise ValueError("rectangle sides must be positive")
     return CrossSection(
         area=w * h,
-        polar=(w * h**3 + w**3 * h) / 12.0,
-        inertia_principal=(w * h**3 / 12.0, w**3 * h / 12.0),
+        polar=(w * _pow(h, 3) + _pow(w, 3) * h) / 12.0,
+        inertia_principal=(w * _pow(h, 3) / 12.0, _pow(w, 3) * h / 12.0),
         director=np.asarray(director, float),
     )
 
@@ -114,8 +118,8 @@ def circle_section(d: float) -> CrossSection:
     """Solid circle of diameter d: A = pi d^2/4, I = pi d^4/64, J = pi d^4/32."""
     if d <= 0:
         raise ValueError("circle diameter must be positive")
-    return CrossSection(area=np.pi * d**2 / 4.0, polar=np.pi * d**4 / 32.0,
-                        inertia_iso=np.pi * d**4 / 64.0)
+    return CrossSection(area=np.pi * _pow(d, 2) / 4.0, polar=np.pi * _pow(d, 4) / 32.0,
+                        inertia_iso=np.pi * _pow(d, 4) / 64.0)
 
 
 def unit_depth_rect_section(t: float) -> CrossSection:
@@ -127,7 +131,7 @@ def unit_depth_rect_section(t: float) -> CrossSection:
     """
     if t <= 0:
         raise ValueError("thickness must be positive")
-    i = t**3 / 12.0
+    i = _pow(t, 3) / 12.0
     return CrossSection(area=t, polar=2.0 * i, inertia_iso=i)
 
 

@@ -1,5 +1,6 @@
-"""Benchmark tests: analytic reference formulas (frozen values), convergence
-and locking studies, and the curvature-coupling demo problems."""
+"""Benchmark tests: analytic reference formulas (frozen values), the 1D
+model's closed-form tips, convergence and locking studies, and the
+curvature-coupling demo problems."""
 import decimal
 import math
 import os
@@ -17,7 +18,6 @@ from cartbeam.benchmarks import (
     fitted_order,
     make_straight_model,
     observed_orders,
-    plateau_pair_index,
     run_convergence,
     solve_demo,
 )
@@ -91,15 +91,58 @@ class TestOrderFitting:
         errors = [1.0, 0.25, 0.0625, 0.015625]
         assert np.allclose(observed_orders(ns, errors), 2.0)
 
-    def test_plateau_detection(self):
-        errors = [1.0, 0.25, 0.0625, 0.06, 0.061]
-        assert plateau_pair_index(errors) == 2
-        assert plateau_pair_index([1.0, 0.25, 0.0625]) is None
+    def test_fitted_order_is_the_median_of_the_finite_pair_orders(self):
+        # an exact mesh (error 0) gives a NaN pair order, which is skipped
+        orders = observed_orders([1, 2, 4, 8, 16], [1.0, 0.25, 0.0, 0.01, 0.0025])
+        assert np.isnan(orders[1]) and np.isnan(orders[2])
+        assert fitted_order(orders) == pytest.approx(2.0)
+        assert fitted_order([1.0, float("nan"), 3.0, 4.0]) == 3.0
+        assert fitted_order([float("nan")]) is None
 
-    def test_fitted_order_ignores_post_plateau(self):
-        ns = [1, 2, 4, 8, 16]
-        errors = [1.0, 0.25, 0.0625, 0.06, 0.061]
-        assert fitted_order(ns, errors) == pytest.approx(2.0)
+
+class TestBeamTip:
+    """StudySpec.beam_tip, the 1D model's own tip deflection, in closed form."""
+
+    def test_straight_closed_form(self):
+        # P L^3/(3 E I) + P L/(G|A|) at t=0.1: 1000/250 + 10/(1e6/2.6 * 0.1)
+        study = StudySpec("straight", ["timoshenko_h3p2"], ["full"], [1], [0.1])
+        assert study.beam_tip(0.1, formulation("timoshenko_h3p2")) == pytest.approx(
+            -(4.0 + 2.6e-4), rel=1e-14)
+        assert study.beam_tip(0.1, formulation("euler_bernoulli_h3")) == pytest.approx(
+            -4.0, rel=1e-14)
+
+    def test_quarter_arc_closed_form(self):
+        # (pi P R/4)(R^2/(E I) + 1/(E|A|) + 1/(G|A|)), R=1, t=0.1
+        study = StudySpec("quarter_arc", ["timoshenko_h3p2"], ["reduced"], [1], [0.1])
+        EI, EA, GA = 1e6 * 1e-3 / 12, 1e6 * 0.1, 1e6 / 2.6 * 0.1
+        for name, shear in (("timoshenko_h3p2", 1 / GA), ("euler_bernoulli_h3", 0.0)):
+            assert study.beam_tip(0.1, formulation(name)) == pytest.approx(
+                -np.pi / 4 * (1 / EI + 1 / EA + shear), rel=1e-14)
+
+    @pytest.mark.parametrize("name, policy", [("timoshenko_h3p2", "full"),
+                                              ("timoshenko_h3p2", "reduced"),
+                                              ("euler_bernoulli_h3", "full")])
+    @pytest.mark.parametrize("t", [0.1, 1e-3])
+    def test_one_hermite_element_reproduces_the_straight_tip(self, name, policy, t):
+        # the tip-loaded straight beam's 1D solution is cubic, so one H3
+        # element is exact: the cell's error is round-off
+        study = StudySpec("straight", [name], [policy], [1], [t])
+        cell = run_convergence(study).cell(name, policy, t)
+        assert cell.reference == study.beam_tip(t, formulation(name))
+        assert cell.rel_errors[0] <= 1e-14
+
+    def test_model_gap_is_the_1d_value_against_elasticity(self):
+        # the O(t^2) gap the elasticity solutions carry: 3.75e-6 on the
+        # straight beam and 1.50e-3 on the arc at t=0.1, and it shrinks like
+        # t^2
+        for bench, gap in (("straight", 3.75e-6), ("quarter_arc", 1.50e-3)):
+            study = StudySpec(bench, ["timoshenko_h3p2"], ["reduced"], [1], [0.1, 0.01])
+            report = run_convergence(study)
+            thick, thin = (report.cell("timoshenko_h3p2", "reduced", t) for t in (0.1, 0.01))
+            assert thick.model_gap == pytest.approx(gap, rel=2e-3)
+            assert thick.model_gap == pytest.approx(
+                abs(thick.reference - study.reference(0.1)) / abs(study.reference(0.1)))
+            assert thin.model_gap == pytest.approx(gap / 100, rel=2e-2)
 
 
 class TestConvergenceStudy:
@@ -110,12 +153,15 @@ class TestConvergenceStudy:
         assert cell.order == pytest.approx(2.0, abs=0.2)
         assert all(r > 0 for r in cell.rel_errors)
 
-    def test_report_rows_have_order_column(self):
+    def test_report_rows_have_model_gap_and_order_columns(self):
         study = StudySpec("straight", ["timoshenko_p2p1"], ["full"], [2, 4, 8], [0.1])
-        rows = list(run_convergence(study).rows())
+        report = run_convergence(study)
+        rows = list(report.rows())
         assert len(rows) == 3
         assert rows[0][-1] == ""           # no previous mesh
         assert isinstance(rows[1][-1], float)
+        gap = report.cell("timoshenko_p2p1", "full", 0.1).model_gap
+        assert [row[-2] for row in rows] == [gap] * 3
 
     def test_single_mesh_study_has_no_order(self):
         study = StudySpec("straight", ["timoshenko_p2p1"], ["full"], [4], [0.1])

@@ -149,6 +149,15 @@ class TestWireFormat:
         with pytest.raises(SchemaError, match="section.shape"):
             load_model(straight_doc(section={"shape": "triangle"}))
 
+    @pytest.mark.parametrize("section", [{"shape": "unit_depth_rect", "t": 1e300},
+                                         {"shape": "circle", "d": 1e200},
+                                         {"shape": "rect", "w": 1e300, "h": 1.0,
+                                          "director": [0, 0, 1]}])
+    def test_overflowing_section_is_a_schema_error(self, section):
+        # a raw OverflowError used to escape load_model
+        with pytest.raises(SchemaError, match="section: .* must be finite and positive"):
+            load_model(straight_doc(section=section))
+
     def test_study(self):
         study = load_study({
             "benchmark": "quarter_arc",
@@ -180,6 +189,38 @@ def test_every_shipped_config_loads(path):
     with open(path) as fh:
         doc = json.load(fh)
     (load_study if os.path.basename(path).startswith("study_") else load_model)(doc)
+
+
+# the keys that place each curve kind in space
+_PLACEMENT_KEYS = {"line": ("p0", "p1"), "arc": ("center",), "helix": ("center",),
+                   "hermite_spline": ("points",)}
+
+
+@pytest.mark.parametrize("path", [config(name) for name in sorted(os.listdir(CONFIG_DIR))
+                                  if not name.startswith("study_")]
+                         + [demo(name) for name in sorted(os.listdir(DEMO_DIR))],
+                         ids=os.path.basename)
+def test_every_shipped_model_solves_the_same_when_translated(path):
+    # the formulation reads only the tangent (and kappa), so a rigid
+    # translation by 1e9 in every coordinate must keep the verdict and x; the
+    # rigid-mode rows used to be taken about the origin, which counted two
+    # free modes on every file translated by 2e7 (the helix by 1e7). Line,
+    # arc and helix stay bitwise; a spline's knot points round at 1e9, which
+    # moves x by 1.6e-8 and 2.0e-8 relative on the two shipped S-curves
+    from cartbeam.discretization import formulation
+    from cartbeam.solver import solve_model
+
+    with open(path) as fh:
+        doc = json.load(fh)
+    curve = dict(doc["curve"])
+    for key in _PLACEMENT_KEYS[curve["kind"]]:
+        curve[key] = (np.asarray(curve[key], float) + 1e9).tolist()
+    x0, x1 = (solve_model(model, formulation(form), n, policy).x
+              for model, form, n, policy in (load_model(doc), load_model({**doc, "curve": curve})))
+    if curve["kind"] == "hermite_spline":
+        assert np.abs(x1 - x0).max() <= 1e-7 * np.abs(x0).max()
+    else:
+        assert np.array_equal(x1, x0)
 
 
 def test_package_data_ships_every_demo():
@@ -430,7 +471,8 @@ class TestConvergeCommand:
         out = str(tmp_path / "out")
         assert main(["converge", config("study_straight.json"), "--out", out]) == 0
         lines = open(os.path.join(out, "convergence.csv")).read().splitlines()
-        assert lines[0] == "benchmark,formulation,quadrature,t,n_elem,qoi,error,rel_error,order"
+        assert lines[0] == ("benchmark,formulation,quadrature,t,n_elem,qoi,error,rel_error,"
+                            "model_gap,order")
         assert len(lines) == 1 + 2 * 6   # two thicknesses, six meshes
 
     def test_shipped_quarter_arc_study_orders(self, tmp_path, capsys):
@@ -445,6 +487,7 @@ class TestConvergeCommand:
                 orders[key] = float(val)
         assert abs(orders[("p2p1", False)] - 2.0) <= 0.2
         assert abs(orders[("p2p1", True)] - 2.0) <= 0.2
+        assert abs(orders[("h3p2", False)] - 4.0) <= 0.3
         assert abs(orders[("h3p2", True)] - 4.0) <= 0.3
         lines = open(os.path.join(out, "convergence.csv")).read().splitlines()
         assert len(lines) == 1 + 2 * 2 * 6  # 2 formulations x 2 thicknesses x 6 meshes

@@ -98,6 +98,31 @@ class TestShapes:
                 bad()
 
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda x: unit_depth_rect_section(x), "polar"),
+        (lambda x: circle_section(x), "area"),
+        (lambda x: rect_section(x, 1.0, [0, 1, 0]), "polar"),
+        (lambda x: rect_section(1.0, x, [0, 1, 0]), "polar"),
+    ])
+    @pytest.mark.parametrize("size", [1e200, 1e300])
+    def test_overflowing_sizes_are_refused_by_field(self, build, field, size):
+        # t**3 or d**4 used to escape as a raw OverflowError
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got inf"):
+            build(size)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: CrossSection(area=0.0, polar=1.0, inertia_iso=1.0), "area"),
+        (lambda: CrossSection(area=1.0, polar=np.inf, inertia_iso=1.0), "polar"),
+        (lambda: CrossSection(area=1.0, polar=1.0, inertia_iso=0.0), "inertia_iso"),
+        (lambda: CrossSection(area=1.0, polar=1.0, inertia_principal=(1.0, np.nan),
+                              director=[0, 0, 1]), "inertia_principal"),
+        (lambda: unit_depth_rect_section(1e-200), "polar"),   # t**3 underflows to 0
+    ])
+    def test_zero_or_non_finite_values_name_the_field(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            build()
+
+
 class TestInertiaTensor:
     def test_isotropic_diag(self):
         sec = CrossSection(area=1.0, polar=4.0, inertia_iso=2.0)

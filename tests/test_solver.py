@@ -463,12 +463,13 @@ SUPPORTS = {
 
 
 def _rigid_modes_by_np_cross(system):
-    """rigid_modes as it was written with np.cross, the reference."""
+    """rigid_modes as it was written with np.cross, the reference: rotations
+    about the first node."""
     dm, curve, eye = system.dofmap, system.model.curve, np.eye(3)
     Z = np.zeros((dm.ndof, 6))
     u = dm.fields["u"]
     fr = curve.frames(u.node_s)
-    rot = np.cross(eye[:, None, :], fr.x)
+    rot = np.cross(eye[:, None, :], fr.x - fr.x[0])
     for a in range(3):
         Z[u.node_dofs[:, :3], a] = eye[a]
         Z[u.node_dofs[:, :3], 3 + a] = rot[a]
