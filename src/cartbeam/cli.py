@@ -2,8 +2,9 @@
 built-in acceptance suite.
 
 Exit codes: 0 success, 1 schema/usage error (the message names the offending
-key path) or a model error found during assembly (conflicting constraints, a
-section director along the tangent), 2 singular system, 3 I/O failure.
+key path) or any other input the library refuses with a ValueError
+(conflicting constraints, a section director along the tangent, a value that
+is no longer finite once assembled), 2 singular system, 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .assembly import (
     BCRow,
     BeamModel,
     BoundaryCondition,
-    ConstraintConflictError,
     LoadCase,
     PointConstraint,
     _point_row,
@@ -36,13 +36,7 @@ from .benchmarks import (
 from .discretization import FORMULATIONS, element_count, formulation
 from .geometry import CircularArc, Helix, HermiteSpline, LineSegment
 from .postprocess import displacement_samples, export, reactions, strain_energy
-from .section import (
-    DirectorDegeneracyError,
-    Material,
-    circle_section,
-    rect_section,
-    unit_depth_rect_section,
-)
+from .section import Material, circle_section, rect_section, unit_depth_rect_section
 from .solver import SingularSystemError, solve_model
 
 
@@ -392,7 +386,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ConstraintConflictError, DirectorDegeneracyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularSystemError as exc:

@@ -245,6 +245,8 @@ class Helix(ParamCurve):
             raise ValueError(f"{k} radius must be positive, and radius, pitch and angles finite")
         if not self.angle1 > self.angle0:
             raise ValueError(f"{k} angle range must be increasing")
+        if np.hypot(self.radius, self.pitch) < _SPEED_FLOOR:
+            raise DegenerateCurveError(f"{k} speed hypot(radius, pitch) below {_SPEED_FLOOR}")
         e1, e2 = finite_vec3(self.e1, f"{k} e1"), finite_vec3(self.e2, f"{k} e2")
         if abs(np.linalg.norm(e1) - 1.0) > 1e-6 or abs(np.linalg.norm(e2) - 1.0) > 1e-6:
             raise ValueError(f"{k} plane basis vectors must be unit length")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import gauss_rule
-from .geometry import FrameSample
 from .solver import FieldState, SolutionFields
 
 
@@ -41,18 +40,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0]
 
 
-def _rotation_state(t: np.ndarray, k: np.ndarray, st: FieldState, euler_bernoulli: bool):
-    """(theta, dtheta) at points with tangents t and curvature vectors k
-    (n, 3) from a batch state, with the Euler-Bernoulli rotation
-    reconstructed as theta = t x u' + t theta_t."""
-    if not euler_bernoulli:
-        return st.theta, st.dtheta
-    tt, dtt = st.theta_t[:, None], st.dtheta_t[:, None]
-    theta = np.cross(t, st.du) + t * tt
-    dtheta = np.cross(k, st.du) + np.cross(t, st.d2u) + k * tt + t * dtt
-    return theta, dtheta
-
-
 def _section_matrices(solution: SolutionFields, t: np.ndarray):
     """E|A|, G|A|, E I_sigma at each tangent of t (n, 3, 3), and G J."""
     from .section import inertia_tensor
@@ -62,30 +49,21 @@ def _section_matrices(solution: SolutionFields, t: np.ndarray):
         mat.G * sec.polar
 
 
-def _samples(solution: SolutionFields, s) -> tuple[np.ndarray, FrameSample, FieldState]:
-    """The arc lengths as a 1-d array, their frames and their field state,
-    each from one batch query."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    return s, solution.model.curve.frames(s), solution.evaluate(s)
-
-
 def resultants(solution: SolutionFields, s) -> Resultants:
     """Plain resultant forms sampled at the given arc lengths."""
-    return _resultants(solution, *_samples(solution, s))
+    return _resultants(solution, solution.evaluate(np.atleast_1d(s)))
 
 
-def _resultants(solution: SolutionFields, s: np.ndarray, fr: FrameSample,
-                st: FieldState) -> Resultants:
-    """`resultants` from a sample already taken by `_samples`."""
-    t = fr.t
+def _resultants(solution: SolutionFields, st: FieldState) -> Resultants:
+    """`resultants` from a batch sample already taken by `evaluate`."""
+    t, dtheta = st.t, st.dtheta
     EA, GA, EI, GJ = _section_matrices(solution, t)
-    theta, dtheta = _rotation_state(t, fr.kappa, st, solution.form.euler_bernoulli)
     du_t = _dot(t, st.du)
     if solution.form.euler_bernoulli:
-        S = np.zeros((len(s), 3))
+        S = np.zeros((len(st.s), 3))
     else:
-        S = GA * (st.du - du_t * t - np.cross(theta, t))
-    return Resultants(s=s, N=EA * du_t * t, S=S, M=(EI @ dtheta[:, :, None])[:, :, 0],
+        S = GA * (st.du - du_t * t - np.cross(st.theta, t))
+    return Resultants(s=st.s, N=EA * du_t * t, S=S, M=(EI @ dtheta[:, :, None])[:, :, 0],
                       T=GJ * _dot(t, dtheta) * t)
 
 
@@ -100,10 +78,9 @@ def resultants_curvature_form(solution: SolutionFields, s) -> Resultants:
     where each primed quantity is expanded with (t (x) t)' = t (x) kappa +
     kappa (x) t, so the curvature enters explicitly.
     """
-    s, fr, st = _samples(solution, s)
-    t, k = fr.t, fr.kappa
+    st = solution.evaluate(np.atleast_1d(s))
+    t, k, theta, dtheta = st.t, st.kappa, st.theta, st.dtheta
     EA, GA, EI, GJ = _section_matrices(solution, t)
-    theta, dtheta = _rotation_state(t, k, st, solution.form.euler_bernoulli)
 
     u_t = _dot(t, st.u)
     Qu = st.u - u_t * t
@@ -117,10 +94,10 @@ def resultants_curvature_form(solution: SolutionFields, s) -> Resultants:
 
     QdQu = dQu - t * _dot(t, dQu)
     if solution.form.euler_bernoulli:
-        S = np.zeros((len(s), 3))
+        S = np.zeros((len(st.s), 3))
     else:
         S = GA * (QdQu - np.cross(Qth, t) + u_t * k)
-    return Resultants(s=s, N=EA * (du_t - _dot(Qu, k)) * t, S=S,
+    return Resultants(s=st.s, N=EA * (du_t - _dot(Qu, k)) * t, S=S,
                       M=(EI @ (dQth + th_t * k)[:, :, None])[:, :, 0],
                       T=GJ * (dth_t - _dot(Qth, k)) * t)
 
@@ -134,11 +111,9 @@ def sample_points(solution: SolutionFields) -> np.ndarray:
 
 
 def displacement_samples(solution: SolutionFields, s) -> tuple[np.ndarray, np.ndarray]:
-    """(u, theta) sampled at the given arc lengths; theta is reconstructed
-    for Euler-Bernoulli solutions."""
-    s, fr, st = _samples(solution, s)
-    theta, _ = _rotation_state(fr.t, fr.kappa, st, solution.form.euler_bernoulli)
-    return st.u, theta
+    """(u, theta) sampled at the given arc lengths."""
+    st = solution.evaluate(np.atleast_1d(s))
+    return st.u, st.theta
 
 
 def tip_displacement(solution: SolutionFields) -> np.ndarray:
@@ -339,11 +314,10 @@ def export(solution: SolutionFields, out_dir: str, n_samples: int = 101) -> dict
     if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
         raise ValueError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     os.makedirs(out_dir, exist_ok=True)
-    s, fr, st = _samples(solution, np.linspace(0.0, solution.mesh.length, n_samples))
-    th, _ = _rotation_state(fr.t, fr.kappa, st, solution.form.euler_bernoulli)
-    center = np.column_stack([s, fr.x, st.u, th])
-    res = _resultants(solution, s, fr, st)
-    res_rows = np.column_stack([s, res.N, res.S, res.M, res.T])
+    st = solution.evaluate(np.linspace(0.0, solution.mesh.length, n_samples))
+    center = np.column_stack([st.s, st.x, st.u, st.theta])
+    res = _resultants(solution, st)
+    res_rows = np.column_stack([st.s, res.N, res.S, res.M, res.T])
 
     paths = {name: os.path.join(out_dir, f"{name}.csv") for name in ("centerline", "resultants")}
     _write_csv(paths["centerline"], "s,x,y,z,ux,uy,uz,thx,thy,thz", center)

@@ -71,6 +71,7 @@ import functools
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
+from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .assembly import LinearSystem, _rigid_node_rows, discretize
@@ -87,23 +88,25 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(eq=False)
 class FieldState:
-    """Raw interpolated field data at one arc length, or at each of a 1-d
-    array of arc lengths: then every field leads with the sample axis
-    (theta_t and dtheta_t of shape (n,))."""
+    """The solution sampled at one arc length s, or at each of a 1-d array of
+    arc lengths (then every field leads with the sample axis): the curve's
+    frame there (position x, tangent t, curvature vector kappa), the
+    displacement u, u' and the rotation vector theta, theta' under either
+    kinematics. Under Euler-Bernoulli kinematics theta is derived from the
+    midline, theta = t x u' + t theta_t; its twist theta_t is t . theta."""
 
     s: float
+    x: np.ndarray
+    t: np.ndarray
+    kappa: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    d2u: np.ndarray | None = None
-    theta: np.ndarray | None = None         # Timoshenko rotation vector
-    dtheta: np.ndarray | None = None
-    theta_t: float | None = None            # Euler-Bernoulli twist
-    dtheta_t: float | None = None
+    theta: np.ndarray
+    dtheta: np.ndarray
 
     def row(self, i: int) -> "FieldState":
         """The state at sample i of a batch state."""
-        return FieldState(**{f.name: None if getattr(self, f.name) is None
-                             else getattr(self, f.name)[i] for f in dc_fields(self)})
+        return FieldState(**{f.name: getattr(self, f.name)[i] for f in dc_fields(self)})
 
 
 @dataclass(eq=False)
@@ -135,20 +138,23 @@ class SolutionFields:
         return np.moveaxis(sh @ coeff, 1, 0)
 
     def evaluate(self, s) -> FieldState:
-        """Field values and d/ds values at the arc lengths of a 1-d array s,
-        as a FieldState whose fields lead with the sample axis. A scalar s
-        is the one-row case."""
+        """The solution sampled at the arc lengths of a 1-d array s, as a
+        FieldState whose fields lead with the sample axis, from one frames
+        query; a scalar s is the one-row case. Under Euler-Bernoulli
+        kinematics theta' = kappa x u' + t x u'' + kappa theta_t + t theta_t'."""
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         e, xi = self.mesh.locate(s_arr)
-        form = self.form
-        if form.euler_bernoulli:
+        fr = self.model.curve.frames(s_arr)
+        t, k = fr.t, fr.kappa
+        if self.form.euler_bernoulli:
             u, du, d2u = self._field_at("u", e, xi, 2)
-            tt, dtt = self._field_at("theta_t", e, xi, 1)[..., 0]
-            st = FieldState(s=s_arr, u=u, du=du, d2u=d2u, theta_t=tt, dtheta_t=dtt)
+            tt, dtt = self._field_at("theta_t", e, xi, 1)
+            th = np.cross(t, du) + t * tt
+            dth = np.cross(k, du) + np.cross(t, d2u) + k * tt + t * dtt
         else:
             u, du = self._field_at("u", e, xi, 1)
-            th, dth = self._field_at(form.angle_field, e, xi, 1)
-            st = FieldState(s=s_arr, u=u, du=du, theta=th, dtheta=dth)
+            th, dth = self._field_at("theta", e, xi, 1)
+        st = FieldState(s=s_arr, x=fr.x, t=t, kappa=k, u=u, du=du, theta=th, dtheta=dth)
         return st.row(0) if np.ndim(s) == 0 else st
 
 
@@ -491,7 +497,7 @@ def solve(system: LinearSystem) -> SolutionFields:
     k = H.shape[1]
     if k:
         work = system.rhs @ H
-        bound = 1e-10 * np.linalg.norm(system.rhs) * np.linalg.norm(H, axis=0)
+        bound = 1e-10 * dnrm2(system.rhs) * np.linalg.norm(H, axis=0)
         if np.any(np.abs(work) > bound):
             raise SingularSystemError(
                 f"the load does work ({', '.join(f'{v:.3e}' for v in work)}) on the "
@@ -528,18 +534,20 @@ def solve(system: LinearSystem) -> SolutionFields:
         # the local gauge leaves x in the least-hourglass gauge up to a
         # combination of the modes, which C, B and K do not see
         x = x - H @ np.linalg.solve(_least_hourglass(system, V, H), _least_hourglass(system, V, x))
-    # K x - f + B^T lam, B on the end nodes' DOFs
+    # K x - f + B^T lam, B on the end nodes' DOFs; BLAS nrm2 scales as it
+    # sums, where a sum of squares under- or overflows outside ~1e+-154
     B, ends = system.B_end, system.dofmap.boundary_dofs()
     r1 = _apply_stiffness(system, ke, x) - system.rhs
     r1[ends] += lam @ B
-    bound = 1e-10 * (np.linalg.norm(system.rhs) + kappa * np.linalg.norm(x) + 1e-300)
-    if np.linalg.norm(r1) > max(bound, 1e-300):
+    x_norm, r1_norm = dnrm2(x), dnrm2(r1)
+    bound = 1e-10 * (dnrm2(system.rhs) + kappa * x_norm + 1e-300)
+    if r1_norm > max(bound, 1e-300):
         raise SingularSystemError(
-            f"equilibrium residual {np.linalg.norm(r1):.3e} exceeds {bound:.3e}; "
+            f"equilibrium residual {r1_norm:.3e} exceeds {bound:.3e}; "
             "system is numerically singular")
-    r2 = np.linalg.norm(B @ x[ends] - system.g)
+    r2 = dnrm2(B @ x[ends] - system.g)
     B_inf = np.abs(B).sum(axis=1).max(initial=0.0)
-    if r2 > 1e-10 * max(1.0, np.linalg.norm(system.g), B_inf * np.linalg.norm(x)):
+    if r2 > 1e-10 * max(1.0, dnrm2(system.g), B_inf * x_norm):
         raise SingularSystemError(f"constraint residual {r2:.3e} too large")
 
     return SolutionFields(system=system, x=x, multipliers=lam)

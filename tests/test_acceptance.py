@@ -129,6 +129,15 @@ def test_runtime_limits_read_a_monotonic_clock(monkeypatch):
     assert result.runtime < 1.0
 
 
+def test_passing_criterion_prints_every_check():
+    """A passing criterion's detail carries one message per check: criterion
+    4's three locking-free-in-t readings follow its three ratios."""
+    checks = [(True, f"check {i}") for i in range(5)]
+    assert acceptance._result("c", 0.0, checks).detail == "; ".join(m for _, m in checks)
+    detail = _run(acceptance.curvature_locking_reduced_integration).detail
+    assert detail.count("full/reduced error ratio") == 3 and detail.count("(t=1e-5)") == 3
+
+
 def test_sabotage_hook_fails_criteria():
     results = acceptance.run_acceptance(
         names=["geometry_identity_suite", "h3p2_one_element_quality"], slack=1e-12)

@@ -1,12 +1,17 @@
 """Command-line front end: schema validation, exit codes, output files."""
 import fnmatch
+import itertools
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from cartbeam.benchmarks import (
     DEMO_DIR,
@@ -16,6 +21,9 @@ from cartbeam.benchmarks import (
     make_straight_model,
 )
 from cartbeam.cli import SchemaError, load_model, load_study, main
+from cartbeam.discretization import FORMULATIONS, formulation
+from cartbeam.postprocess import displacement_samples, tip_displacement
+from cartbeam.solver import SingularSystemError, solve_model
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -195,11 +203,12 @@ def test_every_shipped_config_loads(path):
 _PLACEMENT_KEYS = {"line": ("p0", "p1"), "arc": ("center",), "helix": ("center",),
                    "hermite_spline": ("points",)}
 
+SHIPPED_MODELS = ([config(name) for name in sorted(os.listdir(CONFIG_DIR))
+                   if not name.startswith("study_")]
+                  + [demo(name) for name in sorted(os.listdir(DEMO_DIR))])
 
-@pytest.mark.parametrize("path", [config(name) for name in sorted(os.listdir(CONFIG_DIR))
-                                  if not name.startswith("study_")]
-                         + [demo(name) for name in sorted(os.listdir(DEMO_DIR))],
-                         ids=os.path.basename)
+
+@pytest.mark.parametrize("path", SHIPPED_MODELS, ids=os.path.basename)
 def test_every_shipped_model_solves_the_same_when_translated(path):
     # the formulation reads only the tangent (and kappa), so a rigid
     # translation by 1e9 in every coordinate must keep the verdict and x; the
@@ -221,6 +230,140 @@ def test_every_shipped_model_solves_the_same_when_translated(path):
         assert np.abs(x1 - x0).max() <= 1e-7 * np.abs(x0).max()
     else:
         assert np.array_equal(x1, x0)
+
+
+def _moved(doc, R, lam, mu):
+    """doc turned by the rotation R, with lengths x lam and moduli x mu, and
+    its loads scaled to match: forces x mu a, moments x mu a lam, where a =
+    lam^2 is the section area's factor (lam for the unit-depth rectangle).
+    Then u becomes lam R u and theta becomes R theta. The custom end rows of
+    the shipped files are homogeneous, so they stay as they are."""
+    doc = json.loads(json.dumps(doc))
+
+    def turn(v, f=1.0):
+        return (f * np.asarray(v, float) @ R.T).tolist()
+
+    curve, sec = doc["curve"], doc["section"]
+    for key in ("p0", "p1", "center", "points", "end_tangents"):
+        if key in curve:
+            curve[key] = turn(curve[key], lam)
+    for key in ("radius", "pitch"):
+        if key in curve:
+            curve[key] *= lam
+    if "basis" in curve:
+        curve["basis"] = turn(curve["basis"])
+    for key in ("E", "G"):
+        if key in doc["material"]:
+            doc["material"][key] *= mu
+    for key in ("d", "t", "w", "h"):
+        if key in sec:
+            sec[key] *= lam
+    if "director" in sec:
+        sec["director"] = turn(sec["director"])
+    a = mu * (lam if sec["shape"] == "unit_depth_rect" else lam**2)
+    for end in ("start", "end"):
+        load = doc["loads"].get(end, {})
+        for key, f in (("force", a), ("moment", a * lam)):
+            if key in load:
+                load[key] = turn(load[key], f)
+    assert "body" not in doc["loads"]
+    for c in doc.get("constraints", []):
+        c["direction"] = turn(c["direction"])
+        c["value"] = c.get("value", 0.0) * (lam if c.get("field", "u") == "u" else 1.0)
+    for bc in doc["bcs"].values():
+        assert isinstance(bc, str) or not any(np.any(v) for row in bc.values()
+                                              for v in row.values())
+    return doc
+
+
+def _solve(doc):
+    model, form, n, policy = load_model(doc)
+    return solve_model(model, formulation(form), n, policy)
+
+
+def _verdict(doc):
+    """The solution of a model document, or the SingularSystemError it raises."""
+    try:
+        return _solve(doc)
+    except SingularSystemError as exc:
+        return exc
+
+
+# The largest error over 200 random draws at n = 8, 3600 solve pairs, which
+# read the same before and after the residual norms moved to BLAS nrm2:
+# 8.8e-15 to 5.5e-14 on the quarter arc under Timoshenko kinematics, up to
+# 4.8e-12 on the straight files and 5.4e-12 on the S-curves, 3.5e-10 on the
+# helix spring (H3-P2; 9.9e-11 under P2-P1), and for EB-H3 up to 3.7e-11 (the
+# S-curve under torque). The helix reads 1e-12 at lam = 1 and 3.6e-10 at an
+# exact lam = 2^-10, whose assembled blocks scale exactly: the banded solve's
+# rounding changes with the units.
+_MOTION_BOUND = 1e-9
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_lam=st.floats(-3.0, 3.0),
+       log_mu=st.floats(-3.0, 3.0))
+def test_every_shipped_model_turns_and_scales_with_its_data(seed, log_lam, log_mu):
+    # the formulation reads only the tangent (and kappa), so a rigid rotation
+    # and a change of units of a whole model keep its verdict and map its
+    # solution: u to lam R u and theta to R theta, compared at 9 points
+    # relative to max(|u|, L |theta|)
+    R = Rotation.random(random_state=seed).as_matrix()
+    lam, mu = 10.0 ** log_lam, 10.0 ** log_mu
+    for path, form in itertools.product(SHIPPED_MODELS, sorted(FORMULATIONS)):
+        with open(path) as fh:
+            doc = {**json.load(fh), "formulation": form, "elements": 8}
+        base, moved = _verdict(doc), _verdict(_moved(doc, R, lam, mu))
+        assert type(moved) is type(base), (path, form)
+        if isinstance(base, SingularSystemError):
+            continue
+        (u0, th0), (u1, th1) = (displacement_samples(sol, np.linspace(0.0, sol.mesh.length, 9))
+                                for sol in (base, moved))
+        L = base.mesh.length
+        err = max(np.abs(u1 / lam - u0 @ R.T).max(), L * np.abs(th1 - th0 @ R.T).max())
+        assert err <= _MOTION_BOUND * max(np.abs(u0).max(), L * np.abs(th0).max()), \
+            (path, form)
+
+
+def _scaled(path, keys, factor):
+    """A shipped model file with the value at the key path keys x factor."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = (factor * np.asarray(node[keys[-1]])).tolist()
+    return doc
+
+
+MODULUS, END_FORCE = ("material", "E"), ("loads", "end", "force")
+
+
+@pytest.mark.parametrize("path, keys, factor, tip_factor", [
+    (demo("helix_spring.json"), MODULUS, 1e294, 1e-294),
+    (config("straight_cantilever.json"), MODULUS, 1e294, 1e-294),
+    (config("quarter_arc.json"), MODULUS, 1e-306, 1e306),
+    (config("quarter_arc.json"), END_FORCE, 1e300, 1e300),
+], ids=["helix_E1e300", "straight_E1e300", "arc_E1e-300", "arc_force1e300"])
+def test_extreme_values_solve_to_the_scaled_solution(path, keys, factor, tip_factor):
+    # the residual and hourglass-load checks take their 2-norms by BLAS
+    # nrm2: a sum of squares underflowed |x| to 0 at E = 1e300, which dropped
+    # kappa |x| from the equilibrium bound and refused the solve, and
+    # overflowed, with a RuntimeWarning, to an inf bound at E = 1e-300 and to
+    # an inf hourglass bound under a force of 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        base, scaled = (_solve(_scaled(path, keys, f)) for f in (1.0, factor))
+    tip, ref = tip_displacement(scaled) / tip_factor, tip_displacement(base)
+    assert np.abs(tip - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_straight_cantilever_at_tiny_modulus_is_refused():
+    # at E = 1e-300 the tip is ~1e302 and the solve loses its digits: the
+    # equilibrium residual reads 1.1 against a bound of 9.9e-4, which the
+    # overflowing norm made inf
+    with pytest.raises(SingularSystemError, match="equilibrium residual"):
+        _solve(_scaled(config("straight_cantilever.json"), MODULUS, 1e-306))
 
 
 def test_package_data_ships_every_demo():
@@ -396,6 +539,23 @@ class TestSolveCommand:
         path = write_json(tmp_path / "model.json", doc)
         assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
         assert "director" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, key, value",
+                             [(config("quarter_arc.json"), "curve.radius", 1e-300),
+                              (demo("helix_spring.json"), "curve.pitch", 1e300)],
+                             ids=["arc_radius_1e-300", "helix_pitch_1e300"])
+    def test_degenerate_curve_data_exits_1(self, tmp_path, capsys, path, key, value):
+        # a helix of vanishing speed is refused when it is built, and a value
+        # that stops being finite in assembly is a ValueError: both end in
+        # "error:", not in a traceback. At pitch 1e300 the section frames
+        # overflow first, so the warning filter is the test's own
+        with open(path) as fh:
+            model = write_json(tmp_path / "model.json", _edit(json.load(fh), key, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["solve", model, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_singular_system_exits_2(self, tmp_path):
         doc = straight_doc(bcs={"start": "free", "end": "free"})

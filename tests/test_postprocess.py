@@ -430,23 +430,29 @@ def _fields_per_sample(sol, si):
     return out
 
 
+def _rotation_per_sample(sol, t, k, f):
+    """(theta, theta') of one sample from its fields f (`_fields_per_sample`),
+    tangent t and curvature vector k; under Euler-Bernoulli kinematics
+    theta = t x u' + t theta_t, differentiated term by term."""
+    if not sol.form.euler_bernoulli:
+        return f["theta"]
+    du, tt, dtt = f["u"][1], f["theta_t"][0][0], f["theta_t"][1][0]
+    return (np.cross(t, du) + t * tt,
+            np.cross(k, du) + np.cross(t, f["u"][2]) + k * tt + t * dtt)
+
+
 def _per_sample_reference(sol, s):
     """Resultants sample by sample, from scalar field values and the scalar
     section tensor."""
     mat, sec = sol.model.material, sol.model.section
     fr = sol.model.curve.frames(s)
-    eb = sol.form.euler_bernoulli
     ref = {q: np.zeros((len(s), 3)) for q in ("N", "S", "M", "T")}
     for i, si in enumerate(s):
-        t, k = fr.t[i], fr.kappa[i]
+        t = fr.t[i]
         f = _fields_per_sample(sol, si)
         du = f["u"][1]
-        if eb:
-            tt, dtt = f["theta_t"][0][0], f["theta_t"][1][0]
-            theta = np.cross(t, du) + t * tt
-            dtheta = np.cross(k, du) + np.cross(t, f["u"][2]) + k * tt + t * dtt
-        else:
-            theta, dtheta = f["theta"]
+        theta, dtheta = _rotation_per_sample(sol, t, fr.kappa[i], f)
+        if not sol.form.euler_bernoulli:
             Qdu = du - float(t @ du) * t
             ref["S"][i] = mat.G * sec.area * (Qdu - np.cross(theta, t))
         ref["N"][i] = mat.E * sec.area * float(t @ du) * t
@@ -481,16 +487,15 @@ class TestBatchEvaluation:
 
         st = sol.evaluate(s)
         per = [_fields_per_sample(sol, si) for si in s]
-        angle = "theta_t" if sol.form.euler_bernoulli else "theta"
         close(st.u, np.array([f["u"][0] for f in per]))
         close(st.du, np.array([f["u"][1] for f in per]))
-        if sol.form.euler_bernoulli:
-            close(st.d2u, np.array([f["u"][2] for f in per]))
-            close(st.theta_t, np.array([f[angle][0][0] for f in per]))
-            close(st.dtheta_t, np.array([f[angle][1][0] for f in per]))
-        else:
-            close(st.theta, np.array([f[angle][0] for f in per]))
-            close(st.dtheta, np.array([f[angle][1] for f in per]))
+        fr = model.curve.frames(s)
+        rot = [_rotation_per_sample(sol, fr.t[i], fr.kappa[i], f) for i, f in enumerate(per)]
+        close(st.theta, np.array([theta for theta, _ in rot]))
+        close(st.dtheta, np.array([dtheta for _, dtheta in rot]))
+        # the sample's frame is the curve's own
+        for q in ("x", "t", "kappa"):
+            assert np.array_equal(getattr(st, q), getattr(fr, q))
 
         # a scalar s is the one-row case
         one = sol.evaluate(float(s[2]))
